@@ -104,9 +104,19 @@ func main() {
 		rec := st.RecoveryStats()
 		fmt.Printf("recovery: parallelism=%d wall=%v (attach=%v open=%v sweep=%v bulkload=%v)\n",
 			rec.Parallelism, rec.Wall, rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad)
-		fmt.Printf("recovery work: pages-swept=%d pages-freed=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d keys-replayed=%d\n",
-			rec.PagesSwept, rec.PagesFreed, rec.ChunksRelinked,
+		fmt.Printf("recovery work: pages-swept=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d keys-replayed=%d\n",
+			rec.PagesSwept, rec.ChunksRelinked,
 			rec.KeysBulkLoaded, rec.NodesBulkBuilt, rec.KeysReplayed)
+		c := st.BlockCensus()
+		fmt.Printf("blocks: total=%d free=%d node=%d retired=%d version=%d slab=%d\n",
+			c.Total, c.Free, c.Node, c.Retired, c.Version, c.Slab)
+		fmt.Printf("slab: %d extents\n", st.SlabStats().Extents)
+		for _, cl := range st.SlabClassStats() {
+			if cl.Pages > 0 {
+				fmt.Printf("slab class %d words: %d pages of %d blocks, %d chunks each\n",
+					cl.ChunkWords, cl.Pages, cl.SpanBlocks, cl.ChunksPerPage)
+			}
+		}
 		for _, p := range st.Pools() {
 			fmt.Printf("pool %d: %d words, %v\n", p.ID(), p.Size(), p.Stats().Snapshot())
 		}

@@ -51,6 +51,17 @@
 // Free, which is idempotent. Recovery work is therefore O(threads), not
 // O(structure size).
 //
+// # Slab chunks
+//
+// The coarse tier also serves the variable-size value arena
+// (internal/slab): ClaimSlabChunk hands it a whole chunk, which it bump-
+// carves into extents of contiguous blocks. Such a chunk is never chained
+// onto a free list; its first cache line says so — kind KindSlab,
+// SlabChunkMagic, and the bump cursor — and every block-strided scan in
+// this package reads that line first, skipping the chunk (its words are
+// value bytes, not kind words) or, in Census, accounting it from the
+// cursor.
+//
 // A crash between claiming a chunk and appending its block chain to the
 // free list can leak at most one chunk per crashed thread; the paper
 // reclaims these through the same next-operation cleanup, and this
@@ -86,13 +97,6 @@ const (
 	hdrRootWords  = 8
 	// EpochOff is the pool word holding the failure-free epoch clock.
 	EpochOff = 9
-	// hdrSlabDir caches a riv.Ptr to the slab arena's directory block
-	// (internal/slab). The word sits in the header area that version 1
-	// always reserved (two cache lines, words 10–15 unused), so pools
-	// formatted before slabs existed read 0 here — "no directory yet" —
-	// and the format version does not change.
-	hdrSlabDir = 10
-
 	hdrLines = 2 // header occupies two cache lines (16 words)
 )
 
@@ -133,12 +137,27 @@ const (
 	// DRAM state) and are swept by VersionBlocks or reclaimed through the
 	// allocation log like any other lost block.
 	KindVersion = 3
-	// KindSlab marks a block carved into variable-size value chunks by the
-	// slab arena (internal/slab), or the arena's directory block. Slab
-	// pages are owned by the directory's per-class page lists, never by the
-	// structure's nodes, so the allocation-log reachability walk does not
-	// apply to them: recovery defers to the SlabCheck callback instead.
+	// KindSlab marks the header block of a chunk owned whole by the slab
+	// arena (see ClaimSlabChunk). No block handed out by Alloc ever carries
+	// it, so the allocation log never names one.
 	KindSlab = 4
+)
+
+// Slab chunk header: the words of a slab-owned chunk's first cache line,
+// after the kind and epoch words every block starts with. The arena
+// advances the cursor (and persists it) as it carves extents.
+const (
+	// SlabChunkMagicOff holds SlabChunkMagic.
+	SlabChunkMagicOff = 2
+	// SlabChunkCursorOff holds the number of blocks carved so far, the
+	// header's own included: blocks below it are the arena's, blocks from
+	// it to the chunk's end are unused.
+	SlabChunkCursorOff = 3
+	// SlabChunkTagOff holds a word private to the arena, persisted
+	// together with the rest of the header.
+	SlabChunkTagOff = 4
+
+	SlabChunkMagic = 0x5550534C45585431 // "UPSLEXT1"
 )
 
 // Log entry word layout (one cache line per thread ID).
@@ -166,11 +185,14 @@ type Config struct {
 	NumArenas  int    // free lists per pool (contention reduction)
 	NumLogs    int    // thread-ID slots for allocation logs
 	RootWords  uint64 // client root area size
-	// Preallocate selects the paper's mode 1 (§4.3.2): every chunk is
-	// carved into free blocks at Format time and distributed round-robin
-	// over the arenas, so no coarse-grained allocation happens during
-	// operation. The default is mode 2: chunks are provisioned on demand
-	// as the structure grows.
+	// Preallocate selects the paper's mode 1 (§4.3.2): chunks are carved
+	// into free blocks at Format time and distributed round-robin over the
+	// arenas, so the structure's nodes need no coarse-grained allocation
+	// during operation. Half of MaxChunks is carved this way; the other
+	// half stays unclaimed, because the value arena takes its space as
+	// whole chunks (ClaimSlabChunk) and blocks already on a free list can
+	// never be joined back into one. The default is mode 2: chunks are
+	// provisioned on demand as the structure grows.
 	Preallocate bool
 }
 
@@ -254,11 +276,11 @@ func Format(pool *pmem.Pool, cfg Config) (*PoolAllocator, error) {
 		arenaBase: arenaBase, logBase: logBase, rootBase: rootBase, chunkSpace: chunkSpace,
 	}
 
-	// Seed the arenas: one chunk each in mode 2, or every chunk that
-	// fits, round-robin, in mode 1 (Preallocate).
+	// Seed the arenas: one chunk each in mode 2, or half of all chunks
+	// (as far as they fit), round-robin, in mode 1 (Preallocate).
 	chunksToSeed := uint64(cfg.NumArenas)
 	if cfg.Preallocate {
-		chunksToSeed = cfg.MaxChunks
+		chunksToSeed = max(chunksToSeed, cfg.MaxChunks/2)
 	}
 	for c := uint64(0); c < chunksToSeed; c++ {
 		a := int(c) % cfg.NumArenas
@@ -404,12 +426,6 @@ func (pa *PoolAllocator) currentEpochWord() uint64 {
 // Installed by the client; see Function 3 lines 15–22 of the paper.
 type ReachabilityCheck func(ctx *exec.Ctx, pred riv.Ptr, key uint64, block riv.Ptr) bool
 
-// SlabCheck reports whether a KindSlab block named by a stale log entry
-// is owned by the slab arena (linked into its directory or page lists).
-// A block that is not owned leaked between allocation and page linking
-// and is freed. Installed by the slab arena.
-type SlabCheck func(block riv.Ptr) bool
-
 // Allocator is the multi-pool facade combining per-pool allocators with
 // the shared riv address space and the epoch clock.
 type Allocator struct {
@@ -418,9 +434,8 @@ type Allocator struct {
 	pools      map[uint16]*PoolAllocator
 	nodePool   map[int]uint16 // NUMA node -> pool ID for allocation
 	reachCheck ReachabilityCheck
-	slabCheck  SlabCheck
 	// scanPar bounds the goroutines the whole-pool kind scans
-	// (RetiredBlocks/VersionBlocks/SlabBlocks/Census) partition their
+	// (RetiredBlocks/VersionBlocks/SlabChunks/Census) partition their
 	// chunk ranges across; <= 1 scans serially. Volatile tuning set at
 	// recovery time — the scans only read kind words either way.
 	scanPar atomic.Int32
@@ -464,30 +479,6 @@ func (a *Allocator) AttachPool(pa *PoolAllocator, node int) {
 // SetReachabilityCheck installs the client callback used by deferred
 // allocation recovery.
 func (a *Allocator) SetReachabilityCheck(f ReachabilityCheck) { a.reachCheck = f }
-
-// SetSlabCheck installs the slab arena's ownership callback used when a
-// stale allocation log names a KindSlab block (see recoverLoggedAlloc).
-func (a *Allocator) SetSlabCheck(f SlabCheck) { a.slabCheck = f }
-
-// SlabDir returns the slab directory pointer cached in pool 0's header
-// (Null when no slab arena has ever been created in this store).
-func (a *Allocator) SlabDir() riv.Ptr {
-	pa := a.PoolByID(0)
-	if pa == nil {
-		return riv.Null
-	}
-	return riv.FromWord(pa.pool.Load(hdrSlabDir, nil))
-}
-
-// SetSlabDir persists the slab directory pointer into pool 0's header.
-func (a *Allocator) SetSlabDir(p riv.Ptr) {
-	pa := a.PoolByID(0)
-	if pa == nil {
-		panic("alloc: SetSlabDir without pool 0")
-	}
-	pa.pool.Store(hdrSlabDir, p.Word(), nil)
-	pa.pool.Persist(hdrSlabDir, 1, nil)
-}
 
 // Space returns the shared address space.
 func (a *Allocator) Space() *riv.Space { return a.space }
@@ -583,6 +574,45 @@ func (a *Allocator) provisionChunk(ctx *exec.Ctx, pa *PoolAllocator, arena int) 
 	return nil
 }
 
+// ClaimSlabChunk claims a whole chunk from the pool serving ctx for the
+// slab arena and formats its header with the first hdrBlocks blocks
+// marked carved (the header block itself, plus whatever the arena keeps
+// beside it) and the arena's tag word. The header is one cache line and
+// is persisted before the pointer to the chunk's first word is returned:
+// after a crash the chunk is either recognisably the arena's (SlabChunks
+// finds it, tag and all) or still all zero, which ReclaimOrphanChunks
+// treats like any other chunk lost between claim and link. The rest of
+// the chunk has never been written and reads as zero.
+func (a *Allocator) ClaimSlabChunk(ctx *exec.Ctx, hdrBlocks, tag uint64) (riv.Ptr, error) {
+	pa, err := a.PoolFor(ctx.Node)
+	if err != nil {
+		return riv.Null, err
+	}
+	idx, base, err := pa.claimChunk()
+	if err != nil {
+		return riv.Null, err
+	}
+	pa.pool.Store(base+BlockKind, KindSlab, ctx.Mem)
+	pa.pool.Store(base+BlockEpoch, a.clock.Current(), ctx.Mem)
+	pa.pool.Store(base+SlabChunkMagicOff, SlabChunkMagic, ctx.Mem)
+	pa.pool.Store(base+SlabChunkCursorOff, hdrBlocks, ctx.Mem)
+	pa.pool.Store(base+SlabChunkTagOff, tag, ctx.Mem)
+	pa.pool.Persist(base, pmem.LineWords, ctx.Mem)
+	a.space.SetChunkBase(pa.pool.ID(), idx, base)
+	return riv.Make(pa.pool.ID(), idx, 0), nil
+}
+
+// slabCursor reports whether chunk c is slab-owned and, if so, how many
+// of its blocks the arena has carved.
+func (pa *PoolAllocator) slabCursor(c uint64) (carved uint64, ok bool) {
+	base := pa.chunkSpace + c*pa.cfg.ChunkWords
+	if pa.pool.Load(base+BlockKind, nil) != KindSlab ||
+		pa.pool.Load(base+SlabChunkMagicOff, nil) != SlabChunkMagic {
+		return 0, false
+	}
+	return min(pa.pool.Load(base+SlabChunkCursorOff, nil), pa.cfg.ChunkWords/pa.cfg.BlockWords), true
+}
+
 // logChangeAttempt implements Function 3: check the previous log entry
 // for an interrupted allocation from an earlier epoch, reclaim the block
 // if it never became reachable, then record the new attempt.
@@ -634,17 +664,6 @@ func (a *Allocator) recoverLoggedAlloc(ctx *exec.Ctx, block, pred riv.Ptr, key u
 		a.Free(ctx, block)
 		return
 	}
-	if kind == KindSlab {
-		// The log named this block before it became a slab page (block
-		// reuse) or while the arena was still linking it. The node-oriented
-		// reachability walk below cannot judge it; the arena's ownership
-		// check can — a page on the directory's lists is live no matter
-		// what the log says, anything else leaked mid-link.
-		if a.slabCheck == nil || !a.slabCheck(block) {
-			a.Free(ctx, block)
-		}
-		return
-	}
 	if a.reachCheck != nil && a.reachCheck(ctx, pred, key, block) {
 		return // insertion had committed; node is live
 	}
@@ -661,7 +680,7 @@ func (a *Allocator) Free(ctx *exec.Ctx, obj riv.Ptr) {
 	}
 	arena := ctx.ThreadID % pa.cfg.NumArenas
 	oPool, oOff := a.resolve(obj)
-	if k := oPool.Load(oOff+BlockKind, ctx.Mem); k == KindNode || k == KindRetired || k == KindVersion || k == KindSlab {
+	if k := oPool.Load(oOff+BlockKind, ctx.Mem); k == KindNode || k == KindRetired || k == KindVersion {
 		a.convertToBlock(ctx, oPool, oOff)
 	} else {
 		// Already a free block: if it is visibly linked (it is some
@@ -854,27 +873,40 @@ func (a *Allocator) scanChunks(visit func(worker int, pa *PoolAllocator, chunk u
 	}
 }
 
-// blocksOfKind is the shared body of the kind scans: a partitioned walk
-// over every provisioned block collecting pointers whose kind word
-// matches, with per-goroutine accumulators merged (in scan order) at the
-// end.
-func (a *Allocator) blocksOfKind(kind uint64) []riv.Ptr {
+// collectChunks is the shared body of the pointer-collecting scans: a
+// partitioned walk over every provisioned chunk, visit appending what it
+// finds in one chunk (slab-owned or not, as told), with per-goroutine
+// accumulators merged in scan order at the end.
+func (a *Allocator) collectChunks(visit func(out []riv.Ptr, pa *PoolAllocator, c uint64, slab bool) []riv.Ptr) []riv.Ptr {
 	parts := make([][]riv.Ptr, a.ScanParallelism())
 	a.scanChunks(func(w int, pa *PoolAllocator, c uint64) {
-		base := pa.chunkSpace + c*pa.cfg.ChunkWords
-		nBlocks := pa.cfg.ChunkWords / pa.cfg.BlockWords
-		for b := uint64(0); b < nBlocks; b++ {
-			off := base + b*pa.cfg.BlockWords
-			if pa.pool.Load(off+BlockKind, nil) == kind {
-				parts[w] = append(parts[w], riv.Make(pa.pool.ID(), uint16(c), uint32(b*pa.cfg.BlockWords)))
-			}
-		}
+		_, slab := pa.slabCursor(c)
+		parts[w] = visit(parts[w], pa, c, slab)
 	})
 	var out []riv.Ptr
 	for _, p := range parts {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// blocksOfKind collects every block of every block-carved chunk whose
+// kind word matches.
+func (a *Allocator) blocksOfKind(kind uint64) []riv.Ptr {
+	return a.collectChunks(func(out []riv.Ptr, pa *PoolAllocator, c uint64, slab bool) []riv.Ptr {
+		if slab {
+			return out
+		}
+		base := pa.chunkSpace + c*pa.cfg.ChunkWords
+		nBlocks := pa.cfg.ChunkWords / pa.cfg.BlockWords
+		for b := uint64(0); b < nBlocks; b++ {
+			off := base + b*pa.cfg.BlockWords
+			if pa.pool.Load(off+BlockKind, nil) == kind {
+				out = append(out, riv.Make(pa.pool.ID(), uint16(c), uint32(b*pa.cfg.BlockWords)))
+			}
+		}
+		return out
+	})
 }
 
 // RetiredBlocks scans every provisioned chunk for blocks stamped
@@ -897,16 +929,26 @@ func (a *Allocator) RetiredBlocks() []riv.Ptr { return a.blocksOfKind(KindRetire
 // orphan from a block the log is actively filling.
 func (a *Allocator) VersionBlocks() []riv.Ptr { return a.blocksOfKind(KindVersion) }
 
-// SlabBlocks scans every provisioned chunk for blocks stamped KindSlab
-// and returns their pointers. The slab arena's startup sweep uses it to
-// find pages that leaked between allocation and page-list linking; like
-// the other kind scans it only reads kind words.
-func (a *Allocator) SlabBlocks() []riv.Ptr { return a.blocksOfKind(KindSlab) }
+// SlabChunks returns a pointer to the first word of every slab-owned
+// chunk, in (pool ID, chunk) order. This is how the arena finds its
+// chunks after a restart: the header line is the only record of
+// ownership, so there is no list whose links a crash could tear.
+func (a *Allocator) SlabChunks() []riv.Ptr {
+	return a.collectChunks(func(out []riv.Ptr, pa *PoolAllocator, c uint64, slab bool) []riv.Ptr {
+		if slab {
+			out = append(out, riv.Make(pa.pool.ID(), uint16(c), 0))
+		}
+		return out
+	})
+}
 
 // BlockCensus counts every provisioned block by kind. Node+Retired is
 // the store's allocated footprint; a churn workload with reclamation
 // should hold it near the live set while one without grows it without
-// bound. Kind words are read racily, so under concurrency the census is
+// bound. A slab-owned chunk is counted in the same unit: the blocks
+// below its bump cursor (header included) are Slab, the uncarved tail is
+// Free, so Total - Free stays "every word not available for reuse".
+// Kind words are read racily, so under concurrency the census is
 // approximate (off by the handful of blocks in transition) — exactly
 // good enough for capacity accounting.
 type BlockCensus struct {
@@ -921,6 +963,12 @@ func (a *Allocator) Census() BlockCensus {
 		c := &parts[w]
 		base := pa.chunkSpace + ch*pa.cfg.ChunkWords
 		nBlocks := pa.cfg.ChunkWords / pa.cfg.BlockWords
+		if carved, slab := pa.slabCursor(ch); slab {
+			c.Slab += int(carved)
+			c.Free += int(nBlocks - carved)
+			c.Total += int(nBlocks)
+			return
+		}
 		for b := uint64(0); b < nBlocks; b++ {
 			switch pa.pool.Load(base+b*pa.cfg.BlockWords+BlockKind, nil) {
 			case KindFree:
@@ -931,8 +979,6 @@ func (a *Allocator) Census() BlockCensus {
 				c.Retired++
 			case KindVersion:
 				c.Version++
-			case KindSlab:
-				c.Slab++
 			}
 			c.Total++
 		}
@@ -971,6 +1017,9 @@ func (a *Allocator) ReclaimOrphanChunks(ctx *exec.Ctx) int {
 		}
 		nChunks := pa.pool.Load(hdrChunkCount, nil)
 		for c := uint64(0); c < nChunks; c++ {
+			if _, slab := pa.slabCursor(c); slab {
+				continue
+			}
 			base := pa.chunkSpace + c*pa.cfg.ChunkWords
 			nBlocks := pa.cfg.ChunkWords / pa.cfg.BlockWords
 			for b := uint64(0); b < nBlocks; b++ {

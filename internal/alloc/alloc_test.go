@@ -533,17 +533,18 @@ func TestPreallocateMode(t *testing.T) {
 	cfg.Preallocate = true
 	cfg.MaxChunks = 8
 	env := newEnv(t, cfg)
-	// All chunks carved at format time.
-	if got := env.pool.Load(hdrChunkCount, nil); got != 8 {
-		t.Fatalf("chunk count = %d, want 8 (preallocated)", got)
+	// Half of the chunks are carved at format time; the rest stay
+	// unclaimed for whole-chunk claims.
+	if got := env.pool.Load(hdrChunkCount, nil); got != 4 {
+		t.Fatalf("chunk count = %d, want 4 (half preallocated)", got)
 	}
 	perChunk := int(cfg.ChunkWords / cfg.BlockWords)
 	total := 0
 	for a := 0; a < cfg.NumArenas; a++ {
 		total += env.a.FreeListLen(env.pa, a)
 	}
-	if total != 8*perChunk {
-		t.Fatalf("free blocks = %d, want %d", total, 8*perChunk)
+	if total != 4*perChunk {
+		t.Fatalf("free blocks = %d, want %d", total, 4*perChunk)
 	}
 	// Allocation drains without provisioning new chunks.
 	ctx := ctxFor(0)
@@ -552,8 +553,11 @@ func TestPreallocateMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := env.pool.Load(hdrChunkCount, nil); got != 8 {
+	if got := env.pool.Load(hdrChunkCount, nil); got != 4 {
 		t.Fatalf("chunk count grew to %d in preallocated mode", got)
+	}
+	if _, err := env.a.ClaimSlabChunk(ctx, 1, 0); err != nil {
+		t.Fatalf("no chunk left to claim whole: %v", err)
 	}
 	// Reattach still sees the geometry.
 	if _, err := Attach(env.pool); err != nil {

@@ -355,14 +355,16 @@ func (p *Pool) chargeLoad(off uint64, acc *Acc) {
 	spin(total)
 }
 
-// chargeStore applies the cost model for one store/CAS by acc. Stores
-// write-allocate into the accessor's line cache.
-func (p *Pool) chargeStore(off uint64, acc *Acc) {
+// chargeStore applies the cost model for n stores (or one CAS) by acc to
+// words of the one cache line containing off: n store penalties, and the
+// line write-allocates into the accessor's line cache — exactly what n
+// single-word charges would add up to, since only the first can miss.
+func (p *Pool) chargeStore(off uint64, n int, acc *Acc) {
 	c := p.cost
 	if c == nil {
 		return
 	}
-	total := c.StorePenalty
+	total := n * c.StorePenalty
 	if acc != nil {
 		if !acc.touch(p.id, off>>lineShift) && c.RemotePenalty > 0 && acc.Node >= 0 {
 			if owner := p.nodeOf(off); owner >= 0 && owner != acc.Node {
@@ -407,7 +409,7 @@ func (p *Pool) Load(off uint64, acc *Acc) uint64 {
 func (p *Pool) Store(off uint64, v uint64, acc *Acc) {
 	p.step()
 	p.stats.cell(acc).Stores.Add(1)
-	p.chargeStore(off, acc)
+	p.chargeStore(off, 1, acc)
 	if p.tracking.Load() {
 		line := off >> lineShift
 		sh := p.shard(line)
@@ -424,7 +426,7 @@ func (p *Pool) Store(off uint64, v uint64, acc *Acc) {
 func (p *Pool) CAS(off uint64, old, new uint64, acc *Acc) bool {
 	p.step()
 	p.stats.cell(acc).CASes.Add(1)
-	p.chargeStore(off, acc)
+	p.chargeStore(off, 1, acc)
 	if p.tracking.Load() {
 		line := off >> lineShift
 		sh := p.shard(line)
@@ -441,7 +443,7 @@ func (p *Pool) CAS(off uint64, old, new uint64, acc *Acc) bool {
 func (p *Pool) Add(off uint64, delta uint64, acc *Acc) uint64 {
 	p.step()
 	p.stats.cell(acc).Stores.Add(1)
-	p.chargeStore(off, acc)
+	p.chargeStore(off, 1, acc)
 	if p.tracking.Load() {
 		line := off >> lineShift
 		sh := p.shard(line)

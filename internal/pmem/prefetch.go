@@ -1,9 +1,6 @@
 package pmem
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "unsafe"
 
 // Prefetch hints that the word at off will be loaded soon — the
 // simulation's analogue of issuing PREFETCHT0 on the line during
@@ -37,30 +34,4 @@ func (p *Pool) Prefetch(off uint64, acc *Acc) {
 	}
 	p.stats.cell(acc).Prefetches.Add(1)
 	spin(c.PrefetchPenalty)
-}
-
-// LoadBlock atomically reads the n = len(dst) contiguous words starting
-// at off into dst. It is the bulk counterpart of Load for block-organized
-// data (a node's key block): the words are charged per covered cache
-// line rather than per word — a streamed sequential read of a resident
-// line costs one hit, not eight — and the per-call bookkeeping (stats
-// shard update, injection step) is paid once for the whole block. Word
-// loads are individually atomic; the block as a whole is not a snapshot,
-// exactly like n independent Load calls (callers validate with split
-// counts or locks as usual).
-func (p *Pool) LoadBlock(off uint64, dst []uint64, acc *Acc) {
-	n := uint64(len(dst))
-	if n == 0 {
-		return
-	}
-	p.step()
-	p.stats.cell(acc).Loads.Add(n)
-	if p.cost != nil {
-		for line, last := off>>lineShift, (off+n-1)>>lineShift; line <= last; line++ {
-			p.chargeLoad(line<<lineShift, acc)
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		dst[i] = atomic.LoadUint64(&p.words[off+i])
-	}
 }

@@ -443,9 +443,11 @@ func (s *Server) Kill() {
 	s.stop(true)
 }
 
-// stop runs the shared teardown. Order matters: readers must be gone
-// before batcher channels close (they are the senders), and batchers
-// must be gone before connection outboxes close (they are the
+// stop runs the shared teardown. Order matters: the accept loop must be
+// gone before connections are closed (a connection it registers after
+// that pass would never be closed, and its reader never return), readers
+// must be gone before batcher channels close (they are the senders), and
+// batchers must be gone before connection outboxes close (they are the
 // responders).
 func (s *Server) stop(kill bool) {
 	if s.statsQuit != nil {
@@ -454,6 +456,7 @@ func (s *Server) stop(kill bool) {
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	s.acceptWG.Wait()
 	s.mu.Lock()
 	for c := range s.conns {
 		if kill {
@@ -467,7 +470,6 @@ func (s *Server) stop(kill bool) {
 		}
 	}
 	s.mu.Unlock()
-	s.acceptWG.Wait()
 	s.readerWG.Wait()
 	for _, b := range s.batchers {
 		close(b.ch)

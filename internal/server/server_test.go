@@ -387,3 +387,56 @@ func TestServerShutdownAnswersInFlight(t *testing.T) {
 		t.Fatalf("only %d keys present but %d were acknowledged", found, acked)
 	}
 }
+
+// TestServerKillWhileDialing kills servers while clients dial them in a
+// tight loop. A connection accepted just as the teardown closes the
+// registered ones used to be registered after that pass, never closed,
+// and Kill waited for its reader forever.
+func TestServerKillWhileDialing(t *testing.T) {
+	st, err := upskiplist.Create(testOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 30; round++ {
+		s, addr := newTestServer(t, Config{Store: st, Logf: func(string, ...any) {}})
+		stop := make(chan struct{})
+		var dialers sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				var held []net.Conn
+				defer func() {
+					for _, nc := range held {
+						nc.Close()
+					}
+				}()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// Keep the connections open: one the server never closes
+					// is what would hang it.
+					if nc, err := net.Dial("tcp", addr); err == nil {
+						held = append(held, nc)
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * time.Millisecond)
+		killed := make(chan struct{})
+		go func() {
+			s.Kill()
+			close(killed)
+		}()
+		select {
+		case <-killed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Kill did not return with clients still dialing", round)
+		}
+		close(stop)
+		dialers.Wait()
+	}
+}

@@ -1,30 +1,42 @@
 // Package slab implements the variable-size value arena layered on top
-// of the block allocator: a slab-class allocator inside the pmem pools.
+// of the allocator's coarse chunk tier: a slab-class allocator inside
+// the pmem pools.
 //
 // # Layout
 //
-// Values are stored out-of-place in chunks carved from allocator blocks
-// stamped alloc.KindSlab ("pages"). Chunk sizes are power-of-two word
-// classes (4, 8, 16, ... words, bounded by the block payload); values too
-// large for the largest class are stored as a chain of largest-class
-// segments — the large-object path. A persistent directory block (found
-// through the allocator's cached header word, alloc.SlabDir) holds one
-// free-list head and one page-list head per class:
+// The arena claims whole allocator chunks (alloc.ClaimSlabChunk) and
+// bump-carves each into pages; a page is an extent of 1..k contiguous
+// blocks holding chunks of one class. Chunk classes are 4, 8, 16 and 32
+// words, then four steps per doubling (40, 48, 56, 64, 80, ...) up to
+// 640 words, so a value of up to MaxSingle bytes — anything of 4 KiB or
+// less under every geometry whose chunks can hold the largest page —
+// occupies exactly one chunk with at most a quarter of it unused. Longer
+// values are stored as a chain of largest-class segments.
 //
-//	word 0   kind (KindSlab)
-//	word 1   epoch
-//	word 2   dirMagic
-//	word 3   class count (sanity)
-//	word 4+2i  class i free-list head (riv.Ptr word, 0 = empty)
-//	word 5+2i  class i page-list head
+// A slab-owned allocator chunk:
 //
-// A page block:
+//	word 0      kind (alloc.KindSlab)          ┐
+//	word 1      epoch at claim                 │ header line, formatted
+//	word 2      alloc.SlabChunkMagic           │ and persisted by
+//	word 3      bump cursor, in blocks         │ alloc.ClaimSlabChunk
+//	word 4      directory length (root only)   ┘
+//	word 8..    directory (root only): one free-list head per class
+//	block h..   pages, back to back up to the cursor (h = 1, or past
+//	            the directory in the root chunk)
 //
-//	word 0   kind (KindSlab)
-//	word 1   epoch
-//	word 2   pageMagic | classID
-//	word 3   next page in this class's page list (riv.Ptr word)
-//	word 4.. chunks, each classWords(class) words
+// Exactly one chunk, the root, carries the directory; it is the first
+// chunk the arena ever claims, told apart by a non-zero word 4. A chunk
+// is found by its header alone (alloc.SlabChunks scans for it), so there
+// is no chunk list whose links a crash could tear, and an all-zero
+// directory — what a freshly claimed chunk holds — is the valid empty
+// one.
+//
+// A page:
+//
+//	word 0      pageMagic | span in blocks | class
+//	word 1..3   zero (keeps every chunk 4-word aligned, so the smallest
+//	            class never straddles a cache line)
+//	word 4..    chunks, each class-size words; the tail is unused
 //
 // A chunk's first word is its header. While free it holds the raw
 // riv.Ptr word of the next free chunk (bit 63 is clear — pool IDs are
@@ -45,21 +57,25 @@
 //	bits 24-39  chunk index, biased +1 exactly like riv.Ptr
 //	bits 0-23   word offset within the riv chunk
 //
+// The length names the class, so freeing a chunk never reads its page.
 // The packing is validated against the attached pools' geometry at
 // Attach time.
 //
 // # Crash consistency
 //
-// The publish protocol is: pop a chunk (the free-list head is persisted
-// before the chunk is handed out), write header + payload, persist them
-// (fence), and only then CAS the node's value word. A crash at any point
-// leaves the node word holding the complete old or complete new value —
-// never a torn one. Chunks whose publishing CAS never landed are in-use
-// but unreferenced; Sweep relinks them at the next startup, mirroring
-// the retired-block rediscovery scan. Free-list pushes write the chunk's
-// next header and persist it before swinging (and persisting) the head,
-// so a crash mid-push leaks the chunk to the sweep instead of ever
-// double-linking it.
+// The publish protocol is: pop a chunk, write header + payload, persist
+// them together with the free-list head's line (one fence), and only
+// then CAS the node's value word. A crash at any point leaves the node
+// word holding the complete old or complete new value — never a torn
+// one. Chunks whose publishing CAS never landed are in-use but
+// unreferenced; Sweep relinks them at the next startup. Free lists are
+// advisory: Sweep rebuilds every one from the pages, so neither push nor
+// the group-commit path persists a head at all.
+//
+// Growing a class formats the new page (header and free chain) and
+// persists it before the chunk's cursor moves past it, so every page
+// below a cursor is whole; a page that a crash left beyond the cursor is
+// simply carved again.
 //
 // # Retirement
 //
@@ -72,6 +88,7 @@
 package slab
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -85,16 +102,15 @@ import (
 )
 
 const (
-	dirMagic  = 0x5550534C534C4142 // "UPSLSLAB"
-	pageMagic = uint64(0x5347) << 16
+	pageMagic  = uint64(0x5347) << 48
+	pageHdrLen = 4
 
-	pageMetaOff = 2
-	pageNextOff = 3
-	pageHdrLen  = 4
-
-	dirMagicOff   = 2
-	dirClassesOff = 3
-	dirHeadsOff   = 4
+	// chunkDirLenOff is the arena's tag word in a slab chunk header: the
+	// number of directory words behind the header line, non-zero only in
+	// the root chunk.
+	chunkDirLenOff = alloc.SlabChunkTagOff
+	// dirOff is where the root chunk's directory starts.
+	dirOff = pmem.LineWords
 
 	// hdrUsed marks an in-use chunk header; hdrChained additionally marks
 	// a chain segment. The low 32 bits carry the byte length (remaining
@@ -106,9 +122,13 @@ const (
 	// minClassWords is the smallest chunk class; its payload (3 words)
 	// covers the 8-byte compat values with room to spare.
 	minClassWords = 4
-	// maxClassWords bounds the largest class so single-segment byte
-	// lengths always fit the Ref's 15-bit length field.
-	maxClassWords = 4096
+	// maxClassWords is the largest class: 639 payload words, so every
+	// value of up to 4 KiB (513 words with its header) is one chunk, and
+	// single-segment byte lengths stay far inside the Ref's 15-bit field.
+	maxClassWords = 640
+	// spanSearch is how many page spans beyond the smallest possible one
+	// are tried for a class before settling for the least wasteful.
+	spanSearch = 8
 
 	// lenChained in the Ref length field marks a chained value.
 	lenChained = 0x7FFF
@@ -148,7 +168,10 @@ func (r Ref) Word() uint64 { return uint64(r) }
 func FromWord(w uint64) Ref { return Ref(w) }
 
 // Chained reports whether the value is stored as a chain of segments.
-func (r Ref) Chained() bool { return uint64(r)>>refLenShift&lenChained == lenChained }
+func (r Ref) Chained() bool { return r.lenField() == lenChained }
+
+// lenField is the value's byte length, or lenChained.
+func (r Ref) lenField() int { return int(uint64(r) >> refLenShift & lenChained) }
 
 // ptr unpacks the chunk address.
 func (r Ref) ptr() riv.Ptr {
@@ -181,9 +204,38 @@ type Stats struct {
 	ChunksRetired uint64 // chunks placed in limbo
 	LimboChunks   uint64 // retired, not yet freed
 	Pages         uint64 // pages grown by this handle
+	Extents       uint64 // allocator chunks the arena owns
 	SweepRelinked uint64 // chunks reclaimed by the last Sweep
-	SweepPages    uint64 // leaked pages freed by the last Sweep
 	SweepScanned  uint64 // pages scanned by the last Sweep
+}
+
+// ClassStat describes one chunk class and how many pages it owns.
+type ClassStat struct {
+	ChunkWords    uint64 // words per chunk, header included
+	SpanBlocks    uint64 // contiguous blocks per page
+	ChunksPerPage uint64
+	// Pages counts the class's pages as of the last Sweep plus those
+	// grown since (a handle that never swept counts only its own).
+	Pages uint64
+}
+
+// class is the geometry of one chunk class.
+type class struct {
+	words   uint64 // chunk size
+	span    uint64 // blocks per page
+	perPage uint64 // chunks per page
+}
+
+// payloadBytes is the longest value a single chunk of the class holds.
+func (c class) payloadBytes() int { return int((c.words - 1) * 8) }
+
+// extent is the volatile mirror of one slab-owned allocator chunk.
+type extent struct {
+	ptr    riv.Ptr // the chunk's first word
+	pool   *pmem.Pool
+	base   uint64 // absolute offset of the first word
+	first  uint64 // first page block (past the header and directory)
+	cursor uint64 // blocks carved; mirrors the header word
 }
 
 // Arena is a volatile handle onto the persistent slab structures of one
@@ -192,13 +244,18 @@ type Arena struct {
 	a     *alloc.Allocator
 	space *riv.Space
 
-	dir     riv.Ptr
 	dirPool *pmem.Pool
-	dirOff  uint64
+	dirBase uint64 // absolute offset of the first free-list head
 
-	blockWords uint64
-	classes    []uint64 // chunk words per class, ascending
-	mu         []sync.Mutex
+	blockWords  uint64
+	chunkBlocks uint64
+	classes     []class
+	mu          []sync.Mutex // per class: free list and growth
+
+	// extents lists every chunk the arena owns, in discovery then claim
+	// order. Guarded by extMu, which nests inside a class mutex.
+	extMu   sync.Mutex
+	extents []*extent
 
 	// dom returns the grace-period domain to tag limbo batches with, or
 	// nil when the store runs without reclamation or snapshots. Looked up
@@ -210,14 +267,14 @@ type Arena struct {
 	open    []Ref
 	batches []limboBatch
 
-	alloced atomic.Uint64
-	freed   atomic.Uint64
-	retired atomic.Uint64
-	inLimbo atomic.Uint64
-	pages   atomic.Uint64
+	alloced    atomic.Uint64
+	freed      atomic.Uint64
+	retired    atomic.Uint64
+	inLimbo    atomic.Uint64
+	pages      atomic.Uint64
+	classPages []atomic.Uint64
 
 	sweepRelinked atomic.Uint64
-	sweepPages    atomic.Uint64
 	sweepScanned  atomic.Uint64
 
 	// sweepPar bounds the goroutines Sweep fans its page scans out
@@ -226,70 +283,124 @@ type Arena struct {
 	sweepPar atomic.Int32
 }
 
-// classesFor derives the chunk classes from a block size: powers of two
-// from minClassWords up to whatever fits a page's chunk space.
-func classesFor(blockWords uint64) []uint64 {
-	avail := blockWords - pageHdrLen
+// classSizes lists the chunk sizes in words: powers of two up to 32,
+// then four steps per doubling.
+func classSizes() []uint64 {
 	var out []uint64
-	for w := uint64(minClassWords); w <= avail && w <= maxClassWords; w *= 2 {
+	for w := uint64(minClassWords); w < 32; w *= 2 {
 		out = append(out, w)
+	}
+	for w := uint64(32); ; w *= 2 {
+		for q := uint64(4); q < 8; q++ {
+			if w*q/4 > maxClassWords {
+				return out
+			}
+			out = append(out, w*q/4)
+		}
+	}
+}
+
+// pageSpan picks how many blocks a page of chunkWords-sized chunks
+// spans: the smallest span that spends at most an eighth of itself on
+// the page header and the unusable tail, or failing that (within
+// spanSearch spans of the smallest that holds one chunk) the one that
+// spends the least per chunk.
+func pageSpan(chunkWords, blockWords uint64) (span, perPage uint64) {
+	kmin := (chunkWords + pageHdrLen + blockWords - 1) / blockWords
+	var bestWaste uint64
+	for k := kmin; k < kmin+spanSearch; k++ {
+		n := (k*blockWords - pageHdrLen) / chunkWords
+		waste := k*blockWords - n*chunkWords
+		if waste*8 <= k*blockWords {
+			return k, n
+		}
+		// Waste per chunk, compared across spans without dividing.
+		if span == 0 || waste*perPage < bestWaste*n {
+			span, perPage, bestWaste = k, n, waste
+		}
+	}
+	return span, perPage
+}
+
+// dirBlocks is the number of leading blocks of a slab chunk taken by the
+// header line and a directory of n heads (none outside the root chunk).
+func dirBlocks(n, blockWords uint64) uint64 {
+	return (dirOff + n + blockWords - 1) / blockWords
+}
+
+// classesFor derives the class table of a geometry: every size whose
+// page fits a chunk beside the root chunk's header and directory.
+func classesFor(blockWords, chunkBlocks uint64) []class {
+	sizes := classSizes()
+	room := chunkBlocks - min(chunkBlocks, dirBlocks(uint64(len(sizes)), blockWords))
+	var out []class
+	for _, w := range sizes {
+		span, perPage := pageSpan(w, blockWords)
+		if span > room {
+			break
+		}
+		out = append(out, class{words: w, span: span, perPage: perPage})
 	}
 	return out
 }
 
 // Attach opens (or lazily creates) the slab arena of an allocator. ctx
-// is used for the one-time directory allocation; pass any worker ctx.
-// The arena installs itself as the allocator's SlabCheck.
+// is used for the one-time root chunk claim; pass any worker ctx.
 func Attach(a *alloc.Allocator, ctx *exec.Ctx) (*Arena, error) {
-	bw := a.BlockWords()
-	if bw < pageHdrLen+minClassWords {
-		return nil, fmt.Errorf("%w: block size %d words is below the minimum slab page", ErrBadGeometry, bw)
-	}
-	classes := classesFor(bw)
-	if bw < dirHeadsOff+2*uint64(len(classes)) {
-		return nil, fmt.Errorf("%w: block size %d words cannot hold the directory", ErrBadGeometry, bw)
-	}
+	var cfg alloc.Config
 	for _, pa := range a.Pools() {
-		cfg := pa.Config()
+		cfg = pa.Config()
 		p := pa.Pool()
 		if p.ID() >= 0xff || cfg.MaxChunks > 0xfffe || cfg.ChunkWords > refOffMask {
 			return nil, fmt.Errorf("%w: pool %d (chunkWords=%d maxChunks=%d)", ErrBadGeometry, p.ID(), cfg.ChunkWords, cfg.MaxChunks)
 		}
 	}
+	bw := a.BlockWords()
+	classes := classesFor(bw, cfg.ChunkWords/bw)
+	if len(classes) == 0 {
+		return nil, fmt.Errorf("%w: a chunk of %d blocks of %d words cannot hold a slab page", ErrBadGeometry, cfg.ChunkWords/bw, bw)
+	}
 	ar := &Arena{
 		a: a, space: a.Space(),
-		blockWords: bw,
-		classes:    classes,
-		mu:         make([]sync.Mutex, len(classes)),
+		blockWords:  bw,
+		chunkBlocks: cfg.ChunkWords / bw,
+		classes:     classes,
+		mu:          make([]sync.Mutex, len(classes)),
+		classPages:  make([]atomic.Uint64, len(classes)),
 	}
-	dir := a.SlabDir()
-	if dir.IsNull() {
-		ptr, err := a.Alloc(ctx, riv.Null, 0)
+	n := uint64(len(classes))
+	var root *extent
+	for _, p := range a.SlabChunks() {
+		if ext, dirLen := ar.addExtent(p); dirLen != 0 {
+			if dirLen != n {
+				return nil, fmt.Errorf("slab: directory has %d classes, this geometry has %d", dirLen, n)
+			}
+			root = ext
+		}
+	}
+	if root == nil {
+		// The directory needs no formatting: a claimed chunk reads as zero
+		// past its header, and zero heads are empty lists.
+		p, err := a.ClaimSlabChunk(ctx, dirBlocks(n, bw), n)
 		if err != nil {
 			return nil, err
 		}
-		pool, off := a.Space().Resolve(ptr)
-		pool.Store(off+alloc.BlockKind, alloc.KindSlab, ctx.Mem)
-		pool.Store(off+dirMagicOff, dirMagic, ctx.Mem)
-		pool.Store(off+dirClassesOff, uint64(len(classes)), ctx.Mem)
-		for i := range classes {
-			pool.Store(off+dirHeadsOff+2*uint64(i), 0, ctx.Mem)
-			pool.Store(off+dirHeadsOff+2*uint64(i)+1, 0, ctx.Mem)
-		}
-		pool.Persist(off, bw, ctx.Mem)
-		// The directory pointer lands in the header only after the block
-		// is fully formatted: a crash in between leaks the block to the
-		// allocation log / startup sweep, never a torn directory.
-		a.SetSlabDir(ptr)
-		dir = ptr
+		root, _ = ar.addExtent(p)
 	}
-	pool, off := a.Space().Resolve(dir)
-	if pool.Load(off+dirMagicOff, nil) != dirMagic {
-		return nil, errors.New("slab: directory block is corrupt")
-	}
-	ar.dir, ar.dirPool, ar.dirOff = dir, pool, off
-	a.SetSlabCheck(ar.ownsBlock)
+	ar.dirPool, ar.dirBase = root.pool, root.base+dirOff
 	return ar, nil
+}
+
+// addExtent registers a slab chunk from its header: the cursor, and the
+// directory length that is non-zero only in the root chunk.
+func (ar *Arena) addExtent(p riv.Ptr) (ext *extent, dirLen uint64) {
+	pool, base := ar.space.Resolve(p)
+	dirLen = pool.Load(base+chunkDirLenOff, nil)
+	ext = &extent{ptr: p, pool: pool, base: base,
+		first:  dirBlocks(dirLen, ar.blockWords),
+		cursor: pool.Load(base+alloc.SlabChunkCursorOff, nil)}
+	ar.extents = append(ar.extents, ext)
+	return ext, dirLen
 }
 
 // SetDomain installs the grace-period domain lookup used to tag limbo
@@ -352,22 +463,20 @@ func runParallel(n, par int, fn func(i int)) {
 	}
 }
 
-// Classes returns the chunk classes in words (for tests).
-func (ar *Arena) Classes() []uint64 { return append([]uint64(nil), ar.classes...) }
-
 // MaxSingle returns the largest byte length stored without chaining.
-func (ar *Arena) MaxSingle() int {
-	return int((ar.classes[len(ar.classes)-1] - 1) * 8)
-}
+func (ar *Arena) MaxSingle() int { return ar.classes[len(ar.classes)-1].payloadBytes() }
 
-func (ar *Arena) freeHeadOff(class int) uint64 { return ar.dirOff + dirHeadsOff + 2*uint64(class) }
-func (ar *Arena) pageHeadOff(class int) uint64 { return ar.dirOff + dirHeadsOff + 2*uint64(class) + 1 }
+// segCap is the payload capacity of one chain segment: a largest-class
+// chunk less its header and next words.
+func (ar *Arena) segCap() int { return ar.MaxSingle() - 8 }
+
+func (ar *Arena) freeHeadOff(class int) uint64 { return ar.dirBase + uint64(class) }
 
 // classFor returns the smallest class whose single-segment payload holds
 // n bytes, or -1 when n needs the chain path.
 func (ar *Arena) classFor(n int) int {
-	for i, w := range ar.classes {
-		if int((w-1)*8) >= n {
+	for i, c := range ar.classes {
+		if c.payloadBytes() >= n {
 			return i
 		}
 	}
@@ -375,33 +484,28 @@ func (ar *Arena) classFor(n int) int {
 }
 
 // pop hands out one free chunk of a class, growing a fresh page when the
-// class free list is empty. Free-list durability is advisory — the
-// startup sweep rebuilds every class list from page reachability, so a
-// stale head after a crash can never double-allocate. The head persist
-// therefore only buys exact leak accounting: on the one-op path
-// (grouped=false) it is worth a fence so a torn publish shows up as
-// exactly one relinked chunk; on the group-commit path it is skipped
-// entirely, which is what lets a batch of B inserts pay O(1) fences
-// instead of O(B).
-func (ar *Arena) pop(ctx *exec.Ctx, class int, grouped bool) (riv.Ptr, error) {
+// class free list is empty. The new head is stored but not persisted:
+// the caller flushes the head's line together with the chunk it fills
+// (the one-op path, so a torn publish shows up as exactly one relinked
+// chunk) or not at all (group commit). Either is safe because free-list
+// durability is advisory — the startup sweep rebuilds every class list
+// from the pages, so a stale head after a crash can never double-
+// allocate.
+func (ar *Arena) pop(ctx *exec.Ctx, class int) (chunk riv.Ptr, pool *pmem.Pool, off uint64, err error) {
 	ar.mu[class].Lock()
 	defer ar.mu[class].Unlock()
 	headOff := ar.freeHeadOff(class)
 	head := riv.FromWord(ar.dirPool.Load(headOff, ctx.Mem))
 	if head.IsNull() {
-		if err := ar.grow(ctx, class); err != nil {
-			return riv.Null, err
+		if head, err = ar.grow(ctx, class); err != nil {
+			return riv.Null, nil, 0, err
 		}
-		head = riv.FromWord(ar.dirPool.Load(headOff, ctx.Mem))
 	}
-	pool, off := ar.space.Resolve(head)
+	pool, off = ar.space.Resolve(head)
 	next := pool.Load(off, ctx.Mem) // free chunk header = next free ptr
 	ar.dirPool.Store(headOff, next, ctx.Mem)
-	if !grouped {
-		ar.dirPool.Persist(headOff, 1, ctx.Mem)
-	}
 	ar.alloced.Add(1)
-	return head, nil
+	return head, pool, off, nil
 }
 
 // push returns one chunk to its class free list with plain stores — no
@@ -421,147 +525,147 @@ func (ar *Arena) push(class int, chunk riv.Ptr, acc *pmem.Acc) {
 	ar.freed.Add(1)
 }
 
-// grow allocates one block, stamps it as a page of the class, links it
-// into the class page list, and carves its chunks onto the (empty) free
-// list. Called with the class mutex held.
-func (ar *Arena) grow(ctx *exec.Ctx, class int) error {
-	page, err := ar.a.Alloc(ctx, riv.Null, 0)
+// grow carves one page for the class out of an extent with room (a
+// fresh allocator chunk if none has) and returns its first chunk as the
+// head of the class's free chain, which it also stores — unpersisted,
+// like every head update — in the directory. Called with the class mutex
+// held and the class free list empty.
+func (ar *Arena) grow(ctx *exec.Ctx, class int) (riv.Ptr, error) {
+	c := ar.classes[class]
+	ar.extMu.Lock()
+	defer ar.extMu.Unlock()
+	ext, err := ar.extentWithRoom(ctx, c.span)
 	if err != nil {
-		return err
+		return riv.Null, err
 	}
-	pool, off := ar.space.Resolve(page)
-	cw := ar.classes[class]
-	// Stamp + link the page before carving: from here on the allocation
-	// log's slab check (and the sweep) treat the block as arena-owned.
-	pool.Store(off+alloc.BlockKind, alloc.KindSlab, ctx.Mem)
-	pool.Store(off+pageMetaOff, pageMagic|uint64(class), ctx.Mem)
-	pool.Store(off+pageNextOff, ar.dirPool.Load(ar.pageHeadOff(class), ctx.Mem), ctx.Mem)
-	pool.Persist(off, pageHdrLen, ctx.Mem)
-	ar.dirPool.Store(ar.pageHeadOff(class), page.Word(), ctx.Mem)
-	ar.dirPool.Persist(ar.pageHeadOff(class), 1, ctx.Mem)
-	// Carve chunks into a chain ending at null (grow only runs when the
-	// free list is empty), then publish it as the new head.
-	n := (ar.blockWords - pageHdrLen) / cw
-	for i := uint64(0); i < n; i++ {
-		cOff := off + pageHdrLen + i*cw
+	pageOff := uint32(ext.cursor * ar.blockWords)
+	slot := func(i uint64) riv.Ptr {
+		return riv.Make(ext.ptr.Pool(), ext.ptr.Chunk(), pageOff+uint32(pageHdrLen+i*c.words))
+	}
+	// Format the page — header, then the free chain through its chunks,
+	// ending at null — and persist it before the cursor admits it.
+	abs := ext.base + uint64(pageOff)
+	ext.pool.Store(abs, pageMagic|c.span<<16|uint64(class), ctx.Mem)
+	for i := uint64(0); i < c.perPage; i++ {
 		next := uint64(0)
-		if i+1 < n {
-			next = riv.Make(page.Pool(), page.Chunk(), page.Offset()+uint32(pageHdrLen+(i+1)*cw)).Word()
+		if i+1 < c.perPage {
+			next = slot(i + 1).Word()
 		}
-		pool.Store(cOff, next, ctx.Mem)
+		ext.pool.Store(abs+pageHdrLen+i*c.words, next, ctx.Mem)
 	}
-	pool.Persist(off+pageHdrLen, n*cw, ctx.Mem)
-	first := riv.Make(page.Pool(), page.Chunk(), page.Offset()+pageHdrLen)
-	ar.dirPool.Store(ar.freeHeadOff(class), first.Word(), ctx.Mem)
-	ar.dirPool.Persist(ar.freeHeadOff(class), 1, ctx.Mem)
+	ext.pool.Persist(abs, pageHdrLen+c.perPage*c.words, ctx.Mem)
+	ext.cursor += c.span
+	ext.pool.Store(ext.base+alloc.SlabChunkCursorOff, ext.cursor, ctx.Mem)
+	ext.pool.Persist(ext.base+alloc.SlabChunkCursorOff, 1, ctx.Mem)
+	ar.dirPool.Store(ar.freeHeadOff(class), slot(0).Word(), ctx.Mem)
 	ar.pages.Add(1)
-	return nil
+	ar.classPages[class].Add(1)
+	return slot(0), nil
 }
 
-// storeBytes packs val little-endian into words starting at off.
-func storeBytes(pool *pmem.Pool, off uint64, val []byte, acc *pmem.Acc) {
-	for i := 0; i < len(val); i += 8 {
-		var w uint64
-		for j := 0; j < 8 && i+j < len(val); j++ {
-			w |= uint64(val[i+j]) << (8 * j)
-		}
-		pool.Store(off+uint64(i/8), w, acc)
+// extentWithRoom returns an extent in the pool serving ctx with span
+// uncarved blocks left, claiming a fresh chunk when none has. Called
+// with extMu held.
+func (ar *Arena) extentWithRoom(ctx *exec.Ctx, span uint64) (*extent, error) {
+	pa, err := ar.a.PoolFor(ctx.Node)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// loadBytes unpacks n little-endian bytes from words at off into dst.
-func loadBytes(pool *pmem.Pool, off uint64, n int, dst []byte, acc *pmem.Acc) []byte {
-	for i := 0; i < n; i += 8 {
-		w := pool.Load(off+uint64(i/8), acc)
-		for j := 0; j < 8 && i+j < n; j++ {
-			dst = append(dst, byte(w>>(8*j)))
+	for _, ext := range ar.extents {
+		if ext.pool == pa.Pool() && ar.chunkBlocks-ext.cursor >= span {
+			return ext, nil
 		}
 	}
-	return dst
+	p, err := ar.a.ClaimSlabChunk(ctx, dirBlocks(0, ar.blockWords), 0)
+	if err != nil {
+		return nil, err
+	}
+	ext, _ := ar.addExtent(p)
+	return ext, nil
 }
 
 // Put writes val out-of-place and returns its Ref. When flush is nil the
-// chunk contents are persisted (with a fence) before Put returns — the
-// caller may publish the ref immediately. With a non-nil flush the dirty
+// chunk contents are persisted, together with the free-list head they
+// were popped from, under one fence before Put returns — the caller may
+// publish the ref immediately. With a non-nil flush the chunk's dirty
 // lines are deferred into it instead; the caller MUST Flush before any
 // store that publishes the ref (the batch write path's single grouped
-// fence). Free-list head updates are always persisted inline either way.
+// fence).
 func (ar *Arena) Put(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, error) {
 	if len(val) > MaxValueLen {
 		return 0, ErrValueTooLong
 	}
-	if class := ar.classFor(len(val)); class >= 0 {
-		chunk, err := ar.pop(ctx, class, flush != nil)
-		if err != nil {
-			return 0, err
-		}
-		pool, off := ar.space.Resolve(chunk)
-		pool.Store(off, hdrUsed|uint64(len(val)), ctx.Mem)
-		storeBytes(pool, off+1, val, ctx.Mem)
-		n := uint64(1 + (len(val)+7)/8)
-		if flush != nil {
-			flush.Add(pool, off, n, ctx.Mem)
-		} else {
-			pool.Persist(off, n, ctx.Mem)
-		}
-		return makeRef(len(val), chunk), nil
+	class := ar.classFor(len(val))
+	if class < 0 {
+		return ar.putChained(ctx, val, flush)
 	}
-	return ar.putChained(ctx, val, flush)
+	chunk, pool, off, err := ar.pop(ctx, class)
+	if err != nil {
+		return 0, err
+	}
+	pool.Store(off, hdrUsed|uint64(len(val)), ctx.Mem)
+	if len(val) == 8 {
+		// The one payload word the engine's in-place overwrite stores to
+		// while readers load it: atomic accesses on both sides.
+		pool.Store(off+1, binary.LittleEndian.Uint64(val), ctx.Mem)
+	} else {
+		pool.StoreBytes(off+1, val, ctx.Mem)
+	}
+	ar.stage(ctx, pool, off, uint64(1+(len(val)+7)/8), flush)
+	ar.commit(ctx, class, flush)
+	return makeRef(len(val), chunk), nil
 }
 
-// putChained stores val as a chain of largest-class segments. Segments
-// are written back to front so every next pointer lands before the
-// segment holding it is (deferred-)persisted.
+// stage queues words [off, off+n) of a freshly written chunk for
+// flushing: into the caller's group-commit batch, or on the one-op path
+// into the worker's own, which commit drains.
+func (ar *Arena) stage(ctx *exec.Ctx, pool *pmem.Pool, off, n uint64, flush *pmem.Batch) {
+	if flush == nil {
+		flush = &ctx.Batch
+	}
+	flush.Add(pool, off, n, ctx.Mem)
+}
+
+// commit ends a one-op Put: the line of the free-list head the chunks
+// were popped from joins the staged chunk lines, and everything drains
+// under a single fence when the directory and the chunks share a pool.
+// On the group-commit path the caller's Flush is the commit.
+func (ar *Arena) commit(ctx *exec.Ctx, class int, flush *pmem.Batch) {
+	if flush == nil {
+		ctx.Batch.Add(ar.dirPool, ar.freeHeadOff(class), 1, ctx.Mem)
+		ctx.Batch.Flush(ctx.Mem)
+	}
+}
+
+// putChained stores val as a chain of largest-class segments, written
+// back to front so every next pointer names a segment already written.
 func (ar *Arena) putChained(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, error) {
 	class := len(ar.classes) - 1
-	segCap := int((ar.classes[class] - 2) * 8)
-	nSegs := (len(val) + segCap - 1) / segCap
-	if nSegs == 0 {
-		nSegs = 1
-	}
-	segs := make([]riv.Ptr, nSegs)
-	for i := range segs {
-		c, err := ar.pop(ctx, class, flush != nil)
+	segCap := ar.segCap()
+	next := riv.Null
+	for start := (len(val) - 1) / segCap * segCap; start >= 0; start -= segCap {
+		seg, pool, off, err := ar.pop(ctx, class)
 		if err != nil {
 			// Roll the partial chain straight back to the free list: the
 			// chunks were never published anywhere.
-			for _, s := range segs[:i] {
-				ar.push(class, s, ctx.Mem)
-				ar.alloced.Add(^uint64(0))
-			}
+			ar.alloced.Add(-ar.freeChain(next, ctx.Mem))
+			ar.commit(ctx, class, flush)
 			return 0, err
 		}
-		segs[i] = c
+		end := min(start+segCap, len(val))
+		pool.Store(off, hdrUsed|hdrChained|uint64(len(val)-start), ctx.Mem)
+		pool.Store(off+1, next.Word(), ctx.Mem)
+		pool.StoreBytes(off+2, val[start:end], ctx.Mem)
+		ar.stage(ctx, pool, off, uint64(2+(end-start+7)/8), flush)
+		next = seg
 	}
-	for i := nSegs - 1; i >= 0; i-- {
-		pool, off := ar.space.Resolve(segs[i])
-		start := i * segCap
-		end := start + segCap
-		if end > len(val) {
-			end = len(val)
-		}
-		remaining := len(val) - start
-		next := uint64(0)
-		if i+1 < nSegs {
-			next = segs[i+1].Word()
-		}
-		pool.Store(off, hdrUsed|hdrChained|uint64(remaining), ctx.Mem)
-		pool.Store(off+1, next, ctx.Mem)
-		storeBytes(pool, off+2, val[start:end], ctx.Mem)
-		n := uint64(2 + (end-start+7)/8)
-		if flush != nil {
-			flush.Add(pool, off, n, ctx.Mem)
-		} else {
-			pool.Persist(off, n, ctx.Mem)
-		}
-	}
-	return makeRef(lenChained, segs[0]), nil
+	ar.commit(ctx, class, flush)
+	return makeRef(lenChained, next), nil
 }
 
 // Len returns the byte length of the value behind ref.
 func (ar *Arena) Len(ref Ref, acc *pmem.Acc) int {
-	l := int(uint64(ref) >> refLenShift & lenChained)
-	if l != lenChained {
+	if l := ref.lenField(); l != lenChained {
 		return l
 	}
 	pool, off := ar.space.Resolve(ref.ptr())
@@ -571,46 +675,35 @@ func (ar *Arena) Len(ref Ref, acc *pmem.Acc) int {
 // Get appends the value behind ref to dst and returns the result. The
 // caller must hold whatever pin protects the ref from reclamation.
 func (ar *Arena) Get(ref Ref, dst []byte, acc *pmem.Acc) []byte {
-	l := int(uint64(ref) >> refLenShift & lenChained)
+	pool, off := ar.space.Resolve(ref.ptr())
+	l := ref.lenField()
+	if l == 8 {
+		return binary.LittleEndian.AppendUint64(dst, pool.Load(off+1, acc))
+	}
 	if l != lenChained {
-		pool, off := ar.space.Resolve(ref.ptr())
-		return loadBytes(pool, off+1, l, dst, acc)
+		return pool.LoadBytes(off+1, l, dst, acc)
 	}
-	p := ref.ptr()
-	for !p.IsNull() {
-		pool, off := ar.space.Resolve(p)
-		hdr := pool.Load(off, acc)
-		remaining := int(hdr & hdrLenMask)
-		segCap := int((ar.classes[len(ar.classes)-1] - 2) * 8)
-		n := remaining
-		if n > segCap {
-			n = segCap
+	segCap := ar.segCap()
+	for {
+		remaining := int(pool.Load(off, acc) & hdrLenMask)
+		next := riv.FromWord(pool.Load(off+1, acc))
+		dst = pool.LoadBytes(off+2, min(remaining, segCap), dst, acc)
+		if next.IsNull() {
+			return dst
 		}
-		dst = loadBytes(pool, off+2, n, dst, acc)
-		p = riv.FromWord(pool.Load(off+1, acc))
+		pool, off = ar.space.Resolve(next)
 	}
-	return dst
 }
 
 // PayloadOff resolves the single payload word of an 8-byte single-
 // segment value for the engine's in-place overwrite fast path. ok is
 // false for chained refs or lengths other than 8.
 func (ar *Arena) PayloadOff(ref Ref) (pool *pmem.Pool, off uint64, ok bool) {
-	if uint64(ref)>>refLenShift&lenChained != 8 {
+	if ref.lenField() != 8 {
 		return nil, 0, false
 	}
 	pool, off = ar.space.Resolve(ref.ptr())
 	return pool, off + 1, true
-}
-
-// classOf determines a chunk's class from the page that carries it. The
-// page base is recovered by rounding the chunk's offset down to a block
-// boundary within its riv chunk.
-func (ar *Arena) classOf(p riv.Ptr) int {
-	blockOff := uint64(p.Offset()) / ar.blockWords * ar.blockWords
-	pool, off := ar.space.Resolve(riv.Make(p.Pool(), p.Chunk(), uint32(blockOff)))
-	meta := pool.Load(off+pageMetaOff, nil)
-	return int(meta &^ pageMagic)
 }
 
 // Retire places every chunk of ref's value into the limbo: the bytes
@@ -645,7 +738,7 @@ func (ar *Arena) Tick(acc *pmem.Acc) {
 	if len(ar.open) > 0 {
 		era := dom.Era()
 		ar.batches = append(ar.batches, limboBatch{era: era, refs: ar.open})
-		ar.open = nil
+		ar.open = make([]Ref, 0, limboBatchSize)
 		dom.Advance()
 	}
 	min := dom.MinActive()
@@ -686,86 +779,121 @@ func (ar *Arena) DrainQuiesced(acc *pmem.Acc) {
 	}
 }
 
-// freeRef pushes every segment of a retired value back onto its class
-// free list.
+// freeRef pushes every chunk of a retired value back onto its class
+// free list; the class is the one Put chose for the ref's length.
 func (ar *Arena) freeRef(ref Ref, acc *pmem.Acc) {
 	ar.inLimbo.Add(^uint64(0))
-	if !ref.Chained() {
-		p := ref.ptr()
-		ar.push(ar.classOf(p), p, acc)
+	if ref.Chained() {
+		ar.freeChain(ref.ptr(), acc)
 		return
 	}
-	class := len(ar.classes) - 1
-	p := ref.ptr()
-	for !p.IsNull() {
-		pool, off := ar.space.Resolve(p)
-		next := riv.FromWord(pool.Load(off+1, acc))
-		ar.push(class, p, acc)
-		p = next
-	}
+	ar.push(ar.classFor(ref.lenField()), ref.ptr(), acc)
 }
 
-// ownsBlock implements alloc.SlabCheck: the directory and every page
-// reachable from its page lists are arena-owned. Page lists only grow,
-// so the racy walk is safe.
-func (ar *Arena) ownsBlock(block riv.Ptr) bool {
-	if block == ar.dir {
-		return true
+// freeChain pushes the chain segments from p on and returns how many.
+func (ar *Arena) freeChain(p riv.Ptr, acc *pmem.Acc) (n uint64) {
+	for ; !p.IsNull(); n++ {
+		pool, off := ar.space.Resolve(p)
+		next := riv.FromWord(pool.Load(off+1, acc))
+		ar.push(len(ar.classes)-1, p, acc)
+		p = next
 	}
-	for class := range ar.classes {
-		p := riv.FromWord(ar.dirPool.Load(ar.pageHeadOff(class), nil))
-		for !p.IsNull() {
-			if p == block {
-				return true
-			}
-			pool, off := ar.space.Resolve(p)
-			p = riv.FromWord(pool.Load(off+pageNextOff, nil))
-		}
-	}
-	return false
+	return n
 }
 
 // Stats returns a snapshot of the arena counters.
 func (ar *Arena) Stats() Stats {
+	ar.extMu.Lock()
+	extents := len(ar.extents)
+	ar.extMu.Unlock()
 	return Stats{
 		ChunksAlloced: ar.alloced.Load(),
 		ChunksFreed:   ar.freed.Load(),
 		ChunksRetired: ar.retired.Load(),
 		LimboChunks:   ar.inLimbo.Load(),
 		Pages:         ar.pages.Load(),
+		Extents:       uint64(extents),
 		SweepRelinked: ar.sweepRelinked.Load(),
-		SweepPages:    ar.sweepPages.Load(),
 		SweepScanned:  ar.sweepScanned.Load(),
 	}
+}
+
+// ClassStats returns the class table with each class's page count.
+func (ar *Arena) ClassStats() []ClassStat {
+	out := make([]ClassStat, len(ar.classes))
+	for i, c := range ar.classes {
+		out[i] = ClassStat{ChunkWords: c.words, SpanBlocks: c.span, ChunksPerPage: c.perPage, Pages: ar.classPages[i].Load()}
+	}
+	return out
+}
+
+// page is one carved page as the sweep sees it.
+type page struct {
+	ptr   riv.Ptr // the page's first word
+	pool  *pmem.Pool
+	off   uint64 // absolute offset of ptr
+	class int
+}
+
+// slot returns chunk i of the page and its absolute offset.
+func (pg page) slot(i uint64, c class) (riv.Ptr, uint64) {
+	rel := pageHdrLen + i*c.words
+	return riv.Make(pg.ptr.Pool(), pg.ptr.Chunk(), pg.ptr.Offset()+uint32(rel)), pg.off + rel
+}
+
+// extentPages is the sweep's index of one extent: its pages in address
+// order and, per block, which page (index into pages, -1 for none)
+// covers it.
+type extentPages struct {
+	pages   []page
+	byBlock []int32
+}
+
+// walkPages reads the page headers of one extent up to its cursor.
+func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc) extentPages {
+	ep := extentPages{byBlock: make([]int32, ar.chunkBlocks)}
+	for i := range ep.byBlock {
+		ep.byBlock[i] = -1
+	}
+	for b := ext.first; b < ext.cursor; {
+		off := ext.base + b*ar.blockWords
+		meta := ext.pool.Load(off, acc)
+		class, span := int(meta&0xffff), meta>>16&0xffff
+		if meta>>48<<48 != pageMagic || class >= len(ar.classes) || span != ar.classes[class].span {
+			break // not a page of this geometry: nothing past it is reachable
+		}
+		for i := b; i < b+span && i < ar.chunkBlocks; i++ {
+			ep.byBlock[i] = int32(len(ep.pages))
+		}
+		ep.pages = append(ep.pages, page{
+			ptr:  riv.Make(ext.ptr.Pool(), ext.ptr.Chunk(), uint32(b*ar.blockWords)),
+			pool: ext.pool, off: off, class: class,
+		})
+		b += span
+	}
+	return ep
 }
 
 // Sweep is the startup crash-leak scan. live must call its argument
 // with every node value word currently published in the structure (the
 // engine walks the bottom level); Sweep follows refs (and their chains)
 // to build the referenced set, then REBUILDS every class free list from
-// page reachability: each page chunk that no live ref reaches goes onto
-// a freshly-carved chain, and the old list is only consulted (with full
+// the pages: each page chunk that no live ref reaches goes onto a
+// freshly-carved chain, and the old list is only consulted (with full
 // validation, since a crash can leave a head pointing at a handed-out
 // chunk whose header is payload bytes) to tell genuine leaks from
 // chunks that were already free — the relinked count reports only the
 // former. The rebuild is what makes allocation-time free-list persists
-// unnecessary: no head that survived a crash is ever trusted. KindSlab
-// blocks unreachable from the directory's page lists (a crash between
-// block allocation and page linking) are returned to the block
-// allocator whole.
+// unnecessary: no head that survived a crash is ever trusted.
 //
 // Must run quiesced (no concurrent operations), which is the state at
 // Reopen/Load time. Idempotent: a clean store sweeps zero chunks. With
-// SetSweepParallelism > 1 the census, free-list walk, and rebuild
-// partition their page work across goroutines with per-goroutine
+// SetSweepParallelism > 1 the page walk, free-list walk, and rebuild
+// partition their work across goroutines with per-goroutine
 // accumulators merged (and free chains stitched) at the end.
-func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked, pagesFreed int) {
+func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int) {
 	referenced := make(map[riv.Ptr]bool)
-	live(func(w uint64) {
-		if !IsRef(w) {
-			return
-		}
-		ref := Ref(w)
+	mark := func(ref Ref) {
 		p := ref.ptr()
 		if !ref.Chained() {
 			referenced[p] = true
@@ -776,6 +904,11 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 			pool, off := ar.space.Resolve(p)
 			p = riv.FromWord(pool.Load(off+1, ctx.Mem))
 		}
+	}
+	live(func(w uint64) {
+		if IsRef(w) {
+			mark(Ref(w))
+		}
 	})
 
 	// Refs still sitting in this handle's limbo are owned (they will be
@@ -784,56 +917,45 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	ar.limboMu.Lock()
 	for _, b := range append(append([]limboBatch(nil), ar.batches...), limboBatch{refs: ar.open}) {
 		for _, r := range b.refs {
-			p := r.ptr()
-			if !r.Chained() {
-				referenced[p] = true
-				continue
-			}
-			for !p.IsNull() {
-				referenced[p] = true
-				pool, off := ar.space.Resolve(p)
-				p = riv.FromWord(pool.Load(off+1, ctx.Mem))
-			}
+			mark(r)
 		}
 	}
 	ar.limboMu.Unlock()
 
-	// Page census first: the old free lists can only be interpreted
-	// against the set of pages each class actually owns. Classes are
-	// independent pointer chains, so the census fans out one goroutine
-	// per class (bounded by the sweep parallelism) with per-class maps
-	// merged afterwards.
+	// Page walk first: the old free lists can only be interpreted against
+	// the set of chunk slots each class actually owns. Extents are
+	// independent, so the walk fans out over them.
 	par := ar.sweepParallelism()
-	linkedPages := map[riv.Ptr]bool{ar.dir: true}
-	pagesByClass := make([][]riv.Ptr, len(ar.classes))
-	chunkClass := make(map[riv.Ptr]int) // every carvable chunk slot, by owning class
-	classChunks := make([]map[riv.Ptr]int, len(ar.classes))
-	runParallel(len(ar.classes), par, func(class int) {
-		acc := ctx.Mem
-		if par > 1 {
-			acc = nil
+	accFor := func(workers int) *pmem.Acc {
+		if workers > 1 {
+			return nil
 		}
-		cw := ar.classes[class]
-		n := (ar.blockWords - pageHdrLen) / cw
-		local := make(map[riv.Ptr]int)
-		page := riv.FromWord(ar.dirPool.Load(ar.pageHeadOff(class), acc))
-		for !page.IsNull() {
-			pagesByClass[class] = append(pagesByClass[class], page)
-			for i := uint64(0); i < n; i++ {
-				local[riv.Make(page.Pool(), page.Chunk(), page.Offset()+uint32(pageHdrLen+i*cw))] = class
-			}
-			pool, off := ar.space.Resolve(page)
-			page = riv.FromWord(pool.Load(off+pageNextOff, acc))
-		}
-		classChunks[class] = local
+		return ctx.Mem
+	}
+	chunkKey := func(p riv.Ptr) uint32 { return uint32(p.Pool())<<16 | uint32(p.Chunk()) }
+	index := make(map[uint32]*extentPages, len(ar.extents))
+	walked := make([]extentPages, len(ar.extents))
+	runParallel(len(ar.extents), par, func(i int) {
+		walked[i] = ar.walkPages(ar.extents[i], accFor(par))
 	})
-	for class, local := range classChunks {
-		for p, c := range local {
-			chunkClass[p] = c
+	pagesByClass := make([][]page, len(ar.classes))
+	for i, ext := range ar.extents {
+		index[chunkKey(ext.ptr)] = &walked[i]
+		for _, pg := range walked[i].pages {
+			pagesByClass[pg.class] = append(pagesByClass[pg.class], pg)
 		}
-		for _, p := range pagesByClass[class] {
-			linkedPages[p] = true
+	}
+	// isSlot reports whether p addresses a chunk slot of the class.
+	isSlot := func(p riv.Ptr, class int) bool {
+		ep := index[chunkKey(p)]
+		b := uint64(p.Offset()) / ar.blockWords
+		if ep == nil || b >= uint64(len(ep.byBlock)) || ep.byBlock[b] < 0 {
+			return false
 		}
+		pg, c := ep.pages[ep.byBlock[b]], ar.classes[class]
+		rel := uint64(p.Offset() - pg.ptr.Offset())
+		return pg.class == class && rel >= pageHdrLen &&
+			(rel-pageHdrLen)%c.words == 0 && (rel-pageHdrLen)/c.words < c.perPage
 	}
 
 	// Walk the old free lists defensively to learn which unreferenced
@@ -843,20 +965,14 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	// class, unreferenced, unseen — and the walk stops at the first entry
 	// that fails (everything past it is reconstructed below anyway).
 	// Every chunk slot belongs to exactly one class, so the per-class
-	// walks touch disjoint sets and also run one goroutine per class.
+	// walks touch disjoint sets and run one goroutine per class.
 	onList := make(map[riv.Ptr]bool)
 	classOnList := make([]map[riv.Ptr]bool, len(ar.classes))
 	runParallel(len(ar.classes), par, func(class int) {
-		acc := ctx.Mem
-		if par > 1 {
-			acc = nil
-		}
+		acc := accFor(par)
 		local := make(map[riv.Ptr]bool)
 		p := riv.FromWord(ar.dirPool.Load(ar.freeHeadOff(class), acc))
-		for !p.IsNull() {
-			if c, ok := chunkClass[p]; !ok || c != class || referenced[p] || local[p] {
-				break
-			}
+		for !p.IsNull() && isSlot(p, class) && !referenced[p] && !local[p] {
 			local[p] = true
 			pool, off := ar.space.Resolve(p)
 			p = riv.FromWord(pool.Load(off, acc))
@@ -882,17 +998,12 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	// words, no locks — and the chains are stitched serially afterwards
 	// by pointing each tail at the next chain's head (one extra word
 	// persist per seam).
-	for class := range ar.classes {
-		cw := ar.classes[class]
-		n := (ar.blockWords - pageHdrLen) / cw
+	scanned := 0
+	for class, c := range ar.classes {
 		pages := pagesByClass[class]
-		workers := par
-		if workers > len(pages) {
-			workers = len(pages)
-		}
-		if workers < 1 {
-			workers = 1
-		}
+		scanned += len(pages)
+		ar.classPages[class].Store(uint64(len(pages)))
+		workers := max(1, min(par, len(pages)))
 		type chain struct {
 			head, tail riv.Ptr
 			count      int
@@ -900,12 +1011,7 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 		freeParts := make([]chain, workers)
 		leakParts := make([]chain, workers)
 		runParallel(workers, workers, func(w int) {
-			acc := ctx.Mem
-			if workers > 1 {
-				acc = nil
-			}
-			lo := len(pages) * w / workers
-			hi := len(pages) * (w + 1) / workers
+			acc := accFor(workers)
 			add := func(ch *chain, chunk riv.Ptr, pool *pmem.Pool, off uint64) {
 				pool.Store(off, ch.head.Word(), acc)
 				if ch.head.IsNull() {
@@ -914,21 +1020,19 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 				ch.head = chunk
 				ch.count++
 			}
-			for pi := lo; pi < hi; pi++ {
-				page := pages[pi]
-				pool, off := ar.space.Resolve(page)
-				for i := uint64(0); i < n; i++ {
-					chunk := riv.Make(page.Pool(), page.Chunk(), page.Offset()+uint32(pageHdrLen+i*cw))
+			for _, pg := range pages[len(pages)*w/workers : len(pages)*(w+1)/workers] {
+				for i := uint64(0); i < c.perPage; i++ {
+					chunk, off := pg.slot(i, c)
 					if referenced[chunk] {
 						continue
 					}
 					if onList[chunk] {
-						add(&freeParts[w], chunk, pool, off+pageHdrLen+i*cw)
+						add(&freeParts[w], chunk, pg.pool, off)
 					} else {
-						add(&leakParts[w], chunk, pool, off+pageHdrLen+i*cw)
+						add(&leakParts[w], chunk, pg.pool, off)
 					}
 				}
-				pool.Persist(off+pageHdrLen, n*cw, acc)
+				pg.pool.Persist(pg.off+pageHdrLen, c.perPage*c.words, acc)
 			}
 		})
 		chains := make([]*chain, 0, 2*workers)
@@ -955,19 +1059,7 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 		ar.dirPool.Store(ar.freeHeadOff(class), newHead, ctx.Mem)
 		ar.dirPool.Persist(ar.freeHeadOff(class), 1, ctx.Mem)
 	}
-
-	for _, b := range ar.a.SlabBlocks() {
-		if !linkedPages[b] {
-			ar.a.Free(ctx, b)
-			pagesFreed++
-		}
-	}
 	ar.sweepRelinked.Store(uint64(relinked))
-	ar.sweepPages.Store(uint64(pagesFreed))
-	scanned := uint64(0)
-	for _, pages := range pagesByClass {
-		scanned += uint64(len(pages))
-	}
-	ar.sweepScanned.Store(scanned)
-	return relinked, pagesFreed
+	ar.sweepScanned.Store(uint64(scanned))
+	return relinked
 }

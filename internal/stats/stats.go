@@ -57,18 +57,17 @@ type Snapshot struct {
 	// that produced this store handle did. All zero for stores built by
 	// Create. Durations are in seconds so the snapshot stays a plain
 	// numbers struct.
-	RecoveryParallelism  int     // effective worker budget recovery ran with
-	RecoveryWallSecs     float64 // end-to-end time to ready
-	RecoveryAttachSecs   float64 // pool read + allocator attach (summed over shards)
-	RecoveryOpenSecs     float64 // skip-list open (summed over shards)
-	RecoverySweepSecs    float64 // slab crash-leak sweep (summed over shards)
-	RecoveryBulkLoadSecs float64 // logical-dump rebuild (bulk build or replay)
-	RecoveryPagesSwept   uint64  // slab pages scanned by the sweeps
-	RecoveryPagesFreed   uint64  // orphaned pages returned to the allocator
-	RecoveryChunksRelinked uint64 // leaked chunks rediscovered onto free lists
-	RecoveryKeysBulkLoaded uint64 // pairs restored through the bottom-up build
-	RecoveryNodesBulkBuilt uint64 // data nodes the bulk build constructed
-	RecoveryKeysReplayed   uint64 // pairs restored through the per-key fallback
+	RecoveryParallelism    int     // effective worker budget recovery ran with
+	RecoveryWallSecs       float64 // end-to-end time to ready
+	RecoveryAttachSecs     float64 // pool read + allocator attach (summed over shards)
+	RecoveryOpenSecs       float64 // skip-list open (summed over shards)
+	RecoverySweepSecs      float64 // slab crash-leak sweep (summed over shards)
+	RecoveryBulkLoadSecs   float64 // logical-dump rebuild (bulk build or replay)
+	RecoveryPagesSwept     uint64  // slab pages scanned by the sweeps
+	RecoveryChunksRelinked uint64  // leaked chunks rediscovered onto free lists
+	RecoveryKeysBulkLoaded uint64  // pairs restored through the bottom-up build
+	RecoveryNodesBulkBuilt uint64  // data nodes the bulk build constructed
+	RecoveryKeysReplayed   uint64  // pairs restored through the per-key fallback
 
 	// Mem aggregates the pmem counters of every pool: loads, stores,
 	// CASes, flushes (persisted cache lines), fences, remote-NUMA
@@ -115,7 +114,6 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		out.RecoverySweepSecs = other.RecoverySweepSecs
 		out.RecoveryBulkLoadSecs = other.RecoveryBulkLoadSecs
 		out.RecoveryPagesSwept = other.RecoveryPagesSwept
-		out.RecoveryPagesFreed = other.RecoveryPagesFreed
 		out.RecoveryChunksRelinked = other.RecoveryChunksRelinked
 		out.RecoveryKeysBulkLoaded = other.RecoveryKeysBulkLoaded
 		out.RecoveryNodesBulkBuilt = other.RecoveryNodesBulkBuilt

@@ -83,6 +83,18 @@ func (s *Store) EnableMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("upsl_mem_prefetches_total",
 		"charged foresight prefetch issues across every pool (resident-line prefetches are free and uncounted)",
 		nil, func() float64 { return float64(s.Stats().Mem.Prefetches) })
+	reg.GaugeFunc("upsl_slab_extents",
+		"allocator chunks owned whole by the value arena",
+		nil, func() float64 { return float64(s.SlabStats().Extents) })
+	for i, cl := range s.SlabClassStats() {
+		reg.GaugeFunc("upsl_slab_pages",
+			"value-arena pages by chunk class (words per chunk)",
+			metrics.Labels{"class": strconv.FormatUint(cl.ChunkWords, 10)},
+			func() float64 { return float64(s.SlabClassStats()[i].Pages) })
+	}
+	reg.GaugeFunc("upsl_slab_limbo_chunks",
+		"retired value chunks awaiting their grace period",
+		nil, func() float64 { return float64(s.SlabStats().LimboChunks) })
 	reg.GaugeFunc("upsl_snapshots_open",
 		"currently open MVCC snapshots",
 		nil, func() float64 { return float64(s.SnapshotsOpen()) })

@@ -120,8 +120,8 @@ func (s *Store) BlockCensus() alloc.BlockCensus {
 }
 
 // SlabStats aggregates the value-arena counters across every shard:
-// chunk alloc/free/retire traffic, limbo depth, page growth, and what
-// the last startup sweep reclaimed. Approximate under concurrency, like
+// chunk alloc/free/retire traffic, limbo depth, page growth, extents
+// owned, and what the last startup sweep scanned and reclaimed. Approximate under concurrency, like
 // BlockCensus.
 func (s *Store) SlabStats() slab.Stats {
 	var out slab.Stats
@@ -135,8 +135,30 @@ func (s *Store) SlabStats() slab.Stats {
 		out.ChunksRetired += st.ChunksRetired
 		out.LimboChunks += st.LimboChunks
 		out.Pages += st.Pages
+		out.Extents += st.Extents
 		out.SweepRelinked += st.SweepRelinked
-		out.SweepPages += st.SweepPages
+		out.SweepScanned += st.SweepScanned
+	}
+	return out
+}
+
+// SlabClassStats returns the value arena's class table — chunk size,
+// page span, chunks per page — with each class's page count summed over
+// the shards (every shard has the same geometry, hence the same table).
+func (s *Store) SlabClassStats() []slab.ClassStat {
+	var out []slab.ClassStat
+	for _, e := range s.shards {
+		if e.vals == nil {
+			continue
+		}
+		cs := e.vals.ClassStats()
+		if out == nil {
+			out = cs
+			continue
+		}
+		for i := range cs {
+			out[i].Pages += cs[i].Pages
+		}
 	}
 	return out
 }

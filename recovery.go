@@ -50,11 +50,9 @@ type RecoveryStats struct {
 	// being ready to serve.
 	Wall time.Duration
 
-	// PagesSwept counts slab pages scanned, PagesFreed orphaned pages
-	// returned whole to the block allocator, and ChunksRelinked leaked
+	// PagesSwept counts slab pages scanned and ChunksRelinked leaked
 	// chunks rediscovered onto free lists.
 	PagesSwept     uint64
-	PagesFreed     uint64
 	ChunksRelinked uint64
 	// KeysBulkLoaded / NodesBulkBuilt count the sorted-dump bottom-up
 	// build; KeysReplayed counts pairs restored through the per-key
@@ -196,8 +194,8 @@ func normalizeRecoveryParallelism(p int) int {
 // shardRecovery accumulates one shard's recovery phase timings and
 // counters.
 type shardRecovery struct {
-	attach, open, sweep                    time.Duration
-	pagesSwept, pagesFreed, chunksRelinked uint64
+	attach, open, sweep        time.Duration
+	pagesSwept, chunksRelinked uint64
 	// units is the simulated cost charged against this shard's pools —
 	// exact attribution, since shards never share a pool.
 	units uint64
@@ -245,7 +243,6 @@ func recoverShard(opts Options, pools []*pmem.Pool, scanPar int, rec *shardRecov
 	rec.sweep += time.Since(t)
 	st := e.vals.Stats()
 	rec.pagesSwept = st.SweepScanned
-	rec.pagesFreed = st.SweepPages
 	rec.chunksRelinked = st.SweepRelinked
 	return e, nil
 }
@@ -359,7 +356,6 @@ func summarizeRecovery(par int, recs []shardRecovery, wall time.Duration) Recove
 		out.Open += recs[i].open
 		out.Sweep += recs[i].sweep
 		out.PagesSwept += recs[i].pagesSwept
-		out.PagesFreed += recs[i].pagesFreed
 		out.ChunksRelinked += recs[i].chunksRelinked
 		out.CostUnits += recs[i].units
 		units = append(units, recs[i].units)

@@ -2,10 +2,13 @@ package upskiplist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"upskiplist/internal/pmem"
 )
 
 // Engine-level tests of the slab value arena: the crash contracts
@@ -292,5 +295,149 @@ func TestMixedSizeChurnSoak(t *testing.T) {
 	}
 	if err := st.NewWorker(0).CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueRoundTripEveryLength puts one key per value length from 0 to
+// 4200 bytes, plus 64 KiB and 1 MiB, and reads each back through Get and
+// through GetInto appended to a caller's buffer.
+func TestValueRoundTripEveryLength(t *testing.T) {
+	o := DefaultOptions()
+	o.PoolWords = 1 << 23
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.NewWorker(0)
+	lengths := []int{64 << 10, MaxValueLen}
+	for n := 0; n <= 4200; n++ {
+		lengths = append(lengths, n)
+	}
+	for i, n := range lengths {
+		if _, existed, err := w.Put(uint64(i+1), patVal(uint64(i+1), 3, n)); err != nil || existed {
+			t.Fatalf("Put(%d bytes): existed=%v err=%v", n, existed, err)
+		}
+	}
+	buf := make([]byte, 0, MaxValueLen+8)
+	for i, n := range lengths {
+		want := patVal(uint64(i+1), 3, n)
+		if got, ok := w.Get(uint64(i + 1)); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("Get of the %d-byte value: found=%v, %d bytes", n, ok, len(got))
+		}
+		buf = append(buf[:0], "head"...)
+		buf, ok := w.GetInto(uint64(i+1), buf)
+		if !ok || string(buf[:4]) != "head" || !bytes.Equal(buf[4:], want) {
+			t.Fatalf("GetInto of the %d-byte value: found=%v, %d bytes", n, ok, len(buf)-4)
+		}
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashAtEveryStepOfGrowingPut crashes a 1 KiB overwrite at every
+// pmem access it makes, the overwrite being one that finds its class's
+// free list empty and every extent full, so that it claims an allocator
+// chunk for the arena and carves a page before it can store a byte.
+// After each crash the reopened store must hold the complete old or the
+// complete new value under the key, pass CheckInvariants, and — once the
+// overwrite has been redone where it was lost — own exactly the blocks,
+// extents and pages of a twin that was never crashed.
+func TestCrashAtEveryStepOfGrowingPut(t *testing.T) {
+	const target = uint64(1)
+	oldVal, newVal := patVal(target, 0, 1024), patVal(target, 1, 1024)
+
+	// build fills a fresh store until the next 1 KiB chunk needs a new
+	// extent: the target key first, then fillers. It returns how many
+	// fillers that took when told to find out (fillers < 0).
+	build := func(fillers int) (*Store, *Worker, int) {
+		st, err := Create(testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := st.NewWorker(0)
+		if _, _, err := w.Put(target, oldVal); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; fillers < 0 || i < fillers; i++ {
+			before := st.SlabStats()
+			if _, _, err := w.Put(uint64(1000+i), patVal(uint64(i), 0, 1024)); err != nil {
+				t.Fatal(err)
+			}
+			if after := st.SlabStats(); fillers < 0 && after.Extents > before.Extents && after.Pages > before.Pages {
+				return nil, nil, i
+			}
+		}
+		return st, w, fillers
+	}
+	_, _, fillers := build(-1)
+
+	// footprint is what must match between the crashed store and the twin
+	// once both have been swept by a Reopen.
+	type footprint struct {
+		node, slab, used int
+		extents, pages   uint64
+		classPages       string
+	}
+	settle := func(st *Store) footprint {
+		st2, err := st.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, s := st2.BlockCensus(), st2.SlabStats()
+		return footprint{c.Node, c.Slab, c.Total - c.Free, s.Extents, s.SweepScanned, fmt.Sprint(st2.SlabClassStats())}
+	}
+	twin, tw, _ := build(fillers)
+	before := twin.SlabStats()
+	if _, _, err := tw.Put(target, newVal); err != nil {
+		t.Fatal(err)
+	}
+	if after := twin.SlabStats(); after.Extents != before.Extents+1 || after.Pages != before.Pages+1 {
+		t.Fatalf("the overwrite grew %d extents and %d pages, want one of each", after.Extents-before.Extents, after.Pages-before.Pages)
+	}
+	want := settle(twin)
+
+	for step := int64(1); ; step++ {
+		st, w, _ := build(fillers)
+		st.EnableCrashTracking()
+		st.SetInjector(pmem.NewCountdownInjector(step))
+		err := catchCrash(func() error {
+			_, _, err := w.Put(target, newVal)
+			return err
+		})
+		st.SetInjector(nil)
+		st.SimulateCrash()
+		st.DisableCrashTracking()
+		if err != nil && !errors.Is(err, ErrRecoveryInterrupted) {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err == nil {
+			if step < 50 {
+				t.Fatalf("the overwrite finished in %d pmem steps: it cannot have grown anything", step)
+			}
+			t.Logf("crashed the overwrite at each of its %d pmem steps (%d fillers)", step-1, fillers)
+			return
+		}
+		st2, err := st.Reopen()
+		if err != nil {
+			t.Fatalf("step %d: reopen: %v", step, err)
+		}
+		w2 := st2.NewWorker(0)
+		got, ok := w2.Get(target)
+		switch {
+		case ok && bytes.Equal(got, newVal):
+		case ok && bytes.Equal(got, oldVal):
+			if _, _, err := w2.Put(target, newVal); err != nil {
+				t.Fatalf("step %d: redoing the overwrite: %v", step, err)
+			}
+		default:
+			t.Fatalf("step %d: key holds neither the old nor the new value (found=%v, %d bytes)", step, ok, len(got))
+		}
+		if err := w2.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got := settle(st2); got != want {
+			t.Fatalf("step %d: footprint %+v, never-crashed twin %+v", step, got, want)
+		}
 	}
 }

@@ -78,16 +78,20 @@ func (o Options) domainSlots() int { return o.NumThreads + snapReaderSlots }
 // has not already attached one), and the change feed starts recording
 // committed batches. Like EnableOnlineReclaim it must be called before
 // concurrent operations begin (Create/Reopen call it when
-// Options.Snapshots is set; call it right after Load). Idempotent.
+// Options.Snapshots is set; call it right after Load). Background
+// reclaimers may already be running: they read what this sets, so they
+// are held at a cycle boundary meanwhile. Idempotent.
 //
 // Cost when enabled but with no snapshot open: one atomic load per
 // value update, plus — only when online reclamation is off and the
 // domain exists solely for snapshots — the per-op era pin workers
 // otherwise pay only under reclamation.
 func (s *Store) EnableSnapshots() {
+	s.PauseReclaim()
 	for _, e := range s.shards {
 		e.list.EnableSnapshots(s.opts.domainSlots())
 	}
+	s.ResumeReclaim()
 	s.snapMu.Lock()
 	if s.openSnaps == nil {
 		s.openSnaps = make(map[*Snap]time.Time)

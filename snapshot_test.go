@@ -375,3 +375,30 @@ func TestTooManySnapshots(t *testing.T) {
 	}
 	open[10] = sn
 }
+
+// TestEnableSnapshotsWithReclaimerRunning switches snapshots on while
+// each shard's background reclaimer is in its first cycles — what
+// server.New does to a store created with OnlineReclaim. Under -race
+// this fails unless EnableSnapshots holds the reclaimers itself.
+func TestEnableSnapshotsWithReclaimerRunning(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		o := testOptions()
+		o.Shards = 2
+		o.OnlineReclaim = true
+		st, err := Create(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.EnableSnapshots()
+		w := st.NewWorker(0)
+		if _, _, err := w.PutU64(uint64(i+1), 7); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.Release()
+		st.DisableOnlineReclaim()
+	}
+}

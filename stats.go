@@ -25,7 +25,6 @@ func (s *Store) Stats() StoreStats {
 	out.RecoverySweepSecs = rec.Sweep.Seconds()
 	out.RecoveryBulkLoadSecs = rec.BulkLoad.Seconds()
 	out.RecoveryPagesSwept = rec.PagesSwept
-	out.RecoveryPagesFreed = rec.PagesFreed
 	out.RecoveryChunksRelinked = rec.ChunksRelinked
 	out.RecoveryKeysBulkLoaded = rec.KeysBulkLoaded
 	out.RecoveryNodesBulkBuilt = rec.NodesBulkBuilt

@@ -178,9 +178,11 @@ type Options struct {
 	MaxChunks  uint64
 	NumArenas  int
 	NumThreads int
-	// Preallocate carves every chunk into free blocks at Create (the
-	// paper's allocation mode 1, §4.3.2) instead of provisioning chunks
-	// on demand as the structure grows (mode 2, the default).
+	// Preallocate carves half of MaxChunks into free node blocks at
+	// Create (the paper's allocation mode 1, §4.3.2) instead of
+	// provisioning chunks on demand as the structure grows (mode 2, the
+	// default). The other half stays unclaimed for the value arena, which
+	// takes its space as whole chunks.
 	Preallocate bool
 
 	// OnlineReclaim starts a background epoch-based reclaimer per shard
@@ -422,8 +424,12 @@ func (e *engine) overwriteInPlace(ctx *exec.Ctx, key uint64, val []byte, fb *pme
 	if !ok {
 		return old, false
 	}
-	o := pool.Load(off, ctx.Mem)
-	pool.Store(off, binary.LittleEndian.Uint64(val), ctx.Mem)
+	// Swap, not load-then-store: two writers racing the same key must
+	// not both report the same previous value.
+	o, nw := pool.Load(off, ctx.Mem), binary.LittleEndian.Uint64(val)
+	for !pool.CAS(off, o, nw, ctx.Mem) {
+		o = pool.Load(off, ctx.Mem)
+	}
 	if fb != nil {
 		fb.Add(pool, off, 1, ctx.Mem)
 	} else {
