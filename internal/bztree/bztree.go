@@ -135,6 +135,7 @@ func Create(pool *pmem.Pool, base uint64, cfg Config) (*Tree, error) {
 	pool.Store(base+hdrEnd, t.end, nil)
 
 	ctx := exec.NewCtx(0, -1)
+	defer ctx.Mem.Publish()
 	leaf, err := t.allocLeaf(ctx)
 	if err != nil {
 		return nil, err
@@ -171,7 +172,9 @@ func Attach(pool *pmem.Pool, base uint64, numThreads int) (*Tree, int, error) {
 		cap: int(pool.Load(base+hdrCap, nil)),
 		end: pool.Load(base+hdrEnd, nil),
 	}
-	n := mgr.Recover(exec.NewCtx(0, -1))
+	ctx := exec.NewCtx(0, -1)
+	n := mgr.Recover(ctx)
+	ctx.Mem.Publish()
 	return t, n, nil
 }
 

@@ -50,12 +50,13 @@ type Ctx struct {
 	// is separate from Batch because the structural paths flush Batch
 	// mid-operation, which would prematurely drain a shared group.
 	Group pmem.Batch
-	// Pins is the reclamation-era pin depth for this worker. Public
-	// skip-list operations stamp the worker's era slot on entry and clear
-	// it on exit; the depth counter makes that re-entrant (Contains calls
-	// Get, batch application calls the point ops), so only the outermost
-	// operation touches the epoch.Domain. Like Hints, this is volatile
-	// per-worker state with no recovery obligations.
+	// Pins is the operation nesting depth for this worker. Public
+	// skip-list operations stamp the worker's reclamation-era slot on
+	// entry and clear it on exit; the depth counter makes that re-entrant
+	// (Contains calls Get, batch application calls the point ops), so
+	// only the outermost operation touches the epoch.Domain and publishes
+	// Mem's ledger. Like Hints, this is volatile per-worker state with no
+	// recovery obligations.
 	Pins int
 	// Path accumulates per-worker traversal-locality counters (see
 	// PathStats). Like Hints, it is single-owner volatile state: no

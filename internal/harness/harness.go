@@ -239,15 +239,24 @@ func (b *BzTreeIndex) NewHandle(threadID int) Handle {
 	return bzHandle{t: b.tree, ctx: exec.NewCtx(threadID, -1)}
 }
 
+// The baselines have no operation boundary of their own at which the
+// handle's cost-model ledger could be published, so each adapter call
+// publishes as it returns (see pmem.Acc.Publish).
+
 func (h bzHandle) Insert(key, value uint64) error {
+	defer h.ctx.Mem.Publish()
 	_, _, err := h.t.Insert(h.ctx, key, value)
 	return err
 }
 
-func (h bzHandle) Read(key uint64) (uint64, bool) { return h.t.Get(h.ctx, key) }
+func (h bzHandle) Read(key uint64) (uint64, bool) {
+	defer h.ctx.Mem.Publish()
+	return h.t.Get(h.ctx, key)
+}
 
 // Scan implements Scanner via BzTree's sorted-leaf range scan.
 func (h bzHandle) Scan(start uint64, n int) int {
+	defer h.ctx.Mem.Publish()
 	return h.t.Scan(h.ctx, start, n, nil)
 }
 
@@ -312,14 +321,19 @@ func (l *LazyIndex) NewHandle(threadID int) Handle {
 }
 
 func (h lazyHandle) Insert(key, value uint64) error {
+	defer h.ctx.Mem.Publish()
 	_, _, err := h.l.Insert(h.ctx, key, value)
 	return err
 }
 
-func (h lazyHandle) Read(key uint64) (uint64, bool) { return h.l.Get(h.ctx, key) }
+func (h lazyHandle) Read(key uint64) (uint64, bool) {
+	defer h.ctx.Mem.Publish()
+	return h.l.Get(h.ctx, key)
+}
 
 // Scan implements Scanner via the lazy list's bottom level.
 func (h lazyHandle) Scan(start uint64, n int) int {
+	defer h.ctx.Mem.Publish()
 	return h.l.Scan(h.ctx, start, n, nil)
 }
 

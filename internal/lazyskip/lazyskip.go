@@ -79,6 +79,7 @@ func Create(h *pmdktx.Heap, maxHeight int) (*List, error) {
 		return nil, errors.New("lazyskip: bad height")
 	}
 	ctx := exec.NewCtx(0, -1)
+	defer ctx.Mem.Publish()
 	pool := h.Pool()
 
 	root, err := h.Alloc(ctx, rootWords)
@@ -120,6 +121,7 @@ func Create(h *pmdktx.Heap, maxHeight int) (*List, error) {
 // epoch (staling all locks) and rolls back interrupted transactions.
 func Open(h *pmdktx.Heap, afterCrash bool) (*List, error) {
 	ctx := exec.NewCtx(0, -1)
+	defer ctx.Mem.Publish()
 	rp := h.Root(ctx)
 	if rp.IsNull() {
 		return nil, ErrNotFormatted

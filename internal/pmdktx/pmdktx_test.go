@@ -254,9 +254,14 @@ func TestFatPtrCostsTwoLoads(t *testing.T) {
 	h, pool := newHeap(t, DefaultConfig())
 	ctx := ctxN(0)
 	a, _ := h.Alloc(ctx, 8)
-	before := pool.Stats().Snapshot().Loads
+	// The test owns ctx: it publishes the ledger before each reading.
+	loads := func() uint64 {
+		ctx.Mem.Publish()
+		return pool.Stats().Snapshot().Loads
+	}
+	before := loads()
 	h.ReadFat(ctx, a)
-	after := pool.Stats().Snapshot().Loads
+	after := loads()
 	if after-before != 2 {
 		t.Fatalf("fat pointer read cost %d loads, want 2", after-before)
 	}

@@ -10,8 +10,8 @@ import (
 // contiguous words. They keep the ruler the single-word calls measure
 // with — Loads/Stores count words, every store pays StorePenalty, loads
 // are charged per covered cache line against the same line cache — and
-// pay the per-call bookkeeping (stats shard update, injection step, spin
-// call) once per call or per line instead of once per word.
+// pay the per-call bookkeeping (ledger update, injection step, spin call)
+// once per call or per line instead of once per word.
 
 // chargeLoadLines charges one load per cache line covering the n words
 // at off: a streamed sequential read of a resident line costs one hit,
@@ -36,7 +36,7 @@ func (p *Pool) LoadBlock(off uint64, dst []uint64, acc *Acc) {
 		return
 	}
 	p.step()
-	p.stats.cell(acc).Loads.Add(n)
+	p.count(cLoads, n, acc)
 	p.chargeLoadLines(off, n, acc)
 	for i := uint64(0); i < n; i++ {
 		dst[i] = atomic.LoadUint64(&p.words[off+i])
@@ -54,7 +54,7 @@ func (p *Pool) LoadBytes(off uint64, n int, dst []byte, acc *Acc) []byte {
 		return dst
 	}
 	p.step()
-	p.stats.cell(acc).Loads.Add(words)
+	p.count(cLoads, words, acc)
 	p.chargeLoadLines(off, words, acc)
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
@@ -82,7 +82,7 @@ func (p *Pool) StoreBytes(off uint64, src []byte, acc *Acc) {
 	if n == 0 {
 		return
 	}
-	p.stats.cell(acc).Stores.Add(n)
+	p.count(cStores, n, acc)
 	tracking := p.tracking.Load()
 	for lo, end := off, off+n; lo < end; {
 		hi := min(end, (lo|(LineWords-1))+1)

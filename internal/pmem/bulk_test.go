@@ -82,6 +82,8 @@ func FuzzStoreLoadBytes(f *testing.F) {
 					t.Fatalf("%s: word %d is %#x, per-word reference wrote %#x", stage, i, bulk.p.words[i], ref.p.words[i])
 				}
 			}
+			bulk.acc.Publish()
+			ref.acc.Publish()
 			b, r := bulk.p.Stats().Snapshot(), ref.p.Stats().Snapshot()
 			if b.Loads != r.Loads || b.Stores != r.Stores || b.Misses != r.Misses || b.RemoteOps != r.RemoteOps {
 				t.Fatalf("%s: counters %v (misses %d), per-word reference %v (misses %d)", stage, b, b.Misses, r, r.Misses)

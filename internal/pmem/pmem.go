@@ -56,53 +56,78 @@ var (
 	ErrOutOfRange   = errors.New("pmem: offset out of range")
 )
 
-// statShards spreads the counters so that concurrent workers do not
-// serialize on one cache line: a structure that issues 5x more loads
-// per operation would otherwise be punished by counter contention — a
-// simulator artifact, not a property under study. Each worker hashes to
-// a shard via its Acc.
+// statShards spreads the published counters so that accessors folding
+// their ledgers in at the same moment do not serialize on one cache
+// line. Each Acc is assigned a shard at creation; accessor-less
+// (administrative) accesses share shard 0.
 const statShards = 32
 
+// counter names one of the cost model's event counts.
+type counter int
+
+const (
+	cLoads counter = iota
+	cStores
+	cCASes
+	cFlushes
+	cFences
+	cRemoteOps
+	cMisses
+	cPrefetches
+	numCounters // 8 words: a statCell is exactly one cache line
+)
+
+// counts is a plain set of the counters: an accessor's ledger, or a sum
+// of cells on its way to a StatsSnapshot.
+type counts [numCounters]uint64
+
 // statCell is one padded shard of counters.
-type statCell struct {
-	Loads      atomic.Uint64
-	Stores     atomic.Uint64
-	CASes      atomic.Uint64
-	Flushes    atomic.Uint64
-	Fences     atomic.Uint64
-	RemoteOps  atomic.Uint64
-	Misses     atomic.Uint64
-	Prefetches atomic.Uint64 // 8 words: exactly one cache line
+type statCell [numCounters]atomic.Uint64
+
+// add folds a plain delta into the cell. Most publications carry a few
+// of the eight counters; the untouched ones are skipped.
+func (c *statCell) add(d *counts) {
+	for k, n := range d {
+		if n != 0 {
+			c[k].Add(n)
+		}
+	}
 }
 
-// Stats holds cumulative operation counters for one pool, sharded to
-// stay off the measurement path.
+// Stats holds cumulative operation counters for one pool.
+//
+// Accesses made through an Acc are counted in that accessor's private
+// ledger first and reach these cells when the ledger is published (see
+// Acc.Publish for the points at which that happens); accessor-less
+// accesses are added here directly.
 type Stats struct {
 	cells [statShards]statCell
 }
 
-func (s *Stats) cell(acc *Acc) *statCell {
-	if acc == nil {
-		return &s.cells[0]
-	}
-	return &s.cells[acc.shard]
-}
-
-// Snapshot returns a plain-struct copy of the aggregated counters.
+// Snapshot returns a plain-struct copy of the aggregated counters. It
+// may be called at any time from any goroutine. It is exact for every
+// accessor that is between operations — one that has returned from its
+// last public skip-list, engine, reclaimer-cycle or recovery call, or
+// has called Publish itself — and for all accessor-less accesses; an
+// accessor in the middle of an operation may hold back what it did
+// since its last fence, at most ledgerFlushEvents accesses.
 func (s *Stats) Snapshot() StatsSnapshot {
-	var out StatsSnapshot
+	var sum counts
 	for i := range s.cells {
-		c := &s.cells[i]
-		out.Loads += c.Loads.Load()
-		out.Stores += c.Stores.Load()
-		out.CASes += c.CASes.Load()
-		out.Flushes += c.Flushes.Load()
-		out.Fences += c.Fences.Load()
-		out.RemoteOps += c.RemoteOps.Load()
-		out.Misses += c.Misses.Load()
-		out.Prefetches += c.Prefetches.Load()
+		for k := range sum {
+			sum[k] += s.cells[i][k].Load()
+		}
 	}
-	return out
+	return StatsSnapshot{
+		Loads:      sum[cLoads],
+		Stores:     sum[cStores],
+		CASes:      sum[cCASes],
+		Flushes:    sum[cFlushes],
+		Fences:     sum[cFences],
+		RemoteOps:  sum[cRemoteOps],
+		Misses:     sum[cMisses],
+		Prefetches: sum[cPrefetches],
+	}
 }
 
 // StatsSnapshot is a point-in-time copy of a pool's Stats.
@@ -182,18 +207,36 @@ const (
 	accWays = 2
 )
 
-// Acc is a per-worker accessor: its NUMA node plus a small
-// set-associative cache of recently touched (pool, line) tags used by
-// the cost model. Workers must not share an Acc. A nil *Acc means "no
-// placement, no cache" (administrative accesses, tests).
+// Acc is a per-worker accessor: its NUMA node, a small set-associative
+// cache of recently touched (pool, line) tags used by the cost model,
+// and the worker's private cost-model ledger. Workers must not share an
+// Acc. A nil *Acc means "no placement, no cache" (administrative
+// accesses, tests).
 type Acc struct {
 	Node  int
 	shard uint32 // stats shard, assigned round-robin at creation
 	// fenceTick drives 1-in-fenceSample fence-wait observation (see
 	// SetFenceObserver). Owner-goroutine state like the rest of the Acc.
 	fenceTick uint32
-	tags      [accSets][accWays]uint64
+
+	// The ledger. Every access this accessor is charged for is counted
+	// here with plain arithmetic — the counters of the one pool it is
+	// currently charging, and the sink its spin loops drain into — so
+	// the instrument writes no shared cache line on the access path.
+	// Publish folds the counters into the pool's Stats.
+	pool    *Pool  // pool the pending counts belong to
+	led     counts // counts not yet published
+	pending uint32 // charged calls since the last Publish
+	sink    uint64 // keeps the spin loops from being optimized away
+
+	tags [accSets][accWays]uint64
 }
+
+// ledgerFlushEvents is the number of charged calls after which the
+// ledger publishes itself, so that an operation that runs long without
+// fencing (a full scan, a recovery sweep) stays visible in
+// Stats.Snapshot to within this many accesses.
+const ledgerFlushEvents = 256
 
 // accSeq hands out stats shards.
 var accSeq atomic.Uint32
@@ -201,6 +244,52 @@ var accSeq atomic.Uint32
 // NewAcc returns an accessor pinned to the given NUMA node.
 func NewAcc(node int) *Acc {
 	return &Acc{Node: node, shard: accSeq.Add(1) % statShards}
+}
+
+// count charges one call of n events of kind k by acc to p: into acc's
+// ledger when it is on p and below the threshold, through countSlow
+// otherwise. (Load carries a copy of the first case: count is a little
+// over the inliner's budget, and a call shows on a 6 ns line-cache hit.)
+func (p *Pool) count(k counter, n uint64, acc *Acc) {
+	if acc != nil && acc.pool == p && acc.pending < ledgerFlushEvents {
+		acc.pending++
+		acc.led[k] += n
+	} else {
+		p.countSlow(k, n, acc)
+	}
+}
+
+// countSlow counts an accessor-less access straight into the pool's
+// Stats; for an accessor, it publishes what is pending and turns the
+// ledger, which holds one pool's counts at a time, to p.
+//
+//go:noinline
+func (p *Pool) countSlow(k counter, n uint64, acc *Acc) {
+	if acc == nil {
+		p.stats.cells[0][k].Add(n)
+		return
+	}
+	acc.Publish()
+	acc.pool = p
+	acc.pending = 1
+	acc.led[k] = n
+}
+
+// Publish folds the accessor's pending counts into the Stats of the
+// pool they were charged to and leaves the ledger empty. The pool
+// accessors call it when the accessor moves to another pool, at every
+// Fence, and every ledgerFlushEvents charged calls; code that owns an
+// accessor calls it when an operation ends — SkipList's outermost unpin,
+// a reclaimer cycle, a recovery or loader step — and a caller driving a
+// Pool directly calls it before reading Stats. Owner-goroutine only,
+// like every other use of the accessor. A nil accessor has no ledger.
+func (a *Acc) Publish() {
+	if a == nil || a.pending == 0 {
+		return
+	}
+	a.pool.stats.cells[a.shard].add(&a.led)
+	a.led = counts{}
+	a.pending = 0
 }
 
 // touch records an access to a line and reports whether it was cached.
@@ -220,18 +309,32 @@ func (a *Acc) touch(pool uint16, line uint64) bool {
 	return false
 }
 
-// spinSink defeats dead-code elimination of the spin loops.
-var spinSink atomic.Uint64
-
-func spin(n int) {
-	if n <= 0 {
-		return
-	}
+// spin burns n iterations of the cost model's unit of latency. Its
+// result must be stored somewhere the compiler cannot prove dead: the
+// accessor's own sink, or spinSink for accessor-less callers.
+func spin(n int) uint64 {
 	var acc uint64
 	for i := 0; i < n; i++ {
 		acc += uint64(i) ^ (acc << 1)
 	}
-	spinSink.Add(acc)
+	return acc
+}
+
+// spinSink takes the spin results of accessor-less accesses, which have
+// no private sink. It is one shared cache line; nothing on a worker's
+// access path touches it.
+var spinSink atomic.Uint64
+
+// burn charges n units of latency to a, which may be nil.
+func (a *Acc) burn(n int) {
+	if n <= 0 {
+		return
+	}
+	if a == nil {
+		spinSink.Add(spin(n))
+		return
+	}
+	a.sink += spin(n)
 }
 
 // shadowShard guards a slice of the dirty-line shadow table.
@@ -328,52 +431,74 @@ func (p *Pool) nodeOf(off uint64) int {
 
 // chargeLoad applies the cost model for one load by acc: a line-cache
 // hit is cheap; a miss pays full PMEM read latency plus the remote
-// surcharge when the line lives on another node.
+// surcharge when the line lives on another node. The caller has already
+// counted the load, so a non-nil acc's ledger is on p.
 func (p *Pool) chargeLoad(off uint64, acc *Acc) {
 	c := p.cost
 	if c == nil {
 		return
 	}
-	if acc != nil && acc.touch(p.id, off>>lineShift) {
-		spin(c.HitPenalty)
+	if acc == nil {
+		// No line cache and no placement: always a local miss.
+		p.count(cMisses, 1, nil)
+		acc.burn(c.LoadPenalty)
 		return
 	}
-	if acc != nil {
-		// Next-line prefetch: hardware detects sequential scans and pulls
-		// the following line, the effect the paper leans on to make
-		// unsorted in-node key scans cheap (§4.4).
-		acc.touch(p.id, off>>lineShift+1)
+	line := off >> lineShift
+	if acc.touch(p.id, line) {
+		acc.sink += spin(c.HitPenalty)
+		return
 	}
-	p.stats.cell(acc).Misses.Add(1)
+	// Next-line prefetch: hardware detects sequential scans and pulls
+	// the following line, the effect the paper leans on to make
+	// unsorted in-node key scans cheap (§4.4).
+	acc.touch(p.id, line+1)
+	acc.led[cMisses]++
 	total := c.LoadPenalty
-	if c.RemotePenalty > 0 && acc != nil && acc.Node >= 0 {
+	if c.RemotePenalty > 0 && acc.Node >= 0 {
 		if owner := p.nodeOf(off); owner >= 0 && owner != acc.Node {
 			total += c.RemotePenalty
-			p.stats.cell(acc).RemoteOps.Add(1)
+			acc.led[cRemoteOps]++
 		}
 	}
-	spin(total)
+	acc.sink += spin(total)
 }
 
 // chargeStore applies the cost model for n stores (or one CAS) by acc to
 // words of the one cache line containing off: n store penalties, and the
 // line write-allocates into the accessor's line cache — exactly what n
 // single-word charges would add up to, since only the first can miss.
+// As with chargeLoad, the caller has counted the stores first.
 func (p *Pool) chargeStore(off uint64, n int, acc *Acc) {
 	c := p.cost
 	if c == nil {
 		return
 	}
 	total := n * c.StorePenalty
-	if acc != nil {
-		if !acc.touch(p.id, off>>lineShift) && c.RemotePenalty > 0 && acc.Node >= 0 {
-			if owner := p.nodeOf(off); owner >= 0 && owner != acc.Node {
-				total += c.RemotePenalty
-				p.stats.cell(acc).RemoteOps.Add(1)
-			}
+	if acc != nil && !acc.touch(p.id, off>>lineShift) && c.RemotePenalty > 0 && acc.Node >= 0 {
+		if owner := p.nodeOf(off); owner >= 0 && owner != acc.Node {
+			total += c.RemotePenalty
+			acc.led[cRemoteOps]++
 		}
 	}
-	spin(total)
+	acc.burn(total)
+}
+
+// chargeFlush applies the cost model for one round of n line flushes:
+// the flush penalty per line, raised by the contention surcharge for
+// every other flusher in the pool at the same moment.
+func (p *Pool) chargeFlush(n int, acc *Acc) {
+	c := p.cost
+	if c == nil || (c.FlushPenalty <= 0 && c.FlushContention <= 0) {
+		return
+	}
+	depth := p.flushers.Add(1)
+	extra := 0
+	if depth > 1 {
+		extra = int(depth-1) * c.FlushContention
+	}
+	acc.burn((c.FlushPenalty + extra) * n)
+	p.flushers.Add(-1)
 }
 
 func (p *Pool) shard(line uint64) *shadowShard {
@@ -398,7 +523,12 @@ func (p *Pool) captureLine(sh *shadowShard, line uint64) {
 // worker for cost accounting (nil for administrative accesses).
 func (p *Pool) Load(off uint64, acc *Acc) uint64 {
 	p.step()
-	p.stats.cell(acc).Loads.Add(1)
+	if acc != nil && acc.pool == p && acc.pending < ledgerFlushEvents {
+		acc.pending++
+		acc.led[cLoads]++
+	} else {
+		p.countSlow(cLoads, 1, acc)
+	}
 	p.chargeLoad(off, acc)
 	return atomic.LoadUint64(&p.words[off])
 }
@@ -408,7 +538,7 @@ func (p *Pool) Load(off uint64, acc *Acc) uint64 {
 // persisted.
 func (p *Pool) Store(off uint64, v uint64, acc *Acc) {
 	p.step()
-	p.stats.cell(acc).Stores.Add(1)
+	p.count(cStores, 1, acc)
 	p.chargeStore(off, 1, acc)
 	if p.tracking.Load() {
 		line := off >> lineShift
@@ -425,7 +555,7 @@ func (p *Pool) Store(off uint64, v uint64, acc *Acc) {
 // CAS performs an atomic compare-and-swap on the word at off.
 func (p *Pool) CAS(off uint64, old, new uint64, acc *Acc) bool {
 	p.step()
-	p.stats.cell(acc).CASes.Add(1)
+	p.count(cCASes, 1, acc)
 	p.chargeStore(off, 1, acc)
 	if p.tracking.Load() {
 		line := off >> lineShift
@@ -442,7 +572,7 @@ func (p *Pool) CAS(off uint64, old, new uint64, acc *Acc) bool {
 // Add atomically adds delta to the word at off and returns the new value.
 func (p *Pool) Add(off uint64, delta uint64, acc *Acc) uint64 {
 	p.step()
-	p.stats.cell(acc).Stores.Add(1)
+	p.count(cStores, 1, acc)
 	p.chargeStore(off, 1, acc)
 	if p.tracking.Load() {
 		line := off >> lineShift
@@ -466,18 +596,10 @@ func (p *Pool) Persist(off, n uint64, acc *Acc) {
 	}
 	first := off >> lineShift
 	last := (off + n - 1) >> lineShift
-	if c := p.cost; c != nil && (c.FlushPenalty > 0 || c.FlushContention > 0) {
-		depth := p.flushers.Add(1)
-		extra := 0
-		if depth > 1 {
-			extra = int(depth-1) * c.FlushContention
-		}
-		spin((c.FlushPenalty + extra) * int(last-first+1))
-		p.flushers.Add(-1)
-	}
-	for line := first; line <= last; line++ {
-		p.stats.cell(acc).Flushes.Add(1)
-		if p.tracking.Load() {
+	p.chargeFlush(int(last-first+1), acc)
+	p.count(cFlushes, last-first+1, acc)
+	if p.tracking.Load() {
+		for line := first; line <= last; line++ {
 			sh := p.shard(line)
 			sh.mu.Lock()
 			delete(sh.lines, line)
@@ -514,16 +636,8 @@ func (p *Pool) PersistLines(lines []uint64, acc *Acc) {
 			uniq = append(uniq, k)
 		}
 	}
-	if c := p.cost; c != nil && (c.FlushPenalty > 0 || c.FlushContention > 0) {
-		depth := p.flushers.Add(1)
-		extra := 0
-		if depth > 1 {
-			extra = int(depth-1) * c.FlushContention
-		}
-		spin((c.FlushPenalty + extra) * len(uniq))
-		p.flushers.Add(-1)
-	}
-	p.stats.cell(acc).Flushes.Add(uint64(len(uniq)))
+	p.chargeFlush(len(uniq), acc)
+	p.count(cFlushes, uint64(len(uniq)), acc)
 	tracking := p.tracking.Load()
 	for i := 0; i < len(uniq); {
 		shard := uniq[i] >> 40
@@ -582,26 +696,28 @@ func (b *Batch) Flush(acc *Acc) {
 // Fence issues a store fence (SFENCE analogue). In the simulation
 // ordering is already sequentially consistent, so this only does cost and
 // stats accounting; it exists so algorithm code reads like the paper's.
+// A fence is also where the accessor's ledger is published: whatever an
+// operation made durable is counted by the time it is durable.
 func (p *Pool) Fence(acc *Acc) {
-	p.stats.cell(acc).Fences.Add(1)
-	if h := p.fenceObs.Load(); h != nil {
-		sample := acc == nil
-		if !sample {
-			acc.fenceTick++
-			sample = acc.fenceTick%fenceSample == 0
+	p.count(cFences, 1, acc)
+	h := p.fenceObs.Load()
+	if h != nil && acc != nil {
+		acc.fenceTick++
+		if acc.fenceTick%fenceSample != 0 {
+			h = nil
 		}
-		if sample {
-			start := hist.Now()
-			if p.cost != nil {
-				spin(p.cost.FencePenalty)
-			}
-			h.RecordSinceNano(start)
-			return
-		}
+	}
+	var start int64
+	if h != nil {
+		start = hist.Now()
 	}
 	if p.cost != nil {
-		spin(p.cost.FencePenalty)
+		acc.burn(p.cost.FencePenalty)
 	}
+	if h != nil {
+		h.RecordSinceNano(start)
+	}
+	acc.Publish()
 }
 
 // fenceSample is the fence-wait observation rate: 1 in fenceSample

@@ -294,19 +294,24 @@ func TestRemoteCostAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Load(0, NewAcc(2)) // local
+	// Each accessor's counts reach the pool's Stats when it publishes.
+	load := func(off uint64, acc *Acc) {
+		p.Load(off, acc)
+		acc.Publish()
+	}
+	load(0, NewAcc(2)) // local
 	if got := p.Stats().Snapshot().RemoteOps; got != 0 {
 		t.Fatalf("local access counted as remote: %d", got)
 	}
-	p.Load(0, NewAcc(0)) // remote (fresh accessor: line-cache miss)
+	load(0, NewAcc(0)) // remote (fresh accessor: line-cache miss)
 	if got := p.Stats().Snapshot().RemoteOps; got != 1 {
 		t.Fatalf("remote ops = %d, want 1", got)
 	}
 	// A second load by the same accessor hits its line cache: no second
 	// remote charge.
 	acc := NewAcc(0)
-	p.Load(0, acc)
-	p.Load(1, acc)
+	load(0, acc)
+	load(1, acc)
 	if got := p.Stats().Snapshot().RemoteOps; got != 2 {
 		t.Fatalf("remote ops = %d, want 2 (cache hit must not recharge)", got)
 	}

@@ -32,6 +32,6 @@ func (p *Pool) Prefetch(off uint64, acc *Acc) {
 	if acc.touch(p.id, off>>lineShift) {
 		return // already resident: free, like the hardware hint
 	}
-	p.stats.cell(acc).Prefetches.Add(1)
-	spin(c.PrefetchPenalty)
+	p.count(cPrefetches, 1, acc)
+	acc.burn(c.PrefetchPenalty)
 }

@@ -15,8 +15,14 @@ func TestPrefetchWarmsLineCache(t *testing.T) {
 	p := newPrefetchPool(t, DefaultCostModel())
 	acc := NewAcc(0)
 
+	// The test owns acc and publishes its ledger before each reading.
+	stats := func() StatsSnapshot {
+		acc.Publish()
+		return p.Stats().Snapshot()
+	}
+
 	p.Prefetch(128, acc)
-	snap := p.Stats().Snapshot()
+	snap := stats()
 	if snap.Prefetches != 1 {
 		t.Fatalf("prefetches = %d, want 1", snap.Prefetches)
 	}
@@ -24,14 +30,14 @@ func TestPrefetchWarmsLineCache(t *testing.T) {
 	// The subsequent load of the same line must be a hit: no new miss.
 	missesBefore := snap.Misses
 	p.Load(130, acc) // same 8-word line as offset 128
-	snap = p.Stats().Snapshot()
+	snap = stats()
 	if snap.Misses != missesBefore {
 		t.Fatalf("load after prefetch missed: misses %d -> %d", missesBefore, snap.Misses)
 	}
 
 	// Prefetching a resident line is free and uncounted.
 	p.Prefetch(129, acc)
-	if got := p.Stats().Snapshot().Prefetches; got != 1 {
+	if got := stats().Prefetches; got != 1 {
 		t.Fatalf("resident-line prefetch counted: prefetches = %d, want 1", got)
 	}
 }
@@ -42,6 +48,7 @@ func TestPrefetchOutOfRangeIsIgnored(t *testing.T) {
 	p.Prefetch(p.Size(), acc)      // first invalid offset
 	p.Prefetch(^uint64(0), acc)    // a garbage stale-hint offset
 	p.Prefetch(p.Size()+1234, nil) // nil accessor
+	acc.Publish()
 	if got := p.Stats().Snapshot().Prefetches; got != 0 {
 		t.Fatalf("out-of-range prefetch counted: prefetches = %d, want 0", got)
 	}
@@ -51,6 +58,7 @@ func TestPrefetchWithoutCostModel(t *testing.T) {
 	p := newPrefetchPool(t, nil)
 	acc := NewAcc(0)
 	p.Prefetch(0, acc) // must not panic or count
+	acc.Publish()
 	if got := p.Stats().Snapshot().Prefetches; got != 0 {
 		t.Fatalf("cost-free prefetch counted: prefetches = %d, want 0", got)
 	}
@@ -76,9 +84,13 @@ func TestLoadBlockMatchesPerWordLoads(t *testing.T) {
 func TestLoadBlockChargesPerLine(t *testing.T) {
 	p := newPrefetchPool(t, DefaultCostModel())
 	acc := NewAcc(0)
+	stats := func() StatsSnapshot {
+		acc.Publish()
+		return p.Stats().Snapshot()
+	}
 	buf := make([]uint64, 2*LineWords) // spans exactly two cold lines
 	p.LoadBlock(0, buf, acc)
-	snap := p.Stats().Snapshot()
+	snap := stats()
 	if snap.Loads != uint64(len(buf)) {
 		t.Fatalf("loads = %d, want %d", snap.Loads, len(buf))
 	}
@@ -89,13 +101,13 @@ func TestLoadBlockChargesPerLine(t *testing.T) {
 	}
 	// Re-reading the now-resident block adds loads but no misses.
 	p.LoadBlock(0, buf, acc)
-	snap = p.Stats().Snapshot()
+	snap = stats()
 	if snap.Misses != 1 {
 		t.Fatalf("resident block re-read missed: misses = %d, want 1", snap.Misses)
 	}
 	// Empty block is a no-op.
 	p.LoadBlock(0, nil, acc)
-	if got := p.Stats().Snapshot().Loads; got != 2*uint64(len(buf)) {
+	if got := stats().Loads; got != 2*uint64(len(buf)) {
 		t.Fatalf("loads after empty block = %d, want %d", got, 2*len(buf))
 	}
 }

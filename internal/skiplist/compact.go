@@ -42,6 +42,7 @@ const (
 // tombstoned. It must be called with the list quiesced. Returns the
 // number of nodes reclaimed.
 func (s *SkipList) Compact(ctx *exec.Ctx) (int, error) {
+	defer ctx.Mem.Publish()
 	// Freed blocks can be reallocated as different nodes, so every cached
 	// predecessor hint in every worker must die: bumping the generation
 	// makes each HintCache wipe itself on its next Validate. (Compaction

@@ -26,6 +26,7 @@ import (
 //     a reachable block could be handed out again as a new node).
 func (s *SkipList) CheckInvariants(ctx *exec.Ctx) error {
 	nd := ctx.Mem
+	defer nd.Publish()
 	seen := make(map[uint64]riv.Ptr)
 	curEpoch := s.a.Clock().Current()
 
@@ -176,6 +177,7 @@ type StructStats struct {
 // Stats walks the list (quiesced) and summarizes it.
 func (s *SkipList) Stats(ctx *exec.Ctx) StructStats {
 	nd := ctx.Mem
+	defer nd.Publish()
 	var st StructStats
 	cur := s.node(s.head).next(s, 0, nd)
 	for !cur.IsNull() && cur != s.tail {

@@ -552,6 +552,7 @@ func (s *SkipList) Scan(ctx *exec.Ctx, lo, hi uint64, fn func(key, value uint64)
 // Count walks the bottom level and returns the number of live keys. It
 // is a debugging/verification aid, not part of the concurrent API.
 func (s *SkipList) Count(ctx *exec.Ctx) int {
+	defer ctx.Mem.Publish()
 	total := 0
 	cur := s.node(s.head).next(s, 0, ctx.Mem)
 	for !cur.IsNull() && cur != s.tail {

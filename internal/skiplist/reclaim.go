@@ -297,6 +297,7 @@ func (r *Reclaimer) Stop() {
 // trivially. Used by the quiesced Compact fallback and by Save, so a
 // saved image carries no limbo blocks. Returns the number freed.
 func (r *Reclaimer) DrainQuiesced(ctx *exec.Ctx) int {
+	defer ctx.Mem.Publish()
 	n := 0
 	for _, b := range r.pending {
 		for _, p := range b.ptrs {
@@ -329,10 +330,7 @@ func (r *Reclaimer) run() {
 			if _, ok := v.(pmem.CrashSignal); !ok {
 				panic(v)
 			}
-			r.mu.Lock()
-			r.busy = false
-			r.cond.Broadcast()
-			r.mu.Unlock()
+			r.exitCycle()
 		}
 	}()
 	if r.enterCycle() {
@@ -372,7 +370,10 @@ func (r *Reclaimer) enterCycle() bool {
 	return true
 }
 
+// exitCycle ends the reclaimer's unit of operation: its ledger is
+// published before busy clears, so a pauser sees the cycle's full count.
 func (r *Reclaimer) exitCycle() {
+	r.ctx.Mem.Publish()
 	r.mu.Lock()
 	r.busy = false
 	r.cond.Broadcast()

@@ -198,33 +198,37 @@ type SkipList struct {
 	recoveries recoveryCounters
 }
 
-// pin stamps the worker's reclamation-era slot on operation entry. The
-// depth counter makes nested public ops (Contains -> Get, batch
-// application) pin only once. No-op unless online reclaim is attached.
+// pin marks operation entry. The depth counter makes nested public ops
+// (Contains -> Get, batch application) one operation; the outermost
+// entry stamps the worker's reclamation-era slot when a grace-period
+// domain is attached.
 func (s *SkipList) pin(ctx *exec.Ctx) {
-	if s.dom == nil {
-		return
-	}
-	if ctx.Pins == 0 {
+	if ctx.Pins == 0 && s.dom != nil {
 		s.dom.Enter(ctx.ThreadID)
 	}
 	ctx.Pins++
 }
 
-// unpin clears the era slot when the outermost operation exits.
+// unpin marks operation exit. When the outermost operation exits, the
+// era slot is cleared and the worker's cost-model ledger is published:
+// between operations, pool Stats hold everything the worker did.
 func (s *SkipList) unpin(ctx *exec.Ctx) {
-	if s.dom == nil || ctx.Pins == 0 {
+	if ctx.Pins == 0 {
 		return
 	}
 	if ctx.Pins--; ctx.Pins == 0 {
-		s.dom.Exit(ctx.ThreadID)
+		if s.dom != nil {
+			s.dom.Exit(ctx.ThreadID)
+		}
+		ctx.Mem.Publish()
 	}
 }
 
-// Pin enters the grace-period domain on behalf of a caller that reads
-// era-protected state outside a single list operation — the engine's
-// value decode after Get, for instance. Reentrant via ctx.Pins: nested
-// list operations share the outermost pin. No-op without a domain.
+// Pin opens an operation on behalf of a caller that reads era-protected
+// state outside a single list operation — the engine's value decode
+// after Get, for instance. Reentrant via ctx.Pins: nested list
+// operations share the outermost pin, and the caller's own pool accesses
+// are published with theirs when it Unpins.
 func (s *SkipList) Pin(ctx *exec.Ctx) { s.pin(ctx) }
 
 // Unpin releases a Pin.
@@ -319,6 +323,7 @@ func Create(a *alloc.Allocator, cfg Config) (*SkipList, error) {
 		node = 0
 	}
 	ctx := exec.NewCtx(0, node)
+	defer ctx.Mem.Publish()
 	// Tail first so head can point at it.
 	tailPtr, err := a.Alloc(ctx, riv.Null, keyInf)
 	if err != nil {
@@ -402,7 +407,9 @@ func Open(a *alloc.Allocator) (*SkipList, error) {
 	s.topHint.Store(int32(top))
 	s.installRecovery()
 	// Finish any compaction a crash interrupted (quiesced; see compact.go).
-	s.recoverCompaction(exec.NewCtx(0, 0))
+	ctx := exec.NewCtx(0, 0)
+	s.recoverCompaction(ctx)
+	ctx.Mem.Publish()
 	return s, nil
 }
 

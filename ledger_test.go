@@ -1,0 +1,231 @@
+package upskiplist
+
+import (
+	"math/rand"
+	"testing"
+
+	"upskiplist/internal/exec"
+	"upskiplist/internal/pmem"
+)
+
+// The cost model's readings are part of the repository's measured
+// record: a change to how they are collected must not move them by one
+// count. These tests pin the totals of a fixed operation stream to the
+// values the per-access atomic counters produced, and check that every
+// public Worker call leaves its whole count in Store.Stats() when it
+// returns.
+
+// ledgerStore creates a store with the cost model on and, with reclaim
+// set, online reclaim attached but held, so workers pin and unpin a real
+// grace-period domain while nothing but the calling goroutine touches
+// the pools. It returns the counters as they stand once the reclaimer is
+// held: its start-up scan runs either wholly before that reading or not
+// at all.
+func ledgerStore(t *testing.T, shards int, reclaim bool) (*Store, pmem.StatsSnapshot) {
+	t.Helper()
+	o := DefaultOptions()
+	o.Shards = shards
+	if shards > 1 {
+		// Shards alternate between two nodes, so the worker's accesses to
+		// half of them pay (and count) the remote surcharge.
+		o.NUMANodes, o.Placement = 2, PerNode
+	}
+	o.Cost = pmem.DefaultCostModel()
+	o.OnlineReclaim = reclaim
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.PauseReclaim()
+	t.Cleanup(func() {
+		st.ResumeReclaim()
+		st.DisableOnlineReclaim()
+	})
+	return st, st.Stats().Mem
+}
+
+func memDelta(st *Store, base pmem.StatsSnapshot) pmem.StatsSnapshot {
+	return StoreStats{Mem: st.Stats().Mem}.Sub(StoreStats{Mem: base}).Mem
+}
+
+// ledgerStream drives a seeded mix of every mutating and reading entry
+// point of Worker — point ops with 8-byte, small, 1 KiB and chained
+// values, short scans, and batches — over a keyspace small enough that
+// overwrites, removes of present keys and re-inserts all occur.
+func ledgerStream(t *testing.T, w *Worker) {
+	t.Helper()
+	const ops, keys = 20_000, 6_000
+	rng := rand.New(rand.NewSource(14))
+	val := make([]byte, 6000)
+	rng.Read(val)
+	value := func() []byte {
+		switch r := rng.Intn(20); {
+		case r < 10:
+			return val[:8]
+		case r < 17:
+			return val[:rng.Intn(300)]
+		case r < 19:
+			return val[:1024]
+		default:
+			return val[:5200+rng.Intn(800)] // past the largest class: chained
+		}
+	}
+	key := func() uint64 { return 1 + uint64(rng.Intn(keys)) }
+	var batch []Op
+	var res []OpResult
+	for i := 0; i < ops; {
+		switch r := rng.Intn(100); {
+		case r < 35:
+			if _, _, err := w.Put(key(), value()); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		case r < 65:
+			w.Get(key())
+			i++
+		case r < 80:
+			if _, _, err := w.Remove(key()); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		case r < 90:
+			lo, n := key(), 0
+			if err := w.Scan(lo, lo+uint64(rng.Intn(200)), func(uint64, []byte) bool {
+				n++
+				return n < 50
+			}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		default:
+			batch = batch[:0]
+			for j, n := 0, 1+rng.Intn(32); j < n; j++ {
+				op := Op{Kind: OpKind(rng.Intn(3)), Key: key()}
+				if op.Kind == OpInsert {
+					op.Value = value()
+				}
+				batch = append(batch, op)
+			}
+			if cap(res) < len(batch) {
+				res = make([]OpResult, 64)
+			}
+			for _, r := range w.ApplyBatchInto(batch, res[:len(batch)]) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+			i += len(batch)
+		}
+	}
+}
+
+// TestLedgerStreamTotals: the stream's counter totals, recorded with
+// the counters still bumped atomically on every access (the commit
+// before the per-accessor ledger). Any difference means the instrument
+// reads differently, not that it got cheaper.
+func TestLedgerStreamTotals(t *testing.T) {
+	want := map[int]pmem.StatsSnapshot{
+		1: {Loads: 2881550, Misses: 90911, Stores: 452556, CASes: 23521, Flushes: 118879, Fences: 14072, Prefetches: 5991},
+		4: {Loads: 3896310, Misses: 19411, Stores: 452088, CASes: 23502, Flushes: 123446, Fences: 17421, Prefetches: 699, RemoteOps: 24055},
+	}
+	for _, shards := range []int{1, 4} {
+		st, base := ledgerStore(t, shards, true)
+		w := st.NewWorker(1)
+		ledgerStream(t, w)
+		if got := memDelta(st, base); got != want[shards] {
+			t.Errorf("%d shard(s): stream counters\n got %+v misses=%d\nwant %+v misses=%d", shards, got, got.Misses, want[shards], want[shards].Misses)
+		}
+		if err := w.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLedgerPublishedAtOpExit: when a public Worker call returns, the
+// store's counters hold that call's whole count — the fences it is
+// known to cost, loads for a read that fences nothing — and the
+// worker's accessors hold nothing back for the next call to publish.
+// Checked with and without a grace-period domain, since the list only
+// pins an era when one is attached.
+func TestLedgerPublishedAtOpExit(t *testing.T) {
+	for _, reclaim := range []bool{false, true} {
+		st, _ := ledgerStore(t, 2, reclaim)
+		w := st.NewWorker(1)
+		kib := make([]byte, 1024)
+		for k := uint64(1); k <= 64; k++ {
+			if _, _, err := w.PutU64(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps := []struct {
+			name   string
+			fences int // -1: not pinned down here
+			call   func()
+		}{
+			{"8-byte overwrite", 1, func() { w.PutU64(7, 70) }},
+			{"first 100-byte put (carves a slab page)", -1, func() { w.Put(8, kib[:100]) }},
+			{"100-byte put", 2, func() { w.Put(8, kib[:100]) }},
+			{"1 KiB put", -1, func() { w.Put(8, kib) }},
+			{"Get", 0, func() { w.Get(8) }},
+			{"GetInto", 0, func() { w.GetInto(9, nil) }},
+			{"Contains", 0, func() { w.Contains(10) }},
+			{"Scan across shards", 0, func() { w.Scan(1, 40, func(uint64, []byte) bool { return true }) }},
+			{"Remove", -1, func() { w.Remove(11) }},
+			{"insert of a new key", -1, func() { w.Put(1000, kib[:100]) }},
+			{"ApplyBatch", -1, func() {
+				w.ApplyBatch([]Op{{Kind: OpInsert, Key: 12, Value: kib[:8]}, {Kind: OpGet, Key: 13},
+					{Kind: OpRemove, Key: 14}, {Kind: OpInsert, Key: 15, Value: kib[:300]}})
+			}},
+			{"Count", 0, func() { w.Count() }},
+		}
+		check := func(name string, fences int, ctxs []*exec.Ctx, call func()) {
+			t.Helper()
+			base := st.Stats().Mem
+			call()
+			d := memDelta(st, base)
+			if d.Loads == 0 {
+				t.Errorf("reclaim=%v %s: no loads counted when the call returned", reclaim, name)
+			}
+			if fences >= 0 && d.Fences != uint64(fences) {
+				t.Errorf("reclaim=%v %s: %d fences counted when the call returned, want %d", reclaim, name, d.Fences, fences)
+			}
+			for _, ctx := range ctxs {
+				ctx.Mem.Publish()
+			}
+			if after := memDelta(st, base); after != d {
+				t.Errorf("reclaim=%v %s: counts held back past the call:\n at return %+v misses=%d\n published %+v misses=%d",
+					reclaim, name, d, d.Misses, after, after.Misses)
+			}
+		}
+		for _, s := range steps {
+			check(s.name, s.fences, w.ctxs, s.call)
+		}
+		check("Iterator walked to its end", 0, w.ctxs, func() {
+			it := w.Iterator()
+			for ok := it.Seek(KeyMin); ok; ok = it.Next() {
+				it.Value()
+			}
+		})
+		check("CheckInvariants", -1, w.ctxs, func() {
+			if err := w.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+
+		// A snapshot reader has accessors of its own. Overwrites after it
+		// opens send its reads through the version log and the decode of
+		// retained chunks, which run outside the list's own operation.
+		st.EnableSnapshots()
+		sn, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(1); k <= 16; k++ {
+			w.Put(k, kib[:200])
+		}
+		check("Snap.Get", 0, sn.ctxs, func() { sn.Get(8) })
+		check("Snap.Scan", 0, sn.ctxs, func() { sn.Scan(1, 40, func(uint64, []byte) bool { return true }) })
+		check("Snap.Count", 0, sn.ctxs, func() { sn.Count() })
+		sn.Release()
+	}
+}

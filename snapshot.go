@@ -186,6 +186,7 @@ func (sn *Snap) Release() {
 	for i, ls := range sn.snaps {
 		ls.Release(sn.ctxs[i])
 	}
+	sn.publish()
 	s.snapMu.Lock()
 	s.snapBits &^= 1 << sn.bit
 	s.snapMu.Unlock()
@@ -210,11 +211,13 @@ func (sn *Snap) Get(key uint64) ([]byte, bool) {
 		return nil, false
 	}
 	si := sn.s.shardOf(key)
-	w, ok := sn.snaps[si].Get(sn.ctxs[si], key)
+	ctx := sn.ctxs[si]
+	defer ctx.Mem.Publish() // the log digest and the decode run outside the list's own operation
+	w, ok := sn.snaps[si].Get(ctx, key)
 	if !ok {
 		return nil, false
 	}
-	sn.vbuf = sn.s.shards[si].decodeValue(w, sn.vbuf[:0], sn.ctxs[si].Mem)
+	sn.vbuf = sn.s.shards[si].decodeValue(w, sn.vbuf[:0], ctx.Mem)
 	return sn.vbuf, true
 }
 
@@ -240,6 +243,7 @@ func (sn *Snap) Scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error 
 	if lo > hi {
 		return nil
 	}
+	defer sn.publish()
 	it := sn.Iterator()
 	for ok := it.Seek(lo); ok && it.Key() <= hi; ok = it.Next() {
 		if !fn(it.Key(), it.Value()) {
@@ -247,6 +251,15 @@ func (sn *Snap) Scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error 
 		}
 	}
 	return nil
+}
+
+// publish folds every reader context's ledger into its pool's Stats. A
+// frozen-view cursor decodes values lazily, outside the list operation
+// that positioned it, so a scan publishes once more when it ends.
+func (sn *Snap) publish() {
+	for _, ctx := range sn.ctxs {
+		ctx.Mem.Publish()
+	}
 }
 
 // ScanU64 is Scan for fixed-width callers.

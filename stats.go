@@ -13,8 +13,11 @@ import "upskiplist/internal/stats"
 type StoreStats = stats.Snapshot
 
 // Stats aggregates the pmem counters of every shard's pools. It may be
-// called concurrently with workers (the counters are atomics); the
-// snapshot is per-counter consistent, not cross-counter consistent.
+// called concurrently with workers; the snapshot is per-counter
+// consistent, not cross-counter consistent. It is exact for every worker
+// that is between calls: a worker counts its accesses privately and
+// publishes them as each public call returns (pmem.Acc.Publish), so only
+// a call still in flight can hold counts back.
 func (s *Store) Stats() StoreStats {
 	out := StoreStats{Shards: len(s.shards)}
 	rec := s.recovery

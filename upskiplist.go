@@ -333,6 +333,7 @@ func (e *engine) decodeValue(w uint64, dst []byte, acc *pmem.Acc) []byte {
 // is the sweep's intra-shard page-scan parallelism (<= 1 serial).
 func (e *engine) attachVals(sweep bool, scanPar int) error {
 	ctx := exec.NewCtx(0, 0)
+	defer ctx.Mem.Publish()
 	ar, err := slab.Attach(e.alloc, ctx)
 	if err != nil {
 		return err
@@ -796,7 +797,9 @@ func (s *Store) SetInjector(inj pmem.Injector) {
 func (s *Store) ReclaimOrphans() int {
 	n := 0
 	for _, e := range s.shards {
-		n += e.alloc.ReclaimOrphanChunks(exec.NewCtx(0, 0))
+		ctx := exec.NewCtx(0, 0)
+		n += e.alloc.ReclaimOrphanChunks(ctx)
+		ctx.Mem.Publish()
 	}
 	return n
 }
