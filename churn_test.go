@@ -136,7 +136,7 @@ func runChurn(t *testing.T, st *Store) (finalHops float64, warmupAlloc, finalAll
 	// Count bottom-level nodes still holding at least one live key — the
 	// footprint a perfect reclaimer would converge to.
 	st.PauseReclaim()
-	stats := st.List().Stats(w.Ctx())
+	stats := st.ShardList(0).Stats(w.Ctx())
 	st.ResumeReclaim()
 	liveNodes = stats.Nodes - stats.EmptyNodes
 	return hops, warmupAlloc, finalAlloc, liveNodes
@@ -145,7 +145,7 @@ func runChurn(t *testing.T, st *Store) (finalHops float64, warmupAlloc, finalAll
 // settleReclaim waits for an attached reclaimer to drain its pipeline
 // (retire backlog + one grace period). No-op without reclaim.
 func settleReclaim(st *Store) {
-	if st.List().Reclaimer() == nil {
+	if st.ShardList(0).Reclaimer() == nil {
 		return
 	}
 	prev := st.ReclaimStats()

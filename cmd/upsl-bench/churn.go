@@ -81,7 +81,7 @@ func runChurnPhase(w *upskiplist.Worker, rng *rand.Rand, cs *churnLiveSet) (floa
 // churnSettle waits for an attached reclaimer to drain its pipeline so
 // the census reflects steady state. No-op without reclamation.
 func churnSettle(st *upskiplist.Store) {
-	if st.List().Reclaimer() == nil {
+	if st.ShardList(0).Reclaimer() == nil {
 		return
 	}
 	prev := st.ReclaimStats()
@@ -128,7 +128,7 @@ func runChurnExp(c benchConfig) {
 			churnSettle(st)
 			census := st.BlockCensus()
 			st.PauseReclaim()
-			stats := st.List().Stats(w.Ctx())
+			stats := st.ShardList(0).Stats(w.Ctx())
 			st.ResumeReclaim()
 			rec := harness.BenchRecord{
 				Experiment: "churn", Index: label, Workload: "churn",

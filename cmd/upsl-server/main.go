@@ -36,6 +36,8 @@ import (
 	"time"
 
 	"upskiplist"
+	"upskiplist/internal/alloc"
+	"upskiplist/internal/epoch"
 	"upskiplist/internal/metrics"
 	"upskiplist/internal/server"
 	"upskiplist/internal/wire"
@@ -93,9 +95,8 @@ func main() {
 		} else {
 			rec := st.RecoveryStats()
 			logf("recovered store from %s (shards=%d, epoch=%d): time-to-ready=%v parallelism=%d attach=%v open=%v sweep=%v bulkload=%v keys-loaded=%d",
-				*dir, st.NumShards(), st.Epoch(), rec.Wall, rec.Parallelism,
-				rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad,
-				rec.KeysBulkLoaded+rec.KeysReplayed)
+				*dir, st.NumShards(), storeEpoch(st), rec.Wall, rec.Parallelism,
+				rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad, rec.KeysBulkLoaded)
 		}
 	}
 
@@ -195,4 +196,17 @@ func logf(format string, args ...any) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "upsl-server: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// storeEpoch returns the highest failure-free epoch over the store's
+// shards. Each shard keeps its own clock in a word of its first pool;
+// they advance together when the store is reopened whole.
+func storeEpoch(st *upskiplist.Store) uint64 {
+	var max uint64
+	for i := 0; i < st.NumShards(); i++ {
+		if e := epoch.Attach(st.ShardPools(i)[0], alloc.EpochOff).Current(); e > max {
+			max = e
+		}
+	}
+	return max
 }

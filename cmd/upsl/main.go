@@ -20,6 +20,8 @@ import (
 	"strconv"
 
 	"upskiplist"
+	"upskiplist/internal/alloc"
+	"upskiplist/internal/epoch"
 )
 
 func main() {
@@ -99,14 +101,15 @@ func main() {
 		fmt.Printf("reclaimed %d nodes\n", n)
 		check(st.Save(*dir))
 	case "stats":
-		fmt.Printf("epoch: %d\n", st.Epoch())
+		for i := 0; i < st.NumShards(); i++ { // one failure-free clock per shard
+			fmt.Printf("epoch: %d (shard %d)\n", epoch.Attach(st.ShardPools(i)[0], alloc.EpochOff).Current(), i)
+		}
 		fmt.Printf("live keys: %d\n", w.Count())
 		rec := st.RecoveryStats()
 		fmt.Printf("recovery: parallelism=%d wall=%v (attach=%v open=%v sweep=%v bulkload=%v)\n",
 			rec.Parallelism, rec.Wall, rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad)
-		fmt.Printf("recovery work: pages-swept=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d keys-replayed=%d\n",
-			rec.PagesSwept, rec.ChunksRelinked,
-			rec.KeysBulkLoaded, rec.NodesBulkBuilt, rec.KeysReplayed)
+		fmt.Printf("recovery work: pages-swept=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d\n",
+			rec.PagesSwept, rec.ChunksRelinked, rec.KeysBulkLoaded, rec.NodesBulkBuilt)
 		c := st.BlockCensus()
 		fmt.Printf("blocks: total=%d free=%d node=%d retired=%d version=%d slab=%d\n",
 			c.Total, c.Free, c.Node, c.Retired, c.Version, c.Slab)

@@ -10,6 +10,8 @@ import (
 	"sync"
 
 	"upskiplist"
+	"upskiplist/internal/alloc"
+	"upskiplist/internal/epoch"
 	"upskiplist/internal/pmem"
 )
 
@@ -92,14 +94,15 @@ func main() {
 	if err := w2.CheckInvariants(); err != nil {
 		log.Fatalf("invariants violated after recovery: %v", err)
 	}
+	// The failure-free epoch is a word of the (single) shard's first pool.
 	fmt.Printf("after reopen: epoch=%d, %d live keys, invariants OK\n",
-		store2.Epoch(), w2.Count())
+		epoch.Attach(store2.ShardPools(0)[0], alloc.EpochOff).Current(), w2.Count())
 
 	// Keep operating; stale-epoch nodes get repaired on sight.
 	for k := uint64(1); k <= preload; k++ {
 		w2.GetU64(k)
 	}
-	rec := store2.List().RecoveryStats()
+	rec := store2.ShardList(0).RecoveryStats()
 	fmt.Printf("lazy repairs while reading: %d nodes claimed, %d towers completed, %d splits finished\n",
 		rec.Claims, rec.Inserts, rec.Splits)
 

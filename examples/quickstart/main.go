@@ -58,8 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	w2 := store2.NewWorker(0)
-	fmt.Printf("after reopen (epoch %d): %d live keys, get 7 = ",
-		store2.Epoch(), w2.Count())
+	fmt.Printf("after reopen: %d live keys, get 7 = ", w2.Count())
 	v, _ := w2.GetU64(7)
 	fmt.Println(v)
 }

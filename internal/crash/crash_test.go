@@ -3,6 +3,8 @@ package crash
 import (
 	"testing"
 
+	"upskiplist/internal/alloc"
+	"upskiplist/internal/epoch"
 	"upskiplist/internal/lincheck"
 )
 
@@ -195,8 +197,8 @@ func TestMultiEraTrials(t *testing.T) {
 		if err := res.Store.NewWorker(0).CheckInvariants(); err != nil {
 			t.Fatalf("eras=%d invariants: %v", eras, err)
 		}
-		if res.Store.Epoch() != uint64(eras)+1 {
-			t.Fatalf("eras=%d: epoch = %d, want %d", eras, res.Store.Epoch(), eras+1)
+		if e := epoch.Attach(res.Store.ShardPools(0)[0], alloc.EpochOff).Current(); e != uint64(eras)+1 {
+			t.Fatalf("eras=%d: epoch = %d, want %d", eras, e, eras+1)
 		}
 	}
 }

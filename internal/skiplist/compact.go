@@ -3,10 +3,11 @@ package skiplist
 import (
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/exec"
+	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
 )
 
-// Compaction: recoverable reclamation of fully-tombstoned nodes.
+// Retirement: recoverable reclamation of fully-tombstoned nodes.
 //
 // The paper leaves node reclamation as future work (§4.6: "deleting
 // nodes that are full of tombstones would be beneficial"; §7 calls for
@@ -16,31 +17,28 @@ import (
 // an integrity check after a crash decides whether the removal had
 // completed, exactly parallel to the insertion logging of §4.1.4.
 //
-// Compact runs QUIESCED (a maintenance pass, like a database vacuum):
-// no concurrent operations may be in flight. This sidesteps the search
-// hazards concurrent physical removal creates (Pugh's pointer reversal /
-// Fomitchev-Ruppert backlinks), which the paper also does not implement.
-// Crash-recovery, however, is fully handled: the persistent intent log
-// makes an interrupted compaction idempotently repairable at the next
-// Open.
+// There is one protocol and it has two callers. retire withdraws one
+// node — write lock, durable tombstones, state-1 intent, kind flip, marks,
+// unlink — and freeRetired returns one unlinked block under a state-2
+// intent. The online Reclaimer (reclaim.go) calls retire on candidates
+// while workers run and frees each victim after a grace period; the
+// quiesced Compact below calls retire on every candidate in one pass
+// and frees at once, nobody being left to hold a reference. The log has
+// one slot and the two callers never run concurrently (Store.Compact
+// pauses and drains the reclaimer first).
 
-// Online reclamation (reclaim.go) reuses this exact log: state 1 covers
-// a retirement's tombstone-check-through-unlink window, and the new
-// state 2 covers each individual limbo-block free. The log has one slot
-// and two possible writers — the quiesced Compact and the reclaimer
-// goroutine — which never run concurrently (Store.Compact pauses and
-// drains the reclaimer first).
-
-// Compaction log layout within the root area (after the root object).
+// Intent log layout within the root area (after the root object).
 const (
-	compOffState = 8  // 0 idle, 1 unlinking, 2 freeing a retired block
+	compOffState = 8  // 0 idle, 1 retiring (through unlink), 2 freeing a retired block
 	compOffNode  = 9  // riv.Ptr of the node being removed
 	compOffKey   = 10 // its first key, for post-crash identity checking
 )
 
-// Compact unlinks and reclaims every data node whose keys are all
-// tombstoned. It must be called with the list quiesced. Returns the
-// number of nodes reclaimed.
+// Compact retires every data node whose keys are all tombstoned and
+// returns their blocks — and those of any block an earlier reclaimer
+// retired but never freed (stopped with limbo pending, or crashed while
+// the volatile limbo list held them) — to the allocator. It must be
+// called with the list quiesced. Returns the number of blocks freed.
 func (s *SkipList) Compact(ctx *exec.Ctx) (int, error) {
 	defer ctx.Mem.Publish()
 	// Freed blocks can be reallocated as different nodes, so every cached
@@ -48,52 +46,17 @@ func (s *SkipList) Compact(ctx *exec.Ctx) (int, error) {
 	// makes each HintCache wipe itself on its next Validate. (Compaction
 	// is quiesced, so no traversal is concurrently trusting a hint.)
 	s.hintGen.Add(1)
-	reclaimed := 0
-	for {
-		victim := s.findEmptyNode(ctx)
-		if victim.IsNull() {
-			break
-		}
-		if err := s.reclaimNode(ctx, victim); err != nil {
-			return reclaimed, err
-		}
-		reclaimed++
-	}
-	// Collect blocks a reclaimer retired but never freed: a reclaimer
-	// stopped with limbo still pending, or a crash while the (volatile)
-	// limbo list held them and no reclaimer ran since. Such blocks are
-	// fully unlinked — the state-1 intent covers the unlink window — and
-	// the list is quiesced, so they free directly under a state-2 intent.
-	for _, p := range s.a.RetiredBlocks() {
-		s.freeRetired(ctx, p)
-		reclaimed++
-	}
-	return reclaimed, nil
-}
-
-// freeRetired returns one unreachable KindRetired block to the allocator
-// under a state-2 intent, so a crash mid-free is finished at Open.
-func (s *SkipList) freeRetired(ctx *exec.Ctx, p riv.Ptr) {
-	r, off := s.rootPool, s.rootOff
-	r.Store(off+compOffNode, p.Word(), ctx.Mem)
-	r.Store(off+compOffState, 2, ctx.Mem)
-	r.Persist(off+compOffState, 2, ctx.Mem)
-	s.a.Free(ctx, p)
-	r.Store(off+compOffState, 0, ctx.Mem)
-	r.Persist(off+compOffState, 1, ctx.Mem)
-}
-
-// findEmptyNode walks the bottom level for a fully-tombstoned node.
-func (s *SkipList) findEmptyNode(ctx *exec.Ctx) riv.Ptr {
 	cur := s.node(s.head).next(s, 0, ctx.Mem)
 	for !cur.IsNull() && cur != s.tail {
-		n := s.node(cur)
-		if s.nodeFullyTombstoned(ctx, n) {
-			return cur
-		}
-		cur = n.next(s, 0, ctx.Mem)
+		next := s.node(cur).next(s, 0, ctx.Mem)
+		s.retire(ctx, cur)
+		cur = next
 	}
-	return riv.Null
+	blocks := s.a.RetiredBlocks()
+	for _, p := range blocks {
+		s.freeRetired(ctx, p)
+	}
+	return len(blocks), nil
 }
 
 func (s *SkipList) nodeFullyTombstoned(ctx *exec.Ctx, n nodeRef) bool {
@@ -107,55 +70,139 @@ func (s *SkipList) nodeFullyTombstoned(ctx *exec.Ctx, n nodeRef) bool {
 	return true
 }
 
-// reclaimNode logs the intent, unlinks the node at every level
-// (top-down: a node missing upper levels is a legal transient state, a
-// node missing lower ones is not), and returns its block to the
-// allocator. Each step is persisted so a crash anywhere is repairable.
-func (s *SkipList) reclaimNode(ctx *exec.Ctx, victim riv.Ptr) error {
-	n := s.node(victim)
-	r, off := s.rootPool, s.rootOff
-	r.Store(off+compOffNode, victim.Word(), ctx.Mem)
-	r.Store(off+compOffKey, n.key0(s, ctx.Mem), ctx.Mem)
-	r.Store(off+compOffState, 1, ctx.Mem)
-	r.Persist(off+compOffState, 3, ctx.Mem)
+// retire executes the retirement protocol on one candidate: on return
+// the node is KindRetired and unlinked from every level, and its block
+// awaits freeRetired. False means the node was busy or not eligible; the
+// caller just moves on (a later pass will meet it again).
+func (s *SkipList) retire(ctx *exec.Ctx, p riv.Ptr) bool {
+	if p.IsNull() || p == s.head || p == s.tail {
+		return false
+	}
+	n := s.node(p)
+	curEpoch := s.a.Clock().Current()
+	if n.kind(ctx.Mem) != alloc.KindNode || !s.nodeFullyTombstoned(ctx, n) {
+		return false
+	}
+	// Exclusive lock: excludes value updates, key claims, splits, and
+	// tower links for the whole withdrawal. Try-once — contended nodes
+	// are busy nodes, the worst retire candidates anyway.
+	if !n.writeLock(curEpoch, ctx.Mem) {
+		return false
+	}
+	if n.kind(ctx.Mem) != alloc.KindNode || !s.nodeFullyTombstoned(ctx, n) {
+		n.writeUnlock(curEpoch, ctx.Mem)
+		return false
+	}
+	// Tombstones may still be dirty (group-committed removes defer their
+	// persists): make the emptiness durable before logging the intent.
+	n.persistAll(s, ctx.Mem)
+	key := n.key0(s, ctx.Mem)
 
-	s.unlinkEverywhere(ctx, n)
-	s.a.Free(ctx, victim)
+	rp, off := s.rootPool, s.rootOff
+	rp.Store(off+compOffNode, p.Word(), ctx.Mem)
+	rp.Store(off+compOffKey, key, ctx.Mem)
+	rp.Store(off+compOffState, 1, ctx.Mem)
+	rp.Persist(off+compOffState, 3, ctx.Mem)
 
-	r.Store(off+compOffState, 0, ctx.Mem)
-	r.Persist(off+compOffState, 1, ctx.Mem)
-	return nil
+	// Withdraw from the abstract set: the kind flip makes traversals and
+	// hint probes skip the node; the split-count bump invalidates every
+	// in-flight operation holding it as covering predecessor. One line,
+	// one flush (kind, split count and key0 share the leading line).
+	n.pool.Store(n.off+offKind, alloc.KindRetired, ctx.Mem)
+	n.pool.Add(n.off+offSplitCount, 1, ctx.Mem)
+	n.pool.Persist(n.off, pmem.LineWords, ctx.Mem)
+	// Poison the victim's next words so no insert CAS can succeed behind
+	// it, then release — the marks keep protecting after the unlock.
+	h := n.height(ctx.Mem)
+	for l := 0; l < h; l++ {
+		n.markNext(l, ctx.Mem)
+	}
+	n.writeUnlock(curEpoch, ctx.Mem)
+
+	s.unlinkRetired(ctx, n, key, h)
+
+	rp.Store(off+compOffState, 0, ctx.Mem)
+	rp.Persist(off+compOffState, 1, ctx.Mem)
+	return true
 }
 
-// unlinkEverywhere removes the node from every level it is linked at,
-// top-down, persisting each unlink. Idempotent: CASes only fire where
-// the node is still linked.
-func (s *SkipList) unlinkEverywhere(ctx *exec.Ctx, n nodeRef) {
-	key := n.key0(s, ctx.Mem)
+// unlinkRetired physically removes the victim from every level,
+// top-down (a node missing upper levels is a legal transient state, a
+// node missing lower ones is not). One O(log n) tower traversal seeds a
+// per-level predecessor; each level then walks forward at most a few
+// nodes (a racing split can slip a new node in front of the victim).
+// The walk meets only live nodes — the victim is already KindRetired so
+// the traversal refuses to adopt it, and every earlier victim is fully
+// unlinked (one retiring thread at a time) — so the unlink CAS never
+// targets a marked word and cannot livelock. Idempotent, which is what
+// lets recoverCompaction finish a crash-interrupted retirement with it.
+func (s *SkipList) unlinkRetired(ctx *exec.Ctx, n nodeRef, key uint64, height int) {
 	t := ctx.GetTowers(s.maxHeight)
-	defer ctx.PutTowers(t)
 	preds, succs := t.Preds, t.Succs
 	s.linkTraverse(ctx, key, preds, succs)
-	for level := s.maxHeight - 1; level >= 0; level-- {
-		if succs[level] != n.ptr {
-			continue // not linked at this level
-		}
-		pred := s.node(preds[level])
-		next := n.next(s, level, ctx.Mem)
-		if pred.casNext(s, level, n.ptr, next, ctx.Mem) {
-			pred.persistNext(s, level, ctx.Mem)
+	for level := height - 1; level >= 0; level-- {
+		seed := preds[level]
+		for {
+			pred := s.node(seed)
+			found := false
+			for {
+				nxt := pred.next(s, level, ctx.Mem)
+				if nxt == n.ptr {
+					found = true
+					break
+				}
+				if nxt.IsNull() || nxt == s.tail {
+					break
+				}
+				c := s.node(nxt)
+				if c.key0(s, ctx.Mem) > key {
+					break
+				}
+				pred = c
+			}
+			if !found {
+				break // not (or no longer) linked at this level
+			}
+			next := n.next(s, level, ctx.Mem)
+			if pred.casNext(s, level, n.ptr, next, ctx.Mem) {
+				pred.persistNext(s, level, ctx.Mem)
+				break
+			}
+			// An insert swung pred's pointer under us: re-walk from the
+			// head (rare — only on a CAS race with a concurrent link).
+			seed = s.head
 		}
 	}
+	ctx.PutTowers(t)
 }
 
-// recoverCompaction finishes an interrupted compaction or retirement;
-// called from Open while the structure is quiesced. Guards against the
-// logged block having been freed and reallocated: under state 1 a
-// KindNode victim must still carry its logged first key and be fully
-// tombstoned; a KindRetired victim is unambiguous (nothing else stamps
-// that kind). Under state 2 the kind alone decides — convertToBlock
-// zeroes before restamping, so post-crash the block is KindRetired (free
-// unfinished), KindFree (finished), or a reallocated KindNode.
+// freeRetired returns one unlinked KindRetired block to the allocator
+// under a state-2 intent: a crash before the free completes is finished
+// at Open, and a crash after it completes is recognized there by the
+// block's kind.
+func (s *SkipList) freeRetired(ctx *exec.Ctx, p riv.Ptr) {
+	r, off := s.rootPool, s.rootOff
+	r.Store(off+compOffNode, p.Word(), ctx.Mem)
+	r.Store(off+compOffState, 2, ctx.Mem)
+	r.Persist(off+compOffState, 2, ctx.Mem)
+	s.a.Free(ctx, p)
+	r.Store(off+compOffState, 0, ctx.Mem)
+	r.Persist(off+compOffState, 1, ctx.Mem)
+}
+
+// recoverCompaction finishes an interrupted retirement or free; called
+// from Open while the structure is quiesced. Under state 2 the kind alone
+// decides — convertToBlock zeroes before restamping, so post-crash the
+// block is KindRetired (free unfinished), KindFree (finished), or a
+// reallocated KindNode. Under state 1 only a KindRetired victim has left
+// the abstract set (nothing else stamps that kind, so it cannot be a
+// reallocated block): nobody survives a restart to hold a reference, so
+// the unlink is finished and the block freed outright, under its own
+// state-2 intent so that a crash during this recovery is recoverable the
+// same way. A victim whose kind flip never became durable is still a
+// whole, linked, tombstoned node — the retirement is abandoned, the dead
+// writer bit it may carry is repaired on sight like any interrupted
+// split's, and the next pass retires the node again.
 func (s *SkipList) recoverCompaction(ctx *exec.Ctx) {
 	r, off := s.rootPool, s.rootOff
 	state := r.Load(off+compOffState, ctx.Mem)
@@ -163,48 +210,19 @@ func (s *SkipList) recoverCompaction(ctx *exec.Ctx) {
 		return
 	}
 	victim := riv.FromWord(r.Load(off+compOffNode, ctx.Mem))
-	key := r.Load(off+compOffKey, ctx.Mem)
-	clear := func() {
-		r.Store(off+compOffState, 0, ctx.Mem)
-		r.Persist(off+compOffState, 1, ctx.Mem)
-	}
-	if victim.IsNull() {
-		clear()
-		return
-	}
-	n := s.node(victim)
-	kind := n.kind(ctx.Mem)
-	switch {
-	case state == 2:
-		// A limbo free was interrupted. Finish it unless the block already
-		// lives again as a node (the free completed and the block was
-		// reallocated before a later crash wrote nothing new to the log —
-		// impossible in practice since the log clears first, but cheap to
-		// guard). Free is idempotent on KindFree.
-		if kind == alloc.KindRetired || kind == alloc.KindFree {
+	if !victim.IsNull() {
+		n := s.node(victim)
+		switch kind := n.kind(ctx.Mem); {
+		case state == 1 && kind == alloc.KindRetired:
+			s.unlinkRetired(ctx, n, r.Load(off+compOffKey, ctx.Mem), n.height(ctx.Mem))
+			s.freeRetired(ctx, victim)
+			return
+		case state == 2 && (kind == alloc.KindRetired || kind == alloc.KindFree):
+			// Free is idempotent on KindFree: re-running it finishes any
+			// partial free-list linking.
 			s.a.Free(ctx, victim)
 		}
-		clear()
-	case kind == alloc.KindRetired:
-		// An online retirement died between its kind flip and its log
-		// clear. Nobody survives a restart to hold a reference, so finish
-		// the unlink (idempotent) and free the block outright.
-		s.unlinkRetired(ctx, n, key, n.height(ctx.Mem))
-		s.a.Free(ctx, victim)
-		clear()
-	case kind != alloc.KindNode:
-		// Already back on a free list: the Free had completed (or nearly;
-		// Free is idempotent). Re-run it to finish any partial linking.
-		s.a.Free(ctx, victim)
-		clear()
-	case n.key0(s, ctx.Mem) != key || !s.nodeFullyTombstoned(ctx, n):
-		// The block was reallocated as a live node; the old compaction
-		// evidently completed.
-		clear()
-	default:
-		// Still the tombstoned victim: finish unlinking and free it.
-		s.unlinkEverywhere(ctx, n)
-		s.a.Free(ctx, victim)
-		clear()
 	}
+	r.Store(off+compOffState, 0, ctx.Mem)
+	r.Persist(off+compOffState, 1, ctx.Mem)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"upskiplist/internal/alloc"
 	"upskiplist/internal/exec"
 )
 
@@ -95,11 +96,13 @@ func TestCompactReturnsBlocksToAllocator(t *testing.T) {
 	}
 }
 
-// TestCompactCrashRecovery sweeps crash points through a compaction; the
-// next Open must finish or cleanly abandon the interrupted reclamation.
+// TestCompactCrashRecovery crashes a compaction at every pmem step it
+// makes; the next Open must finish or cleanly abandon the interrupted
+// retirement, and a second Compact must leave exactly the blocks a twin
+// that was never crashed owns.
 func TestCompactCrashRecovery(t *testing.T) {
-	for _, step := range []int64{5, 20, 60, 120, 250, 500, 900} {
-		e := newEnv(t, Config{MaxHeight: 10, KeysPerNode: 4})
+	build := func() *env {
+		e := newEnvChunks(t, Config{MaxHeight: 10, KeysPerNode: 4}, 4)
 		ctx := ctx0()
 		for i := uint64(1); i <= 80; i++ {
 			e.sl.Insert(ctx, i, i)
@@ -107,9 +110,11 @@ func TestCompactCrashRecovery(t *testing.T) {
 		for i := uint64(20); i <= 60; i++ {
 			e.sl.Remove(ctx, i)
 		}
-		e.runWithCrash(t, step, func(sl *SkipList, ctx *exec.Ctx) {
-			sl.Compact(ctx)
-		})
+		return e
+	}
+	// settle is everything after the (possibly interrupted) first Compact:
+	// reopen, read every key, compact again, count the blocks.
+	settle := func(e *env, step int64) (*env, alloc.BlockCensus) {
 		e2 := e.reopen(t) // Open runs recoverCompaction
 		ctx2 := ctx0()
 		for i := uint64(1); i <= 80; i++ {
@@ -132,12 +137,71 @@ func TestCompactCrashRecovery(t *testing.T) {
 		if err := e2.sl.CheckInvariants(ctx2); err != nil {
 			t.Fatalf("step %d post-compact: %v", step, err)
 		}
+		return e2, e2.a.Census()
+	}
+	twin := build()
+	if n, err := twin.sl.Compact(ctx0()); err != nil || n == 0 {
+		t.Fatalf("twin compact: n=%d err=%v", n, err)
+	}
+	_, want := settle(twin, 0)
+	if want.Retired != 0 {
+		t.Fatalf("twin census %+v: retired blocks left after compact", want)
+	}
+
+	for step := int64(1); ; step++ {
+		e := build()
+		crashed := e.runWithCrash(t, step, func(sl *SkipList, ctx *exec.Ctx) {
+			sl.Compact(ctx)
+		})
+		if !crashed {
+			if step < 500 {
+				t.Fatalf("compaction finished in %d pmem steps: it cannot have retired anything", step)
+			}
+			t.Logf("crashed the compaction at each of its %d pmem steps", step-1)
+			return
+		}
+		e2, got := settle(e, step)
+		if got != want {
+			t.Fatalf("step %d: census %+v, never-crashed twin %+v", step, got, want)
+		}
 		// Still writable.
+		ctx2 := ctx0()
 		for i := uint64(300); i < 320; i++ {
 			if _, _, err := e2.sl.Insert(ctx2, i, i); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
+	}
+}
+
+// TestCompactCostLinear pins the cost of the one-pass compaction: pool
+// loads per reclaimed node must not grow with the list. (Restarting the
+// victim search from the head for every node, as the pre-retire Compact
+// did, costs 823 loads per node at 1 000 keys and 6 075 at 8 000.)
+func TestCompactCostLinear(t *testing.T) {
+	loadsPerNode := func(keys uint64) float64 {
+		e := newEnv(t, Config{MaxHeight: 16, KeysPerNode: 4})
+		ctx := ctx0()
+		for i := uint64(1); i <= keys; i++ {
+			e.sl.Insert(ctx, i, i)
+		}
+		for i := keys/2 + 1; i <= keys; i++ {
+			e.sl.Remove(ctx, i)
+		}
+		ctx.Mem.Publish()
+		before := e.pool.Stats().Snapshot().Loads
+		n, err := e.sl.Compact(ctx)
+		if err != nil || n == 0 {
+			t.Fatalf("%d keys: compact n=%d err=%v", keys, n, err)
+		}
+		ctx.Mem.Publish()
+		return float64(e.pool.Stats().Snapshot().Loads-before) / float64(n)
+	}
+	small, large := loadsPerNode(1000), loadsPerNode(8000)
+	t.Logf("loads per reclaimed node: %.0f at 1000 keys, %.0f at 8000 keys (%.2fx)", small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("loads per reclaimed node grew %.2fx from 1000 to 8000 keys (%.0f -> %.0f), want <= 1.5x",
+			large/small, small, large)
 	}
 }
 

@@ -14,15 +14,14 @@ import (
 
 // Online epoch-based node reclamation.
 //
-// Compact (compact.go) vacuums fully-tombstoned nodes but demands a
-// quiesced store — a long-running server never gets one, so dead nodes
-// accumulate forever. This file makes reclamation concurrent and
-// continuous while keeping Compact's persistent intent log, so
-// crash-repair stays the same idempotent procedure.
+// A long-running server never gets the quiesced store Compact demands,
+// so this file runs the same retirement protocol (compact.go: retire,
+// freeRetired, one intent log, one crash repair) concurrently and
+// continuously, and puts a grace period between the two halves.
 //
 // One Reclaimer goroutine per list (= per shard) runs the whole
 // pipeline; having a single retiring thread per list is what keeps the
-// unlink walk free of retired predecessors and lets it share Compact's
+// unlink walk free of retired predecessors and lets it own the
 // single-slot intent log. The life of a victim:
 //
 //	tombstoned node ──tryRetire──▶ KindRetired, marked, unlinked
@@ -62,14 +61,13 @@ import (
 //     linkHigherLevels takes the read lock around its tower stores for
 //     the same reason: a plain store would overwrite the mark.
 //
-//  4. The intent log. State 1 (shared with Compact) covers tombstone
-//     durability through unlink; state 2 covers each individual free.
-//     A crash in either window is repaired at Open by
-//     recoverCompaction. Between the windows a victim is KindRetired on
-//     a volatile limbo list; a crash there leaks it in pmem, fully
-//     unlinked — the next reclaimer's startup scan (RetiredBlocks)
-//     re-discovers and frees such blocks, no grace needed, because a
-//     restart is itself a grace period.
+//  4. The intent log. State 1 covers tombstone durability through
+//     unlink; state 2 covers each individual free. A crash in either
+//     window is repaired at Open by recoverCompaction. Between the
+//     windows a victim is KindRetired on a volatile limbo list; a crash
+//     there leaks it in pmem, fully unlinked — the next reclaimer's
+//     startup scan (RetiredBlocks) re-discovers and frees such blocks,
+//     no grace needed, because a restart is itself a grace period.
 type Reclaimer struct {
 	s   *SkipList
 	dom *epoch.Domain
@@ -490,122 +488,21 @@ func (r *Reclaimer) sweep() int {
 	return retired
 }
 
-// tryRetire executes the retirement protocol on one candidate. False
-// means the node was busy or no longer eligible; the caller just moves
-// on (the sweep will meet it again).
+// tryRetire retires one candidate (SkipList.retire) onto the open limbo
+// batch. False means the node was busy or no longer eligible; the caller
+// just moves on (the sweep will meet it again).
 func (r *Reclaimer) tryRetire(p riv.Ptr) bool {
-	s, ctx := r.s, r.ctx
-	if p.IsNull() || p == s.head || p == s.tail {
+	if !r.s.retire(r.ctx, p) {
 		return false
 	}
-	n := s.node(p)
-	curEpoch := s.a.Clock().Current()
-	if n.kind(ctx.Mem) != alloc.KindNode || !s.nodeFullyTombstoned(ctx, n) {
-		return false
-	}
-	// Exclusive lock: excludes value updates, key claims, splits, and
-	// tower links for the whole withdrawal. Try-once — contended nodes
-	// are busy nodes, the worst retire candidates anyway.
-	if !n.writeLock(curEpoch, ctx.Mem) {
-		return false
-	}
-	if n.kind(ctx.Mem) != alloc.KindNode || !s.nodeFullyTombstoned(ctx, n) {
-		n.writeUnlock(curEpoch, ctx.Mem)
-		return false
-	}
-	// Tombstones may still be dirty (group-committed removes defer their
-	// persists): make the emptiness recovery will re-verify durable
-	// before logging the intent.
-	n.persistAll(s, ctx.Mem)
-	key := n.key0(s, ctx.Mem)
-
-	rp, off := s.rootPool, s.rootOff
-	rp.Store(off+compOffNode, p.Word(), ctx.Mem)
-	rp.Store(off+compOffKey, key, ctx.Mem)
-	rp.Store(off+compOffState, 1, ctx.Mem)
-	rp.Persist(off+compOffState, 3, ctx.Mem)
-
-	// Withdraw from the abstract set: the kind flip makes traversals and
-	// hint probes skip the node; the split-count bump invalidates every
-	// in-flight operation holding it as covering predecessor. One line,
-	// one flush (kind, split count and key0 share the leading line).
-	n.pool.Store(n.off+offKind, alloc.KindRetired, ctx.Mem)
-	n.pool.Add(n.off+offSplitCount, 1, ctx.Mem)
-	n.pool.Persist(n.off, pmem.LineWords, ctx.Mem)
-	// Poison the victim's next words so no insert CAS can succeed behind
-	// it, then release — the marks keep protecting after the unlock.
-	h := n.height(ctx.Mem)
-	for l := 0; l < h; l++ {
-		n.markNext(l, ctx.Mem)
-	}
-	n.writeUnlock(curEpoch, ctx.Mem)
-
-	s.unlinkRetired(ctx, n, key, h)
-
-	rp.Store(off+compOffState, 0, ctx.Mem)
-	rp.Persist(off+compOffState, 1, ctx.Mem)
-
 	r.limbo = append(r.limbo, p)
 	r.retired.Add(1)
 	r.limboDepth.Add(1)
 	return true
 }
 
-// unlinkRetired physically removes the victim from every level,
-// top-down (a node missing upper levels is a legal transient state, a
-// node missing lower ones is not). One O(log n) tower traversal seeds a
-// per-level predecessor; each level then walks forward at most a few
-// nodes (a racing split can slip a new node in front of the victim).
-// The walk meets only live nodes — the victim is already KindRetired so
-// the traversal refuses to adopt it, and every earlier victim is fully
-// unlinked (single retiring thread) — so the unlink CAS never targets a
-// marked word and cannot livelock. Also used by recoverCompaction to
-// finish a crash-interrupted retirement (quiesced, trivially safe:
-// any other retired blocks already reached limbo, hence are unlinked).
-func (s *SkipList) unlinkRetired(ctx *exec.Ctx, n nodeRef, key uint64, height int) {
-	t := ctx.GetTowers(s.maxHeight)
-	preds, succs := t.Preds, t.Succs
-	s.linkTraverse(ctx, key, preds, succs)
-	for level := height - 1; level >= 0; level-- {
-		seed := preds[level]
-		for {
-			pred := s.node(seed)
-			found := false
-			for {
-				nxt := pred.next(s, level, ctx.Mem)
-				if nxt == n.ptr {
-					found = true
-					break
-				}
-				if nxt.IsNull() || nxt == s.tail {
-					break
-				}
-				c := s.node(nxt)
-				if c.key0(s, ctx.Mem) > key {
-					break
-				}
-				pred = c
-			}
-			if !found {
-				break // not (or no longer) linked at this level
-			}
-			next := n.next(s, level, ctx.Mem)
-			if pred.casNext(s, level, n.ptr, next, ctx.Mem) {
-				pred.persistNext(s, level, ctx.Mem)
-				break
-			}
-			// An insert swung pred's pointer under us: re-walk from the
-			// head (rare — only on a CAS race with a concurrent link).
-			seed = s.head
-		}
-	}
-	ctx.PutTowers(t)
-}
-
-// freeOne returns one retired block to the allocator under a state-2
-// intent (see freeRetired in compact.go): a crash before the free
-// completes is finished at Open, and a crash after it completes is
-// recognized there by the block's kind.
+// freeOne returns one retired block to the allocator (freeRetired's
+// state-2 intent) and counts it.
 func (r *Reclaimer) freeOne(ctx *exec.Ctx, p riv.Ptr) {
 	r.s.freeRetired(ctx, p)
 	r.freed.Add(1)

@@ -23,11 +23,15 @@ type env struct {
 	sl    *SkipList
 }
 
-func newEnv(t testing.TB, cfg Config) *env {
+func newEnv(t testing.TB, cfg Config) *env { return newEnvChunks(t, cfg, 512) }
+
+// newEnvChunks is newEnv over a pool of maxChunks chunks: tests that
+// build hundreds of environments keep each one small.
+func newEnvChunks(t testing.TB, cfg Config, maxChunks uint64) *env {
 	t.Helper()
 	acfg := alloc.Config{
 		ChunkWords: 16 * 1024,
-		MaxChunks:  512,
+		MaxChunks:  maxChunks,
 		BlockWords: BlockWordsFor(cfg),
 		NumArenas:  2,
 		NumLogs:    64,

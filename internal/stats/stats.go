@@ -62,12 +62,11 @@ type Snapshot struct {
 	RecoveryAttachSecs     float64 // pool read + allocator attach (summed over shards)
 	RecoveryOpenSecs       float64 // skip-list open (summed over shards)
 	RecoverySweepSecs      float64 // slab crash-leak sweep (summed over shards)
-	RecoveryBulkLoadSecs   float64 // logical-dump rebuild (bulk build or replay)
+	RecoveryBulkLoadSecs   float64 // logical-dump rebuild (bottom-up bulk build)
 	RecoveryPagesSwept     uint64  // slab pages scanned by the sweeps
 	RecoveryChunksRelinked uint64  // leaked chunks rediscovered onto free lists
 	RecoveryKeysBulkLoaded uint64  // pairs restored through the bottom-up build
 	RecoveryNodesBulkBuilt uint64  // data nodes the bulk build constructed
-	RecoveryKeysReplayed   uint64  // pairs restored through the per-key fallback
 
 	// Mem aggregates the pmem counters of every pool: loads, stores,
 	// CASes, flushes (persisted cache lines), fences, remote-NUMA
@@ -117,7 +116,6 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		out.RecoveryChunksRelinked = other.RecoveryChunksRelinked
 		out.RecoveryKeysBulkLoaded = other.RecoveryKeysBulkLoaded
 		out.RecoveryNodesBulkBuilt = other.RecoveryNodesBulkBuilt
-		out.RecoveryKeysReplayed = other.RecoveryKeysReplayed
 	}
 	out.Mem.Loads += other.Mem.Loads
 	out.Mem.Stores += other.Mem.Stores

@@ -3,101 +3,244 @@ package upskiplist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"upskiplist/internal/skiplist"
 )
 
-// Cross-version Load coverage: the v4 sidecar (dump kind + options) is
-// current, but Load must keep reading the two prior on-disk formats —
-// v2 metas over physical pool images and v3 logical pair dumps with
-// fixed 8-byte values — alongside both v4 dump kinds.
+// Load coverage at the dump boundary: the v4 sidecar (dump kind +
+// options) over physical pool images or a sorted pairs stream is the one
+// format Load reads. Everything else — sidecars of earlier revisions,
+// options no Save can have written, pairs streams that are out of order,
+// truncated or oversize — must come back as ErrBadDump, never a panic.
 
-// writeMetaLine replaces dir's meta sidecar with an explicit
-// older-version line built from o.
-func writeMetaLine(t *testing.T, dir, ver string, o Options) {
+// writeMetaLine replaces dir's meta sidecar with a line of the given
+// version tag (and, from v4 on, dump kind) built from o.
+func writeMetaLine(t testing.TB, dir, tag string, o Options) {
 	t.Helper()
 	sorted := 0
 	if o.SortedNodes {
 		sorted = 1
 	}
 	line := fmt.Sprintf("%s %d %d %d %d %d %d %d %d %d %d %d\n",
-		ver, o.MaxHeight, o.KeysPerNode, sorted, o.NUMANodes, int(o.Placement),
+		tag, o.MaxHeight, o.KeysPerNode, sorted, o.NUMANodes, int(o.Placement),
 		o.PoolWords, o.ChunkWords, o.MaxChunks, o.NumArenas, o.NumThreads, o.Shards)
 	if err := os.WriteFile(filepath.Join(dir, "meta.upsl"), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLoadV2PhysicalMeta: a physical dump whose sidecar carries the v2
-// header (no dump-kind token) must load as pool images.
-func TestLoadV2PhysicalMeta(t *testing.T) {
+// dumpPair is one record of a hand-built pairs.upsl.
+type dumpPair struct {
+	key uint64
+	val []byte
+}
+
+// pairsBytes encodes a v4 pairs stream: the count header as given (so a
+// test can lie in it), then key, 32-bit length and bytes per record.
+func pairsBytes(count uint64, recs []dumpPair) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, count)
+	for _, r := range recs {
+		out = binary.LittleEndian.AppendUint64(out, r.key)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.val)))
+		out = append(out, r.val...)
+	}
+	return out
+}
+
+// pairsDumpOptions is the small 2-shard geometry the hand-built pairs
+// dumps (and FuzzLoadPairs) declare in their sidecar.
+func pairsDumpOptions() Options {
+	o := testOptions()
+	o.Shards = 2
+	o.PoolWords = 1 << 18
+	o.MaxChunks = 64
+	return o
+}
+
+// writePairsDump lays out a logical dump directory around the given
+// pairs.upsl bytes.
+func writePairsDump(t testing.TB, pairs []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "pairs.upsl"), pairs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeMetaLine(t, dir, "v4 pairs", pairsDumpOptions())
+	return dir
+}
+
+// somePairs returns n ascending records with mixed-size values.
+func somePairs(n uint64) []dumpPair {
+	recs := make([]dumpPair, 0, n)
+	for k := uint64(1); k <= n; k++ {
+		recs = append(recs, dumpPair{k * 3, genVal(k, 0)})
+	}
+	return recs
+}
+
+func TestLoadRejectsOldAndUnsortedDumps(t *testing.T) {
 	st, err := Create(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := st.NewWorker(0)
-	const n = 50
-	for k := uint64(1); k <= n; k++ {
+	for k := uint64(1); k <= 50; k++ {
 		if _, _, err := w.PutU64(k, k*3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dir := t.TempDir()
-	if err := st.Save(dir); err != nil {
+	physDir := t.TempDir()
+	if err := st.Save(physDir); err != nil {
 		t.Fatal(err)
 	}
-	writeMetaLine(t, dir, "v2", st.Options())
-
-	st2, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := st2.NewWorker(0)
-	for k := uint64(1); k <= n; k++ {
-		if v, ok := w2.GetU64(k); !ok || v != k*3 {
-			t.Fatalf("v2 load: key %d got (%d,%v), want %d", k, v, ok, k*3)
+	o := st.Options()
+	// phys rewrites the saved dump's sidecar; the pool images stay.
+	phys := func(line string) func(testing.TB) string {
+		return func(t testing.TB) string {
+			if err := os.WriteFile(filepath.Join(physDir, "meta.upsl"), []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return physDir
 		}
+	}
+	physTag := func(tag string, o Options) func(testing.TB) string {
+		return func(t testing.TB) string {
+			writeMetaLine(t, physDir, tag, o)
+			return physDir
+		}
+	}
+	pairs := func(b []byte) func(testing.TB) string {
+		return func(t testing.TB) string { return writePairsDump(t, b) }
+	}
+	with := func(o Options, edit func(*Options)) Options {
+		edit(&o)
+		return o
+	}
+	good := somePairs(40)
+	swapped := append([]dumpPair(nil), good...)
+	swapped[10], swapped[11] = swapped[11], swapped[10]
+	oversize := pairsBytes(41, good)
+	oversize = binary.LittleEndian.AppendUint64(oversize, 1000)
+	oversize = binary.LittleEndian.AppendUint32(oversize, MaxValueLen+1)
+
+	for _, tc := range []struct {
+		name     string
+		dir      func(testing.TB) string
+		unsorted bool
+	}{
+		{"v1 sidecar", phys(fmt.Sprintf("v1 %d %d 0 1 0 %d %d %d %d %d\n",
+			o.MaxHeight, o.KeysPerNode, o.PoolWords, o.ChunkWords, o.MaxChunks, o.NumArenas, o.NumThreads)), false},
+		{"v2 sidecar", physTag("v2", o), false},
+		{"v3 sidecar", func(t testing.TB) string {
+			dir := writePairsDump(t, pairsBytes(40, good))
+			writeMetaLine(t, dir, "v3", pairsDumpOptions())
+			return dir
+		}, false},
+		{"empty sidecar", phys(""), false},
+		{"truncated sidecar", phys("v4 phys 12 8 0 1\n"), false},
+		{"unknown dump kind", physTag("v4 logical", o), false},
+		{"placement out of range", physTag("v4 phys", with(o, func(o *Options) { o.Placement = 7 })), false},
+		{"bad geometry", physTag("v4 phys", with(o, func(o *Options) { o.KeysPerNode = 70000 })), false},
+		{"zero shards", physTag("v4 phys", with(o, func(o *Options) { o.Shards = 0 })), false},
+		// 60 bytes that used to die in make([]*engine, n): fatal error,
+		// out of memory — not a panic a caller could recover.
+		{"hostile shard count", phys("v4 phys 16 16 0 1 0 4194304 16384 1024 4 128 2000000000000\n"), false},
+		{"more shards than pool files", physTag("v4 phys", with(o, func(o *Options) { o.Shards = 2 })), false},
+		{"pairs without pairs.upsl", func(t testing.TB) string {
+			dir := t.TempDir()
+			writeMetaLine(t, dir, "v4 pairs", pairsDumpOptions())
+			return dir
+		}, false},
+		{"two records swapped", pairs(pairsBytes(40, swapped)), true},
+		{"count above records", pairs(pairsBytes(41, good)), false},
+		{"header only", pairs(pairsBytes(3, nil)), false},
+		{"short header", pairs([]byte{1, 0, 0}), false},
+		{"value cut short", pairs(pairsBytes(40, good)[:200]), false},
+		{"oversize value length", pairs(oversize), false},
+		{"key zero", pairs(pairsBytes(1, []dumpPair{{0, []byte("x")}})), false},
+		{"dump larger than its pools", pairs(pairsBytes(8, func() []dumpPair {
+			big := make([]byte, MaxValueLen)
+			var recs []dumpPair
+			for k := uint64(1); k <= 8; k++ {
+				recs = append(recs, dumpPair{k, big})
+			}
+			return recs
+		}())), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Load(tc.dir(t))
+			if !errors.Is(err, ErrBadDump) {
+				t.Fatalf("Load: store=%v err=%v, want ErrBadDump", st != nil, err)
+			}
+			if st != nil {
+				t.Fatal("a failed Load returned a store")
+			}
+			if got := errors.Is(err, skiplist.ErrUnsorted); got != tc.unsorted {
+				t.Fatalf("errors.Is(err, ErrUnsorted) = %v, want %v (%v)", got, tc.unsorted, err)
+			}
+		})
+	}
+
+	// The same directories load once their sidecar is the one Save wrote.
+	writeMetaLine(t, physDir, "v4 phys", o)
+	if _, err := Load(physDir); err != nil {
+		t.Fatalf("restored phys sidecar: %v", err)
+	}
+	if _, err := Load(writePairsDump(t, pairsBytes(40, good))); err != nil {
+		t.Fatalf("hand-built sorted pairs dump: %v", err)
 	}
 }
 
-// TestLoadV3PairsDump: a hand-built v3 logical dump (count header, then
-// fixed 16-byte key/value records) must load with every value decoding
-// as its 8 little-endian bytes — the PutU64 representation.
-func TestLoadV3PairsDump(t *testing.T) {
-	o := testOptions()
-	o.Shards = 1 // Create normally resolves this; the sidecar needs it explicit
-	dir := t.TempDir()
-	const n = 40
-	var buf bytes.Buffer
-	var rec [16]byte
-	binary.LittleEndian.PutUint64(rec[:8], n)
-	buf.Write(rec[:8])
-	for k := uint64(1); k <= n; k++ {
-		binary.LittleEndian.PutUint64(rec[:8], k)
-		binary.LittleEndian.PutUint64(rec[8:], k+1000)
-		buf.Write(rec[:])
-	}
-	if err := os.WriteFile(filepath.Join(dir, "pairs.upsl"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writeMetaLine(t, dir, "v3", o)
+// FuzzLoadPairs feeds arbitrary bytes to Load as the pairs.upsl of a
+// fixed, valid 2-shard v4 pairs dump. Load must either reject them with
+// ErrBadDump or return a store that passes CheckInvariants and holds
+// exactly the records the bytes encode.
+func FuzzLoadPairs(f *testing.F) {
+	good := somePairs(40)
+	valid := pairsBytes(40, good)
+	swapped := append([]dumpPair(nil), good...)
+	swapped[3], swapped[4] = swapped[4], swapped[3]
+	oversize := binary.LittleEndian.AppendUint64(pairsBytes(1, nil), 9)
+	oversize = binary.LittleEndian.AppendUint32(oversize, MaxValueLen+1)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(pairsBytes(40, swapped))
+	f.Add(pairsBytes(41, good))
+	f.Add(oversize)
+	f.Add(pairsBytes(0, nil))
 
-	st, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := st.NewWorker(0)
-	for k := uint64(1); k <= n; k++ {
-		if v, ok := w.GetU64(k); !ok || v != k+1000 {
-			t.Fatalf("v3 load: key %d got (%d,%v), want %d", k, v, ok, k+1000)
+	f.Fuzz(func(t *testing.T, pairs []byte) {
+		st, err := Load(writePairsDump(t, pairs))
+		if err != nil {
+			if !errors.Is(err, ErrBadDump) || st != nil {
+				t.Fatalf("Load: store=%v err=%v, want no store and ErrBadDump", st != nil, err)
+			}
+			return
 		}
-		b, ok := w.Get(k)
-		if !ok || len(b) != 8 || binary.LittleEndian.Uint64(b) != k+1000 {
-			t.Fatalf("v3 load: key %d bytes %x, want 8 LE bytes of %d", k, b, k+1000)
+		// Decode the accepted bytes independently: count records, each
+		// complete, keys ascending (Load vouched for all of that).
+		w := st.NewWorker(0)
+		if err := w.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
-	}
+		count, rest := binary.LittleEndian.Uint64(pairs), pairs[8:]
+		for i := uint64(0); i < count; i++ {
+			key, n := binary.LittleEndian.Uint64(rest), binary.LittleEndian.Uint32(rest[8:])
+			want := rest[12 : 12+n]
+			rest = rest[12+n:]
+			if got, ok := w.Get(key); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("record %d: key %#x found=%v, %d bytes, want %d", i, key, ok, len(got), n)
+			}
+		}
+		if live := w.Count(); uint64(live) != count {
+			t.Fatalf("store holds %d keys, dump has %d records", live, count)
+		}
+	})
 }
 
 // TestLoadV4BothKinds round-trips mixed-size byte values through both

@@ -131,8 +131,8 @@ func (s *Store) EnableMetrics(reg *metrics.Registry) {
 		"leaked chunks the last recovery relinked onto free lists",
 		nil, func() float64 { return float64(s.recovery.ChunksRelinked) })
 	reg.GaugeFunc("upsl_recovery_keys_loaded_total",
-		"pairs the last recovery restored (bulk build plus per-key replay)",
-		nil, func() float64 { return float64(s.recovery.KeysBulkLoaded + s.recovery.KeysReplayed) })
+		"pairs the last recovery restored from a logical dump",
+		nil, func() float64 { return float64(s.recovery.KeysBulkLoaded) })
 	s.met.Store(m)
 	// Reclaimers started before metrics were enabled get the grace
 	// observer retrofitted (safe while they run).

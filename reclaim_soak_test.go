@@ -115,6 +115,11 @@ func TestShardedReclaimSoak(t *testing.T) {
 	if st.ReclaimStats().Retired == 0 {
 		t.Error("no nodes retired during soak")
 	}
+	// CheckInvariants is a quiesced walk: a reclaimer still working off
+	// its backlog would free a node between the walk that saw it linked
+	// and the free-list check.
+	st.PauseReclaim()
+	defer st.ResumeReclaim()
 	w := st.NewWorker(0)
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)

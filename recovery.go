@@ -39,9 +39,9 @@ type RecoveryStats struct {
 	// Parallelism is the effective worker budget recovery ran with.
 	Parallelism int
 	// Attach covers pool attach/read and allocator assembly; Open the
-	// skip-list root open plus interrupted-compaction completion; Sweep
-	// the slab crash-leak scans; BulkLoad the logical-dump rebuild
-	// (bulk build or per-key replay). Each is summed over shards.
+	// skip-list root open plus interrupted-retirement completion; Sweep
+	// the slab crash-leak scans; BulkLoad the logical-dump rebuild. Each
+	// is summed over shards.
 	Attach   time.Duration
 	Open     time.Duration
 	Sweep    time.Duration
@@ -55,11 +55,9 @@ type RecoveryStats struct {
 	PagesSwept     uint64
 	ChunksRelinked uint64
 	// KeysBulkLoaded / NodesBulkBuilt count the sorted-dump bottom-up
-	// build; KeysReplayed counts pairs restored through the per-key
-	// fallback path instead.
+	// build.
 	KeysBulkLoaded uint64
 	NodesBulkBuilt uint64
-	KeysReplayed   uint64
 
 	// CostUnits is the simulated-PMEM latency charged during recovery —
 	// the cost model's spin ledger (hits, misses, stores, flushes,
@@ -163,10 +161,6 @@ type LoadConfig struct {
 	// RecoveryParallelism overrides Options.RecoveryParallelism for this
 	// load (0 keeps the default, GOMAXPROCS; 1 recovers serially).
 	RecoveryParallelism int
-	// ForceReplay disables the sorted bulk-build fast path for pairs
-	// dumps, restoring every pair through the per-key insert path (the
-	// bulk/replay equivalence baseline).
-	ForceReplay bool
 	// Injector, when non-nil, is installed on every pool before recovery
 	// work begins, so crash-during-recovery tests can kill the load at
 	// an arbitrary pool access. It stays installed on the returned
@@ -247,36 +241,41 @@ func recoverShard(opts Options, pools []*pmem.Pool, scanPar int, rec *shardRecov
 	return e, nil
 }
 
+// crashToErr is the one place a crash-injector kill becomes an error.
+// Deferred by every goroutine that runs recovery work, it turns a
+// pmem.CrashSignal panic into ErrRecoveryInterrupted naming who died at
+// the failure. Any other panic is parked in panicked for the goroutine
+// that coordinates the workers to re-raise, or re-raised here when there
+// is no coordinator (panicked nil).
+func crashToErr(err *error, who string, panicked *atomic.Pointer[any]) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, ok := r.(pmem.CrashSignal); ok {
+		*err = fmt.Errorf("%w: %s died", ErrRecoveryInterrupted, who)
+		return
+	}
+	if panicked == nil {
+		panic(r)
+	}
+	panicked.CompareAndSwap(nil, &r)
+	*err = fmt.Errorf("upskiplist: %s panicked", who)
+}
+
 // catchCrash runs body on the calling goroutine, converting a
 // crash-injector kill into ErrRecoveryInterrupted. Other panics pass
 // through.
 func catchCrash(body func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.CrashSignal); ok {
-				err = fmt.Errorf("%w: dump loader died", ErrRecoveryInterrupted)
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer crashToErr(&err, "dump loader", nil)
 	return body()
 }
 
 // runRecoveryStep executes one shard's recovery body, converting a
 // crash-injector kill into ErrRecoveryInterrupted (the shard worker
-// "died at the failure") and re-raising anything else via panicked.
+// "died at the failure") and parking anything else in panicked.
 func runRecoveryStep(i int, body func(i int) error, panicked *atomic.Pointer[any]) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.CrashSignal); ok {
-				err = fmt.Errorf("%w: shard %d worker died", ErrRecoveryInterrupted, i)
-				return
-			}
-			panicked.CompareAndSwap(nil, &r)
-			err = fmt.Errorf("upskiplist: shard %d recovery panicked", i)
-		}
-	}()
+	defer crashToErr(&err, fmt.Sprintf("shard %d worker", i), panicked)
 	return body(i)
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"upskiplist/internal/exec"
-	"upskiplist/internal/pmem"
 	"upskiplist/internal/skiplist"
 	"upskiplist/internal/snapshot"
 )
@@ -394,23 +393,22 @@ func (s *Store) SaveOnline(dir string) error {
 	if err != nil {
 		return err
 	}
-	return writeMetaV4(dir, s.opts, "pairs")
+	return writeMeta(dir, s.opts, "pairs")
 }
 
-// pairsReader streams records out of a pairs.upsl dump, hiding the v3
-// (fixed 8-byte values) / v4 (length-prefixed variable values) record
-// difference. The value slice returned by next is only valid until the
-// following call.
+// pairsReader streams the records of a pairs.upsl dump: a count header,
+// then per record the key, a 32-bit value length and the value bytes.
+// The value slice returned by next is only valid until the following
+// call.
 type pairsReader struct {
 	f     *os.File
 	br    *bufio.Reader
-	ver   string
 	count uint64
 	read  uint64
 	val   []byte
 }
 
-func openPairsReader(dir, ver string) (*pairsReader, error) {
+func openPairsReader(dir string) (*pairsReader, error) {
 	f, err := os.Open(filepath.Join(dir, "pairs.upsl"))
 	if err != nil {
 		return nil, err
@@ -419,9 +417,9 @@ func openPairsReader(dir, ver string) (*pairsReader, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("upskiplist: truncated %s dump: %w", ver, err)
+		return nil, fmt.Errorf("pairs.upsl: truncated header: %w", err)
 	}
-	return &pairsReader{f: f, br: br, ver: ver, count: binary.LittleEndian.Uint64(hdr[:])}, nil
+	return &pairsReader{f: f, br: br, count: binary.LittleEndian.Uint64(hdr[:])}, nil
 }
 
 func (r *pairsReader) Close() error { return r.f.Close() }
@@ -431,111 +429,62 @@ func (r *pairsReader) next() (key uint64, val []byte, ok bool, err error) {
 	if r.read == r.count {
 		return 0, nil, false, nil
 	}
-	if r.ver == "v3" {
-		var rec [16]byte
-		if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-			return 0, nil, false, fmt.Errorf("upskiplist: truncated v3 dump at pair %d/%d: %w", r.read, r.count, err)
-		}
-		r.val = append(r.val[:0], rec[8:16]...)
-		r.read++
-		return binary.LittleEndian.Uint64(rec[:8]), r.val, true, nil
-	}
 	var rec [12]byte
 	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		return 0, nil, false, fmt.Errorf("upskiplist: truncated v4 dump at record %d/%d: %w", r.read, r.count, err)
+		return 0, nil, false, fmt.Errorf("pairs.upsl: truncated at record %d/%d: %w", r.read, r.count, err)
 	}
 	vlen := binary.LittleEndian.Uint32(rec[8:])
 	if vlen > MaxValueLen {
-		return 0, nil, false, fmt.Errorf("upskiplist: v4 dump record %d has oversize value (%d bytes)", r.read, vlen)
+		return 0, nil, false, fmt.Errorf("pairs.upsl: record %d has an oversize value (%d bytes)", r.read, vlen)
 	}
 	if cap(r.val) < int(vlen) {
 		r.val = make([]byte, vlen)
 	}
 	r.val = r.val[:vlen]
 	if _, err := io.ReadFull(r.br, r.val); err != nil {
-		return 0, nil, false, fmt.Errorf("upskiplist: truncated v4 dump value %d/%d: %w", r.read, r.count, err)
+		return 0, nil, false, fmt.Errorf("pairs.upsl: truncated in value %d/%d: %w", r.read, r.count, err)
 	}
 	r.read++
 	return binary.LittleEndian.Uint64(rec[:8]), r.val, true, nil
 }
 
 // loadPairsDump rebuilds a store from a logical dump: fresh pools, then
-// the pairs restored either through the bottom-up bulk build (sorted
-// dumps — everything SaveOnline writes) or, when the dump turns out
-// unsorted or ForceReplay is set, through the per-key insert path.
-func loadPairsDump(dir string, opts Options, ver string, cfg LoadConfig) (*Store, error) {
+// the pairs restored through the bottom-up bulk build. Everything
+// SaveOnline writes is sorted; a dump that is not, does not parse, or
+// does not fit the pools its sidecar sizes is ErrBadDump, and the
+// half-built store is dropped.
+func loadPairsDump(dir string, opts Options, cfg LoadConfig) (*Store, error) {
 	par := normalizeRecoveryParallelism(opts.RecoveryParallelism)
 	t0 := time.Now()
 	st, err := Create(opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadDump, err)
 	}
-	installInjector(st, cfg.Injector)
-	rec := RecoveryStats{Parallelism: par}
-	rec.Attach = time.Since(t0)
+	st.SetInjector(cfg.Injector)
+	rec := RecoveryStats{Parallelism: par, Attach: time.Since(t0)}
 	// Per-shard cost attribution for the simulated critical path: each
 	// shard's pairs land only in its own pools.
-	shardUnits := func(st *Store) []uint64 {
-		out := make([]uint64, len(st.shards))
-		for i, e := range st.shards {
-			out[i] = poolUnits(opts.Cost, e.pools)
-		}
-		return out
+	units := make([]uint64, len(st.shards))
+	for i, e := range st.shards {
+		units[i] = poolUnits(opts.Cost, e.pools)
 	}
 	tLoad := time.Now()
-	if !cfg.ForceReplay {
-		before := shardUnits(st)
-		err := catchCrash(func() error { return bulkLoadPairs(st, dir, ver, par, &rec) })
-		if err == nil {
-			units := shardUnits(st)
-			for i := range units {
-				units[i] -= before[i]
-				rec.CostUnits += units[i]
-			}
-			rec.CriticalPathUnits = makespan(units, par)
-			rec.BulkLoad = time.Since(tLoad)
-			rec.Wall = time.Since(t0)
-			st.recovery = rec
-			return st, nil
+	err = catchCrash(func() error { return bulkLoadPairs(st, dir, par, &rec) })
+	if err != nil {
+		if !errors.Is(err, ErrRecoveryInterrupted) {
+			err = fmt.Errorf("%w: %w", ErrBadDump, err)
 		}
-		if !errors.Is(err, skiplist.ErrUnsorted) {
-			return nil, err
-		}
-		// The dump is not globally sorted (not one of ours, or hand
-		// edited): throw the half-built pools away and replay per key.
-		rec.KeysBulkLoaded, rec.NodesBulkBuilt = 0, 0
-		if st, err = Create(opts); err != nil {
-			return nil, err
-		}
-		installInjector(st, cfg.Injector)
-		tLoad = time.Now()
-	}
-	before := shardUnits(st)
-	if err := catchCrash(func() error { return replayPairs(st, dir, ver, &rec) }); err != nil {
 		return nil, err
 	}
-	for i, u := range shardUnits(st) {
-		rec.CostUnits += u - before[i]
+	for i, e := range st.shards {
+		units[i] = poolUnits(opts.Cost, e.pools) - units[i]
+		rec.CostUnits += units[i]
 	}
-	// Replay drives one worker through the normal insert path: serial,
-	// so its critical path is the whole charge.
-	rec.CriticalPathUnits = rec.CostUnits
+	rec.CriticalPathUnits = makespan(units, par)
 	rec.BulkLoad = time.Since(tLoad)
 	rec.Wall = time.Since(t0)
 	st.recovery = rec
 	return st, nil
-}
-
-// installInjector arms a crash injector on every pool of the store.
-func installInjector(st *Store, inj pmem.Injector) {
-	if inj == nil {
-		return
-	}
-	for _, e := range st.shards {
-		for _, p := range e.pools {
-			p.SetInjector(inj)
-		}
-	}
 }
 
 // pairBatch carries a run of decoded dump records to one shard's bulk
@@ -556,8 +505,8 @@ const bulkBatchPairs = 512
 // stream yields a strictly ascending subsequence per shard — and any
 // violation aborts the whole build with skiplist.ErrUnsorted. With one
 // shard (or a serial budget) everything runs inline on the caller.
-func bulkLoadPairs(st *Store, dir, ver string, par int, rec *RecoveryStats) error {
-	r, err := openPairsReader(dir, ver)
+func bulkLoadPairs(st *Store, dir string, par int, rec *RecoveryStats) error {
+	r, err := openPairsReader(dir)
 	if err != nil {
 		return err
 	}
@@ -642,16 +591,7 @@ func bulkLoadPairs(st *Store, dir, ver string, par int, rec *RecoveryStats) erro
 					continue // drain
 				}
 				if err := func() (err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(pmem.CrashSignal); ok {
-								err = fmt.Errorf("%w: bulk worker died", ErrRecoveryInterrupted)
-								return
-							}
-							panicked.CompareAndSwap(nil, &r)
-							err = fmt.Errorf("upskiplist: bulk load worker panicked")
-						}
-					}()
+					defer crashToErr(&err, "bulk worker", &panicked)
 					start := 0
 					for j, k := range pb.keys {
 						if err := w.add(k, pb.arena[start:pb.ends[j]]); err != nil {
@@ -739,68 +679,4 @@ func (w *bulkShardWorker) add(key uint64, val []byte) error {
 func (w *bulkShardWorker) finish() error {
 	defer w.e.list.Unpin(w.ctx)
 	return w.b.Finish()
-}
-
-// replayPairs restores a dump through the per-key batch insert path —
-// the fallback for unsorted dumps and the ForceReplay baseline.
-func replayPairs(st *Store, dir, ver string, rec *RecoveryStats) error {
-	r, err := openPairsReader(dir, ver)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	b := newBatchLoader(st.NewWorker(0))
-	for {
-		key, val, ok, err := r.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := b.add(key, val); err != nil {
-			return err
-		}
-		rec.KeysReplayed++
-	}
-	return b.flush()
-}
-
-// batchLoader groups dump records into ApplyBatch calls, copying each
-// value into a per-batch arena (ApplyBatch needs every op's bytes live
-// at once).
-type batchLoader struct {
-	w    *Worker
-	ops  []Op
-	vals []byte
-}
-
-const loaderBatch = 1024
-
-func newBatchLoader(w *Worker) *batchLoader {
-	return &batchLoader{w: w, ops: make([]Op, 0, loaderBatch)}
-}
-
-func (b *batchLoader) add(key uint64, val []byte) error {
-	off := len(b.vals)
-	b.vals = append(b.vals, val...)
-	b.ops = append(b.ops, Op{Kind: OpInsert, Key: key, Value: b.vals[off:len(b.vals):len(b.vals)]})
-	if len(b.ops) == loaderBatch {
-		return b.flush()
-	}
-	return nil
-}
-
-func (b *batchLoader) flush() error {
-	if len(b.ops) == 0 {
-		return nil
-	}
-	for _, r := range b.w.ApplyBatch(b.ops) {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	b.ops = b.ops[:0]
-	b.vals = b.vals[:0]
-	return nil
 }

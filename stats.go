@@ -31,7 +31,6 @@ func (s *Store) Stats() StoreStats {
 	out.RecoveryChunksRelinked = rec.ChunksRelinked
 	out.RecoveryKeysBulkLoaded = rec.KeysBulkLoaded
 	out.RecoveryNodesBulkBuilt = rec.NodesBulkBuilt
-	out.RecoveryKeysReplayed = rec.KeysReplayed
 	for _, e := range s.shards {
 		for _, p := range e.pools {
 			snap := p.Stats().Snapshot()

@@ -57,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -99,6 +98,15 @@ var ErrValueTooLarge = errors.New("upskiplist: value exceeds the maximum value l
 // TowerBranch must be 0 (default) or within [2, 64]. Wrap-tested with
 // errors.Is.
 var ErrBadGeometry = errors.New("upskiplist: invalid node geometry")
+
+// ErrBadDump reports a directory Load cannot restore: a sidecar that is
+// not a well-formed v4 line (dumps of older revisions included), options
+// in it that no Save could have written, or a pairs stream that is
+// truncated, oversize, out of order (then also wrapping
+// skiplist.ErrUnsorted) or too large for the geometry the sidecar
+// declares. Nothing is left behind: a failed Load returns no store.
+// Wrap-tested with errors.Is.
+var ErrBadDump = errors.New("upskiplist: not a loadable dump")
 
 // Placement selects the pool layout (see the paper's §5.2.3 comparison).
 type Placement = numa.Placement
@@ -312,9 +320,9 @@ type engine struct {
 }
 
 // decodeValue materializes one node value word: slab references resolve
-// to their stored bytes; any other word is a legacy inline uint64 (v1/v2
-// pool images) and decodes as its 8 little-endian bytes, which is
-// exactly what PutU64 would have produced for it.
+// to their stored bytes; any other word is an inline uint64 (lists driven
+// below the store API) and decodes as its 8 little-endian bytes, which
+// is exactly what PutU64 would have produced for it.
 func (e *engine) decodeValue(w uint64, dst []byte, acc *pmem.Acc) []byte {
 	if slab.IsRef(w) {
 		return e.vals.Get(slab.FromWord(w), dst, acc)
@@ -673,19 +681,6 @@ func (s *Store) Pools() []*pmem.Pool {
 	}
 	return out
 }
-
-// Epoch returns the current failure-free epoch of shard 0. All shards
-// advance their clocks together at Reopen, so for stores that have only
-// been reopened whole this is every shard's epoch.
-func (s *Store) Epoch() uint64 { return s.shards[0].clock.Current() }
-
-// List exposes the internal skip list (tests, harness). For a sharded
-// store this is shard 0's list; see ShardList for the others.
-func (s *Store) List() *skiplist.SkipList { return s.shards[0].list }
-
-// Allocator exposes the internal allocator (tests, harness); shard 0's
-// for a sharded store.
-func (s *Store) Allocator() *alloc.Allocator { return s.shards[0].alloc }
 
 // NumShards returns the number of keyspace shards (1 for an unsharded
 // store).
@@ -1205,7 +1200,7 @@ func (s *Store) Save(dir string) error {
 			}
 		}
 	}
-	return saveMeta(dir, s.opts)
+	return writeMeta(dir, s.opts, "phys")
 }
 
 // poolFileName keeps the historical "pool%d.upsl" names for unsharded
@@ -1220,17 +1215,17 @@ func poolFileName(shards, shard int, poolID uint16) string {
 
 // Load re-creates a store from images written by Save (physical pool
 // images; a restart across processes, so every shard's epoch advances)
-// or from a SaveOnline logical dump (fresh pools rebuilt from the
-// dumped pairs).
+// or from a SaveOnline logical dump (fresh pools rebuilt bottom-up from
+// the dumped pairs). Anything else in dir fails with ErrBadDump.
 func Load(dir string) (*Store, error) {
 	return LoadWithConfig(dir, LoadConfig{})
 }
 
-// LoadWithConfig is Load with recovery tuning: parallelism override,
-// the bulk-build/replay choice for pairs dumps, and a crash injector
-// installed before recovery work begins (see LoadConfig).
+// LoadWithConfig is Load with recovery tuning: a parallelism override, a
+// cost model, and a crash injector installed before recovery work begins
+// (see LoadConfig).
 func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
-	opts, ver, kind, err := loadMeta(dir)
+	opts, kind, err := loadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -1241,7 +1236,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 		opts.Cost = cfg.Cost
 	}
 	if kind == "pairs" {
-		return loadPairsDump(dir, opts, ver, cfg)
+		return loadPairsDump(dir, opts, cfg)
 	}
 	st := &Store{opts: opts, topo: numa.Topology{Nodes: opts.NUMANodes}}
 	n := opts.Shards
@@ -1305,16 +1300,10 @@ func loadShardPools(dir string, opts Options, topo numa.Topology, shard int) ([]
 	return pools, nil
 }
 
-// saveMeta/loadMeta persist Options in a tiny sidecar file. This
-// revision writes v4 lines carrying a dump-kind token after the version
-// — "phys" for physical pool images (Save), "pairs" for logical
-// key/value dumps (SaveOnline) — and still reads the v1/v2 physical and
-// v3 pairs formats of earlier revisions.
-func saveMeta(dir string, o Options) error {
-	return writeMetaV4(dir, o, "phys")
-}
-
-func writeMetaV4(dir string, o Options, kind string) error {
+// writeMeta/loadMeta persist Options in a tiny sidecar file: one v4 line
+// carrying a dump-kind token after the version — "phys" for physical
+// pool images (Save), "pairs" for logical key/value dumps (SaveOnline).
+func writeMeta(dir string, o Options, kind string) error {
 	f, err := os.Create(filepath.Join(dir, "meta.upsl"))
 	if err != nil {
 		return err
@@ -1330,51 +1319,59 @@ func writeMetaV4(dir string, o Options, kind string) error {
 	return err
 }
 
-// loadMeta parses the sidecar, returning the options, the format
-// version tag, and the dump kind ("phys" or "pairs").
-func loadMeta(dir string) (Options, string, string, error) {
+// loadMeta parses the sidecar and returns the options and the dump kind
+// ("phys" or "pairs"). The options are validated here, once, for both
+// kinds and before anything is sized from them: a line that is not v4,
+// does not parse, or carries values writeMeta cannot have written is
+// ErrBadDump. A physical dump has at least one pool file per shard, so
+// its shard count is bounded by the pool files present in dir.
+func loadMeta(dir string) (Options, string, error) {
 	f, err := os.Open(filepath.Join(dir, "meta.upsl"))
 	if err != nil {
-		return Options{}, "", "", err
+		return Options{}, "", err
 	}
 	defer f.Close()
-	var ver string
+	bad := func(why error) (Options, string, error) {
+		return Options{}, "", fmt.Errorf("%w: meta.upsl: %w", ErrBadDump, why)
+	}
+	var ver, kind string
 	if _, err := fmt.Fscan(f, &ver); err != nil {
-		return Options{}, "", "", fmt.Errorf("upskiplist: unreadable meta: %w", err)
+		return bad(err)
 	}
-	kind := "phys"
-	if ver == "v3" {
-		kind = "pairs"
-	}
-	if ver == "v4" {
-		if _, err := fmt.Fscan(f, &kind); err != nil {
-			return Options{}, "", "", fmt.Errorf("upskiplist: truncated v4 meta: %w", err)
-		}
-		if kind != "phys" && kind != "pairs" {
-			return Options{}, "", "", fmt.Errorf("upskiplist: unknown v4 dump kind %q", kind)
-		}
+	if ver != "v4" {
+		return bad(fmt.Errorf("format %q is not the v4 this revision reads", ver))
 	}
 	var o Options
 	var sorted, placement int
-	_, err = fmt.Fscan(f, &o.MaxHeight, &o.KeysPerNode, &sorted, &o.NUMANodes,
-		&placement, &o.PoolWords, &o.ChunkWords, &o.MaxChunks, &o.NumArenas, &o.NumThreads)
-	if err != nil && err != io.EOF {
-		return Options{}, "", "", err
-	}
-	switch ver {
-	case "v1":
-		o.Shards = 1
-	case "v2", "v3", "v4":
-		if _, err := fmt.Fscan(f, &o.Shards); err != nil {
-			return Options{}, "", "", fmt.Errorf("upskiplist: truncated %s meta: %w", ver, err)
-		}
-		if o.Shards < 1 {
-			return Options{}, "", "", fmt.Errorf("upskiplist: bad shard count %d in meta", o.Shards)
-		}
-	default:
-		return Options{}, "", "", fmt.Errorf("upskiplist: unknown meta version %q", ver)
+	if _, err := fmt.Fscan(f, &kind, &o.MaxHeight, &o.KeysPerNode, &sorted, &o.NUMANodes,
+		&placement, &o.PoolWords, &o.ChunkWords, &o.MaxChunks, &o.NumArenas, &o.NumThreads,
+		&o.Shards); err != nil {
+		return bad(err)
 	}
 	o.SortedNodes = sorted == 1
 	o.Placement = Placement(placement)
-	return o, ver, kind, nil
+	switch {
+	case kind != "phys" && kind != "pairs":
+		return bad(fmt.Errorf("unknown dump kind %q", kind))
+	case o.Placement < SinglePool || o.Placement > PerNode:
+		return bad(fmt.Errorf("placement %d out of range", placement))
+	case o.Shards < 1:
+		return bad(fmt.Errorf("shard count %d", o.Shards))
+	}
+	if err := o.normalize(); err != nil {
+		return bad(err)
+	}
+	if kind == "phys" {
+		pools := 0
+		entries, _ := os.ReadDir(dir) // unreadable: no pool files, rejected below
+		for _, e := range entries {
+			if ok, _ := filepath.Match("*pool*.upsl", e.Name()); ok {
+				pools++
+			}
+		}
+		if o.Shards > pools {
+			return bad(fmt.Errorf("%d shards but %d pool files", o.Shards, pools))
+		}
+	}
+	return o, kind, nil
 }

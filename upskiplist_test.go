@@ -41,13 +41,13 @@ func TestReopenKeepsData(t *testing.T) {
 	for i := uint64(1); i <= 500; i++ {
 		w.PutU64(i, i*2)
 	}
-	e1 := st.Epoch()
+	e1 := st.shards[0].clock.Current()
 	st2, err := st.Reopen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Epoch() != e1+1 {
-		t.Fatalf("epoch %d -> %d, want +1", e1, st2.Epoch())
+	if e2 := st2.shards[0].clock.Current(); e2 != e1+1 {
+		t.Fatalf("epoch %d -> %d, want +1", e1, e2)
 	}
 	w2 := st2.NewWorker(0)
 	for i := uint64(1); i <= 500; i++ {
@@ -340,7 +340,7 @@ func TestRecoveryBudgetOption(t *testing.T) {
 			t.Fatalf("key %d: %d %v", i, v, ok)
 		}
 	}
-	if st2.List().RecoveryStats().Claims == 0 {
+	if st2.ShardList(0).RecoveryStats().Claims == 0 {
 		t.Fatal("eager budget performed no claims")
 	}
 }
