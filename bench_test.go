@@ -19,6 +19,7 @@ import (
 	"upskiplist/internal/bztree"
 	"upskiplist/internal/harness"
 	"upskiplist/internal/pmem"
+	"upskiplist/internal/skiplist"
 	"upskiplist/internal/ycsb"
 )
 
@@ -241,11 +242,11 @@ func BenchmarkFig56_Update_PMDKSkipList(b *testing.B) {
 
 func benchHotPath(b *testing.B, mode string, disableHints bool) {
 	o := benchUPSLOptions(benchKeysPN, upskiplist.SinglePool, pmem.DefaultCostModel())
-	o.DisableHintCache = disableHints
 	u, err := harness.NewUPSL(o, "")
 	if err != nil {
 		b.Fatal(err)
 	}
+	u.Store().SetTuning(skiplist.Tuning{NoHints: disableHints})
 	if err := harness.Preload(u, benchPreload, 4); err != nil {
 		b.Fatal(err)
 	}
@@ -277,11 +278,11 @@ func BenchmarkHotPath_Mixed_NoHints(b *testing.B)  { benchHotPath(b, "mixed", tr
 func benchHintCacheYCSBC(b *testing.B, disableHints bool) {
 	o := benchUPSLOptions(benchKeysPN, upskiplist.SinglePool, pmem.DefaultCostModel())
 	o.SortedNodes = true
-	o.DisableHintCache = disableHints
 	u, err := harness.NewUPSL(o, "")
 	if err != nil {
 		b.Fatal(err)
 	}
+	u.Store().SetTuning(skiplist.Tuning{NoHints: disableHints})
 	if err := harness.Preload(u, benchPreload, 4); err != nil {
 		b.Fatal(err)
 	}
@@ -415,11 +416,11 @@ func BenchmarkAblationArenas_16(b *testing.B) { benchArenas(b, 16) }
 // stale nodes.
 func benchPostCrashReads(b *testing.B, budget int) {
 	o := benchUPSLOptions(benchKeysPN, upskiplist.SinglePool, pmem.DefaultCostModel())
-	o.RecoveryBudget = budget
 	u, err := harness.NewUPSL(o, "")
 	if err != nil {
 		b.Fatal(err)
 	}
+	u.Store().SetTuning(skiplist.Tuning{RecoveryBudget: budget})
 	if err := harness.Preload(u, benchPreload, 4); err != nil {
 		b.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"upskiplist/internal/skiplist"
 )
 
 // Churn workload: fresh keys are inserted at the leading edge of the
@@ -36,22 +38,6 @@ func churnOptions(reclaim bool) Options {
 	o.ChunkWords = 1 << 13
 	o.MaxChunks = o.PoolWords/o.ChunkWords + 16
 	o.Cost = perfCost() // PMEM-realistic load penalties: dead-node hops cost real time
-	// Hints off (in BOTH configs) so every op pays the real traversal:
-	// the churn experiment measures how traversal cost scales with the
-	// dead-node population, and the hint cache short-circuits exactly
-	// that path. With hints on, point ops are near-O(1) regardless of
-	// dead prefix and the comparison measures nothing.
-	o.DisableHintCache = true
-	// Foresight off for the same reason: the descent prefetch overlaps
-	// each dead-node hop's line fetch with the previous node's examine,
-	// deflating exactly the per-hop cost whose growth this experiment
-	// measures.
-	o.DisableForesight = true
-	// Classic p = 1/2 towers: the MaxHeight=8 provisioning above and the
-	// dead-tower-clutter analysis assume Pugh geometry, and the sparse
-	// default would change how much of the dead population reaches the
-	// index levels — an orthogonal axis the hotpath experiment owns.
-	o.TowerBranch = 2
 	o.OnlineReclaim = reclaim
 	// Steady-state retirement rides the workers' retire-on-remove
 	// reports; the sweep is only the leak backstop, so keep its duty
@@ -60,6 +46,29 @@ func churnOptions(reclaim bool) Options {
 	o.ReclaimInterval = time.Millisecond
 	o.ReclaimScanNodes = 32
 	return o
+}
+
+// churnTuning is the read path both churn stores run.
+func churnTuning() skiplist.Tuning {
+	return skiplist.Tuning{
+		// Hints off (in BOTH configs) so every op pays the real traversal:
+		// the churn experiment measures how traversal cost scales with the
+		// dead-node population, and the hint cache short-circuits exactly
+		// that path. With hints on, point ops are near-O(1) regardless of
+		// dead prefix and the comparison measures nothing.
+		NoHints: true,
+		// The reference read path for the same reason: the descent
+		// prefetch overlaps each dead-node hop's line fetch with the
+		// previous node's examine, deflating exactly the per-hop cost
+		// whose growth this experiment measures.
+		Reference: true,
+		// Classic p = 1/2 towers: the MaxHeight=8 provisioning above and
+		// the dead-tower-clutter analysis assume Pugh geometry, and the
+		// sparse default would change how much of the dead population
+		// reaches the index levels — an orthogonal axis the hotpath
+		// experiment owns.
+		TowerBranch: 2,
+	}
 }
 
 // churnState tracks the live set so removals and reads can be sampled
@@ -181,12 +190,14 @@ func TestChurnSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseSt.SetTuning(churnTuning())
 	baseHops, baseWarm, baseFinal, baseLive := runChurn(t, baseSt)
 
 	recSt, err := Create(churnOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}
+	recSt.SetTuning(churnTuning())
 	recHops, recWarm, recFinal, recLive := runChurn(t, recSt)
 	recSt.DisableOnlineReclaim()
 

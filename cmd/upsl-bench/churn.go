@@ -8,6 +8,7 @@ import (
 	upskiplist "upskiplist"
 	"upskiplist/internal/client"
 	"upskiplist/internal/harness"
+	"upskiplist/internal/skiplist"
 	"upskiplist/internal/wire"
 )
 
@@ -38,10 +39,6 @@ func (c benchConfig) churnOptions(reclaim bool) upskiplist.Options {
 	o.ChunkWords = 1 << 13
 	o.MaxChunks = o.PoolWords/o.ChunkWords + 16
 	o.Cost = c.cost
-	// Hints off in both configurations: the experiment measures how
-	// traversal cost scales with the dead-node population, the path the
-	// hint cache short-circuits.
-	o.DisableHintCache = true
 	o.OnlineReclaim = reclaim
 	o.ReclaimInterval = time.Millisecond
 	o.ReclaimScanNodes = 32
@@ -110,6 +107,10 @@ func runChurnExp(c benchConfig) {
 		if err != nil {
 			fatalf("%s: %v", label, err)
 		}
+		// Hints off in both configurations: the experiment measures how
+		// traversal cost scales with the dead-node population, the path
+		// the hint cache short-circuits.
+		st.SetTuning(skiplist.Tuning{NoHints: true})
 		w := st.NewWorker(1)
 		rng := rand.New(rand.NewSource(42))
 		cs := &churnLiveSet{hi: 1}

@@ -7,6 +7,7 @@ import (
 
 	"upskiplist"
 	"upskiplist/internal/harness"
+	"upskiplist/internal/skiplist"
 	"upskiplist/internal/ycsb"
 )
 
@@ -73,14 +74,12 @@ func runHotPath(c benchConfig) {
 func (c benchConfig) measureHotPath(wl ycsb.Workload, dist string, kpn int, v hotpathVariant, workers int) harness.BenchRecord {
 	o := c.upslOptions(kpn, upskiplist.SinglePool)
 	o.SortedNodes = true
-	if !v.fast {
-		o.DisableBlockSearch = true
-		o.DisableForesight = true
-		o.TowerBranch = 2
-	}
 	st, err := upskiplist.Create(o)
 	if err != nil {
 		fatalf("creating hotpath store: %v", err)
+	}
+	if !v.fast {
+		st.SetTuning(skiplist.Tuning{Reference: true, TowerBranch: 2})
 	}
 	w0 := st.NewWorker(0)
 	for k := uint64(1); k <= c.preload; k++ {
@@ -129,12 +128,12 @@ func (c benchConfig) measureHotPath(wl ycsb.Workload, dist string, kpn int, v ho
 		return float64(n) / float64(ops)
 	}
 	return harness.BenchRecord{
-		Experiment: "hotpath",
-		Index:      "UPSL-" + v.name,
-		Workload:   wl.Name + "-" + dist,
-		Threads:    workers,
-		Shards:     1,
-		Batch:      1,
+		Experiment:        "hotpath",
+		Index:             "UPSL-" + v.name,
+		Workload:          wl.Name + "-" + dist,
+		Threads:           workers,
+		Shards:            1,
+		Batch:             1,
 		Ops:               int(ops),
 		OpsPerSec:         float64(ops) / dur.Seconds(),
 		NodesVisitedPerOp: perOp(nodes),

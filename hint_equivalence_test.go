@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"upskiplist/internal/skiplist"
 )
 
 // The hint cache is a pure performance layer: this file drives two stores
@@ -24,11 +26,11 @@ func newHintPair(t *testing.T) hintPair {
 	mk := func(disable bool) *Store {
 		o := testOptions()
 		o.SortedNodes = true
-		o.DisableHintCache = disable
 		st, err := Create(o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.SetTuning(skiplist.Tuning{NoHints: disable})
 		return st
 	}
 	return hintPair{a: mk(false), b: mk(true)}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"upskiplist/internal/pmem"
+	"upskiplist/internal/skiplist"
 )
 
 // Foresight prefetching rides the hint cache: hint-seeded descents
@@ -24,14 +25,12 @@ func newForesightPair(t *testing.T) hintPair {
 		// Cost model on, so prefetches run their charged path (range
 		// check, line-cache probe, spin) rather than the free no-op one.
 		o.Cost = pmem.DefaultCostModel()
-		o.DisableBlockSearch = disable
-		o.DisableForesight = disable
-		if disable {
-			o.TowerBranch = 2
-		}
 		st, err := Create(o)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if disable {
+			st.SetTuning(skiplist.Tuning{Reference: true, TowerBranch: 2})
 		}
 		return st
 	}
@@ -78,8 +77,8 @@ func TestForesightStaleHintsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen applies the stores' option knobs again; the reference store
-	// must come back with foresight still off.
+	// Reopen applies each store's tuning again; the reference store must
+	// come back with prefetching still off.
 	wa2 := &Worker{s: a2, ctxs: wa.ctxs}
 	wb2 := &Worker{s: b2, ctxs: wb.ctxs}
 	runMirrored(t, wa2, wb2, rand.New(rand.NewSource(8)), 12000, 300)

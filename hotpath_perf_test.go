@@ -1,34 +1,38 @@
 package upskiplist
 
 import (
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
+	"upskiplist/internal/skiplist"
 	"upskiplist/internal/ycsb"
 )
 
 // TestHotPathYCSBC is the acceptance check for the cache-conscious
-// traversal work: on the simulated cost model, the default store (block
-// search + foresight prefetching + sparse towers) must beat the
-// reference traversal (per-word search, no prefetch, classic p = 1/2
-// towers — the hot path before this optimization pass) by >= 1.15x on
-// read-only YCSB-C with 8 workers, under BOTH the Zipfian and the
+// traversal work: the default store (block search + foresight
+// prefetching + sparse towers) against the reference traversal (per-word
+// search, no prefetch, classic p = 1/2 towers — the hot path before that
+// optimization pass) on read-only YCSB-C, under BOTH the Zipfian and the
 // uniform request distribution. Zipfian rides the line cache (hot nodes
 // resident, block loads nearly free); uniform is the anti-cache case
 // where the win must come from fewer lines touched per op and
 // prefetch/compare overlap — passing both shows the fast path is not a
 // cache artifact.
+//
+// The comparison is in what the cost model charged, read from the
+// published ledger of one worker replaying one seeded stream: model
+// units per op (the simulated time the spin loops would burn) must drop
+// by the 1.15x the pass was accepted on, and nodes visited per op must
+// drop too. Both are pure functions of the stream, so the verdict is
+// the same on any host; ops/s over 8 goroutines on 2 cores was not.
 func TestHotPathYCSBC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf measurement; skipped in -short")
 	}
 	if raceEnabled {
-		t.Skip("perf measurement; race-detector instrumentation swamps the simulated access costs")
+		t.Skip("the counts are the same under the race detector, and ten times slower to get")
 	}
 	const preload = 40000
-	const ops = 20000
+	const ops = 40000
 
 	for _, dist := range []ycsb.DistKind{ycsb.Zipfian, ycsb.Uniform} {
 		name := "Zipfian"
@@ -37,67 +41,38 @@ func TestHotPathYCSBC(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			wl := ycsb.Workload{Name: "C", LongName: "Read-Only", ReadPct: 100, Dist: dist}
-			measure := func(fast bool) float64 {
+			stream := ycsb.NewRun(wl, preload).NewStream(1).Fill(nil, ops)
+			measure := func(tuning skiplist.Tuning) (unitsPerOp, nodesPerOp float64) {
 				o := perfOptions(1)
-				if !fast {
-					o.DisableBlockSearch = true
-					o.DisableForesight = true
-					o.TowerBranch = 2
-				}
 				st, err := Create(o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return runYCSBC(t, st, wl, preload, ops)
+				st.SetTuning(tuning)
+				w := st.NewWorker(0)
+				for k := uint64(1); k <= preload; k++ {
+					if _, _, err := w.PutU64(k, k*7+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				units, nodes := poolUnits(o.Cost, st.Pools()), w.Stats().NodesVisited
+				for _, op := range stream {
+					w.GetU64(op.Key)
+				}
+				units, nodes = poolUnits(o.Cost, st.Pools())-units, w.Stats().NodesVisited-nodes
+				return float64(units) / ops, float64(nodes) / ops
 			}
-			measure(false)
-			measure(true)
-			var ratios []float64
-			for i := 0; i < 3; i++ {
-				base := measure(false)
-				fast := measure(true)
-				ratios = append(ratios, fast/base)
-				t.Logf("pair %d: reference %.0f ops/s, fast path %.0f ops/s, ratio %.2fx", i, base, fast, fast/base)
+			refUnits, refNodes := measure(skiplist.Tuning{Reference: true, TowerBranch: 2})
+			fastUnits, fastNodes := measure(skiplist.Tuning{})
+			t.Logf("YCSB-C/%s, 1 worker: reference %.1f units/op, %.2f nodes/op; default %.1f units/op, %.2f nodes/op (%.2fx)",
+				name, refUnits, refNodes, fastUnits, fastNodes, refUnits/fastUnits)
+			if refUnits < 1.15*fastUnits {
+				t.Errorf("the default traversal is charged %.1f units/op, the reference %.1f: %.2fx, want >= 1.15x",
+					fastUnits, refUnits, refUnits/fastUnits)
 			}
-			sort.Float64s(ratios)
-			ratio := ratios[1]
-			t.Logf("YCSB-C/%s @8 workers: median ratio %.2fx", name, ratio)
-			if ratio < 1.15 {
-				t.Fatalf("fast path is only %.2fx the reference traversal on YCSB-C/%s (want >= 1.15x)", ratio, name)
+			if fastNodes >= refNodes {
+				t.Errorf("the default traversal visits %.2f nodes/op, the reference %.2f", fastNodes, refNodes)
 			}
 		})
 	}
-}
-
-// runYCSBC preloads n keys and replays opsPerWorker read-only ops on
-// each of 8 workers, returning aggregate ops/sec.
-func runYCSBC(t *testing.T, st *Store, wl ycsb.Workload, n uint64, opsPerWorker int) float64 {
-	t.Helper()
-	const workers = 8
-	w0 := st.NewWorker(0)
-	for k := uint64(1); k <= n; k++ {
-		if _, _, err := w0.PutU64(k, k*7+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run := ycsb.NewRun(wl, n)
-	streams := make([][]ycsb.Op, workers)
-	for i := range streams {
-		streams[i] = run.NewStream(int64(i)+1).Fill(nil, opsPerWorker)
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := st.NewWorker(i)
-			for _, op := range streams[i] {
-				w.GetU64(op.Key)
-			}
-		}(i)
-	}
-	wg.Wait()
-	total := float64(workers * opsPerWorker)
-	return total / time.Since(start).Seconds()
 }

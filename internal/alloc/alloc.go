@@ -73,11 +73,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
+	"upskiplist/internal/par"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
 )
@@ -797,16 +797,16 @@ func (a *Allocator) ScanParallelism() int {
 // start (pools sorted by ID so the scan order is deterministic).
 type chunkSpan struct {
 	pa     *PoolAllocator
-	chunks uint64
+	chunks int
 }
 
-func (a *Allocator) chunkSpans() ([]chunkSpan, uint64) {
+func (a *Allocator) chunkSpans() ([]chunkSpan, int) {
 	spans := make([]chunkSpan, 0, len(a.pools))
 	for _, pa := range a.pools {
-		spans = append(spans, chunkSpan{pa: pa, chunks: pa.pool.Load(hdrChunkCount, nil)})
+		spans = append(spans, chunkSpan{pa: pa, chunks: int(pa.pool.Load(hdrChunkCount, nil))})
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].pa.pool.ID() < spans[j].pa.pool.ID() })
-	total := uint64(0)
+	total := 0
 	for _, s := range spans {
 		total += s.chunks
 	}
@@ -823,54 +823,18 @@ func (a *Allocator) chunkSpans() ([]chunkSpan, uint64) {
 // is re-raised on the calling goroutine.
 func (a *Allocator) scanChunks(visit func(worker int, pa *PoolAllocator, chunk uint64)) {
 	spans, total := a.chunkSpans()
-	par := a.ScanParallelism()
-	if uint64(par) > total {
-		par = int(total)
-	}
-	if par <= 1 {
+	par.Ranges(total, a.ScanParallelism(), func(w, lo, hi int) {
+		base := 0
 		for _, sp := range spans {
-			for c := uint64(0); c < sp.chunks; c++ {
-				visit(0, sp.pa, c)
+			if base >= hi {
+				break
 			}
+			for c := max(lo-base, 0); c < min(hi-base, sp.chunks); c++ {
+				visit(w, sp.pa, uint64(c))
+			}
+			base += sp.chunks
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[any]
-	for w := 0; w < par; w++ {
-		lo := total * uint64(w) / uint64(par)
-		hi := total * uint64(w+1) / uint64(par)
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &r)
-				}
-			}()
-			base := uint64(0)
-			for _, sp := range spans {
-				if base >= hi {
-					break
-				}
-				first, last := uint64(0), sp.chunks
-				if lo > base {
-					first = lo - base
-				}
-				if hi-base < last {
-					last = hi - base
-				}
-				for c := first; c < last; c++ {
-					visit(w, sp.pa, c)
-				}
-				base += sp.chunks
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(*r)
-	}
+	})
 }
 
 // collectChunks is the shared body of the pointer-collecting scans: a

@@ -137,10 +137,8 @@ func blockConfigs() []Config {
 func TestBlockSearchListEquivalence(t *testing.T) {
 	for _, cfg := range blockConfigs() {
 		fast := newEnv(t, cfg)
-		slowCfg := cfg
-		slowCfg.DisableBlockSearch = true
-		slowCfg.DisableForesight = true
-		slow := newEnv(t, slowCfg)
+		slow := newEnv(t, cfg)
+		slow.sl.SetTuning(Tuning{Reference: true})
 
 		ctxF, ctxS := ctx0(), ctx0()
 		rng := rand.New(rand.NewSource(23))
@@ -189,10 +187,10 @@ func TestBlockSearchListEquivalence(t *testing.T) {
 		slow.pool.Crash()
 		fast = fast.reopen(t)
 		slow = slow.reopen(t)
-		// Open defaults both fast paths on; re-pin the reference list off
-		// (the volatile-tuning contract Reopen/Load follow at store level).
-		slow.sl.SetFastPaths(false, false)
-		slow.sl.SetTowerBranch(2)
+		// Open comes back with the default tuning; re-pin the reference
+		// list (the volatile-tuning contract Reopen/Load follow at store
+		// level).
+		slow.sl.SetTuning(Tuning{Reference: true, TowerBranch: 2})
 		ctxF2, ctxS2 := ctx0(), ctx0()
 		for k := uint64(1); k <= keyspace; k++ {
 			vF, okF := fast.sl.Get(ctxF2, k)

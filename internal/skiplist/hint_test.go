@@ -43,9 +43,8 @@ func TestHintCacheSeedsAndStaysCorrect(t *testing.T) {
 }
 
 func TestHintCacheDisabled(t *testing.T) {
-	cfg := hintCfg()
-	cfg.DisableHintCache = true
-	e := newEnv(t, cfg)
+	e := newEnv(t, hintCfg())
+	e.sl.SetTuning(Tuning{NoHints: true})
 	ctx := ctx0()
 	for k := uint64(1); k <= 200; k++ {
 		if _, _, err := e.sl.Insert(ctx, k, k); err != nil {
@@ -60,8 +59,8 @@ func TestHintCacheDisabled(t *testing.T) {
 	if ctx.Hints.Seeded != 0 || ctx.Hints.Missed != 0 {
 		t.Fatalf("disabled cache was consulted: %+v", ctx.Hints)
 	}
-	if got := e.sl.Config(); !got.DisableHintCache {
-		t.Fatal("Config does not report the disabled hint cache")
+	if got := e.sl.Tuning(); !got.NoHints {
+		t.Fatal("Tuning does not report the disabled hint cache")
 	}
 }
 

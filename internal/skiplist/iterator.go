@@ -1,7 +1,8 @@
 package skiplist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/exec"
@@ -12,12 +13,17 @@ import (
 // ascending key order — the access pattern a database index consumer
 // uses for ORDER BY / merge joins, beyond the one-shot Scan callback.
 //
-// The iterator snapshots one node at a time with the same split-count
-// validation as Scan: the pairs returned from any single node are a
-// consistent snapshot of that node, while pairs across nodes may
-// interleave with concurrent writers (the same guarantee the paper's
-// bottom-level range scans would give). An Iterator is not safe for
-// concurrent use; create one per goroutine.
+// The iterator snapshots one node at a time under split-count
+// validation (loadNode — the one routine that reads a whole node, Scan
+// and the shard merge included): the pairs returned from any single
+// node are a consistent snapshot of that node, while pairs across nodes
+// may interleave with concurrent writers (the same guarantee the
+// paper's bottom-level range scans would give). A split that lands
+// after a node was snapshotted moves its upper half into a new
+// sibling; the successor is loaded strictly above everything already
+// yielded, so the stream stays strictly ascending — the shard merge
+// above all relies on that. An Iterator is not safe for concurrent use;
+// create one per goroutine.
 // Under online reclamation the cursor's node may be retired and its
 // block recycled between calls (the era pin covers a single Seek/Next
 // call, not the iterator's lifetime). The pairs buffer is a DRAM
@@ -56,25 +62,10 @@ func (it *Iterator) Seek(key uint64) bool {
 	if key < KeyMin {
 		key = KeyMin
 	}
-	s := it.s
-	s.pin(it.ctx)
-	defer s.unpin(it.ctx)
-	t := it.ctx.GetTowers(s.maxHeight)
-	defer it.ctx.PutTowers(t)
-	preds, succs := t.Preds, t.Succs
-	s.traverse(it.ctx, key, preds, succs)
-	start := preds[0]
-	if start == s.head {
-		start = succs[0]
-	}
+	it.s.pin(it.ctx)
+	defer it.s.unpin(it.ctx)
 	it.resume = key - 1 // a fresh Seek owes nothing below key
-	it.loadNode(start, key)
-	for len(it.pairs) == 0 {
-		if !it.advanceNode() {
-			return false
-		}
-	}
-	return true
+	return it.reseek()
 }
 
 // Next advances to the following live pair, reporting false at the end.
@@ -140,41 +131,27 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 			s.node(nxt).prefetchHeader(it.ctx.Mem)
 		}
 	}
+	buf := it.ctx.GetBlock(2 * s.keysPerNode)
+	kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
 	for {
 		if n.isWriteLocked(it.ctx.Mem) {
 			continue // split in progress: retry the snapshot
 		}
 		sc := n.splitCount(it.ctx.Mem)
 		it.pairs = it.pairs[:0]
-		if s.blockSearch {
-			buf := it.ctx.GetBlock(2 * s.keysPerNode)
-			kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
-			n.keyBlock(s, kb, it.ctx.Mem)
-			n.valueBlock(s, vb, it.ctx.Mem)
-			for i, k := range kb {
-				if k == keyEmpty || k < lo || vb[i] == Tombstone {
-					continue
-				}
-				it.pairs = append(it.pairs, kv{k: k, v: vb[i]})
+		n.keyBlock(s, kb, it.ctx.Mem)
+		n.valueBlock(s, vb, it.ctx.Mem)
+		for i, k := range kb {
+			if k == keyEmpty || k < lo || vb[i] == Tombstone {
+				continue
 			}
-			it.ctx.PutBlock(buf)
-		} else {
-			for i := 0; i < s.keysPerNode; i++ {
-				k := n.key(s, i, it.ctx.Mem)
-				if k == keyEmpty || k < lo {
-					continue
-				}
-				v := n.value(s, i, it.ctx.Mem)
-				if v == Tombstone {
-					continue
-				}
-				it.pairs = append(it.pairs, kv{k: k, v: v})
-			}
+			it.pairs = append(it.pairs, kv{k: k, v: vb[i]})
 		}
 		if !n.isWriteLocked(it.ctx.Mem) && n.splitCount(it.ctx.Mem) == sc {
 			break
 		}
 	}
+	it.ctx.PutBlock(buf)
 	// Materialize value bytes NOW, under the caller's era pin: by the
 	// next Seek/Next call the backing chunks may have been retired and
 	// freed, but the DRAM copy keeps the node snapshot self-contained.
@@ -186,7 +163,7 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 			it.pairs[i].voff, it.pairs[i].vlen = off, len(it.vbuf)-off
 		}
 	}
-	sort.Slice(it.pairs, func(a, b int) bool { return it.pairs[a].k < it.pairs[b].k })
+	slices.SortFunc(it.pairs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
 }
 
 // advanceNode moves the buffer to the next node's pairs. The caller
@@ -228,7 +205,8 @@ func (it *Iterator) advanceNode() bool {
 }
 
 // reseek repositions the cursor at the first node holding keys strictly
-// above everything already yielded, via a fresh traversal.
+// above everything already yielded, via a fresh traversal. The caller
+// holds the era pin.
 func (it *Iterator) reseek() bool {
 	s := it.s
 	if it.resume >= KeyMax {

@@ -1,7 +1,8 @@
 package skiplist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"upskiplist/internal/exec"
 	"upskiplist/internal/riv"
@@ -263,50 +264,41 @@ func (s *SkipList) splitNode(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) 
 	// 2*keysPerNode pointwise ones.
 	type pair struct{ k, v uint64 }
 	pairs := make([]pair, 0, s.keysPerNode)
-	if s.blockSearch {
-		buf := ctx.GetBlock(2 * s.keysPerNode)
-		kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
-		pred.keyBlock(s, kb, ctx.Mem)
-		pred.valueBlock(s, vb, ctx.Mem)
-		for i, k := range kb {
-			if k != keyEmpty {
-				pairs = append(pairs, pair{k, vb[i]})
-			}
-		}
-		ctx.PutBlock(buf)
-	} else {
-		for i := 0; i < s.keysPerNode; i++ {
-			k := pred.key(s, i, ctx.Mem)
-			if k != keyEmpty {
-				pairs = append(pairs, pair{k, pred.value(s, i, ctx.Mem)})
-			}
+	buf := ctx.GetBlock(2 * s.keysPerNode)
+	kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
+	pred.keyBlock(s, kb, ctx.Mem)
+	pred.valueBlock(s, vb, ctx.Mem)
+	for i, k := range kb {
+		if k != keyEmpty {
+			pairs = append(pairs, pair{k, vb[i]})
 		}
 	}
+	ctx.PutBlock(buf)
 	if len(pairs) < 2 {
 		// Not actually splittable (e.g. raced with a prior split); let
 		// the caller retraverse.
 		pred.writeUnlock(s.a.Clock().Current(), ctx.Mem)
 		return nil
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].k < pairs[b].k })
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
 	mid := len(pairs) / 2
 	upper := pairs[mid:]
 
-	keys := make([]uint64, len(upper))
-	vals := make([]uint64, len(upper))
-	for i, p := range upper {
-		keys[i] = p.k
-		vals[i] = p.v
-	}
-
 	height := s.drawHeight(ctx)
-	newPtr, err := s.a.Alloc(ctx, pred.ptr, keys[0])
+	newPtr, err := s.a.Alloc(ctx, pred.ptr, upper[0].k)
 	if err != nil {
 		pred.writeUnlock(s.a.Clock().Current(), ctx.Mem)
 		return err
 	}
 	n := s.node(newPtr)
+	buf = ctx.GetBlock(2 * len(upper))
+	keys, vals := buf[:len(upper)], buf[len(upper):]
+	for i, p := range upper {
+		keys[i] = p.k
+		vals[i] = p.v
+	}
 	s.initNode(n, keys, vals, height, ctx.Mem)
+	ctx.PutBlock(buf)
 	// The new node's bottom successor is the split node's current
 	// successor; higher levels are populated from the traversal's succs.
 	bottomSucc := pred.next(s, 0, ctx.Mem)
@@ -334,13 +326,11 @@ func (s *SkipList) splitNode(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) 
 	ctx.Batch.Add(pred.pool, pred.off+offNext, 1, ctx.Mem)
 	ctx.Batch.Add(pred.pool, pred.off+offSplitCount, 1, ctx.Mem)
 	ctx.Batch.Flush(ctx.Mem)
-	moved := make(map[uint64]bool, len(upper))
-	for _, p := range upper {
-		moved[p.k] = true
-	}
+	// Erase what moved: upper is the sorted top half of the node's
+	// distinct keys, so exactly the keys from upper[0] up.
 	for i := 0; i < s.keysPerNode; i++ {
 		k := pred.key(s, i, ctx.Mem)
-		if k != keyEmpty && moved[k] {
+		if k != keyEmpty && k >= upper[0].k {
 			pred.pool.Store(pred.off+s.keyOff(i), keyEmpty, ctx.Mem)
 			pred.pool.Store(pred.off+s.valOff(i), Tombstone, ctx.Mem)
 		}
@@ -451,100 +441,23 @@ func (s *SkipList) Remove(ctx *exec.Ctx, key uint64) (uint64, bool, error) {
 }
 
 // Scan performs a bottom-level range query over [lo, hi], invoking fn for
-// every live pair in ascending key order until fn returns false. Each
-// node is read with split-count validation so a concurrent split cannot
-// drop or duplicate pairs from the snapshot of that node. A split that
-// lands after a node was snapshotted would surface its migrated upper
-// half again from the new sibling; those are filtered against the last
-// emitted key, keeping the stream strictly ascending (callers — the
-// shard merge above all — rely on that). This is the range-query
+// every live pair in strictly ascending key order until fn returns
+// false: one Iterator bounded at hi, so the per-node consistency and the
+// ordering across concurrent splits are the Iterator's (iterator.go).
+// The era pin is held across the whole call, so a value word handed to
+// fn still names a live chunk while fn runs. This is the range-query
 // extension the paper lists as future work.
 func (s *SkipList) Scan(ctx *exec.Ctx, lo, hi uint64, fn func(key, value uint64) bool) error {
-	if lo < KeyMin {
-		lo = KeyMin
-	}
-	if hi > KeyMax {
-		hi = KeyMax
-	}
-	if lo > hi {
+	if lo > min(hi, KeyMax) {
 		return nil
 	}
 	s.pin(ctx)
 	defer s.unpin(ctx)
-	t := ctx.GetTowers(s.maxHeight)
-	defer ctx.PutTowers(t)
-	preds, succs := t.Preds, t.Succs
-	s.traverse(ctx, lo, preds, succs)
-	cur := preds[0]
-	if cur == s.head {
-		cur = succs[0]
-	}
-	type pair struct{ k, v uint64 }
-	var blockBuf []uint64
-	if s.blockSearch {
-		blockBuf = ctx.GetBlock(2 * s.keysPerNode)
-		defer ctx.PutBlock(blockBuf)
-	}
-	var last uint64
-	emitted := false
-	for !cur.IsNull() && cur != s.tail {
-		n := s.node(cur)
-		if n.key0(s, ctx.Mem) > hi {
-			break
+	it := s.NewIterator(ctx)
+	for ok := it.Seek(lo); ok && it.Key() <= hi; ok = it.Next() {
+		if !fn(it.Key(), it.Value()) {
+			return nil
 		}
-		if s.foresight {
-			// Streaming ahead: start the successor's header line on its
-			// way while this node is snapshotted and emitted.
-			if nxt := n.next(s, 0, ctx.Mem); !nxt.IsNull() && nxt != s.tail {
-				s.node(nxt).prefetchHeader(ctx.Mem)
-			}
-		}
-		// Snapshot this node's pairs with validation.
-		var pairs []pair
-		for {
-			if n.isWriteLocked(ctx.Mem) {
-				continue
-			}
-			sc := n.splitCount(ctx.Mem)
-			pairs = pairs[:0]
-			if s.blockSearch {
-				kb, vb := blockBuf[:s.keysPerNode], blockBuf[s.keysPerNode:]
-				n.keyBlock(s, kb, ctx.Mem)
-				n.valueBlock(s, vb, ctx.Mem)
-				for i, k := range kb {
-					if k == keyEmpty || k < lo || k > hi || vb[i] == Tombstone {
-						continue
-					}
-					pairs = append(pairs, pair{k, vb[i]})
-				}
-			} else {
-				for i := 0; i < s.keysPerNode; i++ {
-					k := n.key(s, i, ctx.Mem)
-					if k == keyEmpty || k < lo || k > hi {
-						continue
-					}
-					v := n.value(s, i, ctx.Mem)
-					if v == Tombstone {
-						continue
-					}
-					pairs = append(pairs, pair{k, v})
-				}
-			}
-			if !n.isWriteLocked(ctx.Mem) && n.splitCount(ctx.Mem) == sc {
-				break
-			}
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].k < pairs[b].k })
-		for _, p := range pairs {
-			if emitted && p.k <= last {
-				continue
-			}
-			last, emitted = p.k, true
-			if !fn(p.k, p.v) {
-				return nil
-			}
-		}
-		cur = n.next(s, 0, ctx.Mem)
 	}
 	return nil
 }

@@ -157,8 +157,8 @@ func TestReclaimConcurrentSoak(t *testing.T) {
 				default:
 					seen := uint64(0)
 					e.sl.Scan(ctx, base, base+499, func(k, v uint64) bool {
-						if k < seen {
-							errs <- fmt.Errorf("scan went backwards: %d after %d", k, seen)
+						if k <= seen {
+							errs <- fmt.Errorf("scan not strictly ascending: %d after %d", k, seen)
 							return false
 						}
 						seen = k

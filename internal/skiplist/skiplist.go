@@ -25,7 +25,10 @@
 //     allocation and the block reclaimed, in O(threads) total work.
 //
 // Removals follow the paper: the value slot is replaced with a tombstone
-// (§4.6); nodes are never unlinked.
+// (§4.6). Beyond the paper, a node whose values are all tombstones is
+// retired — unlinked under a persistent intent log and its block freed —
+// by the quiesced Compact or the online Reclaimer (compact.go,
+// reclaim.go).
 //
 // All state lives in pmem pool words addressed by extended RIV pointers;
 // reopening after a crash needs only re-attaching the pools and bumping
@@ -35,6 +38,7 @@ package skiplist
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"upskiplist/internal/alloc"
@@ -66,14 +70,14 @@ const (
 	MaxKeysPerNode = 0xffff
 
 	// defaultTowerBranch is the default inverse promotion probability of
-	// the tower height generator (see Config.TowerBranch): towers promote
+	// the tower height generator (see Tuning.TowerBranch): towers promote
 	// with p = 1/4, the B-Skiplist-shaped sparse-tower bias tuned against
 	// YCSB-C — with fat multi-key bottom nodes, a level of indexing is
 	// only worth its cache lines when it skips several nodes at once.
 	defaultTowerBranch = 4
 
-	// maxTowerBranch bounds the configurable bias; beyond this towers are
-	// so rare the structure degenerates into a linked list of fat nodes.
+	// maxTowerBranch bounds the tunable bias; beyond this towers are so
+	// rare the structure degenerates into a linked list of fat nodes.
 	maxTowerBranch = 64
 )
 
@@ -85,7 +89,7 @@ var (
 	ErrValueRange   = errors.New("skiplist: value must be below the tombstone sentinel")
 )
 
-// Config describes a skip list's geometry.
+// Config describes a skip list's persistent geometry.
 type Config struct {
 	// MaxHeight is the number of levels (1..MaxHeight).
 	MaxHeight int
@@ -97,34 +101,38 @@ type Config struct {
 	// node splits leave both halves sorted and lookups binary-search the
 	// sorted prefix before scanning the unsorted overflow, as BzTree does.
 	SortedNodes bool
+}
+
+// Tuning is the volatile traversal tuning of one list handle — the seam
+// through which experiments and tests reach the ablations of the read
+// path. None of it is persisted and none of it can change a result or
+// what recovery does, only what an operation costs; the equivalence
+// tests pin that. The zero value is what the product runs: hint cache,
+// block search and prefetching on, sparse towers, one deferred repair
+// per traversal.
+type Tuning struct {
 	// RecoveryBudget bounds how many deferrable (tower) repairs one
 	// traversal performs after a crash — the paper's k (§4.4.1), kept
 	// low to avoid post-recovery throughput collapse. 0 means the
-	// default of 1; negative means unlimited (eager repair-on-sight,
-	// the ablation baseline). Interrupted splits are always repaired
-	// regardless.
+	// default of 1; negative means unlimited (eager repair-on-sight).
+	// Interrupted splits are always repaired regardless.
 	RecoveryBudget int
-	// DisableHintCache turns off the volatile per-worker predecessor-hint
-	// cache that seeds traversals below the top levels. The cache is pure
-	// DRAM state on each exec.Ctx and never affects results or recovery —
-	// this knob exists for ablation and debugging. The setting is
-	// volatile (per handle), not persisted.
-	DisableHintCache bool
 	// TowerBranch is the inverse promotion probability of the tower
 	// height generator: a new node's tower reaches level l+1 with
 	// probability 1/TowerBranch. 2 reproduces Pugh's classic p = 1/2
-	// draw; 0 means the default (4), which biases toward sparse towers —
-	// the B-Skiplist shape where fat bottom nodes carry the fan-out and
-	// the few index levels stay cache-resident. Volatile tuning like
-	// RecoveryBudget: heights never affect results or recovery, only
-	// performance, and the setting is not persisted.
+	// draw; 0 means the default (4), the B-Skiplist shape where fat
+	// bottom nodes carry the fan-out and the few index levels stay
+	// cache-resident. Other values are clamped into [2, 64]. Heights
+	// already drawn are unaffected.
 	TowerBranch int
-	// DisableBlockSearch turns off the bulk key-block fast path (in-node
-	// searches fall back to per-word key(i) loads) and DisableForesight
-	// turns off traversal prefetching. Both are volatile ablation knobs:
-	// neither path can change results, which the equivalence tests pin.
-	DisableBlockSearch bool
-	DisableForesight   bool
+	// NoHints turns off the per-worker predecessor-hint cache that seeds
+	// traversals below the top levels.
+	NoHints bool
+	// Reference runs the read path as the paper states it: in-node
+	// searches load key(i) word by word (Function 8) instead of
+	// searching one bulk-loaded key block, and traversals prefetch
+	// nothing.
+	Reference bool
 }
 
 // DefaultConfig matches the paper's evaluation parameters scaled for
@@ -148,21 +156,24 @@ type SkipList struct {
 	maxHeight   int
 	keysPerNode int
 	sorted      bool
+	blockWords  uint64
+
+	// Volatile tuning, written only by SetTuning.
 	budget      int  // deferrable repairs per traversal; <0 = unlimited
 	branch      int  // inverse tower promotion probability (>= 2)
-	blockSearch bool // bulk key-block in-node search fast path
+	blockSearch bool // in-node search over one bulk-loaded key block
 	foresight   bool // traversal prefetching
-	blockWords  uint64
 
 	head riv.Ptr
 	tail riv.Ptr
 
-	// topHint is a DRAM-side lower bound on the highest level with any
-	// node linked. Traversals start from it instead of MaxHeight, saving
-	// empty-level hops through the tail; it only ever grows (nodes are
-	// never unlinked), so starting too high is impossible and starting
-	// exactly right is the common case. Rebuilt on Open by scanning the
-	// head's next pointers.
+	// topHint is a DRAM-side bound on the highest level with any node
+	// linked. Traversals start from it instead of MaxHeight, saving
+	// empty-level hops through the tail. It is raised before a taller
+	// tower is linked and never lowered, so a traversal cannot start
+	// below a linked level; after retirement empties the top levels it
+	// merely starts a few empty levels high. Rebuilt on Open by scanning
+	// the head's next pointers.
 	topHint atomic.Int32
 
 	// hints enables seeding traversals from each worker's volatile
@@ -284,9 +295,6 @@ func (cfg Config) validate() error {
 	if cfg.MaxHeight < 1 || cfg.MaxHeight > MaxHeight || cfg.KeysPerNode < 1 || cfg.KeysPerNode > MaxKeysPerNode {
 		return ErrBadConfig
 	}
-	if cfg.TowerBranch != 0 && (cfg.TowerBranch < 2 || cfg.TowerBranch > maxTowerBranch) {
-		return ErrBadConfig
-	}
 	return nil
 }
 
@@ -309,14 +317,10 @@ func Create(a *alloc.Allocator, cfg Config) (*SkipList, error) {
 		a: a, space: a.Space(),
 		rootPool: rootPA.Pool(), rootOff: rootPA.RootOff(),
 		maxHeight: cfg.MaxHeight, keysPerNode: cfg.KeysPerNode,
-		sorted:      cfg.SortedNodes,
-		budget:      normalizeBudget(cfg.RecoveryBudget),
-		branch:      normalizeBranch(cfg.TowerBranch),
-		blockSearch: !cfg.DisableBlockSearch,
-		foresight:   !cfg.DisableForesight,
-		blockWords:  a.BlockWords(),
-		hints:       !cfg.DisableHintCache,
+		sorted:     cfg.SortedNodes,
+		blockWords: a.BlockWords(),
 	}
+	s.SetTuning(Tuning{})
 
 	node := rootPA.Pool().HomeNode()
 	if node < 0 {
@@ -383,15 +387,11 @@ func Open(a *alloc.Allocator) (*SkipList, error) {
 		maxHeight:   int(r.Load(off+rootOffHeight, nil)),
 		keysPerNode: int(r.Load(off+rootOffKeys, nil)),
 		sorted:      r.Load(off+rootOffFlags, nil)&flagSorted != 0,
-		budget:      1,
-		branch:      defaultTowerBranch,
-		blockSearch: true,
-		foresight:   true,
 		blockWords:  a.BlockWords(),
-		hints:       true,
 		head:        riv.FromWord(r.Load(off+rootOffHead, nil)),
 		tail:        riv.FromWord(r.Load(off+rootOffTail, nil)),
 	}
+	s.SetTuning(Tuning{})
 	if s.maxHeight < 1 || s.maxHeight > MaxHeight || s.head.IsNull() || s.tail.IsNull() {
 		return nil, ErrNotFormatted
 	}
@@ -470,67 +470,45 @@ func (s *SkipList) initNode(n nodeRef, keys, values []uint64, height int, nd *pm
 	}
 }
 
-func normalizeBudget(b int) int {
-	if b == 0 {
-		return 1
+// SetTuning applies t to this volatile handle, replacing whatever was
+// set before; the zero Tuning restores the product defaults. It must be
+// called before concurrent operations begin (a store holds its
+// reclaimers paused around it).
+func (s *SkipList) SetTuning(t Tuning) {
+	s.budget = t.RecoveryBudget
+	if s.budget == 0 {
+		s.budget = 1
 	}
-	return b
+	s.branch = defaultTowerBranch
+	if t.TowerBranch != 0 {
+		s.branch = min(max(t.TowerBranch, 2), maxTowerBranch)
+	}
+	s.hints = !t.NoHints
+	s.blockSearch = !t.Reference
+	s.foresight = !t.Reference
 }
 
-func normalizeBranch(b int) int {
-	switch {
-	case b == 0:
-		return defaultTowerBranch
-	case b < 2:
-		return 2
-	case b > maxTowerBranch:
-		return maxTowerBranch
+// Tuning returns the tuning in force, defaults resolved.
+func (s *SkipList) Tuning() Tuning {
+	return Tuning{
+		RecoveryBudget: s.budget, TowerBranch: s.branch,
+		NoHints: !s.hints, Reference: !s.foresight,
 	}
-	return b
 }
 
-// drawHeight draws a new node's tower height under the configured
+// drawHeight draws a new node's tower height under the tuned
 // sparse-tower bias.
 func (s *SkipList) drawHeight(ctx *exec.Ctx) int {
 	return ctx.GeometricHeightB(s.maxHeight, s.branch)
-}
-
-// SetRecoveryBudget tunes the per-traversal deferred-repair bound (the
-// paper's k, §4.4.1) on this volatile handle. Negative = unlimited.
-func (s *SkipList) SetRecoveryBudget(k int) { s.budget = normalizeBudget(k) }
-
-// SetHintCache enables or disables hint-cache seeding on this volatile
-// handle. Like the recovery budget, the setting is not persisted. It must
-// be called before concurrent operations begin.
-func (s *SkipList) SetHintCache(enabled bool) { s.hints = enabled }
-
-// SetTowerBranch tunes the sparse-tower bias (see Config.TowerBranch) on
-// this volatile handle; 0 restores the default. Heights already drawn
-// are unaffected — the knob only shapes future inserts — so it is safe
-// to apply at Open before concurrent operations begin.
-func (s *SkipList) SetTowerBranch(b int) { s.branch = normalizeBranch(b) }
-
-// SetFastPaths enables or disables the cache-conscious traversal fast
-// paths (bulk block search, foresight prefetching) on this volatile
-// handle — the ablation switch the hotpath experiment and the
-// equivalence tests use. Must be called before concurrent operations
-// begin.
-func (s *SkipList) SetFastPaths(blockSearch, foresight bool) {
-	s.blockSearch = blockSearch
-	s.foresight = foresight
 }
 
 // Head and Tail expose the sentinels for tests and invariant checkers.
 func (s *SkipList) Head() riv.Ptr { return s.head }
 func (s *SkipList) Tail() riv.Ptr { return s.tail }
 
-// Config returns the effective geometry.
+// Config returns the geometry.
 func (s *SkipList) Config() Config {
-	return Config{
-		MaxHeight: s.maxHeight, KeysPerNode: s.keysPerNode, SortedNodes: s.sorted,
-		DisableHintCache: !s.hints, TowerBranch: s.branch,
-		DisableBlockSearch: !s.blockSearch, DisableForesight: !s.foresight,
-	}
+	return Config{MaxHeight: s.maxHeight, KeysPerNode: s.keysPerNode, SortedNodes: s.sorted}
 }
 
 // RecoveryStats returns a snapshot of the repair counters.
@@ -867,21 +845,14 @@ func (s *SkipList) checkForNodeSplitRecovery(ctx *exec.Ctx, cur nodeRef) {
 		// an interrupted split.
 		return
 	}
-	succPtr := cur.next(s, 0, ctx.Mem)
-	var succ nodeRef
-	haveSucc := !succPtr.IsNull()
-	if haveSucc {
-		succ = s.node(succPtr)
-	}
-	// The duplicate check reads the successor's keys K times; with the
-	// block fast path they are snapshotted once instead. Either way the
-	// check is best-effort against concurrent succ inserts (the per-word
-	// loop could equally miss a key claimed behind its scan position),
-	// and erasing is always safe: a key seen in succ stays owned by succ.
+	// The duplicate check needs the successor's keys K times, so they
+	// are snapshotted once. The check is best-effort against concurrent
+	// succ inserts, and erasing is always safe: a key seen in succ stays
+	// owned by succ.
 	var succKeys []uint64
-	if haveSucc && s.blockSearch {
+	if succPtr := cur.next(s, 0, ctx.Mem); !succPtr.IsNull() {
 		succKeys = ctx.GetBlock(s.keysPerNode)
-		succ.keyBlock(s, succKeys, ctx.Mem)
+		s.node(succPtr).keyBlock(s, succKeys, ctx.Mem)
 		defer ctx.PutBlock(succKeys)
 	}
 	for i := 0; i < s.keysPerNode; i++ {
@@ -892,26 +863,7 @@ func (s *SkipList) checkForNodeSplitRecovery(ctx *exec.Ctx, cur nodeRef) {
 			cur.pool.Store(cur.off+s.valOff(i), Tombstone, ctx.Mem)
 			continue
 		}
-		if !haveSucc {
-			continue
-		}
-		dup := false
-		if succKeys != nil {
-			for _, sk := range succKeys {
-				if sk == k {
-					dup = true
-					break
-				}
-			}
-		} else {
-			for j := 0; j < s.keysPerNode; j++ {
-				if succ.key(s, j, ctx.Mem) == k {
-					dup = true
-					break
-				}
-			}
-		}
-		if dup {
+		if slices.Contains(succKeys, k) {
 			cur.pool.Store(cur.off+s.keyOff(i), keyEmpty, ctx.Mem)
 			cur.pool.Store(cur.off+s.valOff(i), Tombstone, ctx.Mem)
 		}

@@ -97,6 +97,7 @@ import (
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
+	"upskiplist/internal/par"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
 )
@@ -422,45 +423,6 @@ func (ar *Arena) sweepParallelism() int {
 		return int(p)
 	}
 	return 1
-}
-
-// runParallel fans fn out over [0, n) across at most par goroutines.
-// The first worker panic is re-raised on the calling goroutine so a
-// crash injector firing inside a worker surfaces exactly as it would on
-// the serial path. Accumulator accounting (pmem.Acc) is owner-goroutine
-// state, so workers in the parallel regime pass nil accs.
-func runParallel(n, par int, fn func(i int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[any]
-	for w := 0; w < par; w++ {
-		lo := n * w / par
-		hi := n * (w + 1) / par
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &r)
-				}
-			}()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(*r)
-	}
 }
 
 // MaxSingle returns the largest byte length stored without chaining.
@@ -924,8 +886,10 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 
 	// Page walk first: the old free lists can only be interpreted against
 	// the set of chunk slots each class actually owns. Extents are
-	// independent, so the walk fans out over them.
-	par := ar.sweepParallelism()
+	// independent, so the walk fans out over them. Accumulator accounting
+	// (pmem.Acc) is owner-goroutine state, so workers in the parallel
+	// regime pass nil accs.
+	budget := ar.sweepParallelism()
 	accFor := func(workers int) *pmem.Acc {
 		if workers > 1 {
 			return nil
@@ -935,8 +899,10 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	chunkKey := func(p riv.Ptr) uint32 { return uint32(p.Pool())<<16 | uint32(p.Chunk()) }
 	index := make(map[uint32]*extentPages, len(ar.extents))
 	walked := make([]extentPages, len(ar.extents))
-	runParallel(len(ar.extents), par, func(i int) {
-		walked[i] = ar.walkPages(ar.extents[i], accFor(par))
+	par.Ranges(len(ar.extents), budget, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			walked[i] = ar.walkPages(ar.extents[i], accFor(budget))
+		}
 	})
 	pagesByClass := make([][]page, len(ar.classes))
 	for i, ext := range ar.extents {
@@ -968,16 +934,18 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	// walks touch disjoint sets and run one goroutine per class.
 	onList := make(map[riv.Ptr]bool)
 	classOnList := make([]map[riv.Ptr]bool, len(ar.classes))
-	runParallel(len(ar.classes), par, func(class int) {
-		acc := accFor(par)
-		local := make(map[riv.Ptr]bool)
-		p := riv.FromWord(ar.dirPool.Load(ar.freeHeadOff(class), acc))
-		for !p.IsNull() && isSlot(p, class) && !referenced[p] && !local[p] {
-			local[p] = true
-			pool, off := ar.space.Resolve(p)
-			p = riv.FromWord(pool.Load(off, acc))
+	par.Ranges(len(ar.classes), budget, func(_, lo, hi int) {
+		acc := accFor(budget)
+		for class := lo; class < hi; class++ {
+			local := make(map[riv.Ptr]bool)
+			p := riv.FromWord(ar.dirPool.Load(ar.freeHeadOff(class), acc))
+			for !p.IsNull() && isSlot(p, class) && !referenced[p] && !local[p] {
+				local[p] = true
+				pool, off := ar.space.Resolve(p)
+				p = riv.FromWord(pool.Load(off, acc))
+			}
+			classOnList[class] = local
 		}
-		classOnList[class] = local
 	})
 	for _, local := range classOnList {
 		for p := range local {
@@ -1003,14 +971,14 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 		pages := pagesByClass[class]
 		scanned += len(pages)
 		ar.classPages[class].Store(uint64(len(pages)))
-		workers := max(1, min(par, len(pages)))
+		workers := max(1, min(budget, len(pages)))
 		type chain struct {
 			head, tail riv.Ptr
 			count      int
 		}
 		freeParts := make([]chain, workers)
 		leakParts := make([]chain, workers)
-		runParallel(workers, workers, func(w int) {
+		par.Ranges(len(pages), workers, func(w, lo, hi int) {
 			acc := accFor(workers)
 			add := func(ch *chain, chunk riv.Ptr, pool *pmem.Pool, off uint64) {
 				pool.Store(off, ch.head.Word(), acc)
@@ -1020,7 +988,7 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 				ch.head = chunk
 				ch.count++
 			}
-			for _, pg := range pages[len(pages)*w/workers : len(pages)*(w+1)/workers] {
+			for _, pg := range pages[lo:hi] {
 				for i := uint64(0); i < c.perPage; i++ {
 					chunk, off := pg.slot(i, c)
 					if referenced[chunk] {

@@ -1,23 +1,34 @@
 package upskiplist
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestShardedReclaimSoak drives a keyspace-sharded store with active
-// per-shard reclaimers under concurrent writers, readers and merged
-// scanners — the configuration the CI race job exercises. Each writer
+// TestShardedReclaimSoak drives a store with active per-shard reclaimers
+// under concurrent writers, readers and scanners — the configuration
+// the CI race job exercises — keyspace-sharded four ways and, since
+// Worker.Scan reads one shard through the same cursor, unsharded. Each writer
 // owns a disjoint key stripe (sole-writer, so its own reads check
 // against an exact expectation even while other goroutines and the
 // reclaimers run); removals sweep whole stripe segments to keep the
 // reclaimers busy retiring fully-tombstoned nodes mid-traffic. The
 // scanner checks every merged scan is strictly increasing with the
 // writers' value tagging intact — a recycled block surfacing mid-scan
-// would break monotonicity or yield a foreign value.
+// would break monotonicity or yield a foreign value. Once the writers
+// are done — the reclaimers are not — a scan must yield exactly the
+// keys the writers kept, and the same stream as the public cursor.
 func TestShardedReclaimSoak(t *testing.T) {
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { soakReclaim(t, shards) })
+	}
+}
+
+func soakReclaim(t *testing.T, shards int) {
 	const (
 		workers = 4
 		stripe  = uint64(1 << 20) // key stripe per worker
@@ -25,7 +36,7 @@ func TestShardedReclaimSoak(t *testing.T) {
 		rounds  = 300
 	)
 	o := testOptions()
-	o.Shards = 4
+	o.Shards = shards
 	o.OnlineReclaim = true
 	o.ReclaimInterval = 200 * time.Microsecond
 	o.ReclaimScanNodes = 64
@@ -108,6 +119,31 @@ func TestShardedReclaimSoak(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+
+	// Each writer kept the last segment/8 keys of every segment it
+	// wrote: no key dropped, none invented, cursor and scan agree.
+	var want []uint64
+	for wi := uint64(0); wi < workers; wi++ {
+		for r := uint64(0); r < min(rounds, 64); r++ {
+			seg := wi*stripe + 1 + r*segment*2
+			for k := seg + segment - segment/8; k < seg+segment; k++ {
+				want = append(want, k)
+			}
+		}
+	}
+	sw := st.NewWorker(workers + 1)
+	var scanned, iterated []uint64
+	sw.ScanU64(KeyMin, KeyMax, func(k, _ uint64) bool { scanned = append(scanned, k); return true })
+	it := sw.Iterator()
+	for ok := it.Seek(KeyMin); ok; ok = it.Next() {
+		iterated = append(iterated, it.Key())
+	}
+	if !slices.Equal(scanned, want) {
+		t.Errorf("scan yields %d keys, the writers kept %d", len(scanned), len(want))
+	}
+	if !slices.Equal(scanned, iterated) {
+		t.Errorf("scan yields %d keys, the cursor %d", len(scanned), len(iterated))
 	}
 
 	// Quiesced epilogue: reclaimers must have actually worked, and the

@@ -171,6 +171,10 @@ type LoadConfig struct {
 	// store state), so a store saved from a cost-modelled run loads
 	// costless unless the loader re-supplies the model here.
 	Cost *pmem.CostModel
+	// Tuning is applied to every list before any of it is traversed or
+	// bulk-built, as Store.SetTuning would; the sidecar does not persist
+	// it either.
+	Tuning skiplist.Tuning
 }
 
 // normalizeRecoveryParallelism resolves the configured budget: 0 means
@@ -199,7 +203,7 @@ type shardRecovery struct {
 // present) pools: attach the allocator, advance the epoch, open the
 // list, sweep the slab arena. scanPar is the intra-shard budget for the
 // allocator kind scans and the sweep's page partitioning.
-func recoverShard(opts Options, pools []*pmem.Pool, scanPar int, rec *shardRecovery) (*engine, error) {
+func recoverShard(opts Options, tuning skiplist.Tuning, pools []*pmem.Pool, scanPar int, rec *shardRecovery) (*engine, error) {
 	unitsBefore := poolUnits(opts.Cost, pools)
 	defer func() { rec.units += poolUnits(opts.Cost, pools) - unitsBefore }()
 	t := time.Now()
@@ -223,10 +227,7 @@ func recoverShard(opts Options, pools []*pmem.Pool, scanPar int, rec *shardRecov
 	if err != nil {
 		return nil, err
 	}
-	list.SetRecoveryBudget(opts.RecoveryBudget)
-	list.SetHintCache(!opts.DisableHintCache)
-	list.SetTowerBranch(opts.TowerBranch)
-	list.SetFastPaths(!opts.DisableBlockSearch, !opts.DisableForesight)
+	list.SetTuning(tuning)
 	e.list = list
 	rec.open += time.Since(t)
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"upskiplist/internal/pmem"
+	"upskiplist/internal/skiplist"
 )
 
 // recoveryTestOptions is a small sharded geometry: enough shards for the
@@ -212,12 +213,11 @@ func TestBulkLoadRestoresDump(t *testing.T) {
 	const n = 1500
 	for _, branch := range []int{0, 8} {
 		t.Run(fmt.Sprintf("branch=%d", branch), func(t *testing.T) {
-			o := recoveryTestOptions(4)
-			o.TowerBranch = branch
-			st, err := Create(o)
+			st, err := Create(recoveryTestOptions(4))
 			if err != nil {
 				t.Fatal(err)
 			}
+			st.SetTuning(skiplist.Tuning{TowerBranch: branch})
 			fillRecoveryStore(t, st, n)
 			dir := t.TempDir()
 			st.EnableSnapshots()

@@ -461,6 +461,7 @@ func loadPairsDump(dir string, opts Options, cfg LoadConfig) (*Store, error) {
 		return nil, fmt.Errorf("%w: %w", ErrBadDump, err)
 	}
 	st.SetInjector(cfg.Injector)
+	st.SetTuning(cfg.Tuning)
 	rec := RecoveryStats{Parallelism: par, Attach: time.Since(t0)}
 	// Per-shard cost attribution for the simulated critical path: each
 	// shard's pairs land only in its own pools.

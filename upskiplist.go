@@ -94,9 +94,8 @@ var ErrValueTooLarge = errors.New("upskiplist: value exceeds the maximum value l
 // ErrBadGeometry reports Options whose node geometry cannot be packed
 // into the on-PMEM node layout: the meta word gives the sorted-prefix
 // length 16 bits and the height 8, so KeysPerNode is capped at
-// skiplist.MaxKeysPerNode and MaxHeight at skiplist.MaxHeight, and
-// TowerBranch must be 0 (default) or within [2, 64]. Wrap-tested with
-// errors.Is.
+// skiplist.MaxKeysPerNode and MaxHeight at skiplist.MaxHeight.
+// Wrap-tested with errors.Is.
 var ErrBadGeometry = errors.New("upskiplist: invalid node geometry")
 
 // ErrBadDump reports a directory Load cannot restore: a sidecar that is
@@ -118,7 +117,10 @@ const (
 	PerNode    = numa.PerNode
 )
 
-// Options configures a Store.
+// Options configures a Store: persistent geometry, placement, sizing,
+// and which subsystems run. The read path has no options — every store
+// runs the hint cache, block search, prefetching and sparse towers;
+// experiments reach their ablations through Store.SetTuning.
 type Options struct {
 	// MaxHeight and KeysPerNode mirror the paper's parameters (32 levels,
 	// 256 keys per node in the evaluation; smaller defaults here).
@@ -127,40 +129,13 @@ type Options struct {
 	// SortedNodes enables sorted-on-split nodes with binary-search
 	// lookups (the paper's proposed optimization).
 	SortedNodes bool
-	// RecoveryBudget bounds deferrable post-crash repairs per traversal
-	// (the paper's k, §4.4.1); 0 = default 1, negative = unlimited
-	// eager repair.
-	RecoveryBudget int
-	// DisableHintCache turns off the volatile per-worker predecessor-hint
-	// cache (on by default) that seeds traversals near recently visited
-	// keys. The cache lives in DRAM on each worker, is discarded by
-	// Reopen/crash, and can only ever change performance, never results;
-	// the knob exists for ablation and debugging. Not persisted by Save.
-	DisableHintCache bool
-
-	// TowerBranch biases tower heights toward the ground: each level
-	// promotes with probability 1/TowerBranch instead of the classic 1/2,
-	// giving the sparse B-Skiplist-shaped index that keeps the upper
-	// levels cache-resident over fat multi-key nodes. 0 picks the tuned
-	// default (4); values must otherwise be in [2, 64]. Volatile tuning
-	// like the hint cache: not persisted by Save, applied again by
-	// Reopen/Load from the options they are given.
-	TowerBranch int
-	// DisableBlockSearch switches in-node searches back to per-key loads
-	// instead of one bulk key-block load searched in DRAM. Ablation knob;
-	// results never change.
-	DisableBlockSearch bool
-	// DisableForesight turns off traversal prefetching (descent
-	// next-candidate, scan/iterator successor, and batch next-op hint
-	// prefetches). Ablation knob; results never change.
-	DisableForesight bool
 
 	// RecoveryParallelism bounds the worker goroutines Reopen and Load
 	// fan recovery out across: shards recover concurrently, and any
 	// leftover budget splits each shard's allocator kind scans and slab
 	// sweep page scans into parallel partitions. 0 means GOMAXPROCS; 1
-	// recovers serially. Volatile tuning like TowerBranch: never
-	// persisted, never affects the recovered state — only time to ready.
+	// recovers serially. Never persisted, never affects the recovered
+	// state — only time to ready.
 	RecoveryParallelism int
 
 	// Shards splits the keyspace across this many independent skip lists
@@ -196,9 +171,9 @@ type Options struct {
 	// OnlineReclaim starts a background epoch-based reclaimer per shard
 	// (see EnableOnlineReclaim): fully-tombstoned nodes are retired and
 	// their blocks recycled concurrently with the workload, instead of
-	// only by the quiesced Compact. Volatile configuration like the hint
-	// cache: not persisted by Save — a Load-ed store needs an explicit
-	// EnableOnlineReclaim call.
+	// only by the quiesced Compact. Volatile configuration: not persisted
+	// by Save — a Load-ed store needs an explicit EnableOnlineReclaim
+	// call.
 	OnlineReclaim bool
 	// ReclaimInterval is the reclaimer's cycle period (0 = 200µs);
 	// ReclaimScanNodes bounds how many bottom-level nodes each cycle
@@ -245,9 +220,6 @@ func (o *Options) normalize() error {
 	if o.KeysPerNode < 1 || o.KeysPerNode > skiplist.MaxKeysPerNode {
 		return fmt.Errorf("%w: KeysPerNode %d outside [1, %d] (meta word keeps the sorted prefix in 16 bits)", ErrBadGeometry, o.KeysPerNode, skiplist.MaxKeysPerNode)
 	}
-	if o.TowerBranch != 0 && (o.TowerBranch < 2 || o.TowerBranch > 64) {
-		return fmt.Errorf("%w: TowerBranch %d must be 0 (default) or within [2, 64]", ErrBadGeometry, o.TowerBranch)
-	}
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
@@ -288,16 +260,7 @@ func (o Options) allocConfig() alloc.Config {
 }
 
 func (o Options) skipConfig() skiplist.Config {
-	return skiplist.Config{
-		MaxHeight:          o.MaxHeight,
-		KeysPerNode:        o.KeysPerNode,
-		SortedNodes:        o.SortedNodes,
-		RecoveryBudget:     o.RecoveryBudget,
-		DisableHintCache:   o.DisableHintCache,
-		TowerBranch:        o.TowerBranch,
-		DisableBlockSearch: o.DisableBlockSearch,
-		DisableForesight:   o.DisableForesight,
-	}
+	return skiplist.Config{MaxHeight: o.MaxHeight, KeysPerNode: o.KeysPerNode, SortedNodes: o.SortedNodes}
 }
 
 // engine is one complete single-list store: pools, RIV address space,
@@ -485,6 +448,9 @@ type Store struct {
 	opts   Options
 	topo   numa.Topology
 	shards []*engine
+	// tuning is what SetTuning last applied, kept so Reopen hands the
+	// same tuning to the lists it opens.
+	tuning skiplist.Tuning
 	// met is the optional metrics sink (see EnableMetrics). Nil when
 	// observability is off, so the hot-path cost of "metrics disabled"
 	// is one atomic pointer load.
@@ -641,14 +607,14 @@ func (s *Store) Reopen() (*Store, error) {
 	// The old handle's reclaimers run against the same pools the new
 	// handle will own; stop them first (waits for their goroutines).
 	s.DisableOnlineReclaim()
-	st := &Store{opts: s.opts, topo: s.topo}
+	st := &Store{opts: s.opts, topo: s.topo, tuning: s.tuning}
 	n := len(s.shards)
 	engines := make([]*engine, n)
 	recs := make([]shardRecovery, n)
 	par := normalizeRecoveryParallelism(s.opts.RecoveryParallelism)
 	t0 := time.Now()
 	err := recoverShards(n, par, func(i, scanPar int) error {
-		e, err := recoverShard(s.opts, s.shards[i].pools, scanPar, &recs[i])
+		e, err := recoverShard(s.opts, s.tuning, s.shards[i].pools, scanPar, &recs[i])
 		engines[i] = e
 		return err
 	})
@@ -786,6 +752,20 @@ func (s *Store) SetInjector(inj pmem.Injector) {
 	}
 }
 
+// SetTuning applies volatile read-path tuning to every shard's list
+// (the ablation seam of experiments and tests; see skiplist.Tuning) and
+// remembers it, so the handle a later Reopen returns runs under it too.
+// Must be called quiesced; background reclaimers are held at a cycle
+// boundary for the switch.
+func (s *Store) SetTuning(t skiplist.Tuning) {
+	s.PauseReclaim()
+	s.tuning = t
+	for _, e := range s.shards {
+		e.list.SetTuning(t)
+	}
+	s.ResumeReclaim()
+}
+
 // ReclaimOrphans runs the optional quiesced sweep for chunks orphaned by
 // a crash during chunk provisioning, across every shard (see
 // alloc.ReclaimOrphanChunks).
@@ -837,9 +817,8 @@ type Worker struct {
 	// simulated line cache covers one shard's working set, and the
 	// deferred-persist group of a batch never straddles address spaces.
 	ctxs []*exec.Ctx
-	// its/merged are the reusable merged-scan cursor for sharded stores,
+	// merged is the reusable scan cursor over every shard's bottom level,
 	// built lazily on first Scan.
-	its    []*skiplist.Iterator
 	merged *skiplist.Merged
 	// runs are the reusable per-shard op buffers for ApplyBatch.
 	runs [][]skiplist.BatchOp
@@ -987,10 +966,9 @@ func (w *Worker) Remove(key uint64) ([]byte, bool, error) {
 }
 
 // Scan visits all live pairs with keys in [lo, hi] in ascending order
-// until fn returns false. On a sharded store the per-shard bottom levels
-// are merged on the fly, so the callback still sees one globally
-// ascending key sequence. The value slice passed to fn is only valid
-// for that callback invocation.
+// until fn returns false. The per-shard bottom levels are merged on the
+// fly, so the callback sees one globally ascending key sequence. The
+// value slice passed to fn is only valid for that callback invocation.
 func (w *Worker) Scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error {
 	w.ops++
 	if m := w.s.met.Load(); m != nil {
@@ -1004,23 +982,7 @@ func (w *Worker) Scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error
 
 // scan is the uninstrumented body of Scan.
 func (w *Worker) scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error {
-	if len(w.s.shards) == 1 {
-		e, ctx := w.s.shards[0], w.ctxs[0]
-		// The list holds the era pin across the whole Scan call, so
-		// decoding inside the callback reads chunks no reclaimer can have
-		// freed yet.
-		return e.list.Scan(ctx, lo, hi, func(k, v uint64) bool {
-			w.vbuf = e.decodeValue(v, w.vbuf[:0], ctx.Mem)
-			return fn(k, w.vbuf)
-		})
-	}
-	if lo < KeyMin {
-		lo = KeyMin
-	}
-	if hi > KeyMax {
-		hi = KeyMax
-	}
-	if lo > hi {
+	if lo > min(hi, KeyMax) {
 		return nil
 	}
 	m := w.mergedCursor()
@@ -1086,13 +1048,18 @@ func leU64(b []byte) uint64 {
 // mergedCursor returns the worker's reusable cross-shard merge cursor.
 func (w *Worker) mergedCursor() *skiplist.Merged {
 	if w.merged == nil {
-		w.its = make([]*skiplist.Iterator, len(w.s.shards))
-		for i, e := range w.s.shards {
-			w.its[i] = e.list.NewIterator(w.ctxs[i])
-		}
-		w.merged = skiplist.NewMerged(w.its)
+		w.merged = skiplist.NewMerged(w.shardIterators())
 	}
 	return w.merged
+}
+
+// shardIterators returns a fresh bottom-level cursor per shard.
+func (w *Worker) shardIterators() []*skiplist.Iterator {
+	its := make([]*skiplist.Iterator, len(w.s.shards))
+	for i, e := range w.s.shards {
+		its[i] = e.list.NewIterator(w.ctxs[i])
+	}
+	return its
 }
 
 // Count returns the number of live keys across all shards (quiesced
@@ -1141,11 +1108,7 @@ func (w *Worker) Iterator() Iterator {
 	if len(w.s.shards) == 1 {
 		return storeIter{c: w.s.shards[0].list.NewIterator(w.ctxs[0])}
 	}
-	its := make([]*skiplist.Iterator, len(w.s.shards))
-	for i, e := range w.s.shards {
-		its[i] = e.list.NewIterator(w.ctxs[i])
-	}
-	return storeIter{c: skiplist.NewMerged(its)}
+	return storeIter{c: skiplist.NewMerged(w.shardIterators())}
 }
 
 // CheckInvariants validates structural invariants of every shard
@@ -1222,8 +1185,8 @@ func Load(dir string) (*Store, error) {
 }
 
 // LoadWithConfig is Load with recovery tuning: a parallelism override, a
-// cost model, and a crash injector installed before recovery work begins
-// (see LoadConfig).
+// cost model, read-path tuning, and a crash injector installed before
+// recovery work begins (see LoadConfig).
 func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 	opts, kind, err := loadMeta(dir)
 	if err != nil {
@@ -1238,7 +1201,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 	if kind == "pairs" {
 		return loadPairsDump(dir, opts, cfg)
 	}
-	st := &Store{opts: opts, topo: numa.Topology{Nodes: opts.NUMANodes}}
+	st := &Store{opts: opts, topo: numa.Topology{Nodes: opts.NUMANodes}, tuning: cfg.Tuning}
 	n := opts.Shards
 	engines := make([]*engine, n)
 	recs := make([]shardRecovery, n)
@@ -1256,7 +1219,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 			}
 		}
 		recs[i].attach += time.Since(tRead)
-		e, err := recoverShard(opts, pools, scanPar, &recs[i])
+		e, err := recoverShard(opts, cfg.Tuning, pools, scanPar, &recs[i])
 		engines[i] = e
 		return err
 	})

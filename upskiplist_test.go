@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"upskiplist/internal/pmem"
+	"upskiplist/internal/skiplist"
 )
 
 func testOptions() Options {
@@ -317,12 +318,11 @@ func TestSaveLoadPerNodePools(t *testing.T) {
 }
 
 func TestRecoveryBudgetOption(t *testing.T) {
-	o := testOptions()
-	o.RecoveryBudget = -1 // eager repair-on-sight
-	st, err := Create(o)
+	st, err := Create(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.SetTuning(skiplist.Tuning{RecoveryBudget: -1}) // eager repair-on-sight
 	w := st.NewWorker(0)
 	for i := uint64(1); i <= 200; i++ {
 		w.PutU64(i, i)
