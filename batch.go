@@ -4,7 +4,6 @@ import (
 	"upskiplist/internal/metrics"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/skiplist"
-	"upskiplist/internal/slab"
 	"upskiplist/internal/snapshot"
 )
 
@@ -51,13 +50,14 @@ func (w *Worker) ApplyBatch(ops []Op) []OpResult {
 //
 // Operations are grouped by owning shard and each shard's run is applied
 // under one traversal context in ascending key order. Value chunks for
-// the shard's inserts are written first with their line flushes deferred
-// into one group, drained by a single flush-and-fence BEFORE any node
-// word publishes a chunk (preserving the write-then-publish crash
-// ordering); the list's own commit persists are likewise deferred and
-// drained by a single trailing flush per shard. A batch of B operations
-// on one shard pays two fences rather than 2B. An empty batch is a
-// complete no-op (no routing, no flush, no fence).
+// the shard's out-of-line inserts are written first with their line
+// flushes deferred into one group, drained by a single flush-and-fence
+// BEFORE any node word publishes a chunk (preserving the
+// write-then-publish crash ordering); the list's own commit persists are
+// likewise deferred and drained by a single trailing flush per shard. A
+// batch of B operations on one shard pays two fences rather than 2B —
+// one when every value is an inline 8 bytes. An empty batch is a complete
+// no-op (no routing, no flush, no fence).
 //
 // Ordering contract: duplicate keys within one batch are applied
 // deterministically in submission order — last-writer-wins for the final
@@ -153,90 +153,31 @@ func (w *Worker) ApplyBatchInto(ops []Op, res []OpResult) []OpResult {
 	return res
 }
 
-// applyShard runs one shard's slice of the batch: pre-write value
-// chunks (deferred flush, one fence), apply the list batch, then decode
-// results and retire superseded chunks — all under one era pin so no
-// chunk this run observes can be freed before its bytes are copied out.
+// applyShard runs one shard's slice of the batch: encode the values
+// (out-of-line chunks under a deferred flush, one fence), apply the list
+// batch, then decode results and retire superseded chunks — all under
+// one era pin so no chunk this run observes can be freed before its
+// bytes are copied out.
 func (w *Worker) applyShard(si int, ops []Op, res []OpResult) {
 	e, ctx := w.s.shards[si], w.ctxs[si]
 	run := w.runs[si]
 	e.list.Pin(ctx)
 	defer e.list.Unpin(ctx)
 
-	// Stage every insert's value bytes into fresh chunks. Chunk data
-	// persists are deferred into fb and drained by one grouped fence
-	// before ApplyBatch can publish any of the refs.
-	//
-	// 8-byte updates of keys that already hold a slab chunk take the
-	// in-place fast path instead (the batch analogue of putInPlace): the
-	// existing chunk's payload word is overwritten directly — no
-	// allocation, no node-word CAS, so a pure-update batch costs no page
-	// grows and no structural fences. Because the node word never moves,
-	// the payload line needs no write-then-publish ordering either: its
-	// flush defers into ctx.Group and rides ApplyBatch's single trailing
-	// fence. The pre-pass runs in submission order BEFORE the list batch,
-	// so it may only consume a key's ops while doing so cannot reorder
-	// them against list-phase ops on the same key: a key is eligible when
-	// every one of its ops in this run is a read or an 8-byte insert
-	// (removes and mixed-size inserts stay on the list path, and make
-	// every op on their key ineligible), and only when no snapshot is
-	// open (the old bytes are not version-logged). When an eligible
-	// insert cannot go in place (key absent, legacy inline word, chained
-	// value), that op and the key's remaining ops fall through to the
-	// list phase — everything already consumed preceded them in
-	// submission order, so sequential equivalence holds.
+	// Encode every insert's value. Chunk persists of the out-of-line ones
+	// are deferred into fb and drained by one grouped fence before
+	// ApplyBatch can publish any ref; inline words need none. An insert
+	// whose chunk could not be written fails alone and leaves the run.
 	var fb pmem.Batch
-	inPlace := e.list.OpenSnapshots() == 0
-	if inPlace {
-		if w.keyElig == nil {
-			w.keyElig = make(map[uint64]bool)
-		}
-		clear(w.keyElig)
-		for j := range run {
-			ok := run[j].Kind == skiplist.BatchGet ||
-				run[j].Kind == skiplist.BatchInsert && len(ops[run[j].Tag].Value) == 8
-			if was, seen := w.keyElig[run[j].Key]; seen {
-				ok = ok && was
-			}
-			w.keyElig[run[j].Key] = ok
-		}
-	}
 	k := 0
 	for j := range run {
-		key := run[j].Key
-		switch run[j].Kind {
-		case skiplist.BatchGet:
-			if inPlace && w.keyElig[key] {
-				if word, ok := e.list.Get(ctx, key); ok {
-					r := &res[run[j].Tag]
-					off := len(w.vbuf)
-					w.vbuf = e.decodeValue(word, w.vbuf, ctx.Mem)
-					r.Value = w.vbuf[off:len(w.vbuf):len(w.vbuf)]
-					r.Found = true
-				}
-				continue
-			}
-		case skiplist.BatchInsert:
-			val := ops[run[j].Tag].Value
-			if inPlace && w.keyElig[key] {
-				if old, ok := e.overwriteInPlace(ctx, key, val, &ctx.Group); ok {
-					r := &res[run[j].Tag]
-					off := len(w.vbuf)
-					w.vbuf = append(w.vbuf, old[:]...)
-					r.Value = w.vbuf[off:len(w.vbuf):len(w.vbuf)]
-					r.Found = true
-					continue
-				}
-				// The key's remaining ops must follow this one: route
-				// them all through the list phase.
-				w.keyElig[key] = false
-			}
-			ref, err := e.vals.Put(ctx, val, &fb)
+		if run[j].Kind == skiplist.BatchInsert {
+			word, err := e.encodeValue(ctx, ops[run[j].Tag].Value, &fb)
 			if err != nil {
 				res[run[j].Tag].Err = err
 				continue
 			}
-			run[j].Value = ref.Word()
+			run[j].Value = word
 		}
 		run[k] = run[j]
 		k++
@@ -245,11 +186,6 @@ func (w *Worker) applyShard(si int, ops []Op, res []OpResult) {
 	fb.Flush(ctx.Mem)
 
 	e.list.ApplyBatch(ctx, run)
-	if len(run) == 0 {
-		// Everything went in-place: ApplyBatch was a no-op, so drain the
-		// deferred payload lines here — the batch's one commit fence.
-		ctx.Group.Flush(ctx.Mem)
-	}
 
 	for j := range run {
 		op := &run[j]
@@ -257,8 +193,8 @@ func (w *Worker) applyShard(si int, ops []Op, res []OpResult) {
 		r.Found, r.Err = op.Found, op.Err
 		if op.Err != nil {
 			// The op's own chunk was written but never published.
-			if op.Kind == skiplist.BatchInsert && slab.IsRef(op.Value) {
-				e.vals.Retire(slab.FromWord(op.Value))
+			if op.Kind == skiplist.BatchInsert {
+				e.retireWord(op.Value)
 			}
 			continue
 		}
@@ -270,8 +206,8 @@ func (w *Worker) applyShard(si int, ops []Op, res []OpResult) {
 		// Inserts over an existing key and successful removes superseded
 		// the old chunk; it retires now that the node word durably moved
 		// on (ApplyBatch's trailing flush covered the publish).
-		if op.Kind != skiplist.BatchGet && op.Found && slab.IsRef(op.Old) {
-			e.vals.Retire(slab.FromWord(op.Old))
+		if op.Kind != skiplist.BatchGet && op.Found {
+			e.retireWord(op.Old)
 		}
 	}
 }

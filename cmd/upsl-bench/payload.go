@@ -13,9 +13,9 @@ import (
 // 1KB} on update-heavy YCSB-A and read-only YCSB-C, reporting both
 // operations per second and value bytes moved per second. The 8-byte
 // row is the word-value baseline the original reproduction measured
-// (and takes the in-place overwrite fast path); the larger rows pay
-// chunk allocation, multi-line value persists, and — at 1KB with small
-// pool blocks — chained cross-block chunks. BENCH_payload.json holds
+// (the value is the node word: no chunk, one fence per update); the
+// larger rows pay chunk allocation and multi-line value persists.
+// BENCH_payload.json holds
 // one record per (workload, size) with ValueSize and BytesPerSec set.
 
 func runPayload(c benchConfig) {

@@ -1,6 +1,8 @@
 // Command upsl-crashtest runs the black-box crash-recovery correctness
 // battery of Chapter 6: repeated trials that preload UPSkipList, run a
-// concurrent insert-heavy workload, kill every worker at an arbitrary
+// concurrent insert-heavy workload (unique values cycling through the
+// store's representations: inline word, out-of-line 8 bytes, 24 bytes),
+// kill every worker at an arbitrary
 // persistent-memory access, lose all unflushed cache lines (power-failure
 // mode), recover, re-run the workload with the same thread identities,
 // and check the complete operation history for strict linearizability.

@@ -582,7 +582,9 @@ func (a *Allocator) provisionChunk(ctx *exec.Ctx, pa *PoolAllocator, arena int) 
 // after a crash the chunk is either recognisably the arena's (SlabChunks
 // finds it, tag and all) or still all zero, which ReclaimOrphanChunks
 // treats like any other chunk lost between claim and link. The rest of
-// the chunk has never been written and reads as zero.
+// the chunk has never been written and reads as zero; the host maps it
+// here (buildChunkChain's stores do the same for a node chunk), so that
+// no page the arena carves later faults under the put that carves it.
 func (a *Allocator) ClaimSlabChunk(ctx *exec.Ctx, hdrBlocks, tag uint64) (riv.Ptr, error) {
 	pa, err := a.PoolFor(ctx.Node)
 	if err != nil {
@@ -592,6 +594,7 @@ func (a *Allocator) ClaimSlabChunk(ctx *exec.Ctx, hdrBlocks, tag uint64) (riv.Pt
 	if err != nil {
 		return riv.Null, err
 	}
+	pa.pool.Populate(base, pa.cfg.ChunkWords)
 	pa.pool.Store(base+BlockKind, KindSlab, ctx.Mem)
 	pa.pool.Store(base+BlockEpoch, a.clock.Current(), ctx.Mem)
 	pa.pool.Store(base+SlabChunkMagicOff, SlabChunkMagic, ctx.Mem)

@@ -18,6 +18,8 @@
 package crash
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -122,23 +124,13 @@ func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 	}
 
 	// Preload (no crashes armed yet). Values are the operation's start
-	// timestamp — unique, as the analyzer requires (§6.1.1).
+	// timestamp — unique, as the analyzer requires (§6.1.1) — stored in
+	// the representation valueBytes picks for it.
 	w0 := st.NewWorker(0)
 	for k := uint64(1); k <= cfg.Preload; k++ {
-		start := h.Now()
-		v := uint64(start)
-		old, existed, err := w0.PutU64(k, v)
-		if err != nil {
+		if err := doOp(h, w0, 0, k, false, h.Now()); err != nil {
 			return nil, err
 		}
-		obs := lincheck.Absent
-		if existed {
-			obs = old
-		}
-		h.Record(lincheck.Op{
-			Worker: 0, Kind: lincheck.KindWrite, Key: k, Value: v,
-			Observed: obs, Start: start, End: h.Now(),
-		})
 	}
 
 	var pending atomic.Int64
@@ -193,10 +185,9 @@ func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 			rng := newRng(int64(id) + 1000)
 			for i := 0; i < cfg.PostOps; i++ {
 				key := rng.key(cfg.Keyspace)
-				if rng.f64() < cfg.ReadFraction {
-					doRead(h, w, id, key)
-				} else {
-					doInsert(h, w, id, key)
+				read := rng.f64() < cfg.ReadFraction
+				if err := doOp(h, w, id, key, read, h.Now()); err != nil {
+					panic(fmt.Sprintf("post-crash insert error: %v", err))
 				}
 			}
 		}(id)
@@ -243,29 +234,8 @@ func runWorker(st *upskiplist.Store, h *lincheck.History, cfg TrialConfig, id in
 					crashed = true
 				}
 			}()
-			if read {
-				v, ok := w.GetU64(key)
-				obs := lincheck.Absent
-				if ok {
-					obs = v
-				}
-				h.Record(lincheck.Op{
-					Worker: id, Kind: lincheck.KindRead, Key: key,
-					Observed: obs, Start: start, End: h.Now(),
-				})
-			} else {
-				old, existed, err := w.PutU64(key, value)
-				if err != nil {
-					panic(fmt.Sprintf("crash trial insert error: %v", err))
-				}
-				obs := lincheck.Absent
-				if existed {
-					obs = old
-				}
-				h.Record(lincheck.Op{
-					Worker: id, Kind: lincheck.KindWrite, Key: key, Value: value,
-					Observed: obs, Start: start, End: h.Now(),
-				})
+			if err := doOp(h, w, id, key, read, start); err != nil {
+				panic(fmt.Sprintf("crash trial insert error: %v", err))
 			}
 			return false
 		}()
@@ -275,34 +245,82 @@ func runWorker(st *upskiplist.Store, h *lincheck.History, cfg TrialConfig, id in
 	}
 }
 
-func doInsert(h *lincheck.History, w *upskiplist.Worker, id int, key uint64) {
-	start := h.Now()
-	value := uint64(start)
-	old, existed, err := w.PutU64(key, value)
-	if err != nil {
-		panic(fmt.Sprintf("post-crash insert error: %v", err))
+// doOp runs one operation and logs it: a read of key, or a write of the
+// unique value uint64(start).
+func doOp(h *lincheck.History, w *upskiplist.Worker, id int, key uint64, read bool, start int64) (err error) {
+	op := lincheck.Op{Worker: id, Kind: lincheck.KindRead, Key: key, Start: start}
+	if read {
+		op.Observed = get(w, key)
+	} else {
+		op.Kind, op.Value = lincheck.KindWrite, uint64(start)
+		if op.Observed, err = put(w, key, op.Value); err != nil {
+			return err
+		}
 	}
-	obs := lincheck.Absent
-	if existed {
-		obs = old
-	}
-	h.Record(lincheck.Op{
-		Worker: id, Kind: lincheck.KindWrite, Key: key, Value: value,
-		Observed: obs, Start: start, End: h.Now(),
-	})
+	op.End = h.Now()
+	h.Record(op)
+	return nil
 }
 
-func doRead(h *lincheck.History, w *upskiplist.Worker, id int, key uint64) {
-	start := h.Now()
-	v, ok := w.GetU64(key)
-	obs := lincheck.Absent
-	if ok {
-		obs = v
+// The analyzer wants a unique uint64 per write; the store has three
+// representations for a value. valueBytes spreads the ids over all of
+// them by id mod 3 — an inline word, an 8-byte word that reads as a slab
+// ref and so lives in a chunk, and a 24-byte value — so consecutive
+// writes of a key keep changing its representation and both publish
+// paths stay in the battery. Ids are logical timestamps, far below 2^48.
+const (
+	idMask     = uint64(1)<<48 - 1
+	refShape   = uint64(1)<<63 | 8<<48
+	tornMarker = ^uint64(0) - 1 // an observation no write can have produced
+)
+
+func valueBytes(id uint64, buf *[24]byte) []byte {
+	switch id % 3 {
+	case 0:
+		binary.LittleEndian.PutUint64(buf[:], id)
+		return buf[:8]
+	case 1:
+		binary.LittleEndian.PutUint64(buf[:], refShape|id)
+		return buf[:8]
 	}
-	h.Record(lincheck.Op{
-		Worker: id, Kind: lincheck.KindRead, Key: key,
-		Observed: obs, Start: start, End: h.Now(),
-	})
+	binary.LittleEndian.PutUint64(buf[:], id)
+	binary.LittleEndian.PutUint64(buf[8:], ^id)
+	binary.LittleEndian.PutUint64(buf[16:], id*0x9E3779B97F4A7C15)
+	return buf[:]
+}
+
+// valueID inverts valueBytes; bytes that no valueBytes call produced
+// (a torn or misdirected read) come back as tornMarker, which the
+// analyzer reports as a value nobody wrote.
+func valueID(b []byte) uint64 {
+	var buf [24]byte
+	if len(b) == 8 || len(b) == 24 {
+		id := binary.LittleEndian.Uint64(b) & idMask
+		if bytes.Equal(valueBytes(id, &buf), b) {
+			return id
+		}
+	}
+	return tornMarker
+}
+
+// put and get are PutU64/GetU64 over that encoding, returning what the
+// analyzer records as observed: the previous (or read) id, or
+// lincheck.Absent.
+func put(w *upskiplist.Worker, key, id uint64) (uint64, error) {
+	var buf [24]byte
+	prev, existed, err := w.Put(key, valueBytes(id, &buf))
+	if !existed {
+		return lincheck.Absent, err
+	}
+	return valueID(prev), err
+}
+
+func get(w *upskiplist.Worker, key uint64) uint64 {
+	v, ok := w.Get(key)
+	if !ok {
+		return lincheck.Absent
+	}
+	return valueID(v)
 }
 
 // rng is a tiny xorshift so worker loops do not share math/rand state.

@@ -1,11 +1,13 @@
 package crash
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/lincheck"
+	"upskiplist/internal/slab"
 )
 
 func TestAbortTrialLinearizable(t *testing.T) {
@@ -134,6 +136,50 @@ func TestTrialStatsPlausible(t *testing.T) {
 	}
 	if cfg.Mode == PowerFailure && res.LinesReverted == 0 {
 		t.Log("warning: power failure reverted no lines (workload may have persisted everything)")
+	}
+	// The trial's writes went through both publish paths: the post-crash
+	// phase alone put chunks into the slab and retired them, and a third
+	// of what it wrote needed none.
+	s := res.Store.SlabStats()
+	writes := uint64(float64(cfg.PostOps*cfg.Workers) * (1 - cfg.ReadFraction))
+	if s.ChunksAlloced < writes/2 || s.ChunksAlloced > writes*5/6 || s.ChunksRetired == 0 {
+		t.Fatalf("about %d post-crash writes allocated %d chunks and retired %d; want two in three out of line", writes, s.ChunksAlloced, s.ChunksRetired)
+	}
+}
+
+// TestValueEncodingCoversRepresentations: consecutive ids cycle through
+// an inline word, a ref-shaped 8-byte word and a 24-byte value, each
+// decodes back to its id, and damaged bytes decode to an observation no
+// write produced.
+func TestValueEncodingCoversRepresentations(t *testing.T) {
+	var buf [24]byte
+	for id := uint64(1); id < 3000; id++ {
+		b := valueBytes(id, &buf)
+		word := binary.LittleEndian.Uint64(b)
+		switch id % 3 {
+		case 0:
+			if len(b) != 8 || slab.IsRef(word) {
+				t.Fatalf("id %d: %x is not an inline word", id, b)
+			}
+		case 1:
+			if len(b) != 8 || !slab.IsRef(word) {
+				t.Fatalf("id %d: %x is not a ref-shaped word", id, b)
+			}
+		default:
+			if len(b) != 24 {
+				t.Fatalf("id %d: %d bytes", id, len(b))
+			}
+		}
+		if got := valueID(b); got != id {
+			t.Fatalf("valueID(valueBytes(%d)) = %d", id, got)
+		}
+		b[len(b)-1] ^= 1
+		if got := valueID(b); got != tornMarker {
+			t.Fatalf("id %d with a flipped bit decodes to %d", id, got)
+		}
+	}
+	if valueID(nil) != tornMarker || valueID(make([]byte, 16)) != tornMarker {
+		t.Fatal("a value of the wrong length decodes to an id")
 	}
 }
 

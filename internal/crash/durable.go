@@ -61,8 +61,9 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 	logBegin := func(worker int, seq int64, kind, key, value uint64, start int64) error {
 		return olog.Append(nil, []uint64{recBegin, uint64(worker), uint64(seq), kind, key, value, uint64(start), 0})
 	}
-	logEnd := func(worker int, seq int64, observed uint64, ok uint64, end int64) error {
-		return olog.Append(nil, []uint64{recEnd, uint64(worker), uint64(seq), ok, 0, observed, uint64(end), 0})
+	// observed is the id read or replaced, or lincheck.Absent.
+	logEnd := func(worker int, seq int64, observed uint64, end int64) error {
+		return olog.Append(nil, []uint64{recEnd, uint64(worker), uint64(seq), 0, 0, observed, uint64(end), 0})
 	}
 
 	// Preload, fully logged under a worker ID distinct from every
@@ -76,15 +77,11 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 		if err := logBegin(preID, seq, uint64(lincheck.KindWrite), k, v, start); err != nil {
 			return nil, err
 		}
-		old, existed, err := w0.PutU64(k, v)
+		obs, err := put(w0, k, v)
 		if err != nil {
 			return nil, err
 		}
-		obs, okf := lincheck.Absent, uint64(0)
-		if existed {
-			obs, okf = old, 1
-		}
-		if err := logEnd(preID, seq, obs, okf, clock.Add(1)); err != nil {
+		if err := logEnd(preID, seq, obs, clock.Add(1)); err != nil {
 			return nil, err
 		}
 	}
@@ -129,22 +126,7 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 							crashed = true
 						}
 					}()
-					var obs, okf uint64
-					if read {
-						v, ok := w.GetU64(key)
-						if ok {
-							obs, okf = v, 1
-						}
-					} else {
-						old, existed, err := w.PutU64(key, value)
-						if err != nil {
-							panic(fmt.Sprintf("durable trial insert: %v", err))
-						}
-						if existed {
-							obs, okf = old, 1
-						}
-					}
-					logEnd(id, seq, obs, okf, clock.Add(1))
+					logEnd(id, seq, apply(w, read, key, value), clock.Add(1))
 					return false
 				}()
 				if crashed {
@@ -217,22 +199,7 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 				if logBegin(id, seq, kind, key, value, start) != nil {
 					return
 				}
-				var obs, okf uint64
-				if read {
-					v, ok := w.GetU64(key)
-					if ok {
-						obs, okf = v, 1
-					}
-				} else {
-					old, existed, err := w.PutU64(key, value)
-					if err != nil {
-						panic(fmt.Sprintf("durable post insert: %v", err))
-					}
-					if existed {
-						obs, okf = old, 1
-					}
-				}
-				logEnd(id, seq, obs, okf, clock.Add(1))
+				logEnd(id, seq, apply(w, read, key, value), clock.Add(1))
 			}
 		}(id)
 	}
@@ -250,6 +217,19 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 		OpsPending:    int(pending.Load()),
 		OpsAfter:      int(olog2.Len()) - opsBeforeMarker,
 	}, nil
+}
+
+// apply runs the store's side of one logged operation — a read of key,
+// or a write of value — and returns what it observed.
+func apply(w *upskiplist.Worker, read bool, key, value uint64) uint64 {
+	if read {
+		return get(w, key)
+	}
+	obs, err := put(w, key, value)
+	if err != nil {
+		panic(fmt.Sprintf("durable trial insert: %v", err))
+	}
+	return obs
 }
 
 // reconstruct rebuilds a lincheck history purely from the durable log —
@@ -297,11 +277,7 @@ func reconstruct(l *pmemlog.Log) (*lincheck.History, error) {
 				walkErr = errors.New("crash: END record without BEGIN")
 				return false
 			}
-			if rec[3] == 1 {
-				b.op.Observed = rec[5]
-			} else {
-				b.op.Observed = lincheck.Absent
-			}
+			b.op.Observed = rec[5]
 			b.op.End = int64(rec[6])
 			done[k] = finished{op: b.op, era: b.era}
 			delete(open, k)

@@ -127,3 +127,48 @@ func TestLoadBlockSeesVolatileWritesUnderTracking(t *testing.T) {
 		t.Fatalf("post-crash LoadBlock read %d, want the reverted value 0", buf[0])
 	}
 }
+
+// Populate is host memory management, not a simulated access: it leaves
+// every word, every counter and the crash shadow as they were, and
+// ignores a range the pool does not have.
+func TestPopulateIsInvisible(t *testing.T) {
+	p := newPrefetchPool(t, DefaultCostModel())
+	p.EnableTracking()
+	acc := NewAcc(0)
+	for off := uint64(0); off < p.Size(); off += 97 {
+		p.Store(off, off+1, acc)
+	}
+	p.Persist(0, 512, acc) // the first page durable, the rest only written
+	acc.Publish()
+	before := p.Stats().Snapshot()
+
+	p.Populate(0, p.Size())
+	p.Populate(5, 0)
+	p.Populate(p.Size()-8, 9)    // runs past the end
+	p.Populate(^uint64(0)-3, 16) // garbage
+	acc.Publish()
+	if after := p.Stats().Snapshot(); after != before {
+		t.Fatalf("Populate was counted: %v -> %v", before, after)
+	}
+	for off := uint64(0); off < p.Size(); off++ {
+		want := uint64(0)
+		if off%97 == 0 {
+			want = off + 1
+		}
+		if got := p.Load(off, nil); got != want {
+			t.Fatalf("word %d = %d after Populate, want %d", off, got, want)
+		}
+	}
+	// Nothing became durable by being touched: a crash still reverts
+	// every written line past the persisted page.
+	p.Crash()
+	for off := uint64(0); off < p.Size(); off += 97 {
+		want := uint64(0)
+		if off < 512 {
+			want = off + 1
+		}
+		if got := p.Load(off, nil); got != want {
+			t.Fatalf("word %d = %d after crash, want %d", off, got, want)
+		}
+	}
+}

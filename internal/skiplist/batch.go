@@ -1,7 +1,8 @@
 package skiplist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"upskiplist/internal/exec"
 )
@@ -81,7 +82,7 @@ func (s *SkipList) ApplyBatch(ctx *exec.Ctx, ops []BatchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
+	slices.SortStableFunc(ops, func(a, b BatchOp) int { return cmp.Compare(a.Key, b.Key) })
 	ctx.Deferred = true
 	for i := range ops {
 		op := &ops[i]

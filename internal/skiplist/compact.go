@@ -105,11 +105,12 @@ func (s *SkipList) retire(ctx *exec.Ctx, p riv.Ptr) bool {
 	rp.Persist(off+compOffState, 3, ctx.Mem)
 
 	// Withdraw from the abstract set: the kind flip makes traversals and
-	// hint probes skip the node; the split-count bump invalidates every
-	// in-flight operation holding it as covering predecessor. One line,
-	// one flush (kind, split count and key0 share the leading line).
+	// hint probes skip the node; the split count, set to a value no live
+	// node has, invalidates every in-flight operation holding it as
+	// covering predecessor and stops any later one from adopting it. One
+	// line, one flush (kind, split count and key0 share the leading line).
 	n.pool.Store(n.off+offKind, alloc.KindRetired, ctx.Mem)
-	n.pool.Add(n.off+offSplitCount, 1, ctx.Mem)
+	n.pool.Store(n.off+offSplitCount, splitRetired, ctx.Mem)
 	n.pool.Persist(n.off, pmem.LineWords, ctx.Mem)
 	// Poison the victim's next words so no insert CAS can succeed behind
 	// it, then release — the marks keep protecting after the unlock.

@@ -205,3 +205,24 @@ func (s *SkipList) Stats(ctx *exec.Ctx) StructStats {
 	}
 	return st
 }
+
+// DescribeKey reports, for a test's failure message, the bottom-level
+// node whose key range covers key — kind, split count, lock word — and
+// the slot holding key in it. Quiesced callers only: it follows raw
+// level-0 links without validation.
+func (s *SkipList) DescribeKey(ctx *exec.Ctx, key uint64) string {
+	nd := ctx.Mem
+	defer nd.Publish()
+	n := s.node(s.head)
+	for next := n.next(s, 0, nd); !next.IsNull() && next != s.tail && s.node(next).key0(s, nd) <= key; next = n.next(s, 0, nd) {
+		n = s.node(next)
+	}
+	slot := "no slot holds the key"
+	for i := 0; i < s.keysPerNode; i++ {
+		if n.key(s, i, nd) == key {
+			slot = fmt.Sprintf("slot %d value word %#x", i, n.value(s, i, nd))
+		}
+	}
+	return fmt.Sprintf("node %v (key0 %d) kind %d split count %d lock word %#x: %s",
+		n.ptr, n.key0(s, nd), n.kind(nd), n.splitCount(nd), n.lockWord(nd), slot)
+}

@@ -158,14 +158,6 @@ func (s *SkipList) EnableSnapshots(slots int) {
 // SnapshotsEnabled reports whether EnableSnapshots has run.
 func (s *SkipList) SnapshotsEnabled() bool { return s.vlog != nil }
 
-// OpenSnapshots returns the number of currently open snapshots.
-func (s *SkipList) OpenSnapshots() int64 {
-	if s.vlog == nil {
-		return 0
-	}
-	return s.vlog.open.Load()
-}
-
 // OldestSnapshotEra returns the smallest era pinned by an open
 // snapshot, or 0 when none is open.
 func (s *SkipList) OldestSnapshotEra() uint64 {

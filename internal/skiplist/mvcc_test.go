@@ -63,8 +63,8 @@ func TestSnapshotFrozenBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.sl.OpenSnapshots(); got != 1 {
-		t.Fatalf("OpenSnapshots = %d, want 1", got)
+	if got := e.sl.vlog.open.Load(); got != 1 {
+		t.Fatalf("open snapshots = %d, want 1", got)
 	}
 
 	// Rewrite: update 1..100, remove 150..180, insert 201..250.
@@ -115,8 +115,8 @@ func TestSnapshotFrozenBasic(t *testing.T) {
 
 	snap.Release(rctx)
 	snap.Release(rctx) // idempotent
-	if got := e.sl.OpenSnapshots(); got != 0 {
-		t.Fatalf("OpenSnapshots after release = %d, want 0", got)
+	if got := e.sl.vlog.open.Load(); got != 0 {
+		t.Fatalf("open snapshots after release = %d, want 0", got)
 	}
 	if c := e.a.Census(); c.Version != 0 {
 		t.Fatalf("%d version blocks survived the last release", c.Version)

@@ -37,6 +37,10 @@ const (
 	rdMask   = uint64(1)<<20 - 1 // reader-count mask of the split lock
 )
 
+// splitRetired is the split count retire leaves in its victim; splits
+// count up from zero, so no live node carries it (see reclaim.go, step 2).
+const splitRetired = ^uint64(0)
+
 // metaWord packs a node's height and sorted-prefix length.
 func metaWord(height, sorted int) uint64 {
 	return uint64(height&0xff) | uint64(sorted&0xffff)<<8

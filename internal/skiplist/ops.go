@@ -258,47 +258,48 @@ func (s *SkipList) splitNode(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) 
 	if !pred.writeLock(s.a.Clock().Current(), ctx.Mem) {
 		return nil // a concurrent insert/update/split is progressing; retry
 	}
-	// Collect and sort the node's pairs. Under the write lock the keys
-	// cannot change (updates need the read lock; key claims do too), so
-	// both blocks can be streamed out with two bulk loads instead of
-	// 2*keysPerNode pointwise ones.
-	type pair struct{ k, v uint64 }
-	pairs := make([]pair, 0, s.keysPerNode)
-	buf := ctx.GetBlock(2 * s.keysPerNode)
-	kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
+	// Collect the node's occupied slots and sort them by key. Under the
+	// write lock the keys cannot change (updates need the read lock; key
+	// claims do too), so both blocks can be streamed out with two bulk
+	// loads instead of 2*keysPerNode pointwise ones. Everything lives in
+	// one ctx buffer: a split allocates nothing from the Go heap (a fresh
+	// heap page faults in under whichever split first touches it).
+	kpn := s.keysPerNode
+	buf := ctx.GetBlock(3 * kpn)
+	defer ctx.PutBlock(buf)
+	kb, vb, live := buf[:kpn], buf[kpn:2*kpn], buf[2*kpn:2*kpn]
 	pred.keyBlock(s, kb, ctx.Mem)
 	pred.valueBlock(s, vb, ctx.Mem)
 	for i, k := range kb {
 		if k != keyEmpty {
-			pairs = append(pairs, pair{k, vb[i]})
+			live = append(live, uint64(i))
 		}
 	}
-	ctx.PutBlock(buf)
-	if len(pairs) < 2 {
+	if len(live) < 2 {
 		// Not actually splittable (e.g. raced with a prior split); let
 		// the caller retraverse.
 		pred.writeUnlock(s.a.Clock().Current(), ctx.Mem)
 		return nil
 	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-	mid := len(pairs) / 2
-	upper := pairs[mid:]
+	slices.SortFunc(live, func(a, b uint64) int { return cmp.Compare(kb[a], kb[b]) })
+	upper := live[len(live)/2:]
+	upperKey := kb[upper[0]]
 
 	height := s.drawHeight(ctx)
-	newPtr, err := s.a.Alloc(ctx, pred.ptr, upper[0].k)
+	newPtr, err := s.a.Alloc(ctx, pred.ptr, upperKey)
 	if err != nil {
 		pred.writeUnlock(s.a.Clock().Current(), ctx.Mem)
 		return err
 	}
 	n := s.node(newPtr)
-	buf = ctx.GetBlock(2 * len(upper))
-	keys, vals := buf[:len(upper)], buf[len(upper):]
-	for i, p := range upper {
-		keys[i] = p.k
-		vals[i] = p.v
+	nb := ctx.GetBlock(2 * len(upper))
+	keys, vals := nb[:len(upper)], nb[len(upper):]
+	for i, slot := range upper {
+		keys[i] = kb[slot]
+		vals[i] = vb[slot]
 	}
 	s.initNode(n, keys, vals, height, ctx.Mem)
-	ctx.PutBlock(buf)
+	ctx.PutBlock(nb)
 	// The new node's bottom successor is the split node's current
 	// successor; higher levels are populated from the traversal's succs.
 	bottomSucc := pred.next(s, 0, ctx.Mem)
@@ -327,10 +328,10 @@ func (s *SkipList) splitNode(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) 
 	ctx.Batch.Add(pred.pool, pred.off+offSplitCount, 1, ctx.Mem)
 	ctx.Batch.Flush(ctx.Mem)
 	// Erase what moved: upper is the sorted top half of the node's
-	// distinct keys, so exactly the keys from upper[0] up.
+	// distinct keys, so exactly the keys from upperKey up.
 	for i := 0; i < s.keysPerNode; i++ {
 		k := pred.key(s, i, ctx.Mem)
-		if k != keyEmpty && k >= upper[0].k {
+		if k != keyEmpty && k >= upperKey {
 			pred.pool.Store(pred.off+s.keyOff(i), keyEmpty, ctx.Mem)
 			pred.pool.Store(pred.off+s.valOff(i), Tombstone, ctx.Mem)
 		}

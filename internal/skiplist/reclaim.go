@@ -46,12 +46,16 @@ import (
 //     protects pointers also retires stale hints before the memory is
 //     reused.
 //
-//  2. Kind flip + split-count bump, under the node's write lock. The
-//     flip withdraws the node from the abstract set (traversals skip
-//     KindRetired; hint probes reject it); the bump invalidates every
-//     in-flight operation that captured the node as its covering
-//     predecessor — they fail validation, retraverse, and the retry
-//     terminates because the traversal now skips the victim.
+//  2. Kind flip + split count set to splitRetired, under the node's
+//     write lock. The flip withdraws the node from the abstract set
+//     (traversals skip KindRetired; hint probes reject it); the new split
+//     count invalidates every in-flight operation that captured the node
+//     as its covering predecessor — they fail validation, retraverse,
+//     and the retry terminates because the traversal now skips the
+//     victim. It is a value no live node has, not an increment: a
+//     traversal loads kind and split count separately, and one that read
+//     the kind just before the flip would take an incremented count for
+//     current, pass every later check, and write into the victim.
 //
 //  3. Retirement marks (bit 0 of the victim's own next words, set while
 //     the write lock is held). Any insert that read a victim's next

@@ -485,3 +485,99 @@ func TestIteratorNoPhantomAfterRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// stepHook runs fn once, at the at-th pool access after it is installed:
+// a deterministic stand-in for another thread getting scheduled between
+// two of an operation's accesses.
+type stepHook struct {
+	n, at int
+	fn    func()
+}
+
+func (h *stepHook) Step() {
+	if h.n++; h.n == h.at {
+		h.fn()
+	}
+}
+
+// TestRetireAtEveryStepOfAWrite lets the reclaimer retire the covering
+// node — fully tombstoned, so a legitimate victim — between any two pool
+// accesses of a write into that node's range: reviving a tombstoned key,
+// claiming a fresh slot, with the traversal seeded from a hint or not.
+// Wherever the retirement lands, the write must either keep the node
+// alive (the retire is refused) or land in a node that is still part of
+// the list. A traversal that adopted the victim after checking its kind
+// but before reading its split count used to pass every later check and
+// put the key into the unlinked block, where it was lost.
+func TestRetireAtEveryStepOfAWrite(t *testing.T) {
+	cfg := Config{MaxHeight: 8, KeysPerNode: 4}
+	for _, tc := range []struct {
+		name  string
+		key   uint64 // written while the victim [100, 140) is retired
+		hints bool
+	}{
+		{"revive", 120, false}, {"claim", 125, false},
+		{"revive seeded", 120, true}, {"claim seeded", 125, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			retiredRuns := 0
+			for step := 1; ; step++ {
+				e := newEnvChunks(t, cfg, 4)
+				e.sl.SetTuning(Tuning{NoHints: !tc.hints})
+				rec := startPausedReclaim(e.sl)
+				ctx := ctx0()
+				for k := uint64(10); k <= 300; k += 10 {
+					if _, _, err := e.sl.Insert(ctx, k, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The victim: the node covering 120, emptied key by key. The
+				// Get leaves it in the hint cache when hints are on.
+				e.sl.Get(ctx, tc.key)
+				t0 := ctx.GetTowers(cfg.MaxHeight)
+				e.sl.traverse(ctx, 120, t0.Preds, t0.Succs)
+				victim := t0.Preds[0]
+				ctx.PutTowers(t0)
+				vn := e.sl.node(victim)
+				for i := 0; i < cfg.KeysPerNode; i++ {
+					if k := vn.key(e.sl, i, ctx.Mem); k != keyEmpty {
+						if _, _, err := e.sl.Remove(ctx, k); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if victim == e.sl.head || !e.sl.nodeFullyTombstoned(ctx, vn) {
+					t.Fatal("no emptied covering node to retire")
+				}
+
+				retired := false
+				hook := &stepHook{at: step, fn: func() { retired = rec.tryRetire(victim) }}
+				e.pool.SetInjector(hook)
+				_, _, err := e.sl.Insert(ctx, tc.key, 777)
+				e.pool.SetInjector(nil)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if v, ok := e.sl.Get(ctx, tc.key); !ok || v != 777 {
+					t.Fatalf("step %d (node retired mid-write: %v): Get(%d) = (%d,%v) after a successful Insert; %s",
+						step, retired, tc.key, v, ok, e.sl.DescribeKey(ctx, tc.key))
+				}
+				if err := e.sl.CheckInvariants(ctx); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				rec.Stop()
+				if retired {
+					retiredRuns++
+				}
+				if hook.n < step {
+					// The write finished before the hook's turn came.
+					if retiredRuns == 0 {
+						t.Fatal("the victim was never retired mid-write")
+					}
+					t.Logf("retired the covering node at each of %d steps of the write (%d retirements went through)", step-1, retiredRuns)
+					return
+				}
+			}
+		})
+	}
+}

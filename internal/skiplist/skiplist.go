@@ -647,6 +647,14 @@ outer:
 				// so the seed — which may itself be the covering node —
 				// is accounted for here, mirroring the loop's order.
 				res.splitCount = pred.splitCount(ctx.Mem)
+				if res.splitCount == splitRetired {
+					// Retired since hintSeed looked at its kind.
+					ctx.Hints.Drop(key >> hintShift)
+					ctx.Hints.Fallback++
+					useHint = false
+					res = traverseResult{keyIndex: -1, levelFound: -1}
+					continue outer
+				}
 				if pred.key0(s, ctx.Mem) == key {
 					res.keyIndex = 0
 					res.levelFound = startLevel
@@ -686,6 +694,12 @@ outer:
 					}
 				}
 				curSplit := cur.splitCount(ctx.Mem)
+				if curSplit == splitRetired {
+					// Retired between the kind check above and this load;
+					// adopted now, it would pass every later validation.
+					cur = s.node(cur.next(s, level, ctx.Mem))
+					continue
+				}
 				k0 := cur.key0(s, ctx.Mem)
 				if k0 <= key {
 					if seeded {

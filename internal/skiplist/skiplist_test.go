@@ -2,6 +2,7 @@ package skiplist
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -143,6 +144,15 @@ func TestInsertGetSingle(t *testing.T) {
 	if _, ok := e.sl.Get(ctx, 43); ok {
 		t.Fatal("found missing key")
 	}
+	// The failure-report helper names the covering node and the slot.
+	if d := e.sl.DescribeKey(ctx, 42); !strings.Contains(d, "key0 42") || !strings.Contains(d, "slot 0 value word 0x3e8") {
+		t.Fatalf("DescribeKey(42) = %q", d)
+	}
+	for _, k := range []uint64{7, 43} { // before the first node, and absent from the last
+		if d := e.sl.DescribeKey(ctx, k); !strings.Contains(d, "no slot holds the key") {
+			t.Fatalf("DescribeKey(%d) = %q", k, d)
+		}
+	}
 }
 
 func TestInsertUpdatesExisting(t *testing.T) {
@@ -236,6 +246,36 @@ func TestManyInsertsAndSplits(t *testing.T) {
 	st := e.sl.Stats(ctx)
 	if st.Nodes < n/4 {
 		t.Fatalf("only %d nodes for %d keys with K=4", st.Nodes, n)
+	}
+}
+
+// A split works out of the context's scratch buffers: once they have
+// reached their working size, inserting into a list — splits, tower links
+// and all — allocates nothing from the Go heap. (No garbage collection
+// runs under a store whose heap is dominated by its pools, so garbage per
+// split was a fresh heap page, and a host page fault, every few splits.)
+func TestInsertWithSplitsAllocatesNothing(t *testing.T) {
+	e := newEnv(t, Config{MaxHeight: 12, KeysPerNode: 16})
+	ctx := ctx0()
+	next := uint64(1)
+	insert := func() {
+		for i := 0; i < 64; i++ { // ascending: a split every eighth insert
+			if _, _, err := e.sl.Insert(ctx, next, next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	insert() // warm the tower and block free lists
+	before := e.sl.Stats(ctx).Nodes
+	if n := testing.AllocsPerRun(20, insert); n != 0 {
+		t.Fatalf("%v allocations per 64 inserts, want 0", n)
+	}
+	if after := e.sl.Stats(ctx).Nodes; after < before+100 {
+		t.Fatalf("%d -> %d nodes: the measured inserts did not split", before, after)
+	}
+	if err := e.sl.CheckInvariants(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -49,17 +49,20 @@
 //
 // A published value is named by a Ref packed into one node value word:
 //
-//	bit 63      tag (distinguishes refs from the all-ones tombstone and
-//	            from the all-zero empty slot)
-//	bits 48-62  value byte length, or lenChained for chained values
-//	            (true length then lives in the head segment's header)
+//	bit 63      tag
+//	bits 48-62  value byte length (at most maxRefLen), or lenChained for
+//	            chained values (true length then lives in the head
+//	            segment's header)
 //	bits 40-47  pool ID
 //	bits 24-39  chunk index, biased +1 exactly like riv.Ptr
 //	bits 0-23   word offset within the riv chunk
 //
 // The length names the class, so freeing a chunk never reads its page.
 // The packing is validated against the attached pools' geometry at
-// Attach time.
+// Attach time. IsRef is the one predicate that tells a ref from any
+// other value word: the tag bit AND a length code the arena can produce
+// (5 114 of 32 768). An 8-byte value whose word fails it needs no chunk:
+// the engine stores it as the node word itself.
 //
 // # Crash consistency
 //
@@ -88,7 +91,6 @@
 package slab
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,8 +122,7 @@ const (
 	hdrChained = uint64(1) << 62
 	hdrLenMask = uint64(1)<<32 - 1
 
-	// minClassWords is the smallest chunk class; its payload (3 words)
-	// covers the 8-byte compat values with room to spare.
+	// minClassWords is the smallest chunk class (3 payload words).
 	minClassWords = 4
 	// maxClassWords is the largest class: 639 payload words, so every
 	// value of up to 4 KiB (513 words with its header) is one chunk, and
@@ -133,6 +134,9 @@ const (
 
 	// lenChained in the Ref length field marks a chained value.
 	lenChained = 0x7FFF
+	// maxRefLen is the largest byte length a single-chunk Ref carries: the
+	// largest class's payload. No code between it and lenChained is written.
+	maxRefLen = (maxClassWords - 1) * 8
 
 	refLenShift   = 48
 	refPoolShift  = 40
@@ -158,9 +162,14 @@ const MaxValueLen = int(hdrLenMask)
 // one CAS-able word. The zero Ref is invalid (bit 63 is always set).
 type Ref uint64
 
-// IsRef reports whether a node value word is a slab reference (as
-// opposed to the all-ones tombstone or a zero empty slot).
-func IsRef(w uint64) bool { return w>>63 == 1 && w != ^uint64(0) }
+// IsRef reports whether a node value word is a slab reference: bit 63
+// set and a length field the arena can have written (a single-chunk
+// length or lenChained), the all-ones tombstone excepted. Every ref any
+// revision published satisfies it; any other word is an inline value.
+func IsRef(w uint64) bool {
+	l := w >> refLenShift & lenChained
+	return w>>63 == 1 && (l <= maxRefLen || l == lenChained) && w != ^uint64(0)
+}
 
 // Word returns the node-value-word encoding.
 func (r Ref) Word() uint64 { return uint64(r) }
@@ -369,6 +378,9 @@ func Attach(a *alloc.Allocator, ctx *exec.Ctx) (*Arena, error) {
 		mu:          make([]sync.Mutex, len(classes)),
 		classPages:  make([]atomic.Uint64, len(classes)),
 	}
+	if ar.MaxSingle() > maxRefLen {
+		return nil, fmt.Errorf("%w: largest class holds %d bytes, a ref's length field %d", ErrBadGeometry, ar.MaxSingle(), maxRefLen)
+	}
 	n := uint64(len(classes))
 	var root *extent
 	for _, p := range a.SlabChunks() {
@@ -566,13 +578,7 @@ func (ar *Arena) Put(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, error) 
 		return 0, err
 	}
 	pool.Store(off, hdrUsed|uint64(len(val)), ctx.Mem)
-	if len(val) == 8 {
-		// The one payload word the engine's in-place overwrite stores to
-		// while readers load it: atomic accesses on both sides.
-		pool.Store(off+1, binary.LittleEndian.Uint64(val), ctx.Mem)
-	} else {
-		pool.StoreBytes(off+1, val, ctx.Mem)
-	}
+	pool.StoreBytes(off+1, val, ctx.Mem)
 	ar.stage(ctx, pool, off, uint64(1+(len(val)+7)/8), flush)
 	ar.commit(ctx, class, flush)
 	return makeRef(len(val), chunk), nil
@@ -639,9 +645,6 @@ func (ar *Arena) Len(ref Ref, acc *pmem.Acc) int {
 func (ar *Arena) Get(ref Ref, dst []byte, acc *pmem.Acc) []byte {
 	pool, off := ar.space.Resolve(ref.ptr())
 	l := ref.lenField()
-	if l == 8 {
-		return binary.LittleEndian.AppendUint64(dst, pool.Load(off+1, acc))
-	}
 	if l != lenChained {
 		return pool.LoadBytes(off+1, l, dst, acc)
 	}
@@ -655,17 +658,6 @@ func (ar *Arena) Get(ref Ref, dst []byte, acc *pmem.Acc) []byte {
 		}
 		pool, off = ar.space.Resolve(next)
 	}
-}
-
-// PayloadOff resolves the single payload word of an 8-byte single-
-// segment value for the engine's in-place overwrite fast path. ok is
-// false for chained refs or lengths other than 8.
-func (ar *Arena) PayloadOff(ref Ref) (pool *pmem.Pool, off uint64, ok bool) {
-	if ref.lenField() != 8 {
-		return nil, 0, false
-	}
-	pool, off = ar.space.Resolve(ref.ptr())
-	return pool, off + 1, true
 }
 
 // Retire places every chunk of ref's value into the limbo: the bytes
@@ -836,6 +828,16 @@ func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc) extentPages {
 	return ep
 }
 
+// hasPages reports whether any extent has carved a page.
+func (ar *Arena) hasPages() bool {
+	for _, ext := range ar.extents {
+		if ext.cursor > ext.first {
+			return true
+		}
+	}
+	return false
+}
+
 // Sweep is the startup crash-leak scan. live must call its argument
 // with every node value word currently published in the structure (the
 // engine walks the bottom level); Sweep follows refs (and their chains)
@@ -848,12 +850,33 @@ func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc) extentPages {
 // former. The rebuild is what makes allocation-time free-list persists
 // unnecessary: no head that survived a crash is ever trusted.
 //
+// The sweep pays for what a crash can have broken: with no page carved
+// it returns before calling live at all, and the rebuild persists only
+// the pages in which it relinked a leaked chunk (the links it rewrites
+// between already-free chunks are as advisory as the heads).
+//
 // Must run quiesced (no concurrent operations), which is the state at
 // Reopen/Load time. Idempotent: a clean store sweeps zero chunks. With
 // SetSweepParallelism > 1 the page walk, free-list walk, and rebuild
 // partition their work across goroutines with per-goroutine
 // accumulators merged (and free chains stitched) at the end.
 func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int) {
+	if !ar.hasPages() {
+		// No page was ever carved: no chunk exists for a crash to have
+		// leaked, live need not walk the structure (a store of inline
+		// values reopens without reading a key), and no head has anything
+		// to point into.
+		for class := range ar.classes {
+			if off := ar.freeHeadOff(class); ar.dirPool.Load(off, ctx.Mem) != 0 {
+				ar.dirPool.Store(off, 0, ctx.Mem)
+				ar.dirPool.Persist(off, 1, ctx.Mem)
+			}
+			ar.classPages[class].Store(0)
+		}
+		ar.sweepRelinked.Store(0)
+		ar.sweepScanned.Store(0)
+		return 0
+	}
 	referenced := make(map[riv.Ptr]bool)
 	mark := func(ref Ref) {
 		p := ref.ptr()
@@ -989,6 +1012,7 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 				ch.count++
 			}
 			for _, pg := range pages[lo:hi] {
+				leaks := leakParts[w].count
 				for i := uint64(0); i < c.perPage; i++ {
 					chunk, off := pg.slot(i, c)
 					if referenced[chunk] {
@@ -1000,7 +1024,12 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 						add(&leakParts[w], chunk, pg.pool, off)
 					}
 				}
-				pg.pool.Persist(pg.off+pageHdrLen, c.perPage*c.words, acc)
+				// Links between chunks that were already free are as
+				// advisory as the heads; only a relinked chunk's header must
+				// not come back as in use.
+				if leakParts[w].count != leaks {
+					pg.pool.Persist(pg.off+pageHdrLen, c.perPage*c.words, acc)
+				}
 			}
 		})
 		chains := make([]*chain, 0, 2*workers)

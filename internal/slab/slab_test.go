@@ -673,3 +673,166 @@ func TestConcurrentPutGet(t *testing.T) {
 		t.Fatalf("limbo not empty after drain: %+v", env.ar.Stats())
 	}
 }
+
+// TestIsRefPredicate pins the value-word predicate the engine's codec
+// rests on: every ref the arena can produce is ref-shaped, every word
+// with an unproducible length code — and every word below 2^63 and the
+// tombstone — is not, so an 8-byte value holding one can be the node word
+// itself.
+func TestIsRefPredicate(t *testing.T) {
+	ptrs := []riv.Ptr{riv.Make(0, 0, 0), riv.Make(0, 7, 4096), riv.Make(0xfe, 0xfffd, uint32(refOffMask))}
+	for l := 0; l <= lenChained; l++ {
+		producible := l <= maxRefLen || l == lenChained
+		for _, p := range ptrs {
+			ref := makeRef(l, p)
+			if IsRef(ref.Word()) != producible {
+				t.Fatalf("IsRef(makeRef(%d, %v)) = %v, want %v", l, p, !producible, producible)
+			}
+			if producible && (ref.lenField() != l || ref.ptr() != p) {
+				t.Fatalf("ref (%d, %v) unpacks to (%d, %v)", l, p, ref.lenField(), ref.ptr())
+			}
+		}
+	}
+	if maxRefLen != 5112 {
+		t.Fatalf("maxRefLen = %d, want 5112 (the 640-word class less its header)", maxRefLen)
+	}
+	for _, w := range []uint64{0, 1, 1<<63 - 1, ^uint64(0), 1<<63 | (maxRefLen+1)<<refLenShift, ^uint64(0) - 1<<refLenShift} {
+		if IsRef(w) {
+			t.Fatalf("IsRef(%#x) = true, want false", w)
+		}
+	}
+	// What the arena hands out, at both ends of every class and chained.
+	for _, cfg := range []alloc.Config{smallConfig(), defaultConfig()} {
+		env := newEnv(t, cfg)
+		if env.ar.MaxSingle() > maxRefLen {
+			t.Fatalf("MaxSingle %d exceeds the ref length field's %d", env.ar.MaxSingle(), maxRefLen)
+		}
+		lens := []int{0, env.ar.MaxSingle() + 1, 3 * env.ar.MaxSingle()}
+		for _, c := range env.ar.classes {
+			lens = append(lens, c.payloadBytes(), c.payloadBytes()-7)
+		}
+		for _, n := range lens {
+			ref, err := env.ar.Put(env.ctx, pattern(n, 3), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !IsRef(ref.Word()) {
+				t.Fatalf("ref %#x of a %d-byte value is not ref-shaped", ref.Word(), n)
+			}
+		}
+	}
+}
+
+// flushesDuring returns how many cache lines fn flushed in the pool.
+func (env *testEnv) flushesDuring(fn func()) uint64 {
+	env.ctx.Mem.Publish()
+	before := env.pool.Stats().Snapshot().Flushes
+	fn()
+	env.ctx.Mem.Publish()
+	return env.pool.Stats().Snapshot().Flushes - before
+}
+
+// TestSweepFlushesOnlyRelinkedPages: the rebuild persists a page only
+// when it relinked a leaked chunk in it. A clean reopen of a store with
+// many full pages flushes nothing but the class heads; with one
+// crash-leaked chunk, that chunk's page is flushed too.
+func TestSweepFlushesOnlyRelinkedPages(t *testing.T) {
+	env := newEnv(t, smallConfig())
+	var words []uint64
+	for i := 0; i < 300; i++ {
+		ref, err := env.ar.Put(env.ctx, pattern(40, byte(i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words = append(words, ref.Word())
+	}
+	live := func(emit func(uint64)) {
+		for _, w := range words {
+			emit(w)
+		}
+	}
+	heads := uint64(len(env.ar.classes))
+
+	clean := env.reattach(t)
+	if got := clean.flushesDuring(func() {
+		if n := clean.ar.Sweep(clean.ctx, live); n != 0 {
+			t.Fatalf("clean sweep relinked %d chunks", n)
+		}
+	}); got != heads {
+		t.Fatalf("clean sweep of %d pages flushed %d lines, want the %d class heads only", clean.ar.Stats().SweepScanned, got, heads)
+	}
+	if clean.ar.Stats().SweepScanned < 10 {
+		t.Fatalf("only %d pages swept; the test wants many", clean.ar.Stats().SweepScanned)
+	}
+
+	env.pool.EnableTracking()
+	if _, err := env.ar.Put(env.ctx, pattern(40, 7), nil); err != nil {
+		t.Fatal(err)
+	}
+	env.pool.Crash()
+	env.pool.DisableTracking()
+	crashed := env.reattach(t)
+	c := crashed.ar.classes[crashed.ar.classFor(40)]
+	pageLines := (c.perPage*c.words+pmem.LineWords-1)/pmem.LineWords + 1
+	got := crashed.flushesDuring(func() {
+		if n := crashed.ar.Sweep(crashed.ctx, live); n != 1 {
+			t.Fatalf("sweep relinked %d chunks, want the 1 leaked", n)
+		}
+	})
+	// Heads, the one page, and the seam between the leak chain and the
+	// class's free chain.
+	if got <= heads || got > heads+pageLines+1 {
+		t.Fatalf("sweep with one leaked chunk flushed %d lines, want more than the %d heads and at most one page (%d lines) and a seam beyond them", got, heads, pageLines)
+	}
+	// The relink is durable: a second crash right after does not bring
+	// the chunk back as in use.
+	crashed.pool.EnableTracking()
+	crashed.pool.Crash()
+	crashed.pool.DisableTracking()
+	again := crashed.reattach(t)
+	if n := again.ar.Sweep(again.ctx, live); n != 0 {
+		t.Fatalf("second sweep relinked %d chunks, want 0", n)
+	}
+}
+
+// TestSweepWithoutPagesSkipsTheStructure: an arena that never carved a
+// page (a store of inline values) sweeps without asking for the live
+// words at all — its cost does not depend on the structure's size — and
+// clears a head that has nothing to point into. One value is enough to
+// bring the walk back.
+func TestSweepWithoutPagesSkipsTheStructure(t *testing.T) {
+	env := newEnv(t, smallConfig())
+	env.ar.dirPool.Store(env.ar.freeHeadOff(2), riv.Make(0, 1, 512).Word(), nil)
+	env.ar.dirPool.Persist(env.ar.freeHeadOff(2), 1, nil)
+
+	env2 := env.reattach(t)
+	env2.ctx.Mem.Publish()
+	before := env2.pool.Stats().Snapshot()
+	if n := env2.ar.Sweep(env2.ctx, func(func(uint64)) { t.Fatal("live walked with no page carved") }); n != 0 {
+		t.Fatalf("relinked %d", n)
+	}
+	env2.ctx.Mem.Publish()
+	after := env2.pool.Stats().Snapshot()
+	if loads := after.Loads - before.Loads; loads != uint64(len(env2.ar.classes)) {
+		t.Fatalf("page-less sweep charged %d loads, want one per class head (%d)", loads, len(env2.ar.classes))
+	}
+	if st := env2.ar.Stats(); st.SweepScanned != 0 || st.SweepRelinked != 0 {
+		t.Fatalf("stats after a page-less sweep: %+v", st)
+	}
+	for class := range env2.ar.classes {
+		if h := env2.ar.dirPool.Load(env2.ar.freeHeadOff(class), nil); h != 0 {
+			t.Fatalf("class %d head %#x survived a page-less sweep", class, h)
+		}
+	}
+
+	ref, err := env2.ar.Put(env2.ctx, pattern(100, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env3 := env2.reattach(t)
+	walked := false
+	env3.ar.Sweep(env3.ctx, func(emit func(uint64)) { walked = true; emit(ref.Word()) })
+	if !walked || env3.ar.Stats().SweepScanned != 1 {
+		t.Fatalf("one value stored: walked=%v pages swept=%d, want true and 1", walked, env3.ar.Stats().SweepScanned)
+	}
+}

@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"upskiplist/internal/exec"
 )
 
 // TestShardedReclaimSoak drives a store with active per-shard reclaimers
@@ -46,6 +49,16 @@ func soakReclaim(t *testing.T, shards int) {
 	}
 	defer st.DisableOnlineReclaim()
 
+	// The first failed read-back is kept — who, when, what came back —
+	// and stops every writer. It is reported after the store is quiet,
+	// with what the structure then holds for the key; the final set
+	// comparison is skipped, since stopped writers leave segments behind.
+	var failed atomic.Bool
+	var lost struct {
+		worker, round int
+		seg, key, got uint64
+		ok            bool
+	}
 	var writers sync.WaitGroup
 	errs := make(chan error, workers)
 	for wi := 0; wi < workers; wi++ {
@@ -55,7 +68,7 @@ func soakReclaim(t *testing.T, shards int) {
 			w := st.NewWorker(1 + wi)
 			rng := rand.New(rand.NewSource(int64(wi) * 977))
 			base := uint64(wi)*stripe + 1
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < rounds && !failed.Load(); r++ {
 				// Insert a segment, spot-check it, remove most of it: the
 				// removed prefix fully tombstones nodes for the reclaimers.
 				seg := base + uint64(r%64)*segment*2
@@ -68,7 +81,9 @@ func soakReclaim(t *testing.T, shards int) {
 				for i := 0; i < 8; i++ {
 					k := seg + uint64(rng.Int63n(int64(segment)))
 					if v, ok := w.GetU64(k); !ok || v != k^0xabcd {
-						t.Errorf("worker %d: Get(%d) = (%d,%v), want (%d,true)", wi, k, v, ok, k^0xabcd)
+						if failed.CompareAndSwap(false, true) {
+							lost.worker, lost.round, lost.seg, lost.key, lost.got, lost.ok = wi, r, seg, k, v, ok
+						}
 						return
 					}
 				}
@@ -119,6 +134,13 @@ func soakReclaim(t *testing.T, shards int) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if failed.Load() {
+		st.PauseReclaim()
+		defer st.ResumeReclaim()
+		t.Fatalf("shards=%d worker %d round %d segment %d: Get(%d) = (%d,%v), want (%d,true) from the key's only writer; afterwards: %s",
+			shards, lost.worker, lost.round, lost.seg, lost.key, lost.got, lost.ok, lost.key^0xabcd,
+			st.ShardList(st.ShardOf(lost.key)).DescribeKey(exec.NewCtx(0, 0), lost.key))
 	}
 
 	// Each writer kept the last segment/8 keys of every segment it

@@ -670,11 +670,11 @@ func newBulkShardWorker(e *engine, node int) (*bulkShardWorker, error) {
 }
 
 func (w *bulkShardWorker) add(key uint64, val []byte) error {
-	ref, err := w.e.vals.Put(w.ctx, val, &w.ctx.Batch)
+	word, err := w.e.encodeValue(w.ctx, val, &w.ctx.Batch)
 	if err != nil {
 		return err
 	}
-	return w.b.Add(key, ref.Word())
+	return w.b.Add(key, word)
 }
 
 func (w *bulkShardWorker) finish() error {

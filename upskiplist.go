@@ -19,13 +19,15 @@
 // is a volatile routing layer over unchanged per-shard engines: each
 // shard recovers exactly like a single-list store.
 //
-// Values are variable-size byte strings stored out-of-place in a
-// slab-class arena carved from the same pools (internal/slab); the node
-// value word holds a packed reference that is published with a single
-// CAS after the bytes are durable, so recovery always sees the complete
-// old or complete new value. The thin PutU64/GetU64 helpers store a
-// uint64 as its 8 little-endian bytes for callers porting from the old
-// word-valued API.
+// Values are variable-size byte strings. An 8-byte value is the node's
+// value word itself, as in the paper (unless that word would read as a
+// slab reference or the tombstone); any other value is stored
+// out-of-place in a slab-class arena carved from the same pools
+// (internal/slab), and the node value word holds a packed reference
+// that is published with a single CAS after the bytes are durable.
+// Either way recovery sees the complete old or complete new value. The
+// thin PutU64/GetU64 helpers store a uint64 as its 8 little-endian
+// bytes.
 //
 // Quick start:
 //
@@ -49,8 +51,7 @@
 //		{Kind: upskiplist.OpGet, Key: 7},
 //	})
 //
-// Keys must lie in [upskiplist.KeyMin, upskiplist.KeyMax]; values must
-// be below upskiplist.Tombstone.
+// Keys must lie in [upskiplist.KeyMin, upskiplist.KeyMax].
 package upskiplist
 
 import (
@@ -276,23 +277,45 @@ type engine struct {
 	clock *epoch.Clock
 	alloc *alloc.Allocator
 	list  *skiplist.SkipList
-	// vals is the shard's slab-class value arena: every non-tombstone
-	// value word in the list is (in stores written by this revision) a
-	// packed slab.Ref naming the chunk holding the value bytes.
+	// vals is the shard's slab-class value arena, home of every value
+	// that is not an inline 8 bytes: such a value's word in the list is
+	// the packed slab.Ref of the chunk holding its bytes (see encodeValue).
 	vals *slab.Arena
 }
 
-// decodeValue materializes one node value word: slab references resolve
-// to their stored bytes; any other word is an inline uint64 (lists driven
-// below the store API) and decodes as its 8 little-endian bytes, which
-// is exactly what PutU64 would have produced for it.
+// decodeValue materializes one node value word: a slab reference
+// resolves to its stored bytes, any other word is an inline value — its
+// own 8 little-endian bytes. The inverse of encodeValue.
 func (e *engine) decodeValue(w uint64, dst []byte, acc *pmem.Acc) []byte {
 	if slab.IsRef(w) {
 		return e.vals.Get(slab.FromWord(w), dst, acc)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], w)
-	return append(dst, b[:]...)
+	return binary.LittleEndian.AppendUint64(dst, w)
+}
+
+// encodeValue builds the node value word for val — the one place a value
+// becomes a word. An 8-byte value whose word is neither ref-shaped nor
+// Tombstone IS the word: nothing is allocated and nothing has to be
+// durable ahead of the publish. Anything else goes to a fresh slab chunk
+// and the word is its ref; flush is slab.Arena.Put's (nil: the chunk is
+// persisted before return; otherwise the caller drains flush before it
+// publishes the word).
+func (e *engine) encodeValue(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (uint64, error) {
+	if len(val) == 8 {
+		if w := binary.LittleEndian.Uint64(val); !slab.IsRef(w) && w != Tombstone {
+			return w, nil
+		}
+	}
+	ref, err := e.vals.Put(ctx, val, flush)
+	return ref.Word(), err
+}
+
+// retireWord retires the chunk behind a value word that has durably left
+// the structure (or never entered it); inline words own nothing.
+func (e *engine) retireWord(w uint64) {
+	if slab.IsRef(w) {
+		e.vals.Retire(slab.FromWord(w))
+	}
 }
 
 // attachVals opens the shard's slab arena and wires it to the list:
@@ -319,96 +342,37 @@ func (e *engine) attachVals(sweep bool, scanPar int) error {
 	return nil
 }
 
-// put is the engine body of Worker.Put: write the value bytes into a
-// fresh slab chunk, persist them, and only then publish the chunk via
-// the node's value-word CAS. A crash between the two steps leaks the
-// chunk (the startup sweep reclaims it); a reader never observes a torn
-// value because the node word flips atomically from old ref to new ref.
-// The previous value's bytes are appended to dst; its chunk retires
-// through the epoch limbo so concurrent readers and open snapshots keep
-// a stable view.
+// put is the engine body of Worker.Put: encode the value (an out-of-line
+// one is written to a fresh slab chunk and persisted first), then publish
+// the word via the node's value-word CAS — the paper's Function 14, one
+// persist. A crash before the CAS leaks at most the chunk (the startup
+// sweep reclaims it); a reader never observes a torn value because the
+// node word flips atomically from old to new. The previous value's bytes
+// are appended to dst; if it lived in a chunk, that retires through the
+// epoch limbo so concurrent readers and open snapshots keep a stable
+// view.
 func (e *engine) put(ctx *exec.Ctx, key uint64, val, dst []byte) ([]byte, bool, error) {
 	if len(val) > MaxValueLen {
 		return dst, false, ErrValueTooLarge
 	}
 	e.list.Pin(ctx)
 	defer e.list.Unpin(ctx)
-	if len(val) == 8 {
-		if old, existed, done := e.putInPlace(ctx, key, val, dst); done {
-			return old, existed, nil
-		}
-	}
-	ref, err := e.vals.Put(ctx, val, nil)
+	word, err := e.encodeValue(ctx, val, nil)
 	if err != nil {
 		return dst, false, err
 	}
-	oldw, existed, err := e.list.Insert(ctx, key, ref.Word())
+	oldw, existed, err := e.list.Insert(ctx, key, word)
 	if err != nil {
-		// The chunk was written but never published; hand it straight
-		// back rather than leaving it for the crash sweep.
-		e.vals.Retire(ref)
+		// A chunk was written but never published; hand it straight back
+		// rather than leaving it for the crash sweep.
+		e.retireWord(word)
 		return dst, false, err
 	}
 	if existed {
 		dst = e.decodeValue(oldw, dst, ctx.Mem)
-		if slab.IsRef(oldw) {
-			e.vals.Retire(slab.FromWord(oldw))
-		}
+		e.retireWord(oldw)
 	}
 	return dst, existed, nil
-}
-
-// putInPlace overwrites an existing 8-byte single-segment value's
-// payload word directly — one store + one line flush, no allocation, no
-// list CAS — returning done=false when the fast path does not apply
-// (key absent, chained/odd-size value, legacy inline word, or open
-// snapshots that need the old bytes version-logged). Concurrent writers
-// racing the same key linearize by payload-word store order; a racing
-// slow-path CAS that swings the node to a new chunk may discard this
-// write, which linearizes it immediately before that CAS. The single
-// word flips atomically, so recovery sees old or new, never torn.
-func (e *engine) putInPlace(ctx *exec.Ctx, key uint64, val, dst []byte) ([]byte, bool, bool) {
-	if e.list.OpenSnapshots() != 0 {
-		return dst, false, false
-	}
-	old, ok := e.overwriteInPlace(ctx, key, val, nil)
-	if !ok {
-		return dst, false, false
-	}
-	return append(dst, old[:]...), true, true
-}
-
-// overwriteInPlace is the in-place core shared by putInPlace and the
-// batch pre-pass: if key currently holds a single-segment slab value, its
-// payload word is overwritten with val's 8 bytes and the previous bytes
-// returned. With fb nil the line is flushed-and-fenced immediately (the
-// single-op commit); otherwise the flush is deferred into fb and the
-// caller's grouped drain is the persistence point. Callers must hold the
-// era pin and have checked OpenSnapshots (the old bytes are not
-// version-logged here).
-func (e *engine) overwriteInPlace(ctx *exec.Ctx, key uint64, val []byte, fb *pmem.Batch) ([8]byte, bool) {
-	var old [8]byte
-	w, ok := e.list.Get(ctx, key)
-	if !ok || !slab.IsRef(w) {
-		return old, false
-	}
-	pool, off, ok := e.vals.PayloadOff(slab.FromWord(w))
-	if !ok {
-		return old, false
-	}
-	// Swap, not load-then-store: two writers racing the same key must
-	// not both report the same previous value.
-	o, nw := pool.Load(off, ctx.Mem), binary.LittleEndian.Uint64(val)
-	for !pool.CAS(off, o, nw, ctx.Mem) {
-		o = pool.Load(off, ctx.Mem)
-	}
-	if fb != nil {
-		fb.Add(pool, off, 1, ctx.Mem)
-	} else {
-		pool.Persist(off, 1, ctx.Mem)
-	}
-	binary.LittleEndian.PutUint64(old[:], o)
-	return old, true
 }
 
 // get appends the value stored under key to dst. The era pin spans both
@@ -436,9 +400,7 @@ func (e *engine) remove(ctx *exec.Ctx, key uint64, dst []byte) ([]byte, bool, er
 		return dst, ok, err
 	}
 	dst = e.decodeValue(w, dst, ctx.Mem)
-	if slab.IsRef(w) {
-		e.vals.Retire(slab.FromWord(w))
-	}
+	e.retireWord(w)
 	return dst, true, nil
 }
 
@@ -833,10 +795,6 @@ type Worker struct {
 	// worker field rather than a stack array so the slice passed down
 	// never escapes to the heap.
 	u64b [8]byte
-	// keyElig is the per-shard scratch map for ApplyBatch's in-place
-	// overwrite pre-pass: key -> every op on it in this run is a read or
-	// an 8-byte insert (see applyShard). Owner-goroutine only.
-	keyElig map[uint64]bool
 }
 
 // NewWorker creates a worker pinned (round-robin) to a NUMA node.
@@ -867,10 +825,11 @@ func (w *Worker) at(key uint64, m *storeMetrics) (*engine, *exec.Ctx) {
 // absence). It returns the previous value and whether the key was
 // present. The returned slice aliases the worker's internal buffer and
 // is valid only until this worker's next operation — copy it to keep
-// it. The value bytes are written out-of-place and persisted before the
-// node's value word is published, so a crash anywhere in the operation
-// leaves the key holding either the complete old value or the complete
-// new one, never a torn mix.
+// it. The value becomes visible and durable through one CAS of the
+// node's value word — the 8 bytes themselves, or a reference to bytes
+// written out-of-place and persisted first — so a crash anywhere in the
+// operation leaves the key holding either the complete old value or the
+// complete new one, never a torn mix.
 func (w *Worker) Put(key uint64, val []byte) (old []byte, existed bool, err error) {
 	m := w.s.met.Load()
 	e, ctx := w.at(key, m)
@@ -906,7 +865,8 @@ func (w *Worker) Get(key uint64) ([]byte, bool) {
 
 // GetInto appends the value stored under key to dst and returns the
 // extended slice, avoiding both the worker buffer and any hidden copy —
-// the bytes are decoded from the slab chunk straight into dst.
+// the bytes are decoded from the node word or the slab chunk straight
+// into dst.
 func (w *Worker) GetInto(key uint64, dst []byte) ([]byte, bool) {
 	m := w.s.met.Load()
 	e, ctx := w.at(key, m)
@@ -994,11 +954,9 @@ func (w *Worker) scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error
 	return nil
 }
 
-// PutU64 stores value as its 8 little-endian bytes — the compatibility
-// shim for fixed-width callers (and exactly the representation legacy
-// v1/v2 pool images decode to). Repeated PutU64 over an existing key
-// hits an in-place single-word overwrite, keeping the pre-bytes-API
-// point-update cost.
+// PutU64 stores value as its 8 little-endian bytes — the shim for
+// fixed-width callers. Every value below 2^63 is stored in the node word
+// itself: an overwrite is the paper's single-word CAS and one persist.
 func (w *Worker) PutU64(key, value uint64) (old uint64, existed bool, err error) {
 	binary.LittleEndian.PutUint64(w.u64b[:], value)
 	ob, existed, err := w.Put(key, w.u64b[:])
@@ -1008,8 +966,7 @@ func (w *Worker) PutU64(key, value uint64) (old uint64, existed bool, err error)
 	return old, existed, err
 }
 
-// GetU64 reads a value written by PutU64 (or a legacy inline value) back
-// as a uint64.
+// GetU64 reads a value written by PutU64 back as a uint64.
 func (w *Worker) GetU64(key uint64) (uint64, bool) {
 	v, ok := w.Get(key)
 	if !ok {

@@ -1,0 +1,418 @@
+package upskiplist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"testing"
+
+	"upskiplist/internal/exec"
+	"upskiplist/internal/pmem"
+	"upskiplist/internal/slab"
+)
+
+// Tests of the value word: the codec (an 8-byte value is the node word
+// unless that word would read as a ref or the tombstone), crashes across
+// a key's changes of representation, stores written before values could
+// be inline, and the recovery that no longer walks a store of inline
+// values.
+
+// refShaped is an 8-byte value whose word reads as a slab ref (bit 63
+// and a producible length code), so it cannot be stored inline.
+func refShaped(x uint64) []byte { return u64v(1<<63 | 8<<48 | x&(1<<48-1)) }
+
+// inlineEligible mirrors the codec's rule from the outside.
+func inlineEligible(v []byte) bool {
+	if len(v) != 8 {
+		return false
+	}
+	w := binary.LittleEndian.Uint64(v)
+	return !slab.IsRef(w) && w != Tombstone
+}
+
+// FuzzValueWord: for any value, decodeValue(encodeValue(v)) == v; the
+// word of an inline-eligible value is the value, is not ref-shaped and
+// costs no chunk; every other value — the all-ones word, ref-shaped
+// 8-byte words, every other length — lands in the slab behind a
+// ref-shaped word; Tombstone is never a value word; and the public API
+// agrees. The seed corpus runs with the ordinary tests.
+func FuzzValueWord(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(u64v(0))
+	f.Add(u64v(42))
+	f.Add(u64v(1<<63 - 1))
+	f.Add(u64v(Tombstone))
+	f.Add(u64v(Tombstone - 1))                 // bit 63 set, length code 0x7ffe: inline
+	f.Add(u64v(1<<63 | 5113<<48 | 0xabcdef))   // first unproducible length: inline
+	f.Add(u64v(1<<63 | 5112<<48 | 0xabcdef))   // last producible length: slab
+	f.Add(u64v(1<<63 | 0x7fff<<48 | 0xabcdef)) // chained-shaped: slab
+	f.Add(refShaped(0x123456))
+	f.Add(patVal(1, 1, 7))
+	f.Add(patVal(1, 1, 9))
+	f.Add(patVal(1, 1, 24))
+	f.Add(patVal(1, 1, 100))
+	f.Add(patVal(1, 1, 6000)) // chained
+
+	st, err := Create(testOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	e, ctx, w := st.shards[0], exec.NewCtx(1, 0), st.NewWorker(0)
+	f.Fuzz(func(t *testing.T, v []byte) {
+		if len(v) > MaxValueLen {
+			t.Skip()
+		}
+		before := e.vals.Stats().ChunksAlloced
+		word, err := e.encodeValue(ctx, v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := e.vals.Stats().ChunksAlloced - before
+		switch {
+		case word == Tombstone:
+			t.Fatalf("value %x encoded as the tombstone", v)
+		case inlineEligible(v):
+			if word != binary.LittleEndian.Uint64(v) || slab.IsRef(word) || chunks != 0 {
+				t.Fatalf("inline-eligible %x: word %#x, ref-shaped %v, %d chunks", v, word, slab.IsRef(word), chunks)
+			}
+		case !slab.IsRef(word) || chunks == 0:
+			t.Fatalf("%d-byte value %x: word %#x, ref-shaped %v, %d chunks; want it in the slab", len(v), v[:min(8, len(v))], word, slab.IsRef(word), chunks)
+		}
+		if got := e.decodeValue(word, nil, ctx.Mem); !bytes.Equal(got, v) {
+			t.Fatalf("decode(encode(%x)) = %x", v, got)
+		}
+		e.retireWord(word)
+
+		if _, _, err := w.Put(9, v); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := w.Get(9); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get after Put(%x) = %x, %v", v, got, ok)
+		}
+		if word, _ := st.ShardList(0).Get(ctx, 9); slab.IsRef(word) == inlineEligible(v) {
+			t.Fatalf("Put(%x) published word %#x", v, word)
+		}
+		st.drainReclaimQuiesced()
+	})
+}
+
+// TestValueRepresentationCrashEveryStep drives one key through both
+// representations — Put 8 B inline, Put 100 B, Put 8 B inline, Remove —
+// and crashes at every pmem step of the sequence. After each crash the
+// reopened store must hold the complete value of the last finished
+// operation or of the one in flight, pass CheckInvariants, and — once the
+// rest of the sequence has been redone and the limbo drained — own
+// exactly the blocks, extents and pages of a twin that never crashed,
+// with no chunk left for a further sweep to relink (an inline word that
+// replaced a ref retired the ref's chunk).
+func TestValueRepresentationCrashEveryStep(t *testing.T) {
+	const target = uint64(5)
+	// states[i] is what target holds after i operations (nil: absent).
+	states := [][]byte{nil, u64v(0x1111), patVal(target, 1, 100), u64v(0x2222), nil}
+	apply := func(w *Worker, i int) error {
+		if states[i+1] == nil {
+			_, _, err := w.Remove(target)
+			return err
+		}
+		_, _, err := w.Put(target, states[i+1])
+		return err
+	}
+	build := func() (*Store, *Worker) {
+		st, err := Create(testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := st.NewWorker(0)
+		for k, v := range [][]byte{2: u64v(7), 3: patVal(3, 0, 24), 4: refShaped(4), 6: patVal(6, 0, 300), 7: u64v(9)} {
+			if v == nil {
+				continue
+			}
+			if _, _, err := w.Put(uint64(k), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st, w
+	}
+	type footprint struct {
+		node, slab, used int
+		extents, pages   uint64
+		relinked         uint64
+		classPages       string
+	}
+	settle := func(st *Store) footprint {
+		st.drainReclaimQuiesced()
+		st2, err := st.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, s := st2.BlockCensus(), st2.SlabStats()
+		return footprint{c.Node, c.Slab, c.Total - c.Free, s.Extents, s.SweepScanned, s.SweepRelinked, fmt.Sprint(st2.SlabClassStats())}
+	}
+	twin, tw := build()
+	for i := 0; i+1 < len(states); i++ {
+		if err := apply(tw, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := twin.SlabStats(); s.ChunksRetired != 1 {
+		t.Fatalf("the sequence retired %d chunks, want the 100-byte value's one", s.ChunksRetired)
+	}
+	want := settle(twin)
+	if want.relinked != 0 {
+		t.Fatalf("the never-crashed twin leaked %d chunks", want.relinked)
+	}
+
+	for step := int64(1); ; step++ {
+		st, w := build()
+		st.EnableCrashTracking()
+		st.SetInjector(pmem.NewCountdownInjector(step))
+		done := 0
+		err := catchCrash(func() error {
+			for ; done+1 < len(states); done++ {
+				if err := apply(w, done); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		st.SetInjector(nil)
+		st.SimulateCrash()
+		st.DisableCrashTracking()
+		if err != nil && !errors.Is(err, ErrRecoveryInterrupted) {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err == nil {
+			if step < 40 {
+				t.Fatalf("the sequence finished in %d pmem steps", step)
+			}
+			t.Logf("crashed the sequence at each of its %d pmem steps", step-1)
+			return
+		}
+		st2, err := st.Reopen()
+		if err != nil {
+			t.Fatalf("step %d: reopen: %v", step, err)
+		}
+		w2 := st2.NewWorker(0)
+		got, ok := w2.Get(target)
+		holds := func(i int) bool { return ok == (states[i] != nil) && (!ok || bytes.Equal(got, states[i])) }
+		at := done
+		if !holds(at) {
+			if at++; !holds(at) {
+				t.Fatalf("step %d, %d operations done: key holds %x (found=%v), neither %x nor %x", step, done, got, ok, states[done], states[done+1])
+			}
+		}
+		if err := w2.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for i := at; i+1 < len(states); i++ {
+			if err := apply(w2, i); err != nil {
+				t.Fatalf("step %d: redoing operation %d: %v", step, i, err)
+			}
+		}
+		if got := settle(st2); got != want {
+			t.Fatalf("step %d (%d operations done): footprint %+v, never-crashed twin %+v", step, done, got, want)
+		}
+	}
+}
+
+// putAsRef stores val the way every store written before inline values
+// did: in a slab chunk, whatever its length, the ref published through
+// the list.
+func putAsRef(t *testing.T, st *Store, key uint64, val []byte) {
+	t.Helper()
+	si := st.ShardOf(key)
+	ctx := exec.NewCtx(0, 0)
+	defer ctx.Mem.Publish()
+	ref, err := st.shards[si].vals.Put(ctx, val, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.ShardList(si).Insert(ctx, key, ref.Word()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldImageRefValuesStillLoad: a physical image whose 8-byte values
+// are all slab refs — what every earlier revision wrote — loads and
+// reads back through Get, Scan and a snapshot; overwriting a key with an
+// inline-eligible value flips its word to inline and gives the chunk
+// back; and the half-migrated store survives a crash.
+func TestOldImageRefValuesStillLoad(t *testing.T) {
+	o := testOptions()
+	o.Shards = 2
+	old, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400
+	val := func(k, gen uint64) []byte { return u64v(k*1000 + gen) }
+	for k := uint64(1); k <= n; k++ {
+		putAsRef(t, old, k, val(k, 0))
+	}
+	if c := old.SlabStats().ChunksAlloced; c != n {
+		t.Fatalf("the old-format store holds %d chunks, want %d", c, n)
+	}
+	dir := t.TempDir()
+	if err := old.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.EnableSnapshots()
+	w := st.NewWorker(0)
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= n; k++ {
+		if got, ok := w.Get(k); !ok || !bytes.Equal(got, val(k, 0)) {
+			t.Fatalf("Get(%d) = %x, %v", k, got, ok)
+		}
+		if got, ok := sn.Get(k); !ok || !bytes.Equal(got, val(k, 0)) {
+			t.Fatalf("Snap.Get(%d) = %x, %v", k, got, ok)
+		}
+	}
+	next := uint64(1)
+	if err := w.Scan(KeyMin, KeyMax, func(k uint64, v []byte) bool {
+		if k != next || !bytes.Equal(v, val(k, 0)) {
+			t.Fatalf("Scan yields (%d, %x), want key %d", k, v, next)
+		}
+		next++
+		return true
+	}); err != nil || next != n+1 {
+		t.Fatalf("Scan stopped at %d: %v", next, err)
+	}
+	sn.Release()
+
+	// One overwrite: the word turns inline, the chunk retires and, after
+	// the drain, is the next one handed out.
+	before := st.SlabStats()
+	if prev, existed, err := w.Put(1, val(1, 1)); err != nil || !existed || !bytes.Equal(prev, val(1, 0)) {
+		t.Fatalf("overwrite returned %x, %v, %v", prev, existed, err)
+	}
+	ctx := exec.NewCtx(0, 0)
+	if word, _ := st.ShardList(st.ShardOf(1)).Get(ctx, 1); word != leU64(val(1, 1)) {
+		t.Fatalf("overwritten key's word is %#x, want the inline value", word)
+	}
+	if s := st.SlabStats(); s.ChunksRetired != before.ChunksRetired+1 || s.LimboChunks != 1 || s.ChunksAlloced != before.ChunksAlloced {
+		t.Fatalf("after the overwrite: %+v (before %+v)", s, before)
+	}
+	st.drainReclaimQuiesced()
+	if _, _, err := w.Put(1, refShaped(1)); err != nil { // same shard, same class
+		t.Fatal(err)
+	}
+	if s := st.SlabStats(); s.LimboChunks != 0 || s.ChunksFreed != before.ChunksFreed+1 || s.Pages != before.Pages {
+		t.Fatalf("after drain and reuse: %+v (before %+v)", s, before)
+	}
+
+	// Migrate half of the keys, then lose the volatile limbo and every
+	// unflushed free-list link in a crash: each migrated chunk is on no
+	// list and in no node, and the sweep finds exactly those.
+	st.EnableCrashTracking()
+	migrated := uint64(0)
+	for k := uint64(2); k <= n; k += 2 {
+		if _, _, err := w.Put(k, val(k, 1)); err != nil {
+			t.Fatal(err)
+		}
+		migrated++
+	}
+	st.SimulateCrash()
+	st.DisableCrashTracking()
+	st2, err := st.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := st2.RecoveryStats(); r.ChunksRelinked != migrated || r.PagesSwept == 0 {
+		t.Fatalf("recovery relinked %d chunks over %d pages, want %d chunks", r.ChunksRelinked, r.PagesSwept, migrated)
+	}
+	w2 := st2.NewWorker(0)
+	if err := w2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= n; k++ {
+		want := val(k, 1-k%2)
+		if k == 1 {
+			want = refShaped(1)
+		}
+		if got, ok := w2.Get(k); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("after the crash Get(%d) = %x, %v, want %x", k, got, ok, want)
+		}
+	}
+}
+
+// TestScanFreeRecovery: reopening a store that holds only inline values
+// sweeps no page and never walks the structure — the pmem loads charged
+// to Reopen are the allocator's term (the kind word of each block of each
+// provisioned chunk) and nothing that reads a key or a value. One
+// out-of-line value brings the sweep back, and it still finds a
+// deliberately leaked chunk.
+func TestScanFreeRecovery(t *testing.T) {
+	reopenLoads := func(keys uint64) (loads, chunks uint64, st2 *Store) {
+		o := DefaultOptions()
+		st, err := Create(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := st.NewWorker(0)
+		for k := uint64(1); k <= keys; k++ {
+			if _, _, err := w.PutU64(k, k*31); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := st.SlabStats(); s.ChunksAlloced != 0 || s.Pages != 0 {
+			t.Fatalf("%d PutU64 calls allocated %d chunks in %d pages", keys, s.ChunksAlloced, s.Pages)
+		}
+		st.SimulateCrash()
+		before := st.Stats().Mem.Loads
+		st2, err = st.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := st2.RecoveryStats(); r.PagesSwept != 0 || r.ChunksRelinked != 0 {
+			t.Fatalf("%d keys: recovery swept %d pages, relinked %d chunks", keys, r.PagesSwept, r.ChunksRelinked)
+		}
+		c := st2.BlockCensus()
+		return st2.Stats().Mem.Loads - before, uint64(c.Total) * o.allocConfig().BlockWords / o.ChunkWords, st2
+	}
+	smallLoads, smallChunks, _ := reopenLoads(20_000)
+	bigLoads, bigChunks, st := reopenLoads(200_000)
+	t.Logf("Reopen: %d loads over %d chunks at 20 K keys, %d loads over %d chunks at 200 K", smallLoads, smallChunks, bigLoads, bigChunks)
+	if bigChunks <= smallChunks {
+		t.Fatalf("200 K keys use %d allocator chunks, 20 K use %d", bigChunks, smallChunks)
+	}
+	// A kind word per block and a few header words per chunk (305 here).
+	// Walking the bottom level reads a node's keys and values, which at
+	// this geometry is more than 30 loads per block.
+	o := DefaultOptions()
+	blocksPerChunk := o.ChunkWords / o.allocConfig().BlockWords
+	if perChunk := (bigLoads - smallLoads) / (bigChunks - smallChunks); bigLoads < smallLoads || perChunk > 2*blocksPerChunk {
+		t.Fatalf("Reopen loads grow by %d per allocator chunk of %d blocks (%d -> %d over %d -> %d chunks)", perChunk, blocksPerChunk, smallLoads, bigLoads, smallChunks, bigChunks)
+	}
+	w := st.NewWorker(0)
+	if v, ok := w.GetU64(123_456); !ok || v != 123_456*31 {
+		t.Fatalf("GetU64 after reopen = %d, %v", v, ok)
+	}
+
+	// One 100-byte value, and a chunk leaked behind it.
+	if _, _, err := w.Put(7, patVal(7, 0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := exec.NewCtx(0, 0)
+	if _, err := st.shards[0].vals.Put(ctx, patVal(8, 0, 100), nil); err != nil {
+		t.Fatal(err)
+	}
+	st.SimulateCrash()
+	st3, err := st.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := st3.RecoveryStats(); r.PagesSwept != 1 || r.ChunksRelinked != 1 {
+		t.Fatalf("recovery swept %d pages and relinked %d chunks, want 1 and 1", r.PagesSwept, r.ChunksRelinked)
+	}
+	if got, ok := st3.NewWorker(0).Get(7); !ok || !bytes.Equal(got, patVal(7, 0, 100)) {
+		t.Fatalf("the 100-byte value after the sweep: %x, %v", got, ok)
+	}
+}
