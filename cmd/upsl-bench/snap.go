@@ -41,10 +41,6 @@ const snapWorkers = 8
 func (c benchConfig) snapStoreOptions() upskiplist.Options {
 	o := c.upslOptions(c.keysNode, upskiplist.Striped)
 	o.Snapshots = true
-	// Version-log headroom: every update under an open snapshot shadows
-	// one 4-word entry into pool-allocated KindVersion blocks.
-	o.PoolWords += uint64(snapWorkers*c.ops)*8 + (1 << 20)
-	o.MaxChunks = o.PoolWords/o.ChunkWords + 16
 	return o
 }
 

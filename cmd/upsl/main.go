@@ -111,8 +111,8 @@ func main() {
 		fmt.Printf("recovery work: pages-swept=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d\n",
 			rec.PagesSwept, rec.ChunksRelinked, rec.KeysBulkLoaded, rec.NodesBulkBuilt)
 		c := st.BlockCensus()
-		fmt.Printf("blocks: total=%d free=%d node=%d retired=%d version=%d slab=%d\n",
-			c.Total, c.Free, c.Node, c.Retired, c.Version, c.Slab)
+		fmt.Printf("blocks: total=%d free=%d node=%d retired=%d slab=%d\n",
+			c.Total, c.Free, c.Node, c.Retired, c.Slab)
 		fmt.Printf("slab: %d extents\n", st.SlabStats().Extents)
 		for _, cl := range st.SlabClassStats() {
 			if cl.Pages > 0 {

@@ -130,13 +130,13 @@ const (
 	// unreachable (the retire intent log covers the unlink window) and are
 	// re-discovered by RetiredBlocks and freed.
 	KindRetired = 2
-	// KindVersion marks a block holding MVCC version-shadow entries: prior
-	// values of keys overwritten while a snapshot was open. Version blocks
-	// are owned by a volatile version log and freed when the last snapshot
-	// closes; after a crash they are orphans by construction (the log is
-	// DRAM state) and are swept by VersionBlocks or reclaimed through the
-	// allocation log like any other lost block.
-	KindVersion = 3
+	// KindLegacyVersion is reserved: images written while the MVCC version
+	// log lived on pool blocks may hold blocks of this kind, orphans by
+	// construction (the log was volatile). Nothing stamps it any more;
+	// RetiredBlocks returns such blocks with the retired ones, so the
+	// startup scan frees them on sight, and the allocation log reclaims
+	// one like any other unreachable block.
+	KindLegacyVersion = 3
 	// KindSlab marks the header block of a chunk owned whole by the slab
 	// arena (see ClaimSlabChunk). No block handed out by Alloc ever carries
 	// it, so the allocation log never names one.
@@ -435,7 +435,7 @@ type Allocator struct {
 	nodePool   map[int]uint16 // NUMA node -> pool ID for allocation
 	reachCheck ReachabilityCheck
 	// scanPar bounds the goroutines the whole-pool kind scans
-	// (RetiredBlocks/VersionBlocks/SlabChunks/Census) partition their
+	// (RetiredBlocks/SlabChunks/Census) partition their
 	// chunk ranges across; <= 1 scans serially. Volatile tuning set at
 	// recovery time — the scans only read kind words either way.
 	scanPar atomic.Int32
@@ -660,13 +660,6 @@ func (a *Allocator) recoverLoggedAlloc(ctx *exec.Ctx, block, pred riv.Ptr, key u
 		// Claimed or repaired this epoch by someone else; not ours to touch.
 		return
 	}
-	if kind == KindVersion {
-		// A stale-epoch version block is an orphan: the version log that
-		// owned it was volatile and died with the crash, and version blocks
-		// are never reachable from the structure.
-		a.Free(ctx, block)
-		return
-	}
 	if a.reachCheck != nil && a.reachCheck(ctx, pred, key, block) {
 		return // insertion had committed; node is live
 	}
@@ -683,7 +676,7 @@ func (a *Allocator) Free(ctx *exec.Ctx, obj riv.Ptr) {
 	}
 	arena := ctx.ThreadID % pa.cfg.NumArenas
 	oPool, oOff := a.resolve(obj)
-	if k := oPool.Load(oOff+BlockKind, ctx.Mem); k == KindNode || k == KindRetired || k == KindVersion {
+	if k := oPool.Load(oOff+BlockKind, ctx.Mem); k == KindNode || k == KindRetired || k == KindLegacyVersion {
 		a.convertToBlock(ctx, oPool, oOff)
 	} else {
 		// Already a free block: if it is visibly linked (it is some
@@ -857,9 +850,17 @@ func (a *Allocator) collectChunks(visit func(out []riv.Ptr, pa *PoolAllocator, c
 	return out
 }
 
-// blocksOfKind collects every block of every block-carved chunk whose
-// kind word matches.
-func (a *Allocator) blocksOfKind(kind uint64) []riv.Ptr {
+// RetiredBlocks scans every provisioned chunk for blocks stamped
+// KindRetired or KindLegacyVersion and returns their pointers. This is
+// the post-restart limbo rediscovery: limbo lists are volatile, so a
+// crash between unlink and free leaves a retired block owned by nobody.
+// The retire intent log guarantees any such block is fully unlinked (a
+// crash mid-unlink is finished at Open), and a legacy version block was
+// never linked, so everything returned here is unreachable and may be
+// freed without a grace period by a freshly started reclaimer. The scan
+// only reads kind words, so it is safe to run concurrently with
+// operations — workers only ever create KindNode blocks.
+func (a *Allocator) RetiredBlocks() []riv.Ptr {
 	return a.collectChunks(func(out []riv.Ptr, pa *PoolAllocator, c uint64, slab bool) []riv.Ptr {
 		if slab {
 			return out
@@ -867,34 +868,13 @@ func (a *Allocator) blocksOfKind(kind uint64) []riv.Ptr {
 		base := pa.chunkSpace + c*pa.cfg.ChunkWords
 		nBlocks := pa.cfg.ChunkWords / pa.cfg.BlockWords
 		for b := uint64(0); b < nBlocks; b++ {
-			off := base + b*pa.cfg.BlockWords
-			if pa.pool.Load(off+BlockKind, nil) == kind {
+			if k := pa.pool.Load(base+b*pa.cfg.BlockWords+BlockKind, nil); k == KindRetired || k == KindLegacyVersion {
 				out = append(out, riv.Make(pa.pool.ID(), uint16(c), uint32(b*pa.cfg.BlockWords)))
 			}
 		}
 		return out
 	})
 }
-
-// RetiredBlocks scans every provisioned chunk for blocks stamped
-// KindRetired and returns their pointers. This is the post-restart limbo
-// rediscovery: limbo lists are volatile, so a crash between unlink and
-// free leaves a retired block owned by nobody. The retire intent log
-// guarantees any such block is fully unlinked (a crash mid-unlink is
-// finished at Open), so everything returned here is unreachable and may
-// be freed without a grace period by a freshly started reclaimer. The
-// scan only reads kind words, so it is safe to run concurrently with
-// operations — workers only ever create KindNode blocks.
-func (a *Allocator) RetiredBlocks() []riv.Ptr { return a.blocksOfKind(KindRetired) }
-
-// VersionBlocks scans every provisioned chunk for blocks stamped
-// KindVersion and returns their pointers. After a restart these are
-// orphans: the version log owning them was volatile, so nothing will
-// ever free them through the normal last-snapshot-close path. The
-// caller must guarantee no live version log currently holds blocks in
-// these pools (i.e. no snapshot is open) — the sweep cannot tell an
-// orphan from a block the log is actively filling.
-func (a *Allocator) VersionBlocks() []riv.Ptr { return a.blocksOfKind(KindVersion) }
 
 // SlabChunks returns a pointer to the first word of every slab-owned
 // chunk, in (pool ID, chunk) order. This is how the arena finds its
@@ -912,14 +892,15 @@ func (a *Allocator) SlabChunks() []riv.Ptr {
 // BlockCensus counts every provisioned block by kind. Node+Retired is
 // the store's allocated footprint; a churn workload with reclamation
 // should hold it near the live set while one without grows it without
-// bound. A slab-owned chunk is counted in the same unit: the blocks
+// bound. Legacy version blocks count as Retired: the same startup scan
+// frees both. A slab-owned chunk is counted in the same unit: the blocks
 // below its bump cursor (header included) are Slab, the uncarved tail is
 // Free, so Total - Free stays "every word not available for reuse".
 // Kind words are read racily, so under concurrency the census is
 // approximate (off by the handful of blocks in transition) — exactly
 // good enough for capacity accounting.
 type BlockCensus struct {
-	Free, Node, Retired, Version, Slab, Total int
+	Free, Node, Retired, Slab, Total int
 }
 
 // Census scans all provisioned chunks and tallies block kinds,
@@ -942,10 +923,8 @@ func (a *Allocator) Census() BlockCensus {
 				c.Free++
 			case KindNode:
 				c.Node++
-			case KindRetired:
+			case KindRetired, KindLegacyVersion:
 				c.Retired++
-			case KindVersion:
-				c.Version++
 			}
 			c.Total++
 		}
@@ -955,7 +934,6 @@ func (a *Allocator) Census() BlockCensus {
 		c.Free += p.Free
 		c.Node += p.Node
 		c.Retired += p.Retired
-		c.Version += p.Version
 		c.Slab += p.Slab
 		c.Total += p.Total
 	}

@@ -2,15 +2,13 @@ package skiplist
 
 import (
 	"errors"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"upskiplist/internal/alloc"
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
-	"upskiplist/internal/pmem"
-	"upskiplist/internal/riv"
 )
 
 // MVCC snapshots: epoch-pinned frozen reads over the live list.
@@ -40,47 +38,42 @@ import (
 // before reserving, so append order agrees with version order and
 // "first entry tagged > E" is exactly the value at the cut.
 //
-// The log is volatile machinery on persistent blocks: entries are
-// stored without flushes (snapshots do not survive a crash), but the
-// blocks come from the shared allocator free lists and carry
-// KindVersion in their persisted kind word, so a crash leaves
-// recognizable orphans that the startup sweep (alloc.VersionBlocks)
-// and the per-thread allocation log reclaim. The last snapshot to
-// close returns every block to the free lists after waiting out
-// in-flight pushes (the outstanding counter — an EBR-style handshake).
+// The log is volatile and lives in Go memory, like Jiffy's version
+// objects: snapshots do not survive a crash, so nothing about the log
+// is persisted, no writer touches a pool to record a prior value, and a
+// crash leaves nothing behind to sweep. Entries sit in segments that
+// double in size (segment j holds 64<<j entries) behind a directory
+// whose slots are installed by CAS before the cursor moves onto them,
+// so reserving an entry never fails and never takes a lock. The last
+// snapshot to close drops every segment after waiting out in-flight
+// pushes (the outstanding counter — an EBR-style handshake).
 //
 // The snapshot's pinned era also acts as a grace barrier in the
 // reclaimer: limbo batches tagged at or after E cannot be freed while
 // the pin is held, so any node a snapshot reader could still reach
 // outlives the reader (reclaim.go counts batches blocked this way).
 
-// Version-entry word layout. Entries live in the payload of a
-// KindVersion block (after the allocator's kind and epoch words), four
-// words each: key, prior value, and a packed tag word carrying the era
-// tag in the high bits and the entry state in the low two (the fourth
-// word is alignment padding keeping two entries per cache line). The
-// tag word makes each entry its own little commit protocol: the owner
-// writes key/old, publishes tag|verProv, executes its value CAS, then
-// seals tag|verValid (CAS won — the overwrite happened) or tag|verDead
-// (CAS lost — no overwrite; the entry is noise). A scrubbed slot is
-// all-zero, and tag|verProv is nonzero for every era, so readers
-// distinguish unwritten from provisional and wait both out with
-// Gosched — each window is a handful of instructions in the owner.
-// Packing tag and state saves one charged pmem store per push and one
-// charged load per drain against a split layout.
+// Version-entry tag word: the era tag in the high bits and the entry
+// state in the low two. The tag word makes each entry its own little
+// commit protocol: the owner writes key/old, publishes tag|verProv,
+// executes its value CAS, then seals tag|verValid (CAS won — the
+// overwrite happened) or tag|verDead (CAS lost — no overwrite; the
+// entry is noise). A fresh slot's tag is zero, and tag|verProv is
+// nonzero for every era, so readers wait out both the unwritten and
+// the provisional state (sealed) — each window is a handful of
+// instructions in the owner.
 const (
-	verEntryWords = 4
-	verOffKey     = 0
-	verOffOld     = 1
-	verOffTag     = 2
-
 	verStateBits = 2
 	verStateMask = uint64(1)<<verStateBits - 1
 
-	verUnwritten = uint64(0)
-	verProv      = uint64(1)
-	verValid     = uint64(2)
-	verDead      = uint64(3)
+	verProv  = uint64(1)
+	verValid = uint64(2)
+	verDead  = uint64(3)
+
+	// verSeg0Bits sizes the first segment (1<<verSeg0Bits entries);
+	// verSegs directory slots then cover every 64-bit entry index.
+	verSeg0Bits = 6
+	verSegs     = 64 - verSeg0Bits
 )
 
 // Errors.
@@ -89,45 +82,35 @@ var (
 	ErrTooManySnapshots  = errors.New("skiplist: too many concurrently open snapshots")
 )
 
-// verBlock is one resolved KindVersion block.
-type verBlock struct {
-	pool *pmem.Pool
-	off  uint64
-	ptr  riv.Ptr
-}
-
-// verEntry names one reserved log entry; the zero value means "no entry
-// was pushed" (no snapshot open) and seals as a no-op. tag remembers the
-// era stamped at push time so the seal can rewrite the packed word
-// without re-reading it.
+// verEntry is one version-log slot. key and old are plain fields: the
+// owner writes them before it publishes the tag, and readers read them
+// only after loading a sealed tag.
 type verEntry struct {
-	pool *pmem.Pool
-	off  uint64
-	tag  uint64
+	key, old uint64
+	tag      atomic.Uint64
 }
 
-// versionLog is the volatile per-list version log. Only the block
-// handles and counters live here; entry contents live in pmem blocks.
+// versionLog is the volatile per-list version log.
 type versionLog struct {
-	s        *SkipList
-	perBlock uint64 // entries per block
-
-	mu     sync.Mutex // serializes snapshot open/close
-	growMu sync.Mutex // serializes block-list growth
+	mu sync.Mutex // serializes snapshot open/close
 
 	// open counts open snapshots; writers push entries only while it is
-	// nonzero, and the last close recycles the blocks. outstanding
-	// counts pushes in flight (reserved, not yet sealed) so the close
-	// can wait them out before freeing. next is the entry reservation
-	// cursor; reservation only succeeds below the current capacity
-	// (grow-before-reserve), so every reserved slot is always backed by
-	// a block and will be written — readers never wait on a hole.
+	// nonzero, and the last close drops the segments. outstanding counts
+	// pushes in flight (reserved, not yet sealed) so the close can wait
+	// them out first. next is the entry reservation cursor; it only
+	// moves onto an index whose segment is installed (grow-before-
+	// reserve), so every index below it has backing and a writer that
+	// will seal it — readers never wait on an allocation.
 	open        atomic.Int64
 	outstanding atomic.Int64
 	next        atomic.Uint64
 
-	// blocks is an immutable slice, replaced wholesale under growMu.
-	blocks atomic.Pointer[[]verBlock]
+	// waiting counts readers stalled on an unsealed entry (see sealed).
+	waiting atomic.Int64
+
+	// segs is the segment directory; slot j, once installed, holds
+	// 64<<j entries (see verSlot).
+	segs [verSegs]atomic.Pointer[[]verEntry]
 }
 
 // EnableSnapshots attaches a version log (and, when online reclamation
@@ -146,142 +129,114 @@ func (s *SkipList) EnableSnapshots(slots int) {
 		}
 		s.dom = epoch.NewDomain(slots)
 	}
-	v := &versionLog{
-		s:        s,
-		perBlock: (s.blockWords - alloc.BlockPayload) / verEntryWords,
-	}
-	empty := make([]verBlock, 0)
-	v.blocks.Store(&empty)
-	s.vlog = v
+	s.vlog = &versionLog{}
 }
 
 // SnapshotsEnabled reports whether EnableSnapshots has run.
 func (s *SkipList) SnapshotsEnabled() bool { return s.vlog != nil }
 
-// OldestSnapshotEra returns the smallest era pinned by an open
-// snapshot, or 0 when none is open.
-func (s *SkipList) OldestSnapshotEra() uint64 {
-	if s.dom == nil {
+// VersionLogLen returns the number of entries the version log holds:
+// every push since the last moment no snapshot was open, 0 with none
+// open.
+func (s *SkipList) VersionLogLen() uint64 {
+	if s.vlog == nil {
 		return 0
 	}
-	if e := s.dom.MinPinned(); e != ^uint64(0) {
-		return e
-	}
-	return 0
+	return s.vlog.next.Load()
 }
 
 // vpush appends a provisional version entry recording that key's value
-// is about to move off old. The zero entry (and nil error) means no
-// snapshot is open and nothing was pushed. A non-zero entry MUST be
-// sealed with vseal after the value CAS resolves.
-func (s *SkipList) vpush(ctx *exec.Ctx, key, old uint64) (verEntry, error) {
+// is about to move off old. nil means no snapshot is open and nothing
+// was pushed. A non-nil entry MUST be sealed with vseal after the value
+// CAS resolves.
+func (s *SkipList) vpush(key, old uint64) *verEntry {
 	v := s.vlog
 	if v == nil || v.open.Load() == 0 {
-		return verEntry{}, nil
+		return nil
 	}
 	v.outstanding.Add(1)
 	if v.open.Load() == 0 {
 		// The last snapshot closed between the fast check and the
-		// outstanding claim: back out before touching blocks.
+		// outstanding claim: back out before touching the log.
 		v.outstanding.Add(-1)
-		return verEntry{}, nil
+		return nil
 	}
-	e, err := v.reserve(ctx)
-	if err != nil {
-		v.outstanding.Add(-1)
-		return verEntry{}, err
-	}
-	// Program order key/old before the packed tag publication; the era
-	// is read after the open check, so a writer that starts after a
-	// snapshot opened always tags past the pinned era.
-	e.tag = s.dom.Era()
-	e.pool.Store(e.off+verOffKey, key, ctx.Mem)
-	e.pool.Store(e.off+verOffOld, old, ctx.Mem)
-	e.pool.Store(e.off+verOffTag, e.tag<<verStateBits|verProv, ctx.Mem)
-	return e, nil
+	e := v.reserve()
+	e.key, e.old = key, old
+	// The era is read after the open check, so a writer that starts
+	// after a snapshot opened always tags past the pinned era.
+	e.tag.Store(s.dom.Era()<<verStateBits | verProv)
+	return e
 }
 
 // vseal commits (committed=true) or voids a pushed entry and releases
-// the in-flight claim. No-op for the zero entry.
-func (s *SkipList) vseal(ctx *exec.Ctx, e verEntry, committed bool) {
-	if e.pool == nil {
+// the in-flight claim. No-op for nil.
+func (s *SkipList) vseal(e *verEntry, committed bool) {
+	if e == nil {
 		return
 	}
 	st := verDead
 	if committed {
 		st = verValid
 	}
-	e.pool.Store(e.off+verOffTag, e.tag<<verStateBits|st, ctx.Mem)
+	e.tag.Store(e.tag.Load()&^verStateMask | st)
 	s.vlog.outstanding.Add(-1)
+	if s.vlog.waiting.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
-// reserve claims the next entry slot, growing the block list when the
-// cursor reaches capacity. Grow-before-reserve: a reservation only
-// succeeds for a slot that already has backing, so an allocation
-// failure leaves no hole a reader could wait on forever.
-func (v *versionLog) reserve(ctx *exec.Ctx) (verEntry, error) {
+// verSlot locates entry idx: idx+64 has its high bit at position k,
+// which selects segment k-6 (of 1<<k entries) and the offset below
+// that bit.
+func verSlot(idx uint64) (seg int, off uint64) {
+	n := idx + 1<<verSeg0Bits
+	k := bits.Len64(n) - 1
+	return k - verSeg0Bits, n - 1<<k
+}
+
+// reserve claims the next entry slot, installing the segment it falls
+// in first when nobody has. Installing is a CAS on the directory slot;
+// a writer that loses it drops its allocation. Nothing here can fail.
+func (v *versionLog) reserve() *verEntry {
 	for {
-		blocks := *v.blocks.Load()
-		capEntries := uint64(len(blocks)) * v.perBlock
 		idx := v.next.Load()
-		if idx >= capEntries {
-			if err := v.grow(ctx, idx); err != nil {
-				return verEntry{}, err
-			}
+		j, off := verSlot(idx)
+		seg := v.segs[j].Load()
+		if seg == nil {
+			fresh := make([]verEntry, 1<<(j+verSeg0Bits))
+			v.segs[j].CompareAndSwap(nil, &fresh)
 			continue
 		}
 		if v.next.CompareAndSwap(idx, idx+1) {
-			b := blocks[idx/v.perBlock]
-			off := b.off + alloc.BlockPayload + (idx%v.perBlock)*verEntryWords
-			return verEntry{pool: b.pool, off: off}, nil
+			return &(*seg)[off]
 		}
 	}
 }
 
-// grow appends one block so that entry index need has backing.
-func (v *versionLog) grow(ctx *exec.Ctx, need uint64) error {
-	v.growMu.Lock()
-	defer v.growMu.Unlock()
-	blocks := *v.blocks.Load()
-	if uint64(len(blocks))*v.perBlock > need {
-		return nil // another grower got here first
-	}
-	ptr, err := v.s.a.Alloc(ctx, riv.Null, 0)
-	if err != nil {
-		return err
-	}
-	pool, off := v.s.space.Resolve(ptr)
-	// Scrub the entry tag words (a popped free block's payload may be
-	// stale): a slot counts as unwritten exactly while its packed tag
-	// word is zero, and key/old are only read behind that gate, so the
-	// tag words are the only ones that need clearing. Re-stamp the
-	// persisted kind so a crash leaves a recognizable orphan for the
-	// startup sweep. Entry stores themselves are never flushed — the
-	// log does not survive a crash and doesn't have to.
-	for e := uint64(0); e < v.perBlock; e++ {
-		pool.Store(off+alloc.BlockPayload+e*verEntryWords+verOffTag, 0, ctx.Mem)
-	}
-	pool.Store(off+alloc.BlockKind, alloc.KindVersion, ctx.Mem)
-	pool.Persist(off+alloc.BlockKind, 1, ctx.Mem)
-	// Publish with amortized growth. Appending into spare capacity is
-	// safe: concurrent readers hold shorter slice headers and never
-	// index past their length, and the longer header is published by
-	// the atomic store below. Wholesale copy-per-block would be
-	// quadratic in the log size and lands on the writers' push path.
-	var grown []verBlock
-	if cap(blocks) > len(blocks) {
-		grown = append(blocks, verBlock{pool: pool, off: off, ptr: ptr})
-	} else {
-		newCap := 2 * cap(blocks)
-		if newCap < 8 {
-			newCap = 8
+// entry returns reserved entry idx (below next, so its segment exists).
+func (v *versionLog) entry(idx uint64) *verEntry {
+	j, off := verSlot(idx)
+	return &(*v.segs[j].Load())[off]
+}
+
+// sealed waits until the entry's tag word is sealed (valid or dead),
+// returning it. An owner that is running seals within a few
+// instructions; one that was preempted inside its window needs a
+// processor first. Writers never block on the log, so a yielding reader
+// would queue behind whole time slices of them while the log runs away
+// from it; instead it raises waiting, and every writer yields after its
+// next seal (vseal) until the stalled owner has run.
+func (v *versionLog) sealed(e *verEntry) uint64 {
+	ts := e.tag.Load()
+	if ts&verStateMask < verValid {
+		v.waiting.Add(1)
+		for ; ts&verStateMask < verValid; ts = e.tag.Load() {
+			runtime.Gosched()
 		}
-		grown = make([]verBlock, len(blocks)+1, newCap)
-		copy(grown, blocks)
-		grown[len(blocks)] = verBlock{pool: pool, off: off, ptr: ptr}
+		v.waiting.Add(-1)
 	}
-	v.blocks.Store(&grown)
-	return nil
+	return ts
 }
 
 // ListSnap is one open snapshot of one list: a pinned era plus read
@@ -309,34 +264,24 @@ type ListSnap struct {
 // advanceLocked digests log entries [odrained, limit) into the shared
 // overlay. First committed entry per key wins — it records the value at
 // the cut; later entries shadow post-snapshot values. Caller holds omu.
-func (p *ListSnap) advanceLocked(ctx *exec.Ctx, limit uint64) {
-	if p.odrained >= limit {
-		return
-	}
-	v := p.s.vlog
-	blocks := *v.blocks.Load()
-	for ; p.odrained < limit; p.odrained++ {
-		idx := p.odrained
-		b := blocks[idx/v.perBlock]
-		off := b.off + alloc.BlockPayload + (idx%v.perBlock)*verEntryWords
-		ts := waitWritten(ctx, b.pool, off)
-		key := b.pool.Load(off+verOffKey, ctx.Mem)
-		if ts = waitSealed(ctx, b.pool, off, ts); ts&verStateMask != verValid {
+func (p *ListSnap) advanceLocked(limit uint64) {
+	for v := p.s.vlog; p.odrained < limit; p.odrained++ {
+		e := v.entry(p.odrained)
+		ts := v.sealed(e)
+		if ts&verStateMask != verValid || ts>>verStateBits <= p.era {
+			continue // no overwrite, or one linearized before the snapshot opened
+		}
+		if _, dup := p.overlay[e.key]; dup {
 			continue
 		}
-		if ts>>verStateBits <= p.era {
-			continue // overwrite linearized before the snapshot opened
-		}
-		if _, dup := p.overlay[key]; dup {
-			continue
-		}
-		p.overlay[key] = b.pool.Load(off+verOffOld, ctx.Mem)
-		p.okeys = append(p.okeys, key)
+		p.overlay[e.key] = e.old
+		p.okeys = append(p.okeys, e.key)
 	}
 }
 
-// AcquireSnapshot opens a snapshot of the list's current state.
-func (s *SkipList) AcquireSnapshot(ctx *exec.Ctx) (*ListSnap, error) {
+// AcquireSnapshot opens a snapshot of the list's current state. Opening
+// touches no pool; the context is the reader's, as for the reads.
+func (s *SkipList) AcquireSnapshot(_ *exec.Ctx) (*ListSnap, error) {
 	v := s.vlog
 	if v == nil {
 		return nil, ErrSnapshotsDisabled
@@ -350,7 +295,7 @@ func (s *SkipList) AcquireSnapshot(ctx *exec.Ctx) (*ListSnap, error) {
 	v.open.Add(1)
 	id, era, ok := s.dom.PinCurrent()
 	if !ok {
-		v.closeLocked(ctx)
+		v.closeLocked()
 		return nil, ErrTooManySnapshots
 	}
 	s.dom.Advance()
@@ -368,9 +313,9 @@ func (s *SkipList) AcquireSnapshot(ctx *exec.Ctx) (*ListSnap, error) {
 func (p *ListSnap) Era() uint64 { return p.era }
 
 // Release closes the snapshot: unpins the era (unblocking reclaim) and,
-// when this was the last open snapshot, recycles every version block.
+// when this was the last open snapshot, drops the version log.
 // Idempotent. Must not race with reads of this same snapshot.
-func (p *ListSnap) Release(ctx *exec.Ctx) {
+func (p *ListSnap) Release(_ *exec.Ctx) {
 	v := p.s.vlog
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -379,13 +324,13 @@ func (p *ListSnap) Release(ctx *exec.Ctx) {
 	}
 	p.released = true
 	p.s.dom.Unpin(p.pin)
-	v.closeLocked(ctx)
+	v.closeLocked()
 }
 
 // closeLocked decrements the open count and, at zero, waits out
-// in-flight pushes and returns every block to the allocator. Callers
-// hold v.mu (which also excludes a concurrent open).
-func (v *versionLog) closeLocked(ctx *exec.Ctx) {
+// in-flight pushes and drops every segment. Callers hold v.mu (which
+// also excludes a concurrent open).
+func (v *versionLog) closeLocked() {
 	if v.open.Add(-1) > 0 {
 		return
 	}
@@ -394,35 +339,10 @@ func (v *versionLog) closeLocked(ctx *exec.Ctx) {
 	for v.outstanding.Load() != 0 {
 		runtime.Gosched()
 	}
-	blocks := *v.blocks.Load()
-	empty := make([]verBlock, 0)
-	v.blocks.Store(&empty)
 	v.next.Store(0)
-	for _, b := range blocks {
-		v.s.a.Free(ctx, b.ptr)
+	for i := range v.segs {
+		v.segs[i].Store(nil)
 	}
-}
-
-// waitWritten spins until the entry's packed tag word leaves the
-// scrubbed all-zero (unwritten) state, returning the word.
-func waitWritten(ctx *exec.Ctx, pool *pmem.Pool, off uint64) uint64 {
-	for {
-		ts := pool.Load(off+verOffTag, ctx.Mem)
-		if ts != 0 {
-			return ts
-		}
-		runtime.Gosched()
-	}
-}
-
-// waitSealed spins until the packed tag word reaches verValid or
-// verDead in its state bits, returning the word.
-func waitSealed(ctx *exec.Ctx, pool *pmem.Pool, off uint64, ts uint64) uint64 {
-	for ts&verStateMask == verProv {
-		runtime.Gosched()
-		ts = pool.Load(off+verOffTag, ctx.Mem)
-	}
-	return ts
 }
 
 // Get returns key's value in the frozen view. The live value is read
@@ -431,7 +351,7 @@ func waitSealed(ctx *exec.Ctx, pool *pmem.Pool, off uint64, ts uint64) uint64 {
 // read already returned the frozen (prior) value.
 func (p *ListSnap) Get(ctx *exec.Ctx, key uint64) (uint64, bool) {
 	liveV, liveOK := p.s.Get(ctx, key)
-	if old, hit := p.lookup(ctx, key); hit {
+	if old, hit := p.lookup(key); hit {
 		if old == Tombstone {
 			return 0, false
 		}
@@ -440,19 +360,13 @@ func (p *ListSnap) Get(ctx *exec.Ctx, key uint64) (uint64, bool) {
 	return liveV, liveOK
 }
 
-// Contains reports whether key is present in the frozen view.
-func (p *ListSnap) Contains(ctx *exec.Ctx, key uint64) bool {
-	_, ok := p.Get(ctx, key)
-	return ok
-}
-
 // lookup resolves key against the shared overlay, digesting any log
 // entries appended since the last read first. Amortized O(1) per call:
-// each log entry is read from pmem exactly once per snapshot.
-func (p *ListSnap) lookup(ctx *exec.Ctx, key uint64) (uint64, bool) {
+// each log entry is digested exactly once per snapshot.
+func (p *ListSnap) lookup(key uint64) (uint64, bool) {
 	limit := p.s.vlog.next.Load()
 	p.omu.Lock()
-	p.advanceLocked(ctx, limit)
+	p.advanceLocked(limit)
 	old, hit := p.overlay[key]
 	p.omu.Unlock()
 	return old, hit
@@ -625,7 +539,7 @@ func (si *SnapIterator) drain() {
 	}
 	p := si.snap
 	p.omu.Lock()
-	p.advanceLocked(si.ctx, limit)
+	p.advanceLocked(limit)
 	for ; si.ki < len(p.okeys); si.ki++ {
 		key := p.okeys[si.ki]
 		if key >= si.lo && (!si.emitted || key > si.lastEmitted) {

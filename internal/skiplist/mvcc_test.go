@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"upskiplist/internal/alloc"
 	"upskiplist/internal/exec"
+	"upskiplist/internal/riv"
 )
 
 // dumpList collects every live pair via the plain iterator.
@@ -47,8 +49,7 @@ func pairsEqual(a, b []kv) (int, bool) {
 
 // TestSnapshotFrozenBasic pins a snapshot, rewrites the world, and
 // checks the snapshot still answers with the pre-snapshot state while
-// the live view moved on — then checks Release recycles every version
-// block.
+// the live view moved on — then checks Release empties the version log.
 func TestSnapshotFrozenBasic(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
 	e.sl.EnableSnapshots(64)
@@ -118,8 +119,8 @@ func TestSnapshotFrozenBasic(t *testing.T) {
 	if got := e.sl.vlog.open.Load(); got != 0 {
 		t.Fatalf("open snapshots after release = %d, want 0", got)
 	}
-	if c := e.a.Census(); c.Version != 0 {
-		t.Fatalf("%d version blocks survived the last release", c.Version)
+	if n := e.sl.VersionLogLen(); n != 0 {
+		t.Fatalf("version log holds %d entries after the last release", n)
 	}
 	if err := e.sl.CheckInvariants(ctx); err != nil {
 		t.Fatal(err)
@@ -241,38 +242,43 @@ func TestSnapshotFrozenUnderChurn(t *testing.T) {
 	}
 }
 
-// TestSnapshotOrphanSweepAfterReopen crashes (reopen with epoch
-// advance) while a snapshot is open and shadow versions sit in pmem
-// blocks: the reopened list must serve the latest committed values, and
-// the startup rediscovery sweep must reclaim the orphaned KindVersion
-// blocks.
-func TestSnapshotOrphanSweepAfterReopen(t *testing.T) {
-	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	e.sl.EnableSnapshots(64)
-	ctx := ctx0()
-	for i := uint64(1); i <= 300; i++ {
-		if _, _, err := e.sl.Insert(ctx, i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rctx := exec.NewCtx(50, 0)
-	if _, err := e.sl.AcquireSnapshot(rctx); err != nil {
-		t.Fatal(err)
-	}
-	// Shadow plenty of versions so the log spans several blocks.
-	for r := 0; r < 4; r++ {
+// TestSnapshotCrashLeavesNoOrphans crashes (reopen with epoch advance)
+// while a snapshot is open over many shadowed versions: the reopened
+// list must serve the latest committed values, and its pools must hold
+// exactly what a never-crashed twin that ran the same writes with no
+// snapshot holds — the version log lived in memory, so there is nothing
+// for the reclaimer's startup scan to rediscover.
+func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
+	write := func(e *env, snap bool) {
+		ctx := ctx0()
 		for i := uint64(1); i <= 300; i++ {
-			if _, _, err := e.sl.Insert(ctx, i, i*100+uint64(r)); err != nil {
+			if _, _, err := e.sl.Insert(ctx, i, i); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if snap {
+			if _, err := e.sl.AcquireSnapshot(exec.NewCtx(50, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := uint64(0); r < 4; r++ {
+			for i := uint64(1); i <= 300; i++ {
+				if _, _, err := e.sl.Insert(ctx, i, i*100+r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	if c := e.a.Census(); c.Version == 0 {
-		t.Fatal("expected live version blocks before the crash")
+	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
+	e.sl.EnableSnapshots(64)
+	write(e, true)
+	if e.sl.VersionLogLen() == 0 {
+		t.Fatal("expected shadowed versions before the crash")
 	}
+	twin := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
+	write(twin, false)
 
-	// Crash: the snapshot is never released; the version log dies with
-	// the process but its blocks persist as KindVersion orphans.
+	// Crash: the snapshot is never released and dies with the process.
 	e2 := e.reopen(t)
 	ctx2 := ctx0()
 	for i := uint64(1); i <= 300; i++ {
@@ -281,15 +287,73 @@ func TestSnapshotOrphanSweepAfterReopen(t *testing.T) {
 			t.Fatalf("after reopen Get(%d) = %d,%v, want %d,true", i, v, ok, i*100+3)
 		}
 	}
+	if got, want := e2.a.Census(), twin.a.Census(); got != want {
+		t.Fatalf("census after crash %+v, never-crashed twin %+v", got, want)
+	}
+	if n := len(e2.a.RetiredBlocks()); n != 0 {
+		t.Fatalf("startup scan would rediscover %d blocks", n)
+	}
 	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, Slots: 64})
-	defer rec.Stop()
-	waitFor(t, "orphaned version blocks swept", func() bool {
-		return e2.a.Census().Version == 0
-	})
-	if rec.Stats().Rediscovered == 0 {
-		t.Fatal("rediscovery counter did not move")
+	rec.Stop()
+	if n := rec.Stats().Rediscovered; n != 0 {
+		t.Fatalf("reclaimer rediscovered %d blocks", n)
 	}
 	if err := e2.sl.CheckInvariants(ctx2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldImageVersionOrphansFreed: an image written while the version
+// log lived on pool blocks may carry blocks stamped with the legacy
+// version kind. After a crash and reopen the reclaimer's one startup
+// kind scan must find them with the retired blocks and return every one
+// to the free lists.
+func TestOldImageVersionOrphansFreed(t *testing.T) {
+	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
+	ctx := ctx0()
+	for i := uint64(1); i <= 100; i++ {
+		if _, _, err := e.sl.Insert(ctx, i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// As the pool-backed log left them: allocated from a writer's
+	// context, kind stamped and persisted, payload never flushed.
+	var legacy []riv.Ptr
+	for i := 0; i < 5; i++ {
+		p, err := e.a.Alloc(exec.NewCtx(7, 0), riv.Null, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, off := e.space.Resolve(p)
+		pool.Store(off+alloc.BlockKind, alloc.KindLegacyVersion, nil)
+		pool.Persist(off+alloc.BlockKind, 1, nil)
+		legacy = append(legacy, p)
+	}
+	before := e.a.Census()
+
+	e2 := e.reopen(t)
+	if got := e2.a.RetiredBlocks(); len(got) != len(legacy) {
+		t.Fatalf("startup scan finds %d blocks, want the %d legacy version blocks", len(got), len(legacy))
+	}
+	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, Slots: 64})
+	defer rec.Stop()
+	waitFor(t, "legacy version blocks freed", func() bool {
+		return rec.Stats().Rediscovered == int64(len(legacy))
+	})
+	rec.Stop()
+	free := make(map[riv.Ptr]bool)
+	e2.a.ForEachFree(func(p riv.Ptr) { free[p] = true })
+	for _, p := range legacy {
+		pool, off := e2.space.Resolve(p)
+		if k := pool.Load(off+alloc.BlockKind, nil); k != alloc.KindFree || !free[p] {
+			t.Fatalf("legacy block %v: kind %d, on a free list %v", p, k, free[p])
+		}
+	}
+	after := e2.a.Census()
+	if after.Retired != 0 || after.Node != before.Node || after.Free != before.Free+len(legacy) {
+		t.Fatalf("census %+v after the scan, %+v before the crash", after, before)
+	}
+	if err := e2.sl.CheckInvariants(ctx0()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,11 +51,8 @@ func (s *SkipList) upsert(ctx *exec.Ctx, key, value uint64) (uint64, bool, error
 				pred.readUnlock(ctx.Mem)
 				continue
 			}
-			old, err := s.update(ctx, pred, res.keyIndex, key, value)
+			old := s.update(ctx, pred, res.keyIndex, key, value)
 			pred.readUnlock(ctx.Mem)
-			if err != nil {
-				return 0, false, err
-			}
 			o, ex := normPrev(old)
 			return o, ex, nil
 		}
@@ -75,11 +72,7 @@ func (s *SkipList) upsert(ctx *exec.Ctx, key, value uint64) (uint64, bool, error
 			}
 			continue
 		}
-		status, old, err := s.insertIntoExistingNode(ctx, key, value, preds, res.splitCount)
-		if err != nil {
-			return 0, false, err
-		}
-		switch status {
+		switch status, old := s.insertIntoExistingNode(ctx, key, value, preds, res.splitCount); status {
 		case stContinue:
 			continue
 		case stNeedSplit:
@@ -112,9 +105,8 @@ func normPrev(old uint64) (uint64, bool) {
 // lands, persist, and return the previous value. The CAS loop gives all
 // updates of one key a total order. While a snapshot is open, the prior
 // value is pushed to the version log before the CAS and the entry is
-// sealed by the CAS outcome (mvcc.go); the only error source is
-// version-block allocation, so err is always nil with no snapshot open.
-func (s *SkipList) update(ctx *exec.Ctx, n nodeRef, keyIndex int, key, value uint64) (uint64, error) {
+// sealed by the CAS outcome (mvcc.go).
+func (s *SkipList) update(ctx *exec.Ctx, n nodeRef, keyIndex int, key, value uint64) uint64 {
 	for {
 		old := n.value(s, keyIndex, ctx.Mem)
 		if old == value {
@@ -122,18 +114,15 @@ func (s *SkipList) update(ctx *exec.Ctx, n nodeRef, keyIndex int, key, value uin
 			// (persisted value, §4.5) exists. No version entry — the value
 			// does not change.
 			s.persistValueOp(ctx, n, keyIndex)
-			return old, nil
+			return old
 		}
-		ent, err := s.vpush(ctx, key, old)
-		if err != nil {
-			return 0, err
-		}
+		ent := s.vpush(key, old)
 		if n.casValue(s, keyIndex, old, value, ctx.Mem) {
-			s.vseal(ctx, ent, true)
+			s.vseal(ent, true)
 			s.persistValueOp(ctx, n, keyIndex)
-			return old, nil
+			return old
 		}
-		s.vseal(ctx, ent, false)
+		s.vseal(ent, false)
 	}
 }
 
@@ -160,17 +149,13 @@ func (s *SkipList) createSuccessor(ctx *exec.Ctx, key, value uint64, preds, succ
 	pred := s.node(preds[0])
 	// Linking the node is this key's transition from absent to present;
 	// shadow the absence for any open snapshot before publication.
-	ent, verr := s.vpush(ctx, key, Tombstone)
-	if verr != nil {
-		s.a.Free(ctx, newPtr)
-		return false, verr
-	}
+	ent := s.vpush(key, Tombstone)
 	if !pred.casNext(s, 0, succ, newPtr, ctx.Mem) {
-		s.vseal(ctx, ent, false)
+		s.vseal(ent, false)
 		s.a.Free(ctx, newPtr)
 		return false, nil
 	}
-	s.vseal(ctx, ent, true)
+	s.vseal(ent, true)
 	pred.persistNext(s, 0, ctx.Mem)
 	s.linkHigherLevels(ctx, n, 1, height)
 	return true, nil
@@ -181,14 +166,14 @@ func (s *SkipList) createSuccessor(ctx *exec.Ctx, key, value uint64, preds, succ
 // publishing are separate atomic steps; if another thread writes the
 // value of a slot we claimed first, it becomes the inserter and we the
 // updater, which the value-CAS loop already realizes.
-func (s *SkipList) insertIntoExistingNode(ctx *exec.Ctx, key, value uint64, preds []riv.Ptr, splitCount uint64) (insertStatus, uint64, error) {
+func (s *SkipList) insertIntoExistingNode(ctx *exec.Ctx, key, value uint64, preds []riv.Ptr, splitCount uint64) (insertStatus, uint64) {
 	pred := s.node(preds[0])
 	if !pred.readLock(s.a.Clock().Current(), ctx.Mem) {
-		return stContinue, 0, nil
+		return stContinue, 0
 	}
 	if pred.splitCount(ctx.Mem) != splitCount {
 		pred.readUnlock(ctx.Mem)
-		return stContinue, 0, nil
+		return stContinue, 0
 	}
 	if s.blockSearch {
 		// Fast path: snapshot the key block once and decide from the
@@ -205,21 +190,21 @@ func (s *SkipList) insertIntoExistingNode(ctx *exec.Ctx, key, value uint64, pred
 			ctx.Path.KeysProbed += uint64(probed)
 			if found >= 0 {
 				ctx.PutBlock(buf)
-				old, err := s.update(ctx, pred, found, key, value)
+				old := s.update(ctx, pred, found, key, value)
 				pred.readUnlock(ctx.Mem)
-				return stDone, old, err
+				return stDone, old
 			}
 			if empty < 0 {
 				ctx.PutBlock(buf)
 				pred.readUnlock(ctx.Mem)
-				return stNeedSplit, 0, nil
+				return stNeedSplit, 0
 			}
 			if pred.casKey(s, empty, keyEmpty, key, ctx.Mem) {
 				ctx.PutBlock(buf)
 				s.persistKeyOp(ctx, pred, empty)
-				old, err := s.update(ctx, pred, empty, key, value)
+				old := s.update(ctx, pred, empty, key, value)
 				pred.readUnlock(ctx.Mem)
-				return stDone, old, err
+				return stDone, old
 			}
 			// CAS lost: another claim landed since the snapshot; retake it.
 		}
@@ -229,25 +214,25 @@ func (s *SkipList) insertIntoExistingNode(ctx *exec.Ctx, key, value uint64, pred
 			k := pred.key(s, i, ctx.Mem)
 			ctx.Path.KeysProbed++
 			if k == key {
-				old, err := s.update(ctx, pred, i, key, value)
+				old := s.update(ctx, pred, i, key, value)
 				pred.readUnlock(ctx.Mem)
-				return stDone, old, err
+				return stDone, old
 			}
 			if k != keyEmpty {
 				break // occupied by someone else; next slot
 			}
 			if pred.casKey(s, i, keyEmpty, key, ctx.Mem) {
 				s.persistKeyOp(ctx, pred, i)
-				old, err := s.update(ctx, pred, i, key, value)
+				old := s.update(ctx, pred, i, key, value)
 				pred.readUnlock(ctx.Mem)
-				return stDone, old, err
+				return stDone, old
 			}
 			// CAS lost: re-read this slot — the winner may have claimed
 			// it with our key.
 		}
 	}
 	pred.readUnlock(ctx.Mem)
-	return stNeedSplit, 0, nil
+	return stNeedSplit, 0
 }
 
 // splitNode implements Function 20: move the upper half of a full node's
@@ -425,11 +410,8 @@ func (s *SkipList) Remove(ctx *exec.Ctx, key uint64) (uint64, bool, error) {
 			pred.readUnlock(ctx.Mem)
 			continue
 		}
-		old, err := s.update(ctx, pred, res.keyIndex, key, Tombstone)
+		old := s.update(ctx, pred, res.keyIndex, key, Tombstone)
 		pred.readUnlock(ctx.Mem)
-		if err != nil {
-			return 0, false, err
-		}
 		if s.rec != nil && old != Tombstone && s.nodeFullyTombstoned(ctx, pred) {
 			// Retire-on-traversal: this remove emptied the node's last
 			// live value (best-effort check — a racing insert may revive

@@ -513,10 +513,12 @@ func (r *Reclaimer) freeOne(ctx *exec.Ctx, p riv.Ptr) {
 }
 
 // rediscover collects blocks a previous incarnation retired but never
-// freed (crash while on the volatile limbo list). They are guaranteed
-// unreachable — the state-1 intent covers the unlink window — and no
-// pre-crash reader survives a restart, so they free without a grace
-// period.
+// freed (crash while on the volatile limbo list), and any legacy
+// version-log blocks an older image carries — the one kind scan
+// returns both (alloc.KindLegacyVersion). They are guaranteed
+// unreachable — the state-1 intent covers the unlink window, and no
+// version block was ever linked — and no pre-crash reader survives a
+// restart, so they free without a grace period.
 func (r *Reclaimer) rediscover() {
 	blocks := r.s.a.RetiredBlocks()
 	for _, p := range blocks {
@@ -525,24 +527,5 @@ func (r *Reclaimer) rediscover() {
 	}
 	if len(blocks) > 0 {
 		r.s.hintGen.Add(1)
-	}
-	// Orphaned version blocks: a crash with a snapshot open leaks the
-	// (volatile) version log's blocks as KindVersion orphans in pmem.
-	// Blocks owned by this incarnation's live log are excluded — in
-	// practice the set is empty here because StartReclaim precedes
-	// concurrent operations, but the guard makes the sweep safe to call
-	// at any point.
-	live := make(map[riv.Ptr]bool)
-	if v := r.s.vlog; v != nil {
-		for _, b := range *v.blocks.Load() {
-			live[b.ptr] = true
-		}
-	}
-	for _, p := range r.s.a.VersionBlocks() {
-		if live[p] {
-			continue
-		}
-		r.s.a.Free(r.ctx, p)
-		r.rediscovered.Add(1)
 	}
 }

@@ -525,7 +525,7 @@ func TestCensusCountsExtentsInBlocks(t *testing.T) {
 	}
 	// The block-strided scans must not read value bytes as kind words:
 	// store values whose every word looks like a kind, then scan.
-	for _, kind := range []uint64{alloc.KindFree, alloc.KindRetired, alloc.KindVersion} {
+	for _, kind := range []uint64{alloc.KindFree, alloc.KindRetired, alloc.KindLegacyVersion} {
 		v := make([]byte, 4096)
 		for i := 0; i < len(v); i += 8 {
 			v[i] = byte(kind)
@@ -534,7 +534,7 @@ func TestCensusCountsExtentsInBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(env.a.RetiredBlocks()) + len(env.a.VersionBlocks()); n != 0 {
+	if n := len(env.a.RetiredBlocks()); n != 0 {
 		t.Fatalf("kind scans found %d blocks inside a slab chunk", n)
 	}
 	env.clock.Advance() // make every stamp stale, as after a restart

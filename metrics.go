@@ -101,6 +101,9 @@ func (s *Store) EnableMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("upsl_snapshot_oldest_era_age_seconds",
 		"age of the oldest open snapshot's pinned era (0 when none open)",
 		nil, func() float64 { return s.OldestSnapshotAge().Seconds() })
+	reg.GaugeFunc("upsl_snapshot_log_entries",
+		"version-log entries held in memory for the open snapshots, summed over shards",
+		nil, func() float64 { return float64(s.snapshotLogEntries()) })
 	reg.GaugeFunc("upsl_reclaim_snapshot_blocked_batches",
 		"limbo batches whose free is currently held back by a pinned snapshot",
 		nil, func() float64 { return float64(s.ReclaimStats().SnapBlocked) })

@@ -112,7 +112,6 @@ func (s *Store) BlockCensus() alloc.BlockCensus {
 		out.Free += c.Free
 		out.Node += c.Node
 		out.Retired += c.Retired
-		out.Version += c.Version
 		out.Slab += c.Slab
 		out.Total += c.Total
 	}

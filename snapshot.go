@@ -22,7 +22,8 @@ import (
 // internal/skiplist/mvcc.go for the freeze protocol) and merges them
 // behind the familiar Get/Scan/Iterator surface. Opening and reading a
 // snapshot never blocks writers; the only write-path cost while one is
-// open is a version-log append per overwritten value.
+// open is a version-log append per overwritten value, into Go memory —
+// a writer never touches a pool on a snapshot's behalf.
 //
 // Consistency scope: each shard's view is a single consistent cut, but
 // the per-shard cuts are acquired in sequence, so a multi-shard batch
@@ -268,12 +269,9 @@ func (sn *Snap) ScanU64(lo, hi uint64, fn func(key, value uint64) bool) error {
 	})
 }
 
-// Iterator returns a fresh forward cursor over the frozen view — a
-// single shard's snapshot cursor, or a merge over every shard's.
+// Iterator returns a fresh forward cursor over the frozen view: a merge
+// over every shard's snapshot cursor.
 func (sn *Snap) Iterator() Iterator {
-	if len(sn.snaps) == 1 {
-		return storeIter{c: sn.snaps[0].NewIterator(sn.ctxs[0])}
-	}
 	cs := make([]skiplist.Cursor, len(sn.snaps))
 	for i, ls := range sn.snaps {
 		cs[i] = ls.NewIterator(sn.ctxs[i])
@@ -309,6 +307,16 @@ func (s *Store) FeedEra() uint64 {
 		return f.Era()
 	}
 	return 0
+}
+
+// snapshotLogEntries sums every shard's version-log length: the
+// entries the open snapshots hold in memory, 0 with none open.
+func (s *Store) snapshotLogEntries() uint64 {
+	var n uint64
+	for _, e := range s.shards {
+		n += e.list.VersionLogLen()
+	}
+	return n
 }
 
 // SnapshotsOpen returns the number of currently open snapshots.

@@ -2,10 +2,14 @@ package upskiplist
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"upskiplist/internal/alloc"
+	"upskiplist/internal/pmem"
 )
 
 func snapOptions() Options {
@@ -97,8 +101,8 @@ func TestStoreSnapshotFrozenView(t *testing.T) {
 	if got := st.SnapshotsOpen(); got != 0 {
 		t.Fatalf("SnapshotsOpen after release = %d, want 0", got)
 	}
-	if c := st.BlockCensus(); c.Version != 0 {
-		t.Fatalf("%d version blocks survived release", c.Version)
+	if n := st.snapshotLogEntries(); n != 0 {
+		t.Fatalf("version log holds %d entries after the last release", n)
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -290,35 +294,40 @@ func TestSaveOnlineDuringWrites(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrashRecovery crashes with a snapshot open and shadowed
-// versions sitting in pmem: reopen must serve the latest committed
-// values, and the orphaned version blocks must be swept by the startup
-// rediscovery when reclamation comes back.
+// TestSnapshotCrashRecovery crashes with a snapshot open over shadowed
+// versions: reopen must serve the latest committed values, and the
+// pools must hold exactly what a never-crashed twin that ran the same
+// writes with no snapshot holds — the version log lived in memory, so
+// the reclaimer's startup scan finds nothing to rediscover.
 func TestSnapshotCrashRecovery(t *testing.T) {
-	st, err := Create(snapOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := st.NewWorker(0)
-	for i := uint64(1); i <= 300; i++ {
-		if _, _, err := w.PutU64(i, i); err != nil {
+	write := func(snap bool) *Store {
+		st, err := Create(snapOptions())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	sn, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sn // never released: dies with the crash
-	for r := uint64(0); r < 3; r++ {
+		w := st.NewWorker(0)
 		for i := uint64(1); i <= 300; i++ {
-			if _, _, err := w.PutU64(i, i*10+r); err != nil {
+			if _, _, err := w.PutU64(i, i); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if snap {
+			if _, err := st.Snapshot(); err != nil { // never released: dies with the crash
+				t.Fatal(err)
+			}
+		}
+		for r := uint64(0); r < 3; r++ {
+			for i := uint64(1); i <= 300; i++ {
+				if _, _, err := w.PutU64(i, i*10+r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return st
 	}
-	if c := st.BlockCensus(); c.Version == 0 {
-		t.Fatal("expected live version blocks before the crash")
+	st, twin := write(true), write(false)
+	if st.snapshotLogEntries() == 0 {
+		t.Fatal("expected shadowed versions before the crash")
 	}
 
 	st.SimulateCrash()
@@ -332,15 +341,149 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 			t.Fatalf("after crash Get(%d) = %d,%v, want %d,true", i, v, ok, i*10+2)
 		}
 	}
-	if c := st2.BlockCensus(); c.Version == 0 {
-		t.Fatal("version orphans should persist until swept")
+	if got, want := st2.BlockCensus(), twin.BlockCensus(); got != want {
+		t.Fatalf("census after crash %+v, never-crashed twin %+v", got, want)
+	}
+	for i, e := range st2.shards {
+		if n := len(e.alloc.RetiredBlocks()); n != 0 {
+			t.Fatalf("shard %d: startup scan would rediscover %d blocks", i, n)
+		}
 	}
 	st2.EnableOnlineReclaim()
-	waitForCond(t, "version orphans swept", func() bool {
-		return st2.BlockCensus().Version == 0
-	})
 	st2.DisableOnlineReclaim()
+	if n := st2.ReclaimStats().Rediscovered; n != 0 {
+		t.Fatalf("reclaimer rediscovered %d blocks", n)
+	}
 	if err := w2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapCountStream is the seeded write stream of
+// TestSnapshotWritersTouchNoPool: inline 8-byte overwrites of existing
+// keys and inserts of new ones, no removes, nothing out of line.
+func snapCountStream(t *testing.T, w *Worker, preload uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(26))
+	next := preload
+	for i := 0; i < 22_000; i++ {
+		k := 1 + uint64(rng.Int63n(int64(preload)))
+		if rng.Intn(11) == 0 {
+			next++
+			k = next
+		}
+		if _, _, err := w.PutU64(k, uint64(rng.Int63n(1<<62))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotWritersTouchNoPool: an open snapshot costs writers no pool
+// access. Two identical stores run the same seeded stream on one worker,
+// one of them with a Snap held open throughout; every published pmem
+// counter must come out equal. The held Snap must still serve every
+// pre-stream value afterwards.
+func TestSnapshotWritersTouchNoPool(t *testing.T) {
+	const preload = 2000
+	run := func(hold bool) (pmem.StatsSnapshot, *Snap) {
+		o := snapOptions()
+		o.Cost = pmem.DefaultCostModel() // line misses are counted only under the model
+		st, err := Create(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := st.NewWorker(1)
+		for k := uint64(1); k <= preload; k++ {
+			if _, _, err := w.PutU64(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sn *Snap
+		if hold {
+			if sn, err = st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base := st.Stats().Mem
+		snapCountStream(t, w, preload)
+		return memDelta(st, base), sn
+	}
+	plain, _ := run(false)
+	held, sn := run(true)
+	defer sn.Release()
+	if plain.Loads == 0 || plain.Stores == 0 || plain.Fences == 0 {
+		t.Fatalf("the stream published no pool accesses: %+v", plain)
+	}
+	if held != plain {
+		t.Fatalf("writers under an open snapshot\n got %+v misses=%d\nwant %+v misses=%d", held, held.Misses, plain, plain.Misses)
+	}
+	if sn.s.snapshotLogEntries() == 0 {
+		t.Fatal("the stream shadowed no version")
+	}
+	for k := uint64(1); k <= preload; k++ {
+		if v, ok := sn.GetU64(k); !ok || v != k {
+			t.Fatalf("snap.GetU64(%d) = %d,%v, want %d,true", k, v, ok, k)
+		}
+	}
+	want := uint64(1)
+	if err := sn.ScanU64(KeyMin, KeyMax, func(k, v uint64) bool {
+		if k != want || v != k {
+			t.Fatalf("snap scan pair %d -> %d, want %d -> %d", k, v, want, want)
+		}
+		want++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want != preload+1 {
+		t.Fatalf("snap scan visited %d pairs, want %d", want-1, preload)
+	}
+}
+
+// TestSnapshotOverwritesOnFullPool: with the pool exhausted by inserts,
+// a snapshot opens and every surviving key is overwritten in place; no
+// overwrite may fail for want of pool space to record the prior value,
+// and the snapshot reads the old values.
+func TestSnapshotOverwritesOnFullPool(t *testing.T) {
+	o := snapOptions()
+	o.PoolWords = 1 << 17
+	o.ChunkWords = 1 << 12
+	o.MaxChunks = 64
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.NewWorker(0)
+	var n uint64
+	for {
+		_, _, err := w.PutU64(n+1, n+1)
+		if errors.Is(err, alloc.ErrPoolFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Release()
+	for k := uint64(1); k <= n; k++ {
+		if _, _, err := w.PutU64(k, k+1_000_000); err != nil {
+			t.Fatalf("overwrite %d of %d on a full pool: %v", k, n, err)
+		}
+	}
+	for k := uint64(1); k <= n; k++ {
+		if v, ok := sn.GetU64(k); !ok || v != k {
+			t.Fatalf("snap.GetU64(%d) = %d,%v, want %d,true", k, v, ok, k)
+		}
+		if v, ok := w.GetU64(k); !ok || v != k+1_000_000 {
+			t.Fatalf("live GetU64(%d) = %d,%v", k, v, ok)
+		}
+	}
+	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
