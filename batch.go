@@ -4,7 +4,6 @@ import (
 	"upskiplist/internal/metrics"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/skiplist"
-	"upskiplist/internal/snapshot"
 )
 
 // OpKind selects what one batched Op does.
@@ -124,31 +123,6 @@ func (w *Worker) ApplyBatchInto(ops []Op, res []OpResult) []OpResult {
 	if m != nil {
 		m.batchLat.Since(start)
 		m.batchOps.Add(uint64(len(ops)))
-	}
-	if f := w.s.feed.Load(); f != nil {
-		// Commit to the change feed in submission order: replaying the
-		// recorded changes in order reproduces the batch's final state
-		// (last-writer-wins duplicates included). Failed ops and removes
-		// of absent keys changed nothing and are not recorded. The feed
-		// outlives this batch, so it gets its own copy of the bytes.
-		var changes []snapshot.Change
-		for i, op := range ops {
-			if res[i].Err != nil {
-				continue
-			}
-			switch op.Kind {
-			case OpInsert:
-				changes = append(changes, snapshot.Change{
-					Kind: snapshot.ChangePut, Key: op.Key,
-					Value: append([]byte(nil), op.Value...),
-				})
-			case OpRemove:
-				if res[i].Found {
-					changes = append(changes, snapshot.Change{Kind: snapshot.ChangeDel, Key: op.Key})
-				}
-			}
-		}
-		f.Append(changes)
 	}
 	return res
 }

@@ -74,7 +74,6 @@ func runRecoveryExp(c benchConfig) {
 		for _, vsz := range valueSizes {
 			dir := benchDir(fmt.Sprintf("recovery-dump-%d-%d", keys, vsz))
 			st := c.buildRecoveryStore(keys, vsz, shards)
-			st.EnableSnapshots()
 			if err := st.SaveOnline(dir); err != nil {
 				fatalf("save-online: %v", err)
 			}

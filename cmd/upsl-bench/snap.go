@@ -38,12 +38,6 @@ import (
 
 const snapWorkers = 8
 
-func (c benchConfig) snapStoreOptions() upskiplist.Options {
-	o := c.upslOptions(c.keysNode, upskiplist.Striped)
-	o.Snapshots = true
-	return o
-}
-
 type snapPair struct{ k, v uint64 }
 
 // snapScanOnce dumps the snapshot and compares against the reference.
@@ -80,7 +74,7 @@ func runSnapExp(c benchConfig) {
 
 	for _, nsnap := range []int{0, 1, 4} {
 		label := fmt.Sprintf("UPSL-%dsnap", nsnap)
-		u, err := harness.NewUPSL(c.snapStoreOptions(), label)
+		u, err := harness.NewUPSL(c.upslOptions(c.keysNode, upskiplist.Striped), label)
 		if err != nil {
 			fatalf("creating %s: %v", label, err)
 		}

@@ -282,10 +282,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Metrics != nil {
 		s.met = newSrvMetrics(cfg.Metrics)
 	}
-	// Wire snapshots are always available: enabling is idempotent and
-	// must happen before concurrent operations begin, which is exactly
-	// now (no worker has run yet).
-	s.st.EnableSnapshots()
 	s.leases = snapshot.NewLeases(cfg.SnapTTL)
 	s.leaseQuit = make(chan struct{})
 	s.reg.GaugeFunc("upsl_server_snap_leases", "currently held wire snapshot leases", nil, func() float64 {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
 )
 
@@ -76,11 +75,8 @@ const (
 	verSegs     = 64 - verSeg0Bits
 )
 
-// Errors.
-var (
-	ErrSnapshotsDisabled = errors.New("skiplist: snapshots not enabled (call EnableSnapshots before concurrent operations begin)")
-	ErrTooManySnapshots  = errors.New("skiplist: too many concurrently open snapshots")
-)
+// ErrTooManySnapshots reports a snapshot open with every pin slot taken.
+var ErrTooManySnapshots = errors.New("skiplist: too many concurrently open snapshots")
 
 // verEntry is one version-log slot. key and old are plain fields: the
 // owner writes them before it publishes the tag, and readers read them
@@ -90,7 +86,9 @@ type verEntry struct {
 	tag      atomic.Uint64
 }
 
-// versionLog is the volatile per-list version log.
+// versionLog is the volatile per-list version log. Every list has one
+// from Create/Open on; while no snapshot is open it costs a writer one
+// atomic load per update.
 type versionLog struct {
 	mu sync.Mutex // serializes snapshot open/close
 
@@ -113,37 +111,10 @@ type versionLog struct {
 	segs [verSegs]atomic.Pointer[[]verEntry]
 }
 
-// EnableSnapshots attaches a version log (and, when online reclamation
-// is not running, a reclamation-era domain of the given slot count) to
-// the list. Like StartReclaim it must be called before concurrent
-// operations begin: workers read the vlog and dom fields
-// unsynchronized on every op. Idempotent. While no snapshot is open the
-// only per-update cost is one atomic load.
-func (s *SkipList) EnableSnapshots(slots int) {
-	if s.vlog != nil {
-		return
-	}
-	if s.dom == nil {
-		if slots <= 0 {
-			slots = 128
-		}
-		s.dom = epoch.NewDomain(slots)
-	}
-	s.vlog = &versionLog{}
-}
-
-// SnapshotsEnabled reports whether EnableSnapshots has run.
-func (s *SkipList) SnapshotsEnabled() bool { return s.vlog != nil }
-
 // VersionLogLen returns the number of entries the version log holds:
 // every push since the last moment no snapshot was open, 0 with none
 // open.
-func (s *SkipList) VersionLogLen() uint64 {
-	if s.vlog == nil {
-		return 0
-	}
-	return s.vlog.next.Load()
-}
+func (s *SkipList) VersionLogLen() uint64 { return s.vlog.next.Load() }
 
 // vpush appends a provisional version entry recording that key's value
 // is about to move off old. nil means no snapshot is open and nothing
@@ -151,7 +122,7 @@ func (s *SkipList) VersionLogLen() uint64 {
 // CAS resolves.
 func (s *SkipList) vpush(key, old uint64) *verEntry {
 	v := s.vlog
-	if v == nil || v.open.Load() == 0 {
+	if v.open.Load() == 0 {
 		return nil
 	}
 	v.outstanding.Add(1)
@@ -283,9 +254,6 @@ func (p *ListSnap) advanceLocked(limit uint64) {
 // touches no pool; the context is the reader's, as for the reads.
 func (s *SkipList) AcquireSnapshot(_ *exec.Ctx) (*ListSnap, error) {
 	v := s.vlog
-	if v == nil {
-		return nil, ErrSnapshotsDisabled
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	// Order matters: the open count goes up BEFORE the era advances, so

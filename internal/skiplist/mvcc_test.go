@@ -52,7 +52,6 @@ func pairsEqual(a, b []kv) (int, bool) {
 // the live view moved on — then checks Release empties the version log.
 func TestSnapshotFrozenBasic(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	e.sl.EnableSnapshots(64)
 	ctx := ctx0()
 	for i := uint64(1); i <= 200; i++ {
 		if _, _, err := e.sl.Insert(ctx, i, i*10); err != nil {
@@ -127,21 +126,12 @@ func TestSnapshotFrozenBasic(t *testing.T) {
 	}
 }
 
-// TestSnapshotDisabledAndExhausted covers the error surface: snapshots
-// before EnableSnapshots, and pin exhaustion.
-func TestSnapshotDisabledErr(t *testing.T) {
-	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	if _, err := e.sl.AcquireSnapshot(ctx0()); err != ErrSnapshotsDisabled {
-		t.Fatalf("AcquireSnapshot without enable: %v", err)
-	}
-}
-
 // TestResumeWithoutPausePanics pins the Reclaimer.Resume guard: an
 // unmatched Resume is a programming error and must fail loudly, not
 // corrupt the pause count.
 func TestResumeWithoutPausePanics(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	rec := e.sl.StartReclaim(ReclaimConfig{Interval: time.Hour, Slots: 64})
+	rec := e.sl.StartReclaim(ReclaimConfig{Interval: time.Hour})
 	defer rec.Stop()
 	defer func() {
 		if recover() == nil {
@@ -159,7 +149,6 @@ func TestResumeWithoutPausePanics(t *testing.T) {
 // ascending order; re-exercises the iterator ascending-order fix).
 func TestSnapshotFrozenUnderChurn(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 12, KeysPerNode: 4})
-	e.sl.EnableSnapshots(64)
 	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, ScanNodes: 512})
 	defer rec.Stop()
 	ctx := ctx0()
@@ -270,7 +259,6 @@ func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
 		}
 	}
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	e.sl.EnableSnapshots(64)
 	write(e, true)
 	if e.sl.VersionLogLen() == 0 {
 		t.Fatal("expected shadowed versions before the crash")
@@ -293,7 +281,7 @@ func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
 	if n := len(e2.a.RetiredBlocks()); n != 0 {
 		t.Fatalf("startup scan would rediscover %d blocks", n)
 	}
-	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, Slots: 64})
+	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
 	rec.Stop()
 	if n := rec.Stats().Rediscovered; n != 0 {
 		t.Fatalf("reclaimer rediscovered %d blocks", n)
@@ -335,7 +323,7 @@ func TestOldImageVersionOrphansFreed(t *testing.T) {
 	if got := e2.a.RetiredBlocks(); len(got) != len(legacy) {
 		t.Fatalf("startup scan finds %d blocks, want the %d legacy version blocks", len(got), len(legacy))
 	}
-	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, Slots: 64})
+	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
 	defer rec.Stop()
 	waitFor(t, "legacy version blocks freed", func() bool {
 		return rec.Stats().Rediscovered == int64(len(legacy))

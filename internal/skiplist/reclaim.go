@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"upskiplist/internal/alloc"
-	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
@@ -33,8 +32,10 @@ import (
 //	                                        ▼  worker passes the tag
 //	               state=2 log per block ▶ alloc.Free ▶ arena free list
 //
-// Concurrency safety rests on four mechanisms, all of which the hot
-// path pays for only when reclamation has ever been enabled:
+// Concurrency safety rests on four mechanisms. The hot path pays for
+// the first on every list, since snapshots and value-chunk retirement
+// share the domain; the other three only once reclamation has ever been
+// enabled:
 //
 //  1. Era pins. Workers stamp the domain era on op entry (SkipList.pin).
 //     A limbo batch is freed only once every pinned era is past the
@@ -74,7 +75,6 @@ import (
 //     no grace needed, because a restart is itself a grace period.
 type Reclaimer struct {
 	s   *SkipList
-	dom *epoch.Domain
 	cfg ReclaimConfig
 	ctx *exec.Ctx
 
@@ -149,10 +149,6 @@ type ReclaimConfig struct {
 	// bounded number of cycles, whichever comes first. Larger batches
 	// trade reclamation latency for fewer hint wipes.
 	FreeBatch int
-	// Slots sizes the era domain; it must be at least the number of
-	// distinct worker thread IDs operating on this list (default 128,
-	// matching the allocator's log default).
-	Slots int
 	// ThreadID/Node identify the reclaimer's own exec context. The
 	// reclaimer never allocates, so the thread ID only selects the arena
 	// its frees append to.
@@ -170,9 +166,6 @@ func (c ReclaimConfig) withDefaults() ReclaimConfig {
 	if c.FreeBatch <= 0 {
 		c.FreeBatch = 128
 	}
-	if c.Slots <= 0 {
-		c.Slots = 128
-	}
 	return c
 }
 
@@ -187,24 +180,17 @@ type ReclaimStats struct {
 
 // StartReclaim attaches a reclaimer to the list and starts its
 // goroutine. It must be called before concurrent operations begin (the
-// reclaim-enabled flag and era domain are unsynchronized fields workers
-// read on every op). Idempotent: a second call returns the existing
-// reclaimer.
+// reclaim-enabled flag is an unsynchronized field workers read on every
+// hop). Grace periods run on the list's own domain, which snapshot pins
+// share, so an open snapshot holds back limbo batches. Idempotent: a
+// second call returns the existing reclaimer.
 func (s *SkipList) StartReclaim(cfg ReclaimConfig) *Reclaimer {
 	if s.rec != nil {
 		return s.rec
 	}
 	cfg = cfg.withDefaults()
-	// EnableSnapshots may have attached a domain already; reuse it —
-	// snapshot pins and reclaim grace must share one era space, or a
-	// pinned snapshot could not hold back limbo batches.
-	dom := s.dom
-	if dom == nil {
-		dom = epoch.NewDomain(cfg.Slots)
-	}
 	r := &Reclaimer{
 		s:        s,
-		dom:      dom,
 		cfg:      cfg,
 		ctx:      exec.NewCtx(cfg.ThreadID, cfg.Node),
 		reportCh: make(chan riv.Ptr, 256),
@@ -213,7 +199,6 @@ func (s *SkipList) StartReclaim(cfg ReclaimConfig) *Reclaimer {
 		cursor:   KeyMin,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	s.dom = r.dom
 	s.rec = r
 	s.reclaimOn = true // sticky: stays set after Stop (retired nodes may exist)
 	go r.run()
@@ -419,8 +404,8 @@ drain:
 			// Close the batch: wipe hints FIRST, then tag with the era and
 			// advance. Order matters — see the file comment's mechanism 1.
 			r.s.hintGen.Add(1)
-			era := r.dom.Era()
-			r.dom.Advance()
+			era := r.s.dom.Era()
+			r.s.dom.Advance()
 			r.pending = append(r.pending, limboBatch{ptrs: r.limbo, era: era, closed: time.Now()})
 			r.limbo = nil
 			r.sinceClose = 0
@@ -428,7 +413,7 @@ drain:
 	}
 	for len(r.pending) > 0 {
 		b := r.pending[0]
-		if r.dom.MinActive() <= b.era {
+		if r.s.dom.MinActive() <= b.era {
 			break // oldest batch still visible to someone; later ones too
 		}
 		for _, p := range b.ptrs {
@@ -446,7 +431,7 @@ drain:
 	// snapshot (upsl_reclaim_snapshot_blocked_batches).
 	blocked := int64(0)
 	if len(r.pending) > 0 {
-		minW, minP := r.dom.MinWorkers(), r.dom.MinPinned()
+		minW, minP := r.s.dom.MinWorkers(), r.s.dom.MinPinned()
 		for _, b := range r.pending {
 			if minP <= b.era && minW > b.era {
 				blocked++

@@ -18,7 +18,7 @@ import (
 // (direct tryRetire/freeOne calls from the test goroutine respect the
 // single-retirer contract while the goroutine is paused).
 func startPausedReclaim(sl *SkipList) *Reclaimer {
-	r := sl.StartReclaim(ReclaimConfig{Interval: time.Hour, Slots: 64})
+	r := sl.StartReclaim(ReclaimConfig{Interval: time.Hour})
 	r.Pause()
 	return r
 }
@@ -55,7 +55,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestOnlineReclaimFreesTombstonedNodes(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 10, KeysPerNode: 4})
 	ctx := ctx0()
-	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, ScanNodes: 256, Slots: 64})
+	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, ScanNodes: 256})
 	defer rec.Stop()
 
 	for i := uint64(1); i <= 400; i++ {
@@ -112,7 +112,7 @@ func TestOnlineReclaimFreesTombstonedNodes(t *testing.T) {
 // invariants, including linked/free exclusivity.
 func TestReclaimConcurrentSoak(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 12, KeysPerNode: 4})
-	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 100 * time.Microsecond, ScanNodes: 512, Slots: 64})
+	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 100 * time.Microsecond, ScanNodes: 512})
 	defer rec.Stop()
 
 	const (
@@ -350,7 +350,7 @@ func TestLimboRediscoveryAfterRestart(t *testing.T) {
 	if len(orphans) != retired {
 		t.Fatalf("found %d orphaned retired blocks, retired %d", len(orphans), retired)
 	}
-	rec2 := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, Slots: 64})
+	rec2 := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
 	defer rec2.Stop()
 	waitFor(t, "limbo rediscovery", func() bool {
 		return rec2.Stats().Rediscovered == int64(retired)

@@ -185,20 +185,20 @@ type SkipList struct {
 	hints   bool
 	hintGen atomic.Uint64
 
-	// Online reclamation state (reclaim.go). dom is the volatile
-	// grace-period domain workers pin on op entry; rec the attached
+	// dom is the volatile grace-period domain workers pin on op entry and
+	// vlog the MVCC version log (mvcc.go). Create/Open build both, once:
+	// a handle is born with everything snapshots and reclamation need,
+	// and nothing reassigns them while workers run.
+	dom  *epoch.Domain
+	vlog *versionLog
+
+	// Online reclamation state (reclaim.go): rec is the attached
 	// reclaimer. reclaimOn is sticky: once a reclaimer has ever run on
 	// this handle, KindRetired nodes may be linked, so traversals keep
-	// paying the skip check even after the reclaimer stops. All three are
-	// set before concurrent operations begin (StartReclaim's contract).
-	dom       *epoch.Domain
+	// paying the skip check even after the reclaimer stops. Both are set
+	// before concurrent operations begin (StartReclaim's contract).
 	rec       *Reclaimer
 	reclaimOn bool
-
-	// MVCC snapshot state (mvcc.go). Set by EnableSnapshots before
-	// concurrent operations begin; nil keeps the write path free of any
-	// version-log work beyond one field test.
-	vlog *versionLog
 
 	// decode materializes a value word into bytes (resolving slab
 	// references); installed by the engine, used by the iterator at
@@ -211,10 +211,9 @@ type SkipList struct {
 
 // pin marks operation entry. The depth counter makes nested public ops
 // (Contains -> Get, batch application) one operation; the outermost
-// entry stamps the worker's reclamation-era slot when a grace-period
-// domain is attached.
+// entry stamps the worker's reclamation-era slot.
 func (s *SkipList) pin(ctx *exec.Ctx) {
-	if ctx.Pins == 0 && s.dom != nil {
+	if ctx.Pins == 0 {
 		s.dom.Enter(ctx.ThreadID)
 	}
 	ctx.Pins++
@@ -228,9 +227,7 @@ func (s *SkipList) unpin(ctx *exec.Ctx) {
 		return
 	}
 	if ctx.Pins--; ctx.Pins == 0 {
-		if s.dom != nil {
-			s.dom.Exit(ctx.ThreadID)
-		}
+		s.dom.Exit(ctx.ThreadID)
 		ctx.Mem.Publish()
 	}
 }
@@ -245,10 +242,17 @@ func (s *SkipList) Pin(ctx *exec.Ctx) { s.pin(ctx) }
 // Unpin releases a Pin.
 func (s *SkipList) Unpin(ctx *exec.Ctx) { s.unpin(ctx) }
 
-// Domain returns the grace-period domain, or nil while neither online
-// reclamation nor snapshots are attached. Value-chunk retirement tags
-// its limbo batches with this domain's eras.
+// Domain returns the list's grace-period domain, which is never nil:
+// Create/Open build it. Worker pins, snapshot pins, the node reclaimer
+// and value-chunk retirement all share its one era space.
 func (s *SkipList) Domain() *epoch.Domain { return s.dom }
+
+// newDomain sizes a list's era domain from its allocator: one worker
+// slot per allocation-log thread ID, then epoch.NumPins more for the
+// snapshot readers a store numbers above them.
+func newDomain(pa *alloc.PoolAllocator) *epoch.Domain {
+	return epoch.NewDomain(pa.Config().NumLogs + epoch.NumPins)
+}
 
 // ForEachValueWord walks the bottom level and invokes fn with every
 // value word of every node, tombstones and empty slots included. It
@@ -319,6 +323,8 @@ func Create(a *alloc.Allocator, cfg Config) (*SkipList, error) {
 		maxHeight: cfg.MaxHeight, keysPerNode: cfg.KeysPerNode,
 		sorted:     cfg.SortedNodes,
 		blockWords: a.BlockWords(),
+		dom:        newDomain(rootPA),
+		vlog:       &versionLog{},
 	}
 	s.SetTuning(Tuning{})
 
@@ -390,6 +396,8 @@ func Open(a *alloc.Allocator) (*SkipList, error) {
 		blockWords:  a.BlockWords(),
 		head:        riv.FromWord(r.Load(off+rootOffHead, nil)),
 		tail:        riv.FromWord(r.Load(off+rootOffTail, nil)),
+		dom:         newDomain(rootPA),
+		vlog:        &versionLog{},
 	}
 	s.SetTuning(Tuning{})
 	if s.maxHeight < 1 || s.maxHeight > MaxHeight || s.head.IsNull() || s.tail.IsNull() {

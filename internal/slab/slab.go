@@ -85,9 +85,10 @@
 // Overwriting or removing a value retires its chunks through a volatile
 // epoch limbo (the same grace-period domain online node reclamation
 // uses), so in-flight readers and open MVCC snapshots keep a stable view
-// of the old bytes. Without a domain, retired chunks are held until
-// DrainQuiesced (save/compact/close time) — no grace periods, no frees,
-// matching the store's no-reclaim default.
+// of the old bytes. Every store shard hands its arena the list's domain,
+// so retired chunks free by grace period whether or not the node
+// reclaimer runs. A stand-alone arena without a domain holds them until
+// DrainQuiesced.
 package slab
 
 import (
@@ -267,11 +268,10 @@ type Arena struct {
 	extMu   sync.Mutex
 	extents []*extent
 
-	// dom returns the grace-period domain to tag limbo batches with, or
-	// nil when the store runs without reclamation or snapshots. Looked up
-	// per close because the engine may attach a domain (EnableSnapshots,
-	// StartReclaim) after the arena exists.
-	dom func() *epoch.Domain
+	// dom is the grace-period domain limbo batches are tagged with; nil
+	// only for a stand-alone arena, which then frees nothing before
+	// DrainQuiesced.
+	dom *epoch.Domain
 
 	limboMu sync.Mutex
 	open    []Ref
@@ -416,9 +416,9 @@ func (ar *Arena) addExtent(p riv.Ptr) (ext *extent, dirLen uint64) {
 	return ext, dirLen
 }
 
-// SetDomain installs the grace-period domain lookup used to tag limbo
-// batches. fn may return nil (no domain yet).
-func (ar *Arena) SetDomain(fn func() *epoch.Domain) { ar.dom = fn }
+// SetDomain installs the grace-period domain used to tag limbo batches.
+// Call it before the arena is shared.
+func (ar *Arena) SetDomain(dom *epoch.Domain) { ar.dom = dom }
 
 // SetSweepParallelism bounds the goroutines Sweep's page census, free-
 // list walk, and free-list rebuild fan out across. Values <= 1 keep the
@@ -681,10 +681,7 @@ func (ar *Arena) Retire(ref Ref) {
 // domain attached nothing is freed — DrainQuiesced is then the only
 // path that returns retired chunks.
 func (ar *Arena) Tick(acc *pmem.Acc) {
-	var dom *epoch.Domain
-	if ar.dom != nil {
-		dom = ar.dom()
-	}
+	dom := ar.dom
 	if dom == nil {
 		return
 	}

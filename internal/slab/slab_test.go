@@ -571,7 +571,7 @@ func TestSweepCleanStoreIsNoop(t *testing.T) {
 func TestRetireGracePeriod(t *testing.T) {
 	env := newEnv(t, smallConfig())
 	dom := epoch.NewDomain(4)
-	env.ar.SetDomain(func() *epoch.Domain { return dom })
+	env.ar.SetDomain(dom)
 
 	ref, err := env.ar.Put(env.ctx, pattern(64, 7), nil)
 	if err != nil {

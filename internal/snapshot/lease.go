@@ -1,3 +1,8 @@
+// Package snapshot holds the lease table the wire server keeps for
+// snapshots opened over the network, so a crashed client cannot pin
+// reclamation forever. The frozen-view mechanics themselves (version
+// log, era pinning) live with the list in internal/skiplist; this
+// package is deliberately structure-agnostic.
 package snapshot
 
 import (

@@ -1,69 +1,9 @@
 package snapshot
 
 import (
-	"encoding/binary"
-	"errors"
 	"testing"
 	"time"
 )
-
-// leVal encodes v as the 8-byte little-endian payload the engine's
-// compatibility shims use.
-func leVal(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-func TestFeedErasAndSince(t *testing.T) {
-	f := NewFeed(8)
-	if f.Era() != 0 {
-		t.Fatalf("fresh feed era = %d", f.Era())
-	}
-	// Empty batches are not recorded and don't advance the era.
-	if era := f.Append(nil); era != 0 {
-		t.Fatalf("empty append era = %d", era)
-	}
-	for i := 1; i <= 3; i++ {
-		era := f.Append([]Change{{Kind: ChangePut, Key: uint64(i), Value: leVal(uint64(i * 10))}})
-		if era != uint64(i) {
-			t.Fatalf("append %d stamped era %d", i, era)
-		}
-	}
-	got, err := f.Since(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Era != 1 || got[2].Era != 3 {
-		t.Fatalf("Since(0) = %+v", got)
-	}
-	got, err = f.Since(2)
-	if err != nil || len(got) != 1 || got[0].Era != 3 {
-		t.Fatalf("Since(2) = %+v, %v", got, err)
-	}
-	if got, err := f.Since(3); err != nil || len(got) != 0 {
-		t.Fatalf("Since(head) = %+v, %v", got, err)
-	}
-}
-
-func TestFeedTrimmed(t *testing.T) {
-	f := NewFeed(4)
-	for i := 1; i <= 10; i++ {
-		f.Append([]Change{{Key: uint64(i)}})
-	}
-	// Eras 1..6 were overwritten; only 7..10 remain.
-	if _, err := f.Since(0); !errors.Is(err, ErrTrimmed) {
-		t.Fatalf("Since(0) after wrap: %v", err)
-	}
-	if _, err := f.Since(5); !errors.Is(err, ErrTrimmed) {
-		t.Fatalf("Since(5): %v", err)
-	}
-	// since = oldest-1 is exactly replayable.
-	got, err := f.Since(6)
-	if err != nil || len(got) != 4 || got[0].Era != 7 {
-		t.Fatalf("Since(6) = %+v, %v", got, err)
-	}
-}
 
 type fakeSnap struct{ released int }
 

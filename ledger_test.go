@@ -161,8 +161,7 @@ func TestLedgerStreamTotals(t *testing.T) {
 // store's counters hold that call's whole count — the fences it is
 // known to cost, loads for a read that fences nothing — and the
 // worker's accessors hold nothing back for the next call to publish.
-// Checked with and without a grace-period domain, since the list only
-// pins an era when one is attached.
+// Checked with and without the online reclaimer.
 func TestLedgerPublishedAtOpExit(t *testing.T) {
 	for _, reclaim := range []bool{false, true} {
 		st, _ := ledgerStore(t, 2, reclaim)
@@ -231,7 +230,6 @@ func TestLedgerPublishedAtOpExit(t *testing.T) {
 		// A snapshot reader has accessors of its own. Overwrites after it
 		// opens send its reads through the version log and the decode of
 		// retained chunks, which run outside the list's own operation.
-		st.EnableSnapshots()
 		sn, err := st.Snapshot()
 		if err != nil {
 			t.Fatal(err)

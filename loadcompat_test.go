@@ -251,7 +251,6 @@ func TestLoadV4BothKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.EnableSnapshots() // SaveOnline streams from a snapshot
 	w := st.NewWorker(0)
 	const n = 60
 	for k := uint64(1); k <= n; k++ {

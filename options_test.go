@@ -136,7 +136,6 @@ func TestTuningSeam(t *testing.T) {
 	if err := st.Save(phys); err != nil {
 		t.Fatal(err)
 	}
-	st.EnableSnapshots()
 	if err := st.SaveOnline(pairs); err != nil {
 		t.Fatal(err)
 	}

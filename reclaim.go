@@ -41,8 +41,7 @@ func (s *Store) EnableOnlineReclaim() {
 		rec := e.list.StartReclaim(skiplist.ReclaimConfig{
 			Interval:  s.opts.ReclaimInterval,
 			ScanNodes: s.opts.ReclaimScanNodes,
-			Slots:     s.opts.domainSlots(), // worker IDs + reserved snapshot-reader IDs
-			ThreadID:  0,                    // frees never touch the per-thread alloc log
+			ThreadID:  0, // frees never touch the per-thread alloc log
 			Node:      node,
 		})
 		if m := s.met.Load(); m != nil && m.graceWait != nil {

@@ -179,7 +179,6 @@ func TestRecoveryCrashDuringLoad(t *testing.T) {
 	if err := st.Save(physDir); err != nil {
 		t.Fatal(err)
 	}
-	st.EnableSnapshots()
 	if err := st.SaveOnline(pairsDir); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,6 @@ func TestBulkLoadRestoresDump(t *testing.T) {
 			st.SetTuning(skiplist.Tuning{TowerBranch: branch})
 			fillRecoveryStore(t, st, n)
 			dir := t.TempDir()
-			st.EnableSnapshots()
 			if err := st.SaveOnline(dir); err != nil {
 				t.Fatal(err)
 			}

@@ -162,7 +162,6 @@ func TestSnapshotReadsPreOverwriteBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.EnableSnapshots()
 	w := st.NewWorker(0)
 	const n = 80
 	for k := uint64(1); k <= n; k++ {
@@ -225,6 +224,48 @@ func TestSnapshotReadsPreOverwriteBytes(t *testing.T) {
 	}
 	if k != n+1 {
 		t.Fatalf("snapshot scan saw %d keys, want %d", k-1, n)
+	}
+}
+
+// TestValueChunksRecycleWithoutReclaimer: overwritten value chunks free
+// by grace period on a store that never starts the node reclaimer. Every
+// list has its era domain from Create, so the slab limbo has eras to wait
+// out: 40 rounds of 1 KiB overwrites of 500 keys must free chunks before
+// any Save or Compact drains the limbo, and the slab's block footprint
+// after round 40 must be no larger than after round 2.
+func TestValueChunksRecycleWithoutReclaimer(t *testing.T) {
+	const keys, rounds = 500, 40
+	o := DefaultOptions()
+	o.PoolWords = 1 << 23 // room for every round's chunks when nothing is freed
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.NewWorker(0)
+	val := make([]byte, 1024)
+	put := func() {
+		for k := uint64(1); k <= keys; k++ {
+			if _, _, err := w.Put(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put()
+	var slab2 int
+	for r := 1; r <= rounds; r++ {
+		val[0] = byte(r)
+		put()
+		if r == 2 {
+			slab2 = st.BlockCensus().Slab
+		}
+	}
+	freed, slab40 := st.SlabStats().ChunksFreed, st.BlockCensus().Slab
+	t.Logf("chunks freed %d; slab blocks %d after round 2, %d after round %d", freed, slab2, slab40, rounds)
+	if freed == 0 {
+		t.Error("no value chunk freed without the node reclaimer")
+	}
+	if slab40 > slab2 {
+		t.Errorf("slab footprint grew from %d blocks after round 2 to %d after round %d", slab2, slab40, rounds)
 	}
 }
 

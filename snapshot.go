@@ -6,24 +6,28 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/skiplist"
-	"upskiplist/internal/snapshot"
 )
 
 // MVCC snapshots at the store level: Store.Snapshot() pins one frozen
 // view per shard (each a consistent cut of that shard — see
 // internal/skiplist/mvcc.go for the freeze protocol) and merges them
-// behind the familiar Get/Scan/Iterator surface. Opening and reading a
-// snapshot never blocks writers; the only write-path cost while one is
-// open is a version-log append per overwritten value, into Go memory —
-// a writer never touches a pool on a snapshot's behalf.
+// behind the familiar Get/Scan/Iterator surface. Snapshots are not a
+// mode: every shard's list is born with its era domain and version log,
+// whether Create, Reopen or Load built it, so every store can open one.
+// Opening and reading a snapshot never blocks writers. While none is
+// open a writer pays one atomic load per update; while one is, a
+// version-log append per overwritten value, into Go memory — a writer
+// never touches a pool on a snapshot's behalf.
 //
 // Consistency scope: each shard's view is a single consistent cut, but
 // the per-shard cuts are acquired in sequence, so a multi-shard batch
@@ -31,81 +35,9 @@ import (
 // frozen view, others not). Single-key operations are always seen
 // atomically.
 
-// Errors.
-var (
-	// ErrSnapshotsDisabled reports Snapshot()/Changes() on a store where
-	// EnableSnapshots has not run.
-	ErrSnapshotsDisabled = skiplist.ErrSnapshotsDisabled
-	// ErrTooManySnapshots reports more concurrently open snapshots than
-	// the pin table supports.
-	ErrTooManySnapshots = skiplist.ErrTooManySnapshots
-	// ErrFeedTrimmed reports a Changes cursor older than the feed's
-	// retention window; the consumer must re-sync from a full snapshot.
-	ErrFeedTrimmed = snapshot.ErrTrimmed
-)
-
-// Change-feed types, re-exported from internal/snapshot.
-type (
-	// Change is one committed mutation in the change feed.
-	Change = snapshot.Change
-	// ChangeBatch is one committed group of changes, stamped with its
-	// feed era (dense, ascending in commit order).
-	ChangeBatch = snapshot.Batch
-)
-
-// Change kinds.
-const (
-	ChangePut = snapshot.ChangePut
-	ChangeDel = snapshot.ChangeDel
-)
-
-// snapReaderSlots is the number of era-domain slots reserved above the
-// worker thread IDs for snapshot readers. Each open Snap owns one, so
-// its per-op era pins can never share a slot with a live worker (a
-// shared slot would let one side's exit unpin the other mid-traversal).
-// Matches epoch.NumPins — the per-shard open-snapshot bound.
-const snapReaderSlots = 64
-
-// feedRetainedBatches bounds the change feed's in-memory window.
-const feedRetainedBatches = 1024
-
-// domainSlots sizes every shard's era domain: worker IDs below
-// NumThreads, snapshot readers above them.
-func (o Options) domainSlots() int { return o.NumThreads + snapReaderSlots }
-
-// EnableSnapshots switches the MVCC snapshot subsystem on: every
-// shard gets a version log (and an era domain, when online reclamation
-// has not already attached one), and the change feed starts recording
-// committed batches. Like EnableOnlineReclaim it must be called before
-// concurrent operations begin (Create/Reopen call it when
-// Options.Snapshots is set; call it right after Load). Background
-// reclaimers may already be running: they read what this sets, so they
-// are held at a cycle boundary meanwhile. Idempotent.
-//
-// Cost when enabled but with no snapshot open: one atomic load per
-// value update, plus — only when online reclamation is off and the
-// domain exists solely for snapshots — the per-op era pin workers
-// otherwise pay only under reclamation.
-func (s *Store) EnableSnapshots() {
-	s.PauseReclaim()
-	for _, e := range s.shards {
-		e.list.EnableSnapshots(s.opts.domainSlots())
-	}
-	s.ResumeReclaim()
-	s.snapMu.Lock()
-	if s.openSnaps == nil {
-		s.openSnaps = make(map[*Snap]time.Time)
-	}
-	s.snapMu.Unlock()
-	if s.feed.Load() == nil {
-		s.feed.Store(snapshot.NewFeed(feedRetainedBatches))
-	}
-}
-
-// SnapshotsEnabled reports whether EnableSnapshots has run.
-func (s *Store) SnapshotsEnabled() bool {
-	return s.shards[0].list.SnapshotsEnabled()
-}
+// ErrTooManySnapshots reports more concurrently open snapshots than the
+// pin table supports (epoch.NumPins).
+var ErrTooManySnapshots = skiplist.ErrTooManySnapshots
 
 // Snap is one open store snapshot: a frozen, point-in-time view served
 // without blocking writers. Like a Worker, a Snap is owned by one
@@ -113,11 +45,14 @@ func (s *Store) SnapshotsEnabled() bool {
 // era (retired nodes stop being freed) and grows the version log with
 // every overwrite.
 type Snap struct {
-	s       *Store
-	ctxs    []*exec.Ctx
-	snaps   []*skiplist.ListSnap
-	bit     uint // reader-slot bit in Store.snapBits
-	feedEra uint64
+	s     *Store
+	ctxs  []*exec.Ctx
+	snaps []*skiplist.ListSnap
+	// bit is the snapshot's reader slot in Store.snapBits. Its contexts
+	// run as thread NumThreads+bit, an era-domain slot above every
+	// worker's, so a reader's per-op pins never share a slot with a live
+	// worker (a shared slot would let one side's exit unpin the other).
+	bit uint
 	// vbuf backs the slices returned by Get — valid until the Snap's
 	// next operation, like a Worker's buffer. The snapshot's lifetime
 	// era pin keeps every chunk its view references readable even after
@@ -129,25 +64,23 @@ type Snap struct {
 
 // Snapshot opens a snapshot of the store's current state.
 func (s *Store) Snapshot() (*Snap, error) {
-	if !s.SnapshotsEnabled() {
-		return nil, ErrSnapshotsDisabled
-	}
 	s.snapMu.Lock()
 	bit := uint(0)
-	for ; bit < snapReaderSlots; bit++ {
+	for ; bit < epoch.NumPins; bit++ {
 		if s.snapBits&(1<<bit) == 0 {
 			break
 		}
 	}
-	if bit == snapReaderSlots {
+	if bit == epoch.NumPins {
 		s.snapMu.Unlock()
 		return nil, ErrTooManySnapshots
 	}
 	s.snapBits |= 1 << bit
+	s.snapOpened[bit] = time.Now()
 	s.snapMu.Unlock()
 
 	readerID := s.opts.NumThreads + int(bit)
-	sn := &Snap{s: s, bit: bit, feedEra: s.feed.Load().Era()}
+	sn := &Snap{s: s, bit: bit}
 	sn.ctxs = make([]*exec.Ctx, len(s.shards))
 	sn.snaps = make([]*skiplist.ListSnap, len(s.shards))
 	for i, e := range s.shards {
@@ -165,9 +98,6 @@ func (s *Store) Snapshot() (*Snap, error) {
 		sn.ctxs[i] = ctx
 		sn.snaps[i] = ls
 	}
-	s.snapMu.Lock()
-	s.openSnaps[sn] = time.Now()
-	s.snapMu.Unlock()
 	return sn, nil
 }
 
@@ -181,7 +111,6 @@ func (sn *Snap) Release() {
 		return
 	}
 	sn.released = true
-	delete(s.openSnaps, sn)
 	s.snapMu.Unlock()
 	for i, ls := range sn.snaps {
 		ls.Release(sn.ctxs[i])
@@ -195,13 +124,6 @@ func (sn *Snap) Release() {
 // Era returns the snapshot's pinned reclamation era on shard 0
 // (diagnostics; eras are per-shard).
 func (sn *Snap) Era() uint64 { return sn.snaps[0].Era() }
-
-// FeedEra returns the change feed's high-water mark captured when the
-// snapshot opened: Changes(sn.FeedEra()) replays every batch committed
-// after (or overlapping) the snapshot, so snapshot + feed compose into
-// a full re-sync. Replay is idempotent — a batch that straddled the
-// snapshot boundary converges when re-applied.
-func (sn *Snap) FeedEra() uint64 { return sn.feedEra }
 
 // Get returns key's value in the frozen view. The returned slice
 // aliases the Snap's internal buffer and is valid until its next
@@ -286,29 +208,6 @@ func (sn *Snap) Count() int {
 	return n
 }
 
-// Changes returns every retained committed batch with feed era >
-// sinceEra, in commit order. ErrFeedTrimmed means the window has moved
-// past the cursor and the consumer must re-sync from a Snapshot (whose
-// FeedEra is a valid new cursor). The feed records group-committed
-// batches (ApplyBatch); it is volatile and restarts at era 1 after a
-// crash or reopen.
-func (s *Store) Changes(sinceEra uint64) ([]ChangeBatch, error) {
-	f := s.feed.Load()
-	if f == nil {
-		return nil, ErrSnapshotsDisabled
-	}
-	return f.Since(sinceEra)
-}
-
-// FeedEra returns the change feed's current high-water mark (0 before
-// any batch committed, or when snapshots are disabled).
-func (s *Store) FeedEra() uint64 {
-	if f := s.feed.Load(); f != nil {
-		return f.Era()
-	}
-	return 0
-}
-
 // snapshotLogEntries sums every shard's version-log length: the
 // entries the open snapshots hold in memory, 0 with none open.
 func (s *Store) snapshotLogEntries() uint64 {
@@ -323,7 +222,7 @@ func (s *Store) snapshotLogEntries() uint64 {
 func (s *Store) SnapshotsOpen() int {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	return len(s.openSnaps)
+	return bits.OnesCount64(s.snapBits)
 }
 
 // OldestSnapshotAge returns how long the oldest open snapshot has been
@@ -333,8 +232,8 @@ func (s *Store) OldestSnapshotAge() time.Duration {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	var oldest time.Time
-	for _, t := range s.openSnaps {
-		if oldest.IsZero() || t.Before(oldest) {
+	for bit, t := range s.snapOpened {
+		if s.snapBits&(1<<bit) != 0 && (oldest.IsZero() || t.Before(oldest)) {
 			oldest = t
 		}
 	}

@@ -1,6 +1,8 @@
 package upskiplist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sync"
@@ -14,7 +16,6 @@ import (
 
 func snapOptions() Options {
 	o := testOptions()
-	o.Snapshots = true
 	return o
 }
 
@@ -106,124 +107,6 @@ func TestStoreSnapshotFrozenView(t *testing.T) {
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSnapshotDisabled pins the error surface on a store without the
-// subsystem enabled.
-func TestSnapshotDisabled(t *testing.T) {
-	st, err := Create(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Snapshot(); !errors.Is(err, ErrSnapshotsDisabled) {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if _, err := st.Changes(0); !errors.Is(err, ErrSnapshotsDisabled) {
-		t.Fatalf("Changes: %v", err)
-	}
-	if st.FeedEra() != 0 {
-		t.Fatal("FeedEra nonzero without snapshots")
-	}
-}
-
-// TestChangesFeedReplay checks the change-feed cursor: every committed
-// batch is recorded in era order, and replaying the changes reproduces
-// the store's final state.
-func TestChangesFeedReplay(t *testing.T) {
-	st, err := Create(snapOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := st.NewWorker(0)
-	w.ApplyBatch([]Op{
-		{Kind: OpInsert, Key: 1, Value: u64v(10)},
-		{Kind: OpInsert, Key: 2, Value: u64v(20)},
-		{Kind: OpInsert, Key: 3, Value: u64v(30)},
-	})
-	w.ApplyBatch([]Op{
-		{Kind: OpInsert, Key: 2, Value: u64v(21)},
-		{Kind: OpRemove, Key: 3},
-		{Kind: OpRemove, Key: 99}, // absent: must not be recorded
-	})
-	if got := st.FeedEra(); got != 2 {
-		t.Fatalf("FeedEra = %d, want 2", got)
-	}
-	batches, err := st.Changes(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 2 || batches[0].Era != 1 || batches[1].Era != 2 {
-		t.Fatalf("batches = %+v", batches)
-	}
-	if len(batches[1].Changes) != 2 {
-		t.Fatalf("batch 2 changes = %+v (remove of absent key recorded?)", batches[1].Changes)
-	}
-	// Replay into a map; must match the live store.
-	replay := map[uint64]uint64{}
-	for _, b := range batches {
-		for _, c := range b.Changes {
-			if c.Kind == ChangeDel {
-				delete(replay, c.Key)
-			} else {
-				replay[c.Key] = leU64(c.Value)
-			}
-		}
-	}
-	if len(replay) != 2 || replay[1] != 10 || replay[2] != 21 {
-		t.Fatalf("replayed state = %v", replay)
-	}
-	// Cursor at the high-water mark sees nothing new.
-	if more, err := st.Changes(st.FeedEra()); err != nil || len(more) != 0 {
-		t.Fatalf("Changes(head) = %v, %v", more, err)
-	}
-}
-
-// TestSnapshotChangesCompose checks the re-sync recipe: a snapshot's
-// frozen dump plus a Changes replay from the snapshot's FeedEra equals
-// the live state.
-func TestSnapshotChangesCompose(t *testing.T) {
-	st, err := Create(snapOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := st.NewWorker(0)
-	for i := uint64(1); i <= 100; i++ {
-		w.ApplyBatch([]Op{{Kind: OpInsert, Key: i, Value: u64v(i)}})
-	}
-	sn, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sn.Release()
-	for i := uint64(50); i <= 150; i++ {
-		w.ApplyBatch([]Op{{Kind: OpInsert, Key: i, Value: u64v(i * 7)}, {Kind: OpRemove, Key: i - 40}})
-	}
-
-	state := map[uint64]uint64{}
-	sn.ScanU64(KeyMin, KeyMax, func(k, v uint64) bool { state[k] = v; return true })
-	batches, err := st.Changes(sn.FeedEra())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		for _, c := range b.Changes {
-			if c.Kind == ChangeDel {
-				delete(state, c.Key)
-			} else {
-				state[c.Key] = leU64(c.Value)
-			}
-		}
-	}
-	live := map[uint64]uint64{}
-	w.ScanU64(KeyMin, KeyMax, func(k, v uint64) bool { live[k] = v; return true })
-	if len(state) != len(live) {
-		t.Fatalf("re-synced %d keys, live %d", len(state), len(live))
-	}
-	for k, v := range live {
-		if state[k] != v {
-			t.Fatalf("key %d: re-synced %d, live %d", k, state[k], v)
-		}
 	}
 }
 
@@ -519,29 +402,190 @@ func TestTooManySnapshots(t *testing.T) {
 	open[10] = sn
 }
 
-// TestEnableSnapshotsWithReclaimerRunning switches snapshots on while
-// each shard's background reclaimer is in its first cycles — what
-// server.New does to a store created with OnlineReclaim. Under -race
-// this fails unless EnableSnapshots holds the reclaimers itself.
-func TestEnableSnapshotsWithReclaimerRunning(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		o := testOptions()
-		o.Shards = 2
-		o.OnlineReclaim = true
-		st, err := Create(o)
+// TestSnapshotOnEveryStore: snapshots are not a mode. Whatever built the
+// store — Create with DefaultOptions, Load of either dump kind, Reopen
+// after a crash — it opens a snapshot straight away, and the snapshot
+// serves the frozen bytes while a writer overwrites every key. The last
+// row opens one on a Load-ed store whose reclaimers are already running
+// under two active writers (run it under -race).
+func TestSnapshotOnEveryStore(t *testing.T) {
+	const n = 300
+	fill := func(t *testing.T) *Store {
+		st, err := Create(DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.EnableSnapshots()
 		w := st.NewWorker(0)
-		if _, _, err := w.PutU64(uint64(i+1), 7); err != nil {
+		for k := uint64(1); k <= n; k++ {
+			if _, _, err := w.Put(k, genVal(k, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	saved := func(t *testing.T, save func(*Store, string) error) *Store {
+		dir := t.TempDir()
+		if err := save(fill(t), dir); err != nil {
 			t.Fatal(err)
 		}
+		st, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, row := range []struct {
+		name string
+		open func(*testing.T) *Store
+	}{
+		{"Create", fill},
+		{"Save+Load", func(t *testing.T) *Store { return saved(t, (*Store).Save) }},
+		{"SaveOnline+Load", func(t *testing.T) *Store { return saved(t, (*Store).SaveOnline) }},
+		{"SimulateCrash+Reopen", func(t *testing.T) *Store {
+			st := fill(t)
+			st.SimulateCrash()
+			st2, err := st.Reopen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st2
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			st := row.open(t)
+			sn, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sn.Release()
+			done := make(chan error, 1)
+			go func() {
+				w := st.NewWorker(1)
+				for k := uint64(1); k <= n; k++ {
+					if _, _, err := w.Put(k, genVal(k, 1)); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			stale := uint64(0)
+			for k := uint64(1); k <= n; k++ {
+				if got, ok := sn.Get(k); (!ok || !bytes.Equal(got, genVal(k, 0))) && stale == 0 {
+					stale = k
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if stale != 0 {
+				t.Fatalf("snapshot read of key %d is not the pre-snapshot value", stale)
+			}
+			k := uint64(1)
+			sn.Scan(KeyMin, KeyMax, func(key uint64, v []byte) bool {
+				if key != k || !bytes.Equal(v, genVal(key, 0)) {
+					t.Fatalf("frozen scan at key %d (want %d): not the pre-snapshot pair", key, k)
+				}
+				k++
+				return true
+			})
+			if k != n+1 {
+				t.Fatalf("frozen scan saw %d keys, want %d", k-1, n)
+			}
+			if got, ok := st.NewWorker(0).Get(n); !ok || !bytes.Equal(got, genVal(n, 1)) {
+				t.Fatal("the live view did not move on")
+			}
+		})
+	}
+
+	t.Run("Load+reclaim+writers", func(t *testing.T) {
+		// stamp is key k's generation-gen value: gen, then k, then a
+		// key-sized tail, so each key keeps its slab class.
+		stamp := func(k, gen uint64) []byte {
+			v := binary.LittleEndian.AppendUint64(nil, gen)
+			v = binary.LittleEndian.AppendUint64(v, k)
+			return append(v, make([]byte, k%300)...)
+		}
+		o := testOptions()
+		o.Shards = 2
+		src, err := Create(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := src.NewWorker(0)
+		for k := uint64(1); k <= n; k++ {
+			if _, _, err := w.Put(k, stamp(k, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		if err := src.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.EnableOnlineReclaim()
+		defer st.DisableOnlineReclaim()
+
+		// Each writer runs a fixed number of generations over its half
+		// of the keys: while the snapshot is open nothing retired is
+		// freed, so unbounded writers would fill the pool.
+		const gens = 100
+		var rounds [2]atomic.Uint64
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		for g := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ww := st.NewWorker(1 + g)
+				for gen := uint64(1); gen <= gens; gen++ {
+					for k := uint64(1 + g); k <= n; k += 2 {
+						if _, _, err := ww.Put(k, stamp(k, gen)); err != nil {
+							errs <- err
+							return
+						}
+					}
+					rounds[g].Store(gen)
+				}
+			}()
+		}
+		defer wg.Wait()
+		waitForCond(t, "writers running", func() bool { return rounds[0].Load() > 2 && rounds[1].Load() > 2 })
+
 		sn, err := st.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn.Release()
-		st.DisableOnlineReclaim()
-	}
+		defer sn.Release()
+		dump := func() map[uint64]uint64 {
+			out := make(map[uint64]uint64, n)
+			sn.Scan(KeyMin, KeyMax, func(k uint64, v []byte) bool {
+				if len(v) != 16+int(k%300) || binary.LittleEndian.Uint64(v[8:]) != k {
+					t.Fatalf("frozen key %d holds a malformed value (%d bytes)", k, len(v))
+				}
+				out[k] = binary.LittleEndian.Uint64(v)
+				return true
+			})
+			return out
+		}
+		first := dump()
+		t.Logf("writer generations when the first frozen scan ended: %d, %d of %d", rounds[0].Load(), rounds[1].Load(), gens)
+		wg.Wait()
+		if len(first) != n {
+			t.Fatalf("frozen view holds %d keys, want %d", len(first), n)
+		}
+		for k, gen := range dump() {
+			if first[k] != gen {
+				t.Fatalf("frozen key %d moved from generation %d to %d", k, first[k], gen)
+			}
+		}
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+	})
 }

@@ -73,7 +73,6 @@ import (
 	"upskiplist/internal/riv"
 	"upskiplist/internal/skiplist"
 	"upskiplist/internal/slab"
-	"upskiplist/internal/snapshot"
 )
 
 // Re-exported key/value sentinels.
@@ -172,22 +171,16 @@ type Options struct {
 	// OnlineReclaim starts a background epoch-based reclaimer per shard
 	// (see EnableOnlineReclaim): fully-tombstoned nodes are retired and
 	// their blocks recycled concurrently with the workload, instead of
-	// only by the quiesced Compact. Volatile configuration: not persisted
-	// by Save — a Load-ed store needs an explicit EnableOnlineReclaim
-	// call.
+	// only by the quiesced Compact. Overwritten value chunks free by
+	// grace period either way, and every store can open snapshots.
+	// Volatile configuration: not persisted by Save — a Load-ed store
+	// needs an explicit EnableOnlineReclaim call.
 	OnlineReclaim bool
 	// ReclaimInterval is the reclaimer's cycle period (0 = 200µs);
 	// ReclaimScanNodes bounds how many bottom-level nodes each cycle
 	// examines (0 = 64). Together they rate-limit the sweeper.
 	ReclaimInterval  time.Duration
 	ReclaimScanNodes int
-
-	// Snapshots switches the MVCC snapshot subsystem on (see
-	// EnableSnapshots): Store.Snapshot frozen views, the change feed,
-	// and the stall-free SaveOnline. Volatile configuration like
-	// OnlineReclaim: not persisted by Save — a Load-ed store needs an
-	// explicit EnableSnapshots call.
-	Snapshots bool
 
 	// Cost enables the synthetic PMEM access-cost model (benchmarks).
 	Cost *pmem.CostModel
@@ -319,7 +312,8 @@ func (e *engine) retireWord(w uint64) {
 }
 
 // attachVals opens the shard's slab arena and wires it to the list:
-// limbo batches take their grace-period eras from the list's domain, and
+// limbo batches take their grace-period eras from the list's domain
+// (so retired chunks free whether or not the node reclaimer runs), and
 // the list's iterators decode value words through the arena. With sweep
 // set (reopen/load over pre-existing pools) the startup crash-leak scan
 // runs: chunks whose publishing node word never landed are relinked, and
@@ -333,7 +327,7 @@ func (e *engine) attachVals(sweep bool, scanPar int) error {
 		return err
 	}
 	e.vals = ar
-	ar.SetDomain(e.list.Domain)
+	ar.SetDomain(e.list.Domain())
 	e.list.SetValueDecoder(e.decodeValue)
 	if sweep {
 		ar.SetSweepParallelism(scanPar)
@@ -418,14 +412,12 @@ type Store struct {
 	// is one atomic pointer load.
 	met atomic.Pointer[storeMetrics]
 
-	// MVCC snapshot state (snapshot.go). feed is the committed-batch
-	// change feed, nil until EnableSnapshots; openSnaps tracks live Snap
-	// handles for the gauges; snapBits allocates the reserved reader
-	// thread-ID slots above Options.NumThreads.
-	feed      atomic.Pointer[snapshot.Feed]
-	snapMu    sync.Mutex
-	openSnaps map[*Snap]time.Time
-	snapBits  uint64
+	// MVCC snapshot state (snapshot.go). snapBits allocates the reserved
+	// reader thread-ID slots above Options.NumThreads, one per open Snap;
+	// snapOpened holds each set bit's open time for the age gauge.
+	snapMu     sync.Mutex
+	snapBits   uint64
+	snapOpened [epoch.NumPins]time.Time
 
 	// recovery records what the Reopen/Load that produced this handle
 	// did (recovery.go). Zero for stores built by Create.
@@ -522,9 +514,6 @@ func Create(opts Options) (*Store, error) {
 	if opts.OnlineReclaim {
 		st.EnableOnlineReclaim()
 	}
-	if opts.Snapshots {
-		st.EnableSnapshots()
-	}
 	return st, nil
 }
 
@@ -587,9 +576,6 @@ func (s *Store) Reopen() (*Store, error) {
 	st.recovery = summarizeRecovery(par, recs, time.Since(t0))
 	if s.opts.OnlineReclaim {
 		st.EnableOnlineReclaim()
-	}
-	if s.opts.Snapshots {
-		st.EnableSnapshots()
 	}
 	return st, nil
 }

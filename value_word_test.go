@@ -261,7 +261,6 @@ func TestOldImageRefValuesStillLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.EnableSnapshots()
 	w := st.NewWorker(0)
 	sn, err := st.Snapshot()
 	if err != nil {
