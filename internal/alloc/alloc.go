@@ -153,8 +153,10 @@ const (
 	// header's own included: blocks below it are the arena's, blocks from
 	// it to the chunk's end are unused.
 	SlabChunkCursorOff = 3
-	// SlabChunkTagOff holds a word private to the arena, persisted
-	// together with the rest of the header.
+	// SlabChunkTagOff is zero in a chunk claimed now (the chunk reads as
+	// zero past the words ClaimSlabChunk writes). In an image written
+	// while the arena kept its free-list heads in the pools, one chunk
+	// counts them here; they follow the header line.
 	SlabChunkTagOff = 4
 
 	SlabChunkMagic = 0x5550534C45585431 // "UPSLEXT1"
@@ -576,16 +578,15 @@ func (a *Allocator) provisionChunk(ctx *exec.Ctx, pa *PoolAllocator, arena int) 
 
 // ClaimSlabChunk claims a whole chunk from the pool serving ctx for the
 // slab arena and formats its header with the first hdrBlocks blocks
-// marked carved (the header block itself, plus whatever the arena keeps
-// beside it) and the arena's tag word. The header is one cache line and
-// is persisted before the pointer to the chunk's first word is returned:
-// after a crash the chunk is either recognisably the arena's (SlabChunks
-// finds it, tag and all) or still all zero, which ReclaimOrphanChunks
+// marked carved (the header block itself). The header is one cache line
+// and is persisted before the pointer to the chunk's first word is
+// returned: after a crash the chunk is either recognisably the arena's
+// (SlabChunks finds it) or still all zero, which ReclaimOrphanChunks
 // treats like any other chunk lost between claim and link. The rest of
 // the chunk has never been written and reads as zero; the host maps it
 // here (buildChunkChain's stores do the same for a node chunk), so that
 // no page the arena carves later faults under the put that carves it.
-func (a *Allocator) ClaimSlabChunk(ctx *exec.Ctx, hdrBlocks, tag uint64) (riv.Ptr, error) {
+func (a *Allocator) ClaimSlabChunk(ctx *exec.Ctx, hdrBlocks uint64) (riv.Ptr, error) {
 	pa, err := a.PoolFor(ctx.Node)
 	if err != nil {
 		return riv.Null, err
@@ -599,7 +600,6 @@ func (a *Allocator) ClaimSlabChunk(ctx *exec.Ctx, hdrBlocks, tag uint64) (riv.Pt
 	pa.pool.Store(base+BlockEpoch, a.clock.Current(), ctx.Mem)
 	pa.pool.Store(base+SlabChunkMagicOff, SlabChunkMagic, ctx.Mem)
 	pa.pool.Store(base+SlabChunkCursorOff, hdrBlocks, ctx.Mem)
-	pa.pool.Store(base+SlabChunkTagOff, tag, ctx.Mem)
 	pa.pool.Persist(base, pmem.LineWords, ctx.Mem)
 	a.space.SetChunkBase(pa.pool.ID(), idx, base)
 	return riv.Make(pa.pool.ID(), idx, 0), nil

@@ -556,7 +556,7 @@ func TestPreallocateMode(t *testing.T) {
 	if got := env.pool.Load(hdrChunkCount, nil); got != 4 {
 		t.Fatalf("chunk count grew to %d in preallocated mode", got)
 	}
-	if _, err := env.a.ClaimSlabChunk(ctx, 1, 0); err != nil {
+	if _, err := env.a.ClaimSlabChunk(ctx, 1); err != nil {
 		t.Fatalf("no chunk left to claim whole: %v", err)
 	}
 	// Reattach still sees the geometry.

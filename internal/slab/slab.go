@@ -15,21 +15,18 @@
 //
 // A slab-owned allocator chunk:
 //
-//	word 0      kind (alloc.KindSlab)          ┐
-//	word 1      epoch at claim                 │ header line, formatted
-//	word 2      alloc.SlabChunkMagic           │ and persisted by
-//	word 3      bump cursor, in blocks         │ alloc.ClaimSlabChunk
-//	word 4      directory length (root only)   ┘
-//	word 8..    directory (root only): one free-list head per class
-//	block h..   pages, back to back up to the cursor (h = 1, or past
-//	            the directory in the root chunk)
+//	word 0      kind (alloc.KindSlab)          ┐ header line, formatted
+//	word 1      epoch at claim                 │ and persisted by
+//	word 2      alloc.SlabChunkMagic           │ alloc.ClaimSlabChunk
+//	word 3      bump cursor, in blocks         ┘
+//	block 1..   pages, back to back up to the cursor
 //
-// Exactly one chunk, the root, carries the directory; it is the first
-// chunk the arena ever claims, told apart by a non-zero word 4. A chunk
-// is found by its header alone (alloc.SlabChunks scans for it), so there
-// is no chunk list whose links a crash could tear, and an all-zero
-// directory — what a freshly claimed chunk holds — is the valid empty
-// one.
+// A chunk is found by its header alone (alloc.SlabChunks scans for it),
+// so there is no chunk list whose links a crash could tear, and no chunk
+// is special: the first grow claims the first one. (An image written
+// while the free lists lived in the pools has one root chunk whose word
+// 4 counts the free-list heads behind its header line; its pages start
+// past them.)
 //
 // A page:
 //
@@ -38,12 +35,12 @@
 //	            class never straddles a cache line)
 //	word 4..    chunks, each class-size words; the tail is unused
 //
-// A chunk's first word is its header. While free it holds the raw
-// riv.Ptr word of the next free chunk (bit 63 is clear — pool IDs are
-// far below 2^15). While in use it holds hdrUsed | byte length, plus
-// hdrChained on chain segments; a chain segment's second word is the
-// riv.Ptr of the next segment and its payload starts at word 2, while a
-// single-segment chunk's payload starts at word 1.
+// A chunk's first word is its header: hdrUsed | byte length while in
+// use, plus hdrChained on chain segments; anything with bit 63 clear
+// (zero, or an older image's next-free pointer) while free. A chain
+// segment's second word is the riv.Ptr of the next segment and its
+// payload starts at word 2, while a single-segment chunk's payload
+// starts at word 1.
 //
 // # References
 //
@@ -67,18 +64,19 @@
 // # Crash consistency
 //
 // The publish protocol is: pop a chunk, write header + payload, persist
-// them together with the free-list head's line (one fence), and only
+// them (one fence, which carries the data and nothing else), and only
 // then CAS the node's value word. A crash at any point leaves the node
 // word holding the complete old or complete new value — never a torn
 // one. Chunks whose publishing CAS never landed are in-use but
 // unreferenced; Sweep relinks them at the next startup. Free lists are
-// advisory: Sweep rebuilds every one from the pages, so neither push nor
-// the group-commit path persists a head at all.
+// volatile: each is a Go slice under a class mutex held only for an
+// append or a truncate, and Sweep rebuilds every one from the pages, so
+// a pop reads no pool word and a push stores one unpersisted zero.
 //
-// Growing a class formats the new page (header and free chain) and
-// persists it before the chunk's cursor moves past it, so every page
-// below a cursor is whole; a page that a crash left beyond the cursor is
-// simply carved again.
+// Growing a class writes and persists the new page's header line before
+// the chunk's cursor moves past it, so every page below a cursor has its
+// header; a page that a crash left beyond the cursor is simply carved
+// again.
 //
 // # Retirement
 //
@@ -94,6 +92,7 @@ package slab
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -108,13 +107,6 @@ import (
 const (
 	pageMagic  = uint64(0x5347) << 48
 	pageHdrLen = 4
-
-	// chunkDirLenOff is the arena's tag word in a slab chunk header: the
-	// number of directory words behind the header line, non-zero only in
-	// the root chunk.
-	chunkDirLenOff = alloc.SlabChunkTagOff
-	// dirOff is where the root chunk's directory starts.
-	dirOff = pmem.LineWords
 
 	// hdrUsed marks an in-use chunk header; hdrChained additionally marks
 	// a chain segment. The low 32 bits carry the byte length (remaining
@@ -245,8 +237,15 @@ type extent struct {
 	ptr    riv.Ptr // the chunk's first word
 	pool   *pmem.Pool
 	base   uint64 // absolute offset of the first word
-	first  uint64 // first page block (past the header and directory)
+	first  uint64 // first page block (past the header line and any old heads)
 	cursor uint64 // blocks carved; mirrors the header word
+}
+
+// freeList is one class's free chunks, handed out from the end. The
+// mutex is held for an append or a truncate, never across a pool access.
+type freeList struct {
+	mu     sync.Mutex
+	chunks []riv.Ptr
 }
 
 // Arena is a volatile handle onto the persistent slab structures of one
@@ -255,16 +254,14 @@ type Arena struct {
 	a     *alloc.Allocator
 	space *riv.Space
 
-	dirPool *pmem.Pool
-	dirBase uint64 // absolute offset of the first free-list head
-
 	blockWords  uint64
 	chunkBlocks uint64
 	classes     []class
-	mu          []sync.Mutex // per class: free list and growth
+	free        []freeList // per class
 
 	// extents lists every chunk the arena owns, in discovery then claim
-	// order. Guarded by extMu, which nests inside a class mutex.
+	// order. Guarded by extMu, which also serializes grow; a class
+	// mutex nests inside it.
 	extMu   sync.Mutex
 	extents []*extent
 
@@ -332,17 +329,22 @@ func pageSpan(chunkWords, blockWords uint64) (span, perPage uint64) {
 	return span, perPage
 }
 
-// dirBlocks is the number of leading blocks of a slab chunk taken by the
-// header line and a directory of n heads (none outside the root chunk).
-func dirBlocks(n, blockWords uint64) uint64 {
-	return (dirOff + n + blockWords - 1) / blockWords
+// hdrBlocks is the number of leading blocks of a slab chunk taken by its
+// header line and the tag's count of words behind it: zero in a chunk
+// claimed now, one free-list head per class in an older image's root
+// chunk.
+func hdrBlocks(tag, blockWords uint64) uint64 {
+	return (pmem.LineWords + tag + blockWords - 1) / blockWords
 }
 
 // classesFor derives the class table of a geometry: every size whose
-// page fits a chunk beside the root chunk's header and directory.
+// page fits a chunk beside a header line and one word per class. That
+// was the root chunk's directory; the room stays reserved so that every
+// page header an older image holds decodes to the class it was carved
+// for.
 func classesFor(blockWords, chunkBlocks uint64) []class {
 	sizes := classSizes()
-	room := chunkBlocks - min(chunkBlocks, dirBlocks(uint64(len(sizes)), blockWords))
+	room := chunkBlocks - min(chunkBlocks, hdrBlocks(uint64(len(sizes)), blockWords))
 	var out []class
 	for _, w := range sizes {
 		span, perPage := pageSpan(w, blockWords)
@@ -354,9 +356,10 @@ func classesFor(blockWords, chunkBlocks uint64) []class {
 	return out
 }
 
-// Attach opens (or lazily creates) the slab arena of an allocator. ctx
-// is used for the one-time root chunk claim; pass any worker ctx.
-func Attach(a *alloc.Allocator, ctx *exec.Ctx) (*Arena, error) {
+// Attach opens the slab arena of an allocator: it reads the header of
+// every slab chunk and claims nothing (the first grow does), so the ctx
+// it takes goes unused.
+func Attach(a *alloc.Allocator, _ *exec.Ctx) (*Arena, error) {
 	var cfg alloc.Config
 	for _, pa := range a.Pools() {
 		cfg = pa.Config()
@@ -375,54 +378,35 @@ func Attach(a *alloc.Allocator, ctx *exec.Ctx) (*Arena, error) {
 		blockWords:  bw,
 		chunkBlocks: cfg.ChunkWords / bw,
 		classes:     classes,
-		mu:          make([]sync.Mutex, len(classes)),
+		free:        make([]freeList, len(classes)),
 		classPages:  make([]atomic.Uint64, len(classes)),
 	}
 	if ar.MaxSingle() > maxRefLen {
 		return nil, fmt.Errorf("%w: largest class holds %d bytes, a ref's length field %d", ErrBadGeometry, ar.MaxSingle(), maxRefLen)
 	}
-	n := uint64(len(classes))
-	var root *extent
 	for _, p := range a.SlabChunks() {
-		if ext, dirLen := ar.addExtent(p); dirLen != 0 {
-			if dirLen != n {
-				return nil, fmt.Errorf("slab: directory has %d classes, this geometry has %d", dirLen, n)
-			}
-			root = ext
-		}
+		ar.addExtent(p)
 	}
-	if root == nil {
-		// The directory needs no formatting: a claimed chunk reads as zero
-		// past its header, and zero heads are empty lists.
-		p, err := a.ClaimSlabChunk(ctx, dirBlocks(n, bw), n)
-		if err != nil {
-			return nil, err
-		}
-		root, _ = ar.addExtent(p)
-	}
-	ar.dirPool, ar.dirBase = root.pool, root.base+dirOff
 	return ar, nil
 }
 
 // addExtent registers a slab chunk from its header: the cursor, and the
-// directory length that is non-zero only in the root chunk.
-func (ar *Arena) addExtent(p riv.Ptr) (ext *extent, dirLen uint64) {
+// tag word that places an older image's root chunk pages past its heads.
+func (ar *Arena) addExtent(p riv.Ptr) *extent {
 	pool, base := ar.space.Resolve(p)
-	dirLen = pool.Load(base+chunkDirLenOff, nil)
-	ext = &extent{ptr: p, pool: pool, base: base,
-		first:  dirBlocks(dirLen, ar.blockWords),
+	ext := &extent{ptr: p, pool: pool, base: base,
+		first:  hdrBlocks(pool.Load(base+alloc.SlabChunkTagOff, nil), ar.blockWords),
 		cursor: pool.Load(base+alloc.SlabChunkCursorOff, nil)}
 	ar.extents = append(ar.extents, ext)
-	return ext, dirLen
+	return ext
 }
 
 // SetDomain installs the grace-period domain used to tag limbo batches.
 // Call it before the arena is shared.
 func (ar *Arena) SetDomain(dom *epoch.Domain) { ar.dom = dom }
 
-// SetSweepParallelism bounds the goroutines Sweep's page census, free-
-// list walk, and free-list rebuild fan out across. Values <= 1 keep the
-// sweep serial.
+// SetSweepParallelism bounds the goroutines Sweep's page walk and chunk
+// pass fan out across. Values <= 1 keep the sweep serial.
 func (ar *Arena) SetSweepParallelism(p int) {
 	if p < 1 {
 		p = 1
@@ -444,8 +428,6 @@ func (ar *Arena) MaxSingle() int { return ar.classes[len(ar.classes)-1].payloadB
 // chunk less its header and next words.
 func (ar *Arena) segCap() int { return ar.MaxSingle() - 8 }
 
-func (ar *Arena) freeHeadOff(class int) uint64 { return ar.dirBase + uint64(class) }
-
 // classFor returns the smallest class whose single-segment payload holds
 // n bytes, or -1 when n needs the chain path.
 func (ar *Arena) classFor(n int) int {
@@ -457,84 +439,86 @@ func (ar *Arena) classFor(n int) int {
 	return -1
 }
 
+// take removes the most recently freed chunk from a class's list.
+func (ar *Arena) take(class int) (riv.Ptr, bool) {
+	fl := &ar.free[class]
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	n := len(fl.chunks)
+	if n == 0 {
+		return riv.Null, false
+	}
+	p := fl.chunks[n-1]
+	fl.chunks = fl.chunks[:n-1]
+	return p, true
+}
+
 // pop hands out one free chunk of a class, growing a fresh page when the
-// class free list is empty. The new head is stored but not persisted:
-// the caller flushes the head's line together with the chunk it fills
-// (the one-op path, so a torn publish shows up as exactly one relinked
-// chunk) or not at all (group commit). Either is safe because free-list
-// durability is advisory — the startup sweep rebuilds every class list
-// from the pages, so a stale head after a crash can never double-
-// allocate.
+// class list is empty. It reads no pool word: the caller overwrites the
+// chunk's header, whatever it holds.
 func (ar *Arena) pop(ctx *exec.Ctx, class int) (chunk riv.Ptr, pool *pmem.Pool, off uint64, err error) {
-	ar.mu[class].Lock()
-	defer ar.mu[class].Unlock()
-	headOff := ar.freeHeadOff(class)
-	head := riv.FromWord(ar.dirPool.Load(headOff, ctx.Mem))
-	if head.IsNull() {
-		if head, err = ar.grow(ctx, class); err != nil {
+	chunk, ok := ar.take(class)
+	if !ok {
+		if chunk, err = ar.grow(ctx, class); err != nil {
 			return riv.Null, nil, 0, err
 		}
 	}
-	pool, off = ar.space.Resolve(head)
-	next := pool.Load(off, ctx.Mem) // free chunk header = next free ptr
-	ar.dirPool.Store(headOff, next, ctx.Mem)
 	ar.alloced.Add(1)
-	return head, pool, off, nil
+	pool, off = ar.space.Resolve(chunk)
+	return chunk, pool, off, nil
 }
 
-// push returns one chunk to its class free list with plain stores — no
-// persists, no fences. Crash-durability of the free lists comes from
-// the startup sweep's rebuild (a retired chunk is unreferenced, so the
-// rebuild relinks it no matter what the old list said); skipping the
-// persists makes freeing fence-free, which matters because the epoch
-// reclaimer returns chunks in large expired batches.
+// push returns one chunk to its class list. Its one pool access, made
+// before the chunk is listed, is an unpersisted zero into the header: a
+// clean reopen reads the chunk as free, and a crash that reverts the
+// zero leaves an in-use header no node names, which the sweep relinks.
+// Freeing costs no fence, which matters because the epoch reclaimer
+// returns chunks in large expired batches.
 func (ar *Arena) push(class int, chunk riv.Ptr, acc *pmem.Acc) {
-	ar.mu[class].Lock()
-	defer ar.mu[class].Unlock()
-	headOff := ar.freeHeadOff(class)
-	headW := ar.dirPool.Load(headOff, acc)
 	pool, off := ar.space.Resolve(chunk)
-	pool.Store(off, headW, acc)
-	ar.dirPool.Store(headOff, chunk.Word(), acc)
+	pool.Store(off, 0, acc)
+	fl := &ar.free[class]
+	fl.mu.Lock()
+	fl.chunks = append(fl.chunks, chunk)
+	fl.mu.Unlock()
 	ar.freed.Add(1)
 }
 
 // grow carves one page for the class out of an extent with room (a
-// fresh allocator chunk if none has) and returns its first chunk as the
-// head of the class's free chain, which it also stores — unpersisted,
-// like every head update — in the directory. Called with the class mutex
-// held and the class free list empty.
+// fresh allocator chunk if none has), lists every chunk of it but the
+// first so that they come off in address order, and returns the first.
+// It writes only the page header, persisted before the cursor that
+// admits the page: the chunks below a cursor read as free until a Put
+// fills them. Grows serialize on extMu, and one that waited there for a
+// grow of the same class takes from the page that grow listed.
 func (ar *Arena) grow(ctx *exec.Ctx, class int) (riv.Ptr, error) {
-	c := ar.classes[class]
 	ar.extMu.Lock()
 	defer ar.extMu.Unlock()
+	if p, ok := ar.take(class); ok {
+		return p, nil
+	}
+	c := ar.classes[class]
 	ext, err := ar.extentWithRoom(ctx, c.span)
 	if err != nil {
 		return riv.Null, err
 	}
-	pageOff := uint32(ext.cursor * ar.blockWords)
-	slot := func(i uint64) riv.Ptr {
-		return riv.Make(ext.ptr.Pool(), ext.ptr.Chunk(), pageOff+uint32(pageHdrLen+i*c.words))
-	}
-	// Format the page — header, then the free chain through its chunks,
-	// ending at null — and persist it before the cursor admits it.
-	abs := ext.base + uint64(pageOff)
-	ext.pool.Store(abs, pageMagic|c.span<<16|uint64(class), ctx.Mem)
-	for i := uint64(0); i < c.perPage; i++ {
-		next := uint64(0)
-		if i+1 < c.perPage {
-			next = slot(i + 1).Word()
-		}
-		ext.pool.Store(abs+pageHdrLen+i*c.words, next, ctx.Mem)
-	}
-	ext.pool.Persist(abs, pageHdrLen+c.perPage*c.words, ctx.Mem)
+	pg := ext.page(ext.cursor, ar.blockWords, class)
+	pg.pool.Store(pg.off, pageMagic|c.span<<16|uint64(class), ctx.Mem)
+	pg.pool.Persist(pg.off, 1, ctx.Mem)
 	ext.cursor += c.span
 	ext.pool.Store(ext.base+alloc.SlabChunkCursorOff, ext.cursor, ctx.Mem)
 	ext.pool.Persist(ext.base+alloc.SlabChunkCursorOff, 1, ctx.Mem)
-	ar.dirPool.Store(ar.freeHeadOff(class), slot(0).Word(), ctx.Mem)
+	fl := &ar.free[class]
+	fl.mu.Lock()
+	for i := c.perPage - 1; i > 0; i-- {
+		p, _ := pg.slot(i, c)
+		fl.chunks = append(fl.chunks, p)
+	}
+	fl.mu.Unlock()
 	ar.pages.Add(1)
 	ar.classPages[class].Add(1)
-	return slot(0), nil
+	p, _ := pg.slot(0, c)
+	return p, nil
 }
 
 // extentWithRoom returns an extent in the pool serving ctx with span
@@ -550,25 +534,33 @@ func (ar *Arena) extentWithRoom(ctx *exec.Ctx, span uint64) (*extent, error) {
 			return ext, nil
 		}
 	}
-	p, err := ar.a.ClaimSlabChunk(ctx, dirBlocks(0, ar.blockWords), 0)
+	p, err := ar.a.ClaimSlabChunk(ctx, hdrBlocks(0, ar.blockWords))
 	if err != nil {
 		return nil, err
 	}
-	ext, _ := ar.addExtent(p)
-	return ext, nil
+	return ar.addExtent(p), nil
 }
 
 // Put writes val out-of-place and returns its Ref. When flush is nil the
-// chunk contents are persisted, together with the free-list head they
-// were popped from, under one fence before Put returns — the caller may
-// publish the ref immediately. With a non-nil flush the chunk's dirty
-// lines are deferred into it instead; the caller MUST Flush before any
-// store that publishes the ref (the batch write path's single grouped
-// fence).
+// chunk contents are persisted under one fence before Put returns — the
+// caller may publish the ref immediately. With a non-nil flush the
+// chunk's dirty lines are deferred into it instead; the caller MUST
+// Flush before any store that publishes the ref (the batch write path's
+// single grouped fence).
 func (ar *Arena) Put(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, error) {
 	if len(val) > MaxValueLen {
 		return 0, ErrValueTooLong
 	}
+	if flush != nil {
+		return ar.put(ctx, val, flush)
+	}
+	ref, err := ar.put(ctx, val, &ctx.Batch)
+	ctx.Batch.Flush(ctx.Mem)
+	return ref, err
+}
+
+// put writes val into fresh chunks and adds their lines to flush.
+func (ar *Arena) put(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, error) {
 	class := ar.classFor(len(val))
 	if class < 0 {
 		return ar.putChained(ctx, val, flush)
@@ -579,30 +571,8 @@ func (ar *Arena) Put(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, error) 
 	}
 	pool.Store(off, hdrUsed|uint64(len(val)), ctx.Mem)
 	pool.StoreBytes(off+1, val, ctx.Mem)
-	ar.stage(ctx, pool, off, uint64(1+(len(val)+7)/8), flush)
-	ar.commit(ctx, class, flush)
+	flush.Add(pool, off, uint64(1+(len(val)+7)/8), ctx.Mem)
 	return makeRef(len(val), chunk), nil
-}
-
-// stage queues words [off, off+n) of a freshly written chunk for
-// flushing: into the caller's group-commit batch, or on the one-op path
-// into the worker's own, which commit drains.
-func (ar *Arena) stage(ctx *exec.Ctx, pool *pmem.Pool, off, n uint64, flush *pmem.Batch) {
-	if flush == nil {
-		flush = &ctx.Batch
-	}
-	flush.Add(pool, off, n, ctx.Mem)
-}
-
-// commit ends a one-op Put: the line of the free-list head the chunks
-// were popped from joins the staged chunk lines, and everything drains
-// under a single fence when the directory and the chunks share a pool.
-// On the group-commit path the caller's Flush is the commit.
-func (ar *Arena) commit(ctx *exec.Ctx, class int, flush *pmem.Batch) {
-	if flush == nil {
-		ctx.Batch.Add(ar.dirPool, ar.freeHeadOff(class), 1, ctx.Mem)
-		ctx.Batch.Flush(ctx.Mem)
-	}
 }
 
 // putChained stores val as a chain of largest-class segments, written
@@ -615,19 +585,18 @@ func (ar *Arena) putChained(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, 
 		seg, pool, off, err := ar.pop(ctx, class)
 		if err != nil {
 			// Roll the partial chain straight back to the free list: the
-			// chunks were never published anywhere.
-			ar.alloced.Add(-ar.freeChain(next, ctx.Mem))
-			ar.commit(ctx, class, flush)
+			// chunks were never published anywhere. Each counts once as
+			// handed out and once as freed.
+			ar.freeChain(next, ctx.Mem)
 			return 0, err
 		}
 		end := min(start+segCap, len(val))
 		pool.Store(off, hdrUsed|hdrChained|uint64(len(val)-start), ctx.Mem)
 		pool.Store(off+1, next.Word(), ctx.Mem)
 		pool.StoreBytes(off+2, val[start:end], ctx.Mem)
-		ar.stage(ctx, pool, off, uint64(2+(end-start+7)/8), flush)
+		flush.Add(pool, off, uint64(2+(end-start+7)/8), ctx.Mem)
 		next = seg
 	}
-	ar.commit(ctx, class, flush)
 	return makeRef(lenChained, next), nil
 }
 
@@ -741,15 +710,14 @@ func (ar *Arena) freeRef(ref Ref, acc *pmem.Acc) {
 	ar.push(ar.classFor(ref.lenField()), ref.ptr(), acc)
 }
 
-// freeChain pushes the chain segments from p on and returns how many.
-func (ar *Arena) freeChain(p riv.Ptr, acc *pmem.Acc) (n uint64) {
-	for ; !p.IsNull(); n++ {
+// freeChain pushes the chain segments from p on.
+func (ar *Arena) freeChain(p riv.Ptr, acc *pmem.Acc) {
+	for !p.IsNull() {
 		pool, off := ar.space.Resolve(p)
 		next := riv.FromWord(pool.Load(off+1, acc))
 		ar.push(len(ar.classes)-1, p, acc)
 		p = next
 	}
-	return n
 }
 
 // Stats returns a snapshot of the arena counters.
@@ -778,12 +746,18 @@ func (ar *Arena) ClassStats() []ClassStat {
 	return out
 }
 
-// page is one carved page as the sweep sees it.
+// page is one carved page.
 type page struct {
 	ptr   riv.Ptr // the page's first word
 	pool  *pmem.Pool
 	off   uint64 // absolute offset of ptr
 	class int
+}
+
+// page returns the page that starts at block b of the extent.
+func (ext *extent) page(b, blockWords uint64, class int) page {
+	return page{ptr: riv.Make(ext.ptr.Pool(), ext.ptr.Chunk(), uint32(b*blockWords)),
+		pool: ext.pool, off: ext.base + b*blockWords, class: class}
 }
 
 // slot returns chunk i of the page and its absolute offset.
@@ -792,37 +766,20 @@ func (pg page) slot(i uint64, c class) (riv.Ptr, uint64) {
 	return riv.Make(pg.ptr.Pool(), pg.ptr.Chunk(), pg.ptr.Offset()+uint32(rel)), pg.off + rel
 }
 
-// extentPages is the sweep's index of one extent: its pages in address
-// order and, per block, which page (index into pages, -1 for none)
-// covers it.
-type extentPages struct {
-	pages   []page
-	byBlock []int32
-}
-
-// walkPages reads the page headers of one extent up to its cursor.
-func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc) extentPages {
-	ep := extentPages{byBlock: make([]int32, ar.chunkBlocks)}
-	for i := range ep.byBlock {
-		ep.byBlock[i] = -1
-	}
+// walkPages reads the page headers of one extent up to its cursor and
+// returns its pages in address order.
+func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc) []page {
+	var pages []page
 	for b := ext.first; b < ext.cursor; {
-		off := ext.base + b*ar.blockWords
-		meta := ext.pool.Load(off, acc)
+		meta := ext.pool.Load(ext.base+b*ar.blockWords, acc)
 		class, span := int(meta&0xffff), meta>>16&0xffff
 		if meta>>48<<48 != pageMagic || class >= len(ar.classes) || span != ar.classes[class].span {
 			break // not a page of this geometry: nothing past it is reachable
 		}
-		for i := b; i < b+span && i < ar.chunkBlocks; i++ {
-			ep.byBlock[i] = int32(len(ep.pages))
-		}
-		ep.pages = append(ep.pages, page{
-			ptr:  riv.Make(ext.ptr.Pool(), ext.ptr.Chunk(), uint32(b*ar.blockWords)),
-			pool: ext.pool, off: off, class: class,
-		})
+		pages = append(pages, ext.page(b, ar.blockWords, class))
 		b += span
 	}
-	return ep
+	return pages
 }
 
 // hasPages reports whether any extent has carved a page.
@@ -835,41 +792,31 @@ func (ar *Arena) hasPages() bool {
 	return false
 }
 
-// Sweep is the startup crash-leak scan. live must call its argument
-// with every node value word currently published in the structure (the
-// engine walks the bottom level); Sweep follows refs (and their chains)
-// to build the referenced set, then REBUILDS every class free list from
-// the pages: each page chunk that no live ref reaches goes onto a
-// freshly-carved chain, and the old list is only consulted (with full
-// validation, since a crash can leave a head pointing at a handed-out
-// chunk whose header is payload bytes) to tell genuine leaks from
-// chunks that were already free — the relinked count reports only the
-// former. The rebuild is what makes allocation-time free-list persists
-// unnecessary: no head that survived a crash is ever trusted.
+// Sweep is the startup crash-leak scan, and it rebuilds every class
+// list. live must call its argument with every node value word currently
+// published in the structure (the engine walks the bottom level); Sweep
+// follows refs (and their chains) to build the referenced set, then in
+// one pass over the pages lists every chunk that no live ref and no limbo
+// entry reaches. A chunk whose header still reads hdrUsed is a leak — a
+// publish that never landed, or a free whose header zero a crash
+// reverted: the relinked count reports those, their headers are zeroed
+// and persisted under one fence, and they are handed out before the
+// chunks that were already free.
 //
 // The sweep pays for what a crash can have broken: with no page carved
-// it returns before calling live at all, and the rebuild persists only
-// the pages in which it relinked a leaked chunk (the links it rewrites
-// between already-free chunks are as advisory as the heads).
+// it returns before calling live at all, and it flushes only the header
+// lines of the chunks it relinked, so a clean reopen flushes nothing.
 //
 // Must run quiesced (no concurrent operations), which is the state at
 // Reopen/Load time. Idempotent: a clean store sweeps zero chunks. With
-// SetSweepParallelism > 1 the page walk, free-list walk, and rebuild
-// partition their work across goroutines with per-goroutine
-// accumulators merged (and free chains stitched) at the end.
+// SetSweepParallelism > 1 the page walk and the chunk pass partition
+// their work across goroutines, whose lists are concatenated in page
+// order at the end.
 func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int) {
 	if !ar.hasPages() {
 		// No page was ever carved: no chunk exists for a crash to have
-		// leaked, live need not walk the structure (a store of inline
-		// values reopens without reading a key), and no head has anything
-		// to point into.
-		for class := range ar.classes {
-			if off := ar.freeHeadOff(class); ar.dirPool.Load(off, ctx.Mem) != 0 {
-				ar.dirPool.Store(off, 0, ctx.Mem)
-				ar.dirPool.Persist(off, 1, ctx.Mem)
-			}
-			ar.classPages[class].Store(0)
-		}
+		// leaked, and live need not walk the structure (a store of inline
+		// values reopens without reading a key).
 		ar.sweepRelinked.Store(0)
 		ar.sweepScanned.Store(0)
 		return 0
@@ -904,11 +851,8 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	}
 	ar.limboMu.Unlock()
 
-	// Page walk first: the old free lists can only be interpreted against
-	// the set of chunk slots each class actually owns. Extents are
-	// independent, so the walk fans out over them. Accumulator accounting
-	// (pmem.Acc) is owner-goroutine state, so workers in the parallel
-	// regime pass nil accs.
+	// Accumulator accounting (pmem.Acc) is owner-goroutine state, so
+	// workers in the parallel regime pass nil accs.
 	budget := ar.sweepParallelism()
 	accFor := func(workers int) *pmem.Acc {
 		if workers > 1 {
@@ -916,144 +860,59 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 		}
 		return ctx.Mem
 	}
-	chunkKey := func(p riv.Ptr) uint32 { return uint32(p.Pool())<<16 | uint32(p.Chunk()) }
-	index := make(map[uint32]*extentPages, len(ar.extents))
-	walked := make([]extentPages, len(ar.extents))
+	walked := make([][]page, len(ar.extents))
 	par.Ranges(len(ar.extents), budget, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			walked[i] = ar.walkPages(ar.extents[i], accFor(budget))
 		}
 	})
-	pagesByClass := make([][]page, len(ar.classes))
-	for i, ext := range ar.extents {
-		index[chunkKey(ext.ptr)] = &walked[i]
-		for _, pg := range walked[i].pages {
-			pagesByClass[pg.class] = append(pagesByClass[pg.class], pg)
-		}
-	}
-	// isSlot reports whether p addresses a chunk slot of the class.
-	isSlot := func(p riv.Ptr, class int) bool {
-		ep := index[chunkKey(p)]
-		b := uint64(p.Offset()) / ar.blockWords
-		if ep == nil || b >= uint64(len(ep.byBlock)) || ep.byBlock[b] < 0 {
-			return false
-		}
-		pg, c := ep.pages[ep.byBlock[b]], ar.classes[class]
-		rel := uint64(p.Offset() - pg.ptr.Offset())
-		return pg.class == class && rel >= pageHdrLen &&
-			(rel-pageHdrLen)%c.words == 0 && (rel-pageHdrLen)/c.words < c.perPage
-	}
+	pages := slices.Concat(walked...)
 
-	// Walk the old free lists defensively to learn which unreferenced
-	// chunks were already free (so they don't count as leaks). After a
-	// crash a stale head may point at a handed-out chunk whose header is
-	// payload, so every step is validated — a real chunk slot of this
-	// class, unreferenced, unseen — and the walk stops at the first entry
-	// that fails (everything past it is reconstructed below anyway).
-	// Every chunk slot belongs to exactly one class, so the per-class
-	// walks touch disjoint sets and run one goroutine per class.
-	onList := make(map[riv.Ptr]bool)
-	classOnList := make([]map[riv.Ptr]bool, len(ar.classes))
-	par.Ranges(len(ar.classes), budget, func(_, lo, hi int) {
-		acc := accFor(budget)
-		for class := lo; class < hi; class++ {
-			local := make(map[riv.Ptr]bool)
-			p := riv.FromWord(ar.dirPool.Load(ar.freeHeadOff(class), acc))
-			for !p.IsNull() && isSlot(p, class) && !referenced[p] && !local[p] {
-				local[p] = true
-				pool, off := ar.space.Resolve(p)
-				p = riv.FromWord(pool.Load(off, acc))
+	// Each worker sorts the chunks of its page range by class into free
+	// and leaked; the parts join in page order.
+	type part struct{ free, leaks [][]riv.Ptr }
+	workers := max(1, min(budget, len(pages)))
+	parts := make([]part, workers)
+	par.Ranges(len(pages), workers, func(w, lo, hi int) {
+		acc := accFor(workers)
+		pt := part{make([][]riv.Ptr, len(ar.classes)), make([][]riv.Ptr, len(ar.classes))}
+		for _, pg := range pages[lo:hi] {
+			c := ar.classes[pg.class]
+			for i := uint64(0); i < c.perPage; i++ {
+				chunk, off := pg.slot(i, c)
+				switch {
+				case referenced[chunk]:
+				case pg.pool.Load(off, acc)&hdrUsed != 0:
+					pt.leaks[pg.class] = append(pt.leaks[pg.class], chunk)
+				default:
+					pt.free[pg.class] = append(pt.free[pg.class], chunk)
+				}
 			}
-			classOnList[class] = local
 		}
+		parts[w] = pt
 	})
-	for _, local := range classOnList {
-		for p := range local {
-			onList[p] = true
+	for class := range ar.classes {
+		ar.classPages[class].Store(0)
+		fl := &ar.free[class]
+		fl.chunks = fl.chunks[:0]
+		for _, pt := range parts {
+			fl.chunks = append(fl.chunks, pt.free[class]...)
+		}
+		for _, pt := range parts {
+			for _, p := range pt.leaks[class] {
+				pool, off := ar.space.Resolve(p)
+				pool.Store(off, 0, ctx.Mem)
+				ctx.Batch.Add(pool, off, 1, ctx.Mem)
+			}
+			fl.chunks = append(fl.chunks, pt.leaks[class]...)
+			relinked += len(pt.leaks[class])
 		}
 	}
-
-	// Rebuild each class list from scratch: carve a fresh chain through
-	// every unreferenced chunk and publish it as the new head. Chunks
-	// absent from the validated old list are the crash leaks; they are
-	// ordered ahead of the long-free chunks so they come off the list
-	// first — the next allocation reuses recovered space before touching
-	// the long-free tail.
-	//
-	// This is the sweep's heavy phase, so the page range of each class is
-	// partitioned across goroutines. Each worker carves two local chains
-	// (already-free chunks and leaks) through its own pages — disjoint
-	// words, no locks — and the chains are stitched serially afterwards
-	// by pointing each tail at the next chain's head (one extra word
-	// persist per seam).
-	scanned := 0
-	for class, c := range ar.classes {
-		pages := pagesByClass[class]
-		scanned += len(pages)
-		ar.classPages[class].Store(uint64(len(pages)))
-		workers := max(1, min(budget, len(pages)))
-		type chain struct {
-			head, tail riv.Ptr
-			count      int
-		}
-		freeParts := make([]chain, workers)
-		leakParts := make([]chain, workers)
-		par.Ranges(len(pages), workers, func(w, lo, hi int) {
-			acc := accFor(workers)
-			add := func(ch *chain, chunk riv.Ptr, pool *pmem.Pool, off uint64) {
-				pool.Store(off, ch.head.Word(), acc)
-				if ch.head.IsNull() {
-					ch.tail = chunk
-				}
-				ch.head = chunk
-				ch.count++
-			}
-			for _, pg := range pages[lo:hi] {
-				leaks := leakParts[w].count
-				for i := uint64(0); i < c.perPage; i++ {
-					chunk, off := pg.slot(i, c)
-					if referenced[chunk] {
-						continue
-					}
-					if onList[chunk] {
-						add(&freeParts[w], chunk, pg.pool, off)
-					} else {
-						add(&leakParts[w], chunk, pg.pool, off)
-					}
-				}
-				// Links between chunks that were already free are as
-				// advisory as the heads; only a relinked chunk's header must
-				// not come back as in use.
-				if leakParts[w].count != leaks {
-					pg.pool.Persist(pg.off+pageHdrLen, c.perPage*c.words, acc)
-				}
-			}
-		})
-		chains := make([]*chain, 0, 2*workers)
-		for w := range leakParts {
-			if leakParts[w].count > 0 {
-				chains = append(chains, &leakParts[w])
-				relinked += leakParts[w].count
-			}
-		}
-		for w := range freeParts {
-			if freeParts[w].count > 0 {
-				chains = append(chains, &freeParts[w])
-			}
-		}
-		newHead := uint64(0)
-		if len(chains) > 0 {
-			newHead = chains[0].head.Word()
-			for i := 0; i+1 < len(chains); i++ {
-				pool, off := ar.space.Resolve(chains[i].tail)
-				pool.Store(off, chains[i+1].head.Word(), ctx.Mem)
-				pool.Persist(off, 1, ctx.Mem)
-			}
-		}
-		ar.dirPool.Store(ar.freeHeadOff(class), newHead, ctx.Mem)
-		ar.dirPool.Persist(ar.freeHeadOff(class), 1, ctx.Mem)
+	ctx.Batch.Flush(ctx.Mem)
+	for _, pg := range pages {
+		ar.classPages[pg.class].Add(1)
 	}
 	ar.sweepRelinked.Store(uint64(relinked))
-	ar.sweepScanned.Store(uint64(scanned))
+	ar.sweepScanned.Store(uint64(len(pages)))
 	return relinked
 }

@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"upskiplist/internal/alloc"
+	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
+	"upskiplist/internal/slab"
 )
 
 // Engine-level tests of the slab value arena: the crash contracts
@@ -480,5 +483,63 @@ func TestCrashAtEveryStepOfGrowingPut(t *testing.T) {
 		if got := settle(st2); got != want {
 			t.Fatalf("step %d: footprint %+v, never-crashed twin %+v", step, got, want)
 		}
+	}
+}
+
+// TestChainedPutOnFullPool: a 3-segment Put that runs out of pool after
+// its first segment fails with alloc.ErrPoolFull and leaves no trace —
+// the key reads its old value, the arena's chunks-in-use count and the
+// block census stand where they stood — and the rolled-back segment
+// serves the next largest-class put without a grow.
+func TestChainedPutOnFullPool(t *testing.T) {
+	o := testOptions()
+	o.PoolWords = 1 << 17
+	o.MaxChunks = 16
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.NewWorker(0)
+	old := patVal(1, 0, 100)
+	if _, _, err := w.Put(1, old); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the arena with largest-class chunks no key names, then free
+	// one: the pool has room for exactly one segment.
+	vals, ctx := st.shards[0].vals, exec.NewCtx(0, 0)
+	big := patVal(2, 0, vals.MaxSingle())
+	var fill []slab.Ref
+	for {
+		ref, err := vals.Put(ctx, big, nil)
+		if errors.Is(err, alloc.ErrPoolFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill = append(fill, ref)
+	}
+	vals.Retire(fill[0])
+	vals.DrainQuiesced(ctx.Mem)
+
+	inUse := func() uint64 { s := st.SlabStats(); return s.ChunksAlloced - s.ChunksFreed }
+	before, census := inUse(), st.BlockCensus()
+	if _, _, err := w.Put(1, patVal(1, 1, 2*vals.MaxSingle()+100)); !errors.Is(err, alloc.ErrPoolFull) {
+		t.Fatalf("3-segment put with room for one segment: %v, want alloc.ErrPoolFull", err)
+	}
+	if got, ok := w.Get(1); !ok || !bytes.Equal(got, old) {
+		t.Fatalf("key 1 after the failed put: %d bytes, found=%v; want its old 100", len(got), ok)
+	}
+	if after := inUse(); after != before {
+		t.Fatalf("chunks in use: %d before the failed put, %d after", before, after)
+	}
+	if c := st.BlockCensus(); c != census {
+		t.Fatalf("census moved across the failed put: %+v -> %+v", census, c)
+	}
+	if ref, err := vals.Put(ctx, big, nil); err != nil || ref != fill[0] {
+		t.Fatalf("next largest-class put: %#x, %v; want the rolled-back segment %#x", ref.Word(), err, fill[0].Word())
+	}
+	if c := st.BlockCensus(); c != census {
+		t.Fatalf("the put after the rollback grew the census: %+v -> %+v", census, c)
 	}
 }

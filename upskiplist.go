@@ -586,9 +586,6 @@ func (s *Store) Options() Options { return s.opts }
 // Pools exposes the underlying pools of every shard, in shard order
 // (stats, crash control).
 func (s *Store) Pools() []*pmem.Pool {
-	if len(s.shards) == 1 {
-		return s.shards[0].pools
-	}
 	var out []*pmem.Pool
 	for _, e := range s.shards {
 		out = append(out, e.pools...)
@@ -1031,10 +1028,10 @@ type Iterator interface {
 	ValueU64() uint64
 }
 
-// storeIter adapts a skiplist cursor (single-list iterator or sharded
-// merge) to the store's bytes-first Iterator interface.
+// storeIter adapts a merge over per-shard cursors to the store's
+// bytes-first Iterator interface.
 type storeIter struct {
-	c skiplist.Cursor
+	c *skiplist.Merged
 }
 
 func (it storeIter) Seek(key uint64) bool { return it.c.Seek(key) }
@@ -1044,13 +1041,10 @@ func (it storeIter) Key() uint64          { return it.c.Key() }
 func (it storeIter) Value() []byte        { return it.c.ValueBytes() }
 func (it storeIter) ValueU64() uint64     { return leU64(it.c.ValueBytes()) }
 
-// Iterator returns a fresh cursor over the whole store — a single-shard
-// list cursor, or a merge over every shard's bottom level, which yields
-// keys in globally ascending order across shard boundaries.
+// Iterator returns a fresh cursor over the whole store: a merge over
+// every shard's bottom level, which yields keys in globally ascending
+// order across shard boundaries.
 func (w *Worker) Iterator() Iterator {
-	if len(w.s.shards) == 1 {
-		return storeIter{c: w.s.shards[0].list.NewIterator(w.ctxs[0])}
-	}
 	return storeIter{c: skiplist.NewMerged(w.shardIterators())}
 }
 
