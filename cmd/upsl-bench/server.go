@@ -14,9 +14,9 @@ import (
 
 // runServer measures the network service layer: YCSB-A over loopback
 // TCP, sweeping the per-connection pipeline depth. Depth 1 is the
-// classic request/response client; deeper pipelines keep the shard
-// batchers fed so group commits carry multi-op drains (fewer fences)
-// and the round trip is shared by a window of requests.
+// classic request/response client; deeper pipelines give each
+// connection's drain the whole window in flight, so its group commit
+// carries many ops (fewer fences) and the round trip is shared.
 //
 // By default the server runs in-process on an ephemeral loopback port.
 // With -server-addr the experiment drives an already running
@@ -29,7 +29,7 @@ func runServerExp(c benchConfig) {
 	const conns = 4
 	depths := []int{1, 4, 16, 64}
 	totalOps := c.ops * conns
-	fmt.Printf("(YCSB-A over loopback TCP, %d connections, %d total ops, preload %d, batch-max 64)\n",
+	fmt.Printf("(YCSB-A over loopback TCP, %d connections, %d total ops, preload %d, pipeline 128)\n",
 		conns, totalOps, c.preload)
 
 	var st *upskiplist.Store
@@ -48,7 +48,7 @@ func runServerExp(c benchConfig) {
 		if err != nil {
 			fatalf("creating store: %v", err)
 		}
-		s, err := server.New(server.Config{Store: st, MaxBatch: 64, MaxPipeline: 128,
+		s, err := server.New(server.Config{Store: st, MaxPipeline: 128,
 			Logf: func(string, ...any) {}})
 		if err != nil {
 			fatalf("starting server: %v", err)
@@ -138,7 +138,7 @@ func runServerExp(c benchConfig) {
 		}
 		rec := harness.BenchRecord{
 			Experiment: "server", Index: "UPSL-server", Workload: "A",
-			Threads: conns, Shards: shards, Batch: 64, Conns: conns, Depth: depth,
+			Threads: conns, Shards: shards, Conns: conns, Depth: depth,
 			Ops: res.Ops, OpsPerSec: res.OpsPerSec(),
 			P50Micros:   float64(res.P50.Microseconds()),
 			P95Micros:   float64(res.P95.Microseconds()),

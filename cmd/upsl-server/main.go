@@ -1,6 +1,7 @@
 // Command upsl-server serves an upskiplist store over TCP with the wire
 // protocol (internal/wire): pipelined GET/PUT/DEL/SCAN/BATCH requests,
-// group-committed through per-shard batchers (internal/server), plus
+// each connection group-committing the requests it drained in one pass
+// (internal/server), plus
 // SNAP_SCAN/SNAP_RELEASE frozen-snapshot paging under TTL leases
 // (-snap-ttl).
 //
@@ -16,7 +17,7 @@
 //
 // A sidecar HTTP listener (-metrics-addr, default 127.0.0.1:7846)
 // serves /metrics (Prometheus text: per-op-kind engine latency
-// histograms, batcher queue-wait/apply/drain-size, request counters)
+// histograms, drain queue-wait/apply/drain-size, request counters)
 // and /healthz (503 until the store is loaded and the server accepts;
 // /healthz?probe=live answers liveness instead). Empty -metrics-addr
 // disables the sidecar.
@@ -50,9 +51,7 @@ func main() {
 		shards        = flag.Int("shards", 4, "keyspace shards for a newly created store")
 		poolMB        = flag.Int("pool-mb", 64, "per-shard pool size in MiB for a newly created store")
 		maxConns      = flag.Int("max-conns", 64, "connection limit (also bounded by the store's thread budget)")
-		pipeline      = flag.Int("pipeline", 64, "per-connection pipeline depth limit")
-		batchMax      = flag.Int("batch-max", 64, "max ops per batcher group commit")
-		batchDelay    = flag.Duration("batch-delay", 0, "max wait for a batcher drain to fill (0 = greedy)")
+		pipeline      = flag.Int("pipeline", 64, "max frames a connection drains per pass (one group commit)")
 		maxValue      = flag.Int("max-value", wire.MaxValue, "max PUT value size in bytes (oversize requests get TOO_LARGE)")
 		statsInterval = flag.Duration("stats-interval", 10*time.Second, "periodic stats log interval (0 disables)")
 		metricsAddr   = flag.String("metrics-addr", "127.0.0.1:7846", "sidecar HTTP address for /metrics and /healthz (empty disables)")
@@ -104,9 +103,7 @@ func main() {
 		Store:         st,
 		MaxConns:      *maxConns,
 		MaxPipeline:   *pipeline,
-		MaxBatch:      *batchMax,
 		MaxValue:      *maxValue,
-		MaxDelay:      *batchDelay,
 		Dir:           *dir,
 		SnapTTL:       *snapTTL,
 		StatsInterval: *statsInterval,
@@ -122,8 +119,8 @@ func main() {
 	}
 	s.Serve(ln)
 	srv.Store(s) // /healthz flips to ready: store loaded, accept loop up
-	logf("serving on %s (shards=%d, max-conns=%d, pipeline=%d, batch-max=%d)",
-		ln.Addr(), st.NumShards(), *maxConns, *pipeline, *batchMax)
+	logf("serving on %s (shards=%d, max-conns=%d, pipeline=%d)",
+		ln.Addr(), st.NumShards(), *maxConns, *pipeline)
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)

@@ -43,7 +43,7 @@ func TestServerCrashRestart(t *testing.T) {
 	}
 	st.EnableCrashTracking()
 
-	s, err := New(Config{Store: st, MaxBatch: 32, Logf: t.Logf})
+	s, err := New(Config{Store: st, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestServerMetricsExposition drives a mixed workload through an
 // instrumented server and checks the Prometheus exposition: request
-// counters by opcode, batcher queue-wait/apply/drain-size histograms,
+// counters by opcode, drain queue-wait/apply/drain-size histograms,
 // and the conns gauge.
 func TestServerMetricsExposition(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -63,7 +63,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		t.Logf("exposition:\n%s", body)
 	}
 
-	// The 26 single-key requests all passed through batchers: every one
+	// The 26 single-key requests all passed through drains: every one
 	// got a queue-wait sample, every drain an apply-time and a size
 	// sample.
 	snap := s.Snapshot()

@@ -1,36 +1,37 @@
 // Package server is the network service layer over an upskiplist.Store:
-// a pipelined TCP front end whose write path funnels concurrently
-// in-flight client requests into per-shard group commits.
+// a pipelined TCP front end in which every connection runs its own
+// requests to completion on its own engine worker.
 //
 // Architecture (see DESIGN.md "Network service layer"):
 //
-//	conn readers ──> per-shard batcher goroutines ──> Worker.ApplyBatch
-//	     │                                                  │
-//	     │  (SCAN / BATCH run inline on the conn's worker)  │
-//	     └──────────────<── response fan-out <──────────────┘
+//	client ──> conn goroutine: read one frame, decode every further
+//	   ^       frame already buffered (≤ MaxPipeline), apply the drained
+//	   │       GET/PUT/DEL as one Worker.ApplyBatchInto, run SCAN/SNAP_*/
+//	   └────── BATCH inline, encode every response, one Write
 //
-// Each accepted connection gets a reader goroutine (decodes frames,
-// enforces per-connection pipeline depth) and a writer goroutine
-// (serializes responses, coalescing flushes). Single-key GET/PUT/DEL
-// requests are routed by Store.ShardOf to that shard's batcher, which
-// drains whatever is in flight into one ApplyBatch — one persistence
-// fence amortized over every rider. SCAN and client-side BATCH frames
-// execute directly on the connection's own engine worker (a client
-// batch already is a group commit).
+// Each accepted connection is one goroutine and owns one engine worker.
+// A pass of its loop is a per-connection group commit: the single-key
+// requests it drained go to the engine as one batch, grouped per shard
+// with one trailing fence each, and SCAN, SNAP_SCAN, SNAP_RELEASE and
+// client BATCH frames run in arrival order after the singles decoded
+// before them. There is no queue between a connection and the engine,
+// and no goroutine per shard.
 //
 // Request IDs make the protocol pipelined: many requests may be in
-// flight per connection and responses may arrive in any order. The
-// server guarantees nothing about cross-request ordering — two
-// pipelined requests may execute in either order or concurrently; a
-// client that needs happens-before must wait for the first response.
+// flight per connection. Within one pass responses go out in request
+// order, but clients must match them by ID; the server guarantees nothing
+// about ordering across connections, and a client that needs
+// happens-before must wait for the first response.
 //
-// Durability: a response is only sent after the operation's group
-// commit returned, so every acknowledged write is durable. Requests
+// Durability: a response is only sent after the ApplyBatchInto that
+// carried it returned, so every acknowledged write is durable. Requests
 // cut off by a crash (killed server) were either never applied or
 // applied-but-unacknowledged; TestServerCrashRestart pins this down.
 package server
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -49,38 +50,27 @@ import (
 // sensible default at New.
 type Config struct {
 	// Store is the engine the server fronts. Required. The server owns
-	// worker thread IDs 0..Shards-1 (batchers) and a slice above them
-	// (connections); nothing else may run workers against the store
-	// while the server is serving.
+	// worker thread IDs 1..MaxConns, one per connection; ID 0 stays with
+	// the store's reclaimers and administrative contexts. Nothing else
+	// may run workers against the store while the server is serving.
 	Store *upskiplist.Store
 
 	// MaxConns bounds concurrently served connections (default 64). It
 	// is additionally clamped to the store's NumThreads budget minus
-	// the batcher workers, since every connection owns an engine worker
-	// with a distinct thread ID. Excess connections are rejected with
-	// StatusBusy.
+	// one, since every connection owns an engine worker with a distinct
+	// thread ID. Excess connections are rejected with StatusBusy.
 	MaxConns int
 
-	// MaxPipeline is the per-connection cap on decoded-but-unanswered
-	// requests (default 64). When a client pipelines deeper, the server
-	// simply stops reading that connection's socket until responses
-	// drain — TCP backpressure, no queue growth.
+	// MaxPipeline caps the frames one connection decodes per pass
+	// (default 64): its drain, applied and answered before the socket is
+	// read again. A client pipelining deeper waits in TCP — backpressure
+	// without a queue.
 	MaxPipeline int
-
-	// MaxBatch caps the ops per batcher drain (default 64, clamped to
-	// wire.MaxBatchOps).
-	MaxBatch int
 
 	// MaxValue bounds the byte length of a single PUT value (default and
 	// ceiling wire.MaxValue). Oversize values are rejected with
 	// StatusTooLarge before touching the engine.
 	MaxValue int
-
-	// MaxDelay is how long a batcher waits for its drain to fill once
-	// the first request arrived. 0 (default) drains greedily: take
-	// what's queued now, never stall a lone request for riders that may
-	// not come.
-	MaxDelay time.Duration
 
 	// Dir, when non-empty, is where a graceful Shutdown writes a
 	// durable Save of the store.
@@ -98,7 +88,7 @@ type Config struct {
 	StatsInterval time.Duration
 
 	// Metrics, when non-nil, is the registry the server registers its
-	// instruments with: request counters, a conns gauge, and the batcher
+	// instruments with: request counters, a conns gauge, and the drain
 	// latency histograms (queue wait, apply time, drain size). Leaving
 	// it nil keeps the counters (they feed Snapshot) but skips the
 	// per-request timestamping the histograms need.
@@ -112,26 +102,18 @@ func (c *Config) setDefaults() error {
 	if c.Store == nil {
 		return errors.New("server: Config.Store is required")
 	}
-	nshards := c.Store.NumShards()
 	nthreads := c.Store.Options().NumThreads
 	if c.MaxConns <= 0 {
 		c.MaxConns = 64
 	}
-	if avail := nthreads - nshards; c.MaxConns > avail {
+	if avail := nthreads - 1; c.MaxConns > avail {
 		if avail <= 0 {
-			return fmt.Errorf("server: store has %d thread slots but %d shards — no room for connections",
-				nthreads, nshards)
+			return fmt.Errorf("server: store has %d thread slots — no room for connections", nthreads)
 		}
 		c.MaxConns = avail
 	}
 	if c.MaxPipeline <= 0 {
 		c.MaxPipeline = 64
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.MaxBatch > wire.MaxBatchOps {
-		c.MaxBatch = wire.MaxBatchOps
 	}
 	if c.MaxValue <= 0 || c.MaxValue > wire.MaxValue {
 		c.MaxValue = wire.MaxValue
@@ -156,7 +138,6 @@ type Server struct {
 	st  *upskiplist.Store
 
 	ln        net.Listener
-	batchers  []*batcher
 	state     atomic.Int32
 	accepting atomic.Bool // accept loop running (health/readiness)
 
@@ -164,13 +145,12 @@ type Server struct {
 	// to connections; its capacity is the connection limit.
 	threadIDs chan int
 
-	mu    sync.Mutex
-	conns map[*conn]struct{}
+	mu     sync.Mutex
+	conns  map[*conn]struct{}
+	closed workerTally // counters of connections already gone (under mu)
 
-	acceptWG  sync.WaitGroup // accept loop
-	readerWG  sync.WaitGroup // connection readers (batcher submitters)
-	connWG    sync.WaitGroup // writers + closers
-	batcherWG sync.WaitGroup
+	acceptWG sync.WaitGroup // accept loop
+	serveWG  sync.WaitGroup // connection goroutines
 
 	reg       *metrics.Registry // cfg.Metrics, or a private registry
 	ctr       *serverCounters
@@ -212,7 +192,7 @@ type serverCounters struct {
 	batches    *metrics.Counter // client BATCH frames
 	batchOps   *metrics.Counter // ops inside client BATCH frames
 	malf       *metrics.Counter // malformed frames
-	drains     *metrics.Counter // batcher ApplyBatch calls
+	drains     *metrics.Counter // connection drains (ApplyBatchInto calls)
 	drainedOps *metrics.Counter // single-key requests across all drains
 }
 
@@ -233,32 +213,32 @@ func newServerCounters(reg *metrics.Registry) *serverCounters {
 		batches:    req("BATCH"),
 		batchOps:   reg.Counter("upsl_server_batch_ops_total", "operations inside client BATCH frames", nil),
 		malf:       reg.Counter("upsl_server_malformed_total", "malformed request frames", nil),
-		drains:     reg.Counter("upsl_server_drains_total", "batcher group commits (ApplyBatch calls)", nil),
-		drainedOps: reg.Counter("upsl_server_drained_ops_total", "single-key requests carried by batcher drains", nil),
+		drains:     reg.Counter("upsl_server_drains_total", "connection drains (ApplyBatchInto calls)", nil),
+		drainedOps: reg.Counter("upsl_server_drained_ops_total", "single-key requests carried by connection drains", nil),
 	}
 }
 
 // DrainSizeBuckets are the exposition bounds of the drain-size
-// histogram, covering MaxBatch up to the wire-protocol ceiling.
+// histogram, covering MaxPipeline up to the wire-protocol batch ceiling.
 var DrainSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// srvMetrics are the batcher latency instruments — only allocated when
+// srvMetrics are the drain latency instruments — only allocated when
 // Config.Metrics is set, because queue-wait needs a clock read per
-// enqueued request.
+// decoded request.
 type srvMetrics struct {
-	queueWait *metrics.Histogram // request enqueue -> drain start
-	applyTime *metrics.Histogram // Worker.ApplyBatch duration per drain
+	queueWait *metrics.Histogram // request decode -> drain apply start
+	applyTime *metrics.Histogram // Worker.ApplyBatchInto duration per drain
 	drainSize *metrics.Histogram // single-key requests per drain
 }
 
 func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 	return &srvMetrics{
 		queueWait: reg.Histogram("upsl_server_queue_wait_seconds",
-			"time a single-key request waits in its shard batcher queue", nil),
+			"time from a single-key request's decode to the start of its drain's apply", nil),
 		applyTime: reg.Histogram("upsl_server_apply_seconds",
-			"group-commit (ApplyBatch) duration per batcher drain", nil),
+			"group-commit (ApplyBatchInto) duration per connection drain", nil),
 		drainSize: reg.SizeHistogram("upsl_server_drain_size",
-			"single-key requests per batcher drain", nil, DrainSizeBuckets),
+			"single-key requests per connection drain", nil, DrainSizeBuckets),
 	}
 }
 
@@ -288,16 +268,9 @@ func New(cfg Config) (*Server, error) {
 		return float64(s.leases.Len())
 	})
 	go s.leaseJanitor()
-	nshards := s.st.NumShards()
 	s.threadIDs = make(chan int, cfg.MaxConns)
-	for i := 0; i < cfg.MaxConns; i++ {
-		s.threadIDs <- nshards + i
-	}
-	for i := 0; i < nshards; i++ {
-		b := newBatcher(s, i)
-		s.batchers = append(s.batchers, b)
-		s.batcherWG.Add(1)
-		go func() { defer s.batcherWG.Done(); b.run() }()
+	for id := 1; id <= cfg.MaxConns; id++ {
+		s.threadIDs <- id
 	}
 	if cfg.StatsInterval > 0 {
 		s.statsQuit = make(chan struct{})
@@ -410,9 +383,9 @@ func rejectConn(nc net.Conn, status wire.Status, msg string) {
 }
 
 // Shutdown gracefully stops the server: stop accepting, stop reading
-// new requests, apply and answer everything already in flight, quiesce
-// the batchers, then (if Config.Dir is set) write a durable Save. The
-// store is quiesced when Shutdown returns.
+// new requests, apply and answer every frame already decoded, then (if
+// Config.Dir is set) write a durable Save. The store is quiesced when
+// Shutdown returns.
 func (s *Server) Shutdown() error {
 	if !s.state.CompareAndSwap(stateRunning, stateDraining) {
 		return errors.New("server: not running")
@@ -427,11 +400,11 @@ func (s *Server) Shutdown() error {
 }
 
 // Kill stops the server abruptly, simulating a process crash: sockets
-// close mid-conversation, queued requests are dropped unapplied and
-// unanswered, and nothing is saved. The only work that completes is the
-// ApplyBatch each batcher was already inside (its clients are never
-// acknowledged). The store is quiesced when Kill returns, which is what
-// lets a test follow with Store.SimulateCrash + Reopen.
+// close mid-conversation, nothing decoded after the kill is applied, and
+// nothing is saved. The only work that completes is the drain each
+// connection was already applying, and its responses are dropped. The
+// store is quiesced when Kill returns, which is what lets a test follow
+// with Store.SimulateCrash + Reopen.
 func (s *Server) Kill() {
 	if !s.state.CompareAndSwap(stateRunning, stateKilled) {
 		return
@@ -439,12 +412,9 @@ func (s *Server) Kill() {
 	s.stop(true)
 }
 
-// stop runs the shared teardown. Order matters: the accept loop must be
-// gone before connections are closed (a connection it registers after
-// that pass would never be closed, and its reader never return), readers
-// must be gone before batcher channels close (they are the senders), and
-// batchers must be gone before connection outboxes close (they are the
-// responders).
+// stop runs the shared teardown. The accept loop must be gone before
+// connections are closed: a connection it registers after that pass
+// would never be closed, and its goroutine never return.
 func (s *Server) stop(kill bool) {
 	if s.statsQuit != nil {
 		close(s.statsQuit)
@@ -458,7 +428,7 @@ func (s *Server) stop(kill bool) {
 		if kill {
 			c.nc.Close()
 		} else {
-			// Unblock the reader; in-flight requests still complete and
+			// Unblock the read; frames already decoded still complete and
 			// their responses still go out. The write deadline bounds the
 			// drain against a client that stopped reading its socket.
 			c.nc.SetReadDeadline(time.Now())
@@ -466,12 +436,7 @@ func (s *Server) stop(kill bool) {
 		}
 	}
 	s.mu.Unlock()
-	s.readerWG.Wait()
-	for _, b := range s.batchers {
-		close(b.ch)
-	}
-	s.batcherWG.Wait()
-	s.connWG.Wait()
+	s.serveWG.Wait()
 	// Workers are gone; drop whatever snapshot leases clients left
 	// behind so the eras they pin stop gating reclamation (and Save's
 	// quiesced drain below).
@@ -499,27 +464,27 @@ func (s *Server) stop(kill bool) {
 // ---------------------------------------------------------------------
 // Connections.
 
-// conn is one served connection.
+// conn is one served connection: one goroutine, one engine worker.
 type conn struct {
 	srv      *Server
 	nc       net.Conn
 	threadID int
 	w        *upskiplist.Worker
+	tally    workerTally // w's counters as of the last pass
 
-	// tokens bounds decoded-but-unanswered requests (pipeline depth):
-	// the reader acquires before dispatching, the writer releases after
-	// the response hits the socket.
-	tokens chan struct{}
-	// outbox carries encoded response frames to the writer. Capacity
-	// MaxPipeline makes responder sends non-blocking in steady state
-	// (there can never be more unanswered requests than tokens).
-	outbox chan []byte
-	// pending counts dispatched requests whose response has not yet
-	// been enqueued; the closer waits for it before closing outbox.
-	pending    sync.WaitGroup
-	readerDone chan struct{}
+	// The drain: decoded single-key requests not yet applied, in
+	// arrival order. ops[i] is pend[i]'s engine op; res is the
+	// result buffer, MaxPipeline long.
+	pend []pending
+	ops  []upskiplist.Op
+	res  []upskiplist.OpResult
 
-	// Reader-private scratch. scanVals is the flat arena behind the
+	// out holds the pass's encoded response frames, sent with one Write;
+	// payload is the scratch one response is encoded into.
+	out     []byte
+	payload []byte
+
+	// Decode and inline-op scratch. scanVals is the flat arena behind the
 	// value slices in scanBuf (valid until the next scan on this conn).
 	frameBuf []byte
 	req      wire.Request
@@ -529,117 +494,216 @@ type conn struct {
 	scanVals []byte
 }
 
+// pending is what a drained single-key request's response needs.
+type pending struct {
+	id  uint64
+	op  wire.Opcode
+	enq int64 // metrics.Now() at decode; 0 when metrics are off
+}
+
 func (s *Server) startConn(nc net.Conn, threadID int) {
 	c := &conn{
-		srv:        s,
-		nc:         nc,
-		threadID:   threadID,
-		w:          s.st.NewWorker(threadID),
-		tokens:     make(chan struct{}, s.cfg.MaxPipeline),
-		outbox:     make(chan []byte, s.cfg.MaxPipeline),
-		readerDone: make(chan struct{}),
+		srv:      s,
+		nc:       nc,
+		threadID: threadID,
+		w:        s.st.NewWorker(threadID),
+		res:      make([]upskiplist.OpResult, s.cfg.MaxPipeline),
 	}
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
-
-	s.readerWG.Add(1)
-	s.connWG.Add(2)
-	go c.readLoop()
-	go c.writeLoop()
-	go c.closeLoop()
+	s.serveWG.Add(1)
+	go c.serve()
 }
 
-// respond encodes resp, hands the frame to the writer and retires the
-// request. Called by batchers and by the reader (inline ops).
-func (c *conn) respond(resp *wire.Response) {
-	payload := wire.AppendResponse(make([]byte, 0, 64), resp)
-	c.outbox <- payload
-	c.pending.Done()
-}
-
-// readLoop decodes request frames and dispatches them until EOF, a
-// malformed frame, or server stop.
-func (c *conn) readLoop() {
-	defer func() {
-		c.srv.readerWG.Done()
-		close(c.readerDone)
-	}()
-	br := newBufReader(c.nc)
+// serve is the connection's goroutine. Each pass blocks for one frame,
+// decodes every further complete frame already buffered (up to
+// MaxPipeline), applies the drained singles as one group commit, and
+// sends every response of the pass with one Write. It returns at EOF, a
+// malformed frame, a failed write, or server stop.
+func (c *conn) serve() {
+	defer c.exit()
+	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
-		payload, err := wire.ReadFrame(br, c.frameBuf)
-		if err != nil {
-			if errors.Is(err, wire.ErrTooLarge) {
-				// Tell the client why before hanging up (ID 0: the
-				// request was never decoded).
-				c.srv.ctr.malf.Inc()
-				c.tokens <- struct{}{}
-				c.pending.Add(1)
-				c.respond(&wire.Response{Status: wire.StatusTooLarge, Msg: err.Error()})
+		more := c.next(br)
+		for n := 1; more && n < c.srv.cfg.MaxPipeline && frameBuffered(br); n++ {
+			more = c.next(br)
+		}
+		c.flush()
+		c.tally.publish(c.w.Stats())
+		if c.srv.killed() {
+			return // applied (and durable) but never acknowledged
+		}
+		if len(c.out) > 0 {
+			if _, err := c.nc.Write(c.out); err != nil {
+				return
 			}
+			c.out = c.out[:0]
+		}
+		if !more {
 			return
 		}
-		c.frameBuf = payload[:0]
-		if err := wire.DecodeRequest(payload, &c.req); err != nil {
-			// wire's decode errors wrap the sentinel that names the
-			// failure; StatusOf turns it back into the wire status
-			// (MALFORMED for corrupt frames, TOO_LARGE for frames that
-			// exceed protocol bounds).
-			c.srv.ctr.malf.Inc()
-			c.tokens <- struct{}{}
-			c.pending.Add(1)
-			c.respond(&wire.Response{
-				Op: c.req.Op, Status: wire.StatusOf(err), ID: c.req.ID, Msg: err.Error(),
-			})
-			return
-		}
-		c.tokens <- struct{}{} // pipeline-depth backpressure
-		c.pending.Add(1)
-		c.dispatch()
 	}
 }
 
-// dispatch routes the decoded request: singles to the owning shard's
-// batcher, SCAN/BATCH inline on this connection's worker.
+// frameBuffered reports whether br holds a whole frame, so reading it
+// cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false // Peek would block for the rest of the header
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// exit retires the connection: the socket closes, its counters fold
+// into the server's closed-connection totals, and the worker thread ID
+// returns to the pool.
+func (c *conn) exit() {
+	s := c.srv
+	c.nc.Close()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.closed.add(&c.tally)
+	s.mu.Unlock()
+	s.threadIDs <- c.threadID
+	s.serveWG.Done()
+}
+
+// next reads and dispatches one frame. It reports whether the
+// connection may read on after this pass.
+func (c *conn) next(br *bufio.Reader) bool {
+	payload, err := wire.ReadFrame(br, c.frameBuf)
+	if err != nil {
+		if errors.Is(err, wire.ErrTooLarge) {
+			// Tell the client why before hanging up (ID 0: the request
+			// was never decoded).
+			c.srv.ctr.malf.Inc()
+			c.flush()
+			c.respond(&wire.Response{Status: wire.StatusTooLarge, Msg: err.Error()})
+		}
+		return false
+	}
+	c.frameBuf = payload[:0]
+	if err := wire.DecodeRequest(payload, &c.req); err != nil {
+		// wire's decode errors wrap the sentinel that names the failure;
+		// StatusOf turns it back into the wire status (MALFORMED for
+		// corrupt frames, TOO_LARGE for frames that exceed protocol
+		// bounds).
+		c.srv.ctr.malf.Inc()
+		c.flush()
+		c.respond(&wire.Response{
+			Op: c.req.Op, Status: wire.StatusOf(err), ID: c.req.ID, Msg: err.Error(),
+		})
+		return false
+	}
+	if c.srv.killed() {
+		return false
+	}
+	c.dispatch()
+	return true
+}
+
+// dispatch adds a decoded single to the drain, or runs any other frame
+// inline after applying the singles decoded before it.
 func (c *conn) dispatch() {
-	q := &c.req
+	s, q := c.srv, &c.req
 	switch q.Op {
 	case wire.OpGet, wire.OpPut, wire.OpDel:
+		kind := upskiplist.OpGet
 		switch q.Op {
 		case wire.OpGet:
-			c.srv.ctr.gets.Inc()
+			s.ctr.gets.Inc()
 		case wire.OpPut:
-			c.srv.ctr.puts.Inc()
-			if len(q.Val) > c.srv.cfg.MaxValue {
+			s.ctr.puts.Inc()
+			kind = upskiplist.OpInsert
+			if len(q.Val) > s.cfg.MaxValue {
+				c.flush()
 				c.respond(&wire.Response{
 					Op: q.Op, Status: wire.StatusTooLarge, ID: q.ID,
-					Msg: fmt.Sprintf("value of %d bytes exceeds server max %d", len(q.Val), c.srv.cfg.MaxValue),
+					Msg: fmt.Sprintf("value of %d bytes exceeds server max %d", len(q.Val), s.cfg.MaxValue),
 				})
 				return
 			}
 		default:
-			c.srv.ctr.dels.Inc()
+			s.ctr.dels.Inc()
+			kind = upskiplist.OpRemove
 		}
-		// q.Val is a decode-time copy, safe to hand to another goroutine.
-		r := request{c: c, id: q.ID, kind: q.Op, key: q.Key, val: q.Val}
-		if c.srv.met != nil {
-			r.enq = metrics.Now() // queue-wait clock starts at enqueue
+		p := pending{id: q.ID, op: q.Op}
+		if s.met != nil {
+			p.enq = metrics.Now() // queue-wait clock starts at decode
 		}
-		c.srv.batchers[c.srv.st.ShardOf(q.Key)].ch <- r
+		c.pend = append(c.pend, p)
+		// q.Val is a decode-time copy, which the drain may keep.
+		c.ops = append(c.ops, upskiplist.Op{Kind: kind, Key: q.Key, Value: q.Val})
+		return
+	}
+	c.flush()
+	switch q.Op {
 	case wire.OpScan:
-		c.srv.ctr.scans.Inc()
+		s.ctr.scans.Inc()
 		c.runScan(q)
 	case wire.OpSnapScan:
-		c.srv.ctr.snapScans.Inc()
+		s.ctr.snapScans.Inc()
 		c.runSnapScan(q)
 	case wire.OpSnapRelease:
-		c.srv.ctr.snapRels.Inc()
+		s.ctr.snapRels.Inc()
 		c.runSnapRelease(q)
 	case wire.OpBatch:
-		c.srv.ctr.batches.Inc()
-		c.srv.ctr.batchOps.Add(uint64(len(q.Batch)))
+		s.ctr.batches.Inc()
+		s.ctr.batchOps.Add(uint64(len(q.Batch)))
 		c.runBatch(q)
 	}
+}
+
+// flush applies the drain as one Worker.ApplyBatchInto — grouped per
+// shard, one trailing fence each — and encodes its responses in request
+// order.
+func (c *conn) flush() {
+	n := len(c.ops)
+	if n == 0 {
+		return
+	}
+	s, m := c.srv, c.srv.met
+	var start int64
+	if m != nil {
+		// One clock read ends every rider's queue wait and starts the
+		// apply timer.
+		start = metrics.Now()
+		for _, p := range c.pend {
+			m.queueWait.Observe(start - p.enq)
+		}
+		m.drainSize.Observe(int64(n))
+	}
+	res := c.w.ApplyBatchInto(c.ops, c.res[:n])
+	if m != nil {
+		m.applyTime.Since(start)
+	}
+	s.ctr.drains.Inc()
+	s.ctr.drainedOps.Add(uint64(n))
+	for i, p := range c.pend {
+		resp := wire.Response{Op: p.op, ID: p.id, Found: res[i].Found, Value: res[i].Value}
+		if res[i].Err != nil {
+			resp.Status = wire.StatusOf(res[i].Err)
+			resp.Msg = res[i].Err.Error()
+		}
+		c.respond(&resp)
+	}
+	clear(c.ops) // release the PUT values
+	c.pend, c.ops = c.pend[:0], c.ops[:0]
+}
+
+// respond appends resp's frame to the pass's output. A response too big
+// for one frame is answered with StatusTooLarge instead.
+func (c *conn) respond(resp *wire.Response) {
+	c.payload = wire.AppendResponse(c.payload[:0], resp)
+	if len(c.payload) > wire.MaxFrame {
+		c.payload = wire.AppendResponse(c.payload[:0], &wire.Response{
+			Op: resp.Op, Status: wire.StatusTooLarge, ID: resp.ID,
+			Msg: fmt.Sprintf("response of %d bytes exceeds MaxFrame", len(c.payload)),
+		})
+	}
+	c.out = wire.AppendFrame(c.out, c.payload)
 }
 
 // runScan executes a SCAN on the connection's worker and responds.
@@ -720,10 +784,8 @@ func (c *conn) runSnapRelease(q *wire.Request) {
 }
 
 // runBatch executes a client BATCH frame as one engine group commit on
-// the connection's worker. The whole frame is applied by a single
-// Worker.ApplyBatch call — it already carries its own per-shard group
-// commit, so re-queueing it through the shard batchers would only add
-// latency without saving fences.
+// the connection's worker: a single Worker.ApplyBatchInto, which already
+// carries its own per-shard group commit.
 func (c *conn) runBatch(q *wire.Request) {
 	c.batchOps = c.batchOps[:0]
 	for i, op := range q.Batch {
@@ -759,42 +821,4 @@ func (c *conn) runBatch(q *wire.Request) {
 		resp.Results[i] = wire.OpResult{Found: r.Found, Value: r.Value}
 	}
 	c.respond(&resp)
-}
-
-// writeLoop serializes response frames, flushing when the outbox goes
-// momentarily empty so pipelined responses coalesce into few writes.
-func (c *conn) writeLoop() {
-	defer c.srv.connWG.Done()
-	bw := newBufWriter(c.nc)
-	var werr error
-	for frame := range c.outbox {
-		if werr == nil {
-			werr = wire.WriteFrame(bw, frame)
-		}
-		select {
-		case <-c.tokens:
-		default:
-		}
-		if werr == nil && len(c.outbox) == 0 {
-			werr = bw.Flush()
-		}
-	}
-	if werr == nil {
-		bw.Flush()
-	}
-	c.nc.Close()
-}
-
-// closeLoop retires the connection: once the reader is done and every
-// dispatched request has been answered (or dropped), the outbox closes,
-// the writer drains out, and the worker thread ID returns to the pool.
-func (c *conn) closeLoop() {
-	defer c.srv.connWG.Done()
-	<-c.readerDone
-	c.pending.Wait()
-	close(c.outbox)
-	c.srv.mu.Lock()
-	delete(c.srv.conns, c)
-	c.srv.mu.Unlock()
-	c.srv.threadIDs <- c.threadID
 }

@@ -1,9 +1,15 @@
 package server
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,10 +197,32 @@ func TestServerValueTooLarge(t *testing.T) {
 	}
 }
 
+// TestServerScanResponseTooLarge: a SCAN whose pairs would not fit one
+// frame gets StatusTooLarge back on a healthy connection, not a frame
+// the client must reject.
+func TestServerScanResponseTooLarge(t *testing.T) {
+	_, addr := newTestServer(t, Config{})
+	c := dialT(t, addr)
+	big := make([]byte, wire.MaxFrame/2+1)
+	for k := uint64(1); k <= 2; k++ {
+		if _, _, err := c.PutNoCtx(k, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Scan(ctx, 1, 2, 0); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversize scan err = %v, want wire.ErrTooLarge", err)
+	}
+	if pairs, err := c.ScanNoCtx(1, 1, 0); err != nil || len(pairs) != 1 || len(pairs[0].Value) != len(big) {
+		t.Fatalf("one-pair scan after rejection = %d pairs, %v", len(pairs), err)
+	}
+}
+
 func TestServerPipelinedConcurrentClients(t *testing.T) {
 	const conns = 4
 	const perConn = 500
-	s, addr := newTestServer(t, Config{MaxBatch: 32})
+	s, addr := newTestServer(t, Config{})
 
 	var wg sync.WaitGroup
 	for ci := 0; ci < conns; ci++ {
@@ -240,7 +268,7 @@ func TestServerPipelinedConcurrentClients(t *testing.T) {
 	}
 	snap := s.Snapshot()
 	if snap.Drains == 0 || snap.DrainedOps < conns*perConn {
-		t.Fatalf("batchers report %d drains / %d ops, want > 0 / >= %d",
+		t.Fatalf("connections report %d drains / %d ops, want > 0 / >= %d",
 			snap.Drains, snap.DrainedOps, conns*perConn)
 	}
 	t.Logf("snapshot: drains=%d avg_drain=%.1f fences/op=%.3f hint_hit=%.2f",
@@ -352,7 +380,7 @@ func TestServerGracefulShutdownSaves(t *testing.T) {
 }
 
 func TestServerShutdownAnswersInFlight(t *testing.T) {
-	s, addr := newTestServer(t, Config{MaxBatch: 16})
+	s, addr := newTestServer(t, Config{})
 	c := dialT(t, addr)
 	// Fill the pipeline, then shut down concurrently: every issued
 	// request must still be answered (acknowledged implies applied).
@@ -438,5 +466,181 @@ func TestServerKillWhileDialing(t *testing.T) {
 		}
 		close(stop)
 		dialers.Wait()
+	}
+}
+
+// TestServerRunsToCompletion pins the server's goroutine shape: New
+// starts nothing per shard, a served connection costs exactly one
+// goroutine, a pipelined burst of singles comes back in request order
+// through the connection's drains, and after Kill mid-load and after
+// Shutdown the goroutine count returns to its value before New.
+func TestServerRunsToCompletion(t *testing.T) {
+	st, err := upskiplist.Create(testOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	s, err := New(Config{Store: st, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base+1, "after New over 4 shards (the lease janitor only)")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Serve(ln)
+	addr := ln.Addr().String()
+	waitGoroutines(t, base+2, "after Serve (the accept loop)")
+
+	// Raw sockets, so the client side adds no goroutine of its own.
+	var ncs []net.Conn
+	for i := 1; i <= 3; i++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		ncs = append(ncs, nc)
+		// One round trip: the connection is served, not just accepted.
+		frames := appendRequestFrame(t, nil, &wire.Request{Op: wire.OpGet, ID: 1, Key: 1})
+		if _, err := nc.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		readResponse(t, nc)
+		waitGoroutines(t, base+2+i, fmt.Sprintf("after dial %d", i))
+	}
+
+	const burst = 32
+	before := s.Snapshot().DrainedOps
+	var frames []byte
+	for i := 0; i < burst; i++ {
+		frames = appendRequestFrame(t, frames, &wire.Request{
+			Op: wire.OpPut, ID: uint64(100 + i), Key: uint64(1 + i), Val: leBytes(uint64(i)),
+		})
+	}
+	if _, err := ncs[0].Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < burst; i++ {
+		resp := readResponse(t, ncs[0])
+		if resp.ID != uint64(100+i) || resp.Op != wire.OpPut || resp.Err() != nil {
+			t.Fatalf("burst response %d = id %d op %v err %v, want id %d PUT ok", i, resp.ID, resp.Op, resp.Err(), 100+i)
+		}
+	}
+	if got := s.Snapshot().DrainedOps - before; got != burst {
+		t.Fatalf("drains carried %d ops of the burst, want %d", got, burst)
+	}
+
+	for i, nc := range ncs {
+		nc.Close()
+		waitGoroutines(t, base+2+len(ncs)-1-i, fmt.Sprintf("after close %d", i+1))
+	}
+
+	var acks atomic.Uint64
+	loaders := startLoad(t, addr, 2, &acks)
+	for acks.Load() < 500 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.Kill()
+	loaders.Wait()
+	waitGoroutines(t, base, "after Kill mid-load")
+
+	s2, addr := newTestServer(t, Config{Store: st})
+	loaders = startLoad(t, addr, 2, &acks)
+	for acks.Load() < 1000 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := s2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	loaders.Wait()
+	waitGoroutines(t, base, "after Shutdown under load")
+}
+
+// startLoad runs conns clients that keep 16 PUTs in flight each until
+// their connection is cut, counting acknowledgments.
+func startLoad(t *testing.T, addr string, conns int, acks *atomic.Uint64) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for ci := 0; ci < conns; ci++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			done := make(chan *client.Call, 16)
+			for k := uint64(1); k <= 16; k++ {
+				c.Go(&wire.Request{Op: wire.OpPut, Key: k, Val: leBytes(k)}, done)
+			}
+			for k := uint64(17); ; k++ {
+				call := <-done
+				if call.Err != nil {
+					return // the server went away
+				}
+				if err := call.Resp.Err(); err != nil {
+					t.Error(err)
+					return
+				}
+				acks.Add(1)
+				c.Go(&wire.Request{Op: wire.OpPut, Key: k%4096 + 1, Val: leBytes(k)}, done)
+			}
+		}()
+	}
+	return &wg
+}
+
+func appendRequestFrame(t *testing.T, dst []byte, q *wire.Request) []byte {
+	t.Helper()
+	payload, err := wire.AppendRequest(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendFrame(dst, payload)
+}
+
+func readResponse(t *testing.T, nc net.Conn) *wire.Response {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := wire.ReadFrame(nc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := wire.DecodeResponse(payload, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return &resp
+}
+
+// settledGoroutines returns the goroutine count once goroutines left
+// by earlier tests have finished exiting.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// waitGoroutines waits for the goroutine count to reach want; exits are
+// asynchronous, so it polls.
+func waitGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			var sb strings.Builder
+			pprof.Lookup("goroutine").WriteTo(&sb, 1)
+			t.Fatalf("%s: %d goroutines, want %d\n%s", when, runtime.NumGoroutine(), want, sb.String())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

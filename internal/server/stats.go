@@ -1,28 +1,25 @@
 package server
 
 import (
-	"bufio"
-	"io"
+	"sync/atomic"
 	"time"
 
+	"upskiplist"
 	"upskiplist/internal/stats"
 )
 
 // Snapshot is the shared stats.Snapshot shape. The server fills every
-// section: its own connection and request counters, the batchers'
-// group-commit and hint-cache counters, and the engine's topology and
-// Mem sections merged in from Store.Stats. Ops is derived from the
-// request counters (singles + scans + client-batch interior ops).
+// section: its own connection and request counters, the drain and
+// hint-cache counters of every connection it served, and the engine's
+// topology and Mem sections merged in from Store.Stats. Ops is derived
+// from the request counters (singles + scans + client-batch interior
+// ops).
 type Snapshot = stats.Snapshot
 
 // Snapshot samples the server and engine counters. Safe to call
 // concurrently with serving; the sample is per-counter consistent.
 func (s *Server) Snapshot() Snapshot {
-	s.mu.Lock()
-	nconns := len(s.conns)
-	s.mu.Unlock()
 	snap := Snapshot{
-		Conns:      nconns,
 		Accepted:   s.ctr.accepted.Load(),
 		Rejected:   s.ctr.rejected.Load(),
 		Gets:       s.ctr.gets.Load(),
@@ -36,14 +33,45 @@ func (s *Server) Snapshot() Snapshot {
 		DrainedOps: s.ctr.drainedOps.Load(),
 	}
 	snap.Ops = snap.Gets + snap.Puts + snap.Dels + snap.Scans + snap.BatchOps
-	for _, b := range s.batchers {
-		snap.HintSeeded += b.hintSeeded.Load()
-		snap.HintMissed += b.hintMissed.Load()
-		snap.HintFallback += b.hintFallback.Load()
-		snap.NodesVisited += b.nodesVisited.Load()
-		snap.KeysProbed += b.keysProbed.Load()
+	s.mu.Lock()
+	snap.Conns = len(s.conns)
+	s.closed.addTo(&snap)
+	for c := range s.conns {
+		c.tally.addTo(&snap)
 	}
+	s.mu.Unlock()
 	return snap.Merge(s.st.Stats()) // Shards and Mem come from the engine
+}
+
+// workerTally is a connection worker's cumulative traversal counters,
+// published once per pass so Snapshot can read them from another
+// goroutine. The server's copy accumulates connections that closed.
+type workerTally struct {
+	hintSeeded, hintMissed, hintFallback, nodesVisited, keysProbed atomic.Uint64
+}
+
+func (t *workerTally) publish(ws upskiplist.WorkerStats) {
+	t.hintSeeded.Store(ws.HintSeeded)
+	t.hintMissed.Store(ws.HintMissed)
+	t.hintFallback.Store(ws.HintFallback)
+	t.nodesVisited.Store(ws.NodesVisited)
+	t.keysProbed.Store(ws.KeysProbed)
+}
+
+func (t *workerTally) add(o *workerTally) {
+	t.hintSeeded.Add(o.hintSeeded.Load())
+	t.hintMissed.Add(o.hintMissed.Load())
+	t.hintFallback.Add(o.hintFallback.Load())
+	t.nodesVisited.Add(o.nodesVisited.Load())
+	t.keysProbed.Add(o.keysProbed.Load())
+}
+
+func (t *workerTally) addTo(snap *Snapshot) {
+	snap.HintSeeded += t.hintSeeded.Load()
+	snap.HintMissed += t.hintMissed.Load()
+	snap.HintFallback += t.hintFallback.Load()
+	snap.NodesVisited += t.nodesVisited.Load()
+	snap.KeysProbed += t.keysProbed.Load()
 }
 
 // statsLoop logs one line per StatsInterval with the interval's deltas.
@@ -74,10 +102,3 @@ func (s *Server) logSnapshot(label string, v Snapshot) {
 		label, v.Conns, v.Ops, v.Gets, v.Puts, v.Dels, v.Scans, v.Batches, v.BatchOps,
 		v.Drains, v.AvgDrain(), v.FencesPerOp(), v.PersistedLines(), v.HintHitRate(), v.Rejected, v.Malformed)
 }
-
-// Buffered I/O: reads coalesce small frames; writes batch pipelined
-// responses until the outbox goes momentarily empty.
-
-func newBufReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, 64<<10) }
-
-func newBufWriter(w io.Writer) *bufio.Writer { return bufio.NewWriterSize(w, 64<<10) }

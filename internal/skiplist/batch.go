@@ -71,8 +71,8 @@ type BatchOp struct {
 // same-key operations, and operations on different keys commute.
 //
 // An empty batch is a no-op: no traversal, no flush, no fence. Callers
-// that cut request streams into runs (e.g. a server batcher draining a
-// queue) can call unconditionally without paying a persistence round
+// that cut request streams into runs (e.g. a server connection
+// draining its pipelined requests) can call unconditionally without paying a persistence round
 // for an empty cut.
 //
 // The context must not be shared with concurrent operations (the usual

@@ -38,9 +38,9 @@ type Snapshot struct {
 	// the request counters; a worker snapshot reports its private count.
 	Ops uint64
 
-	// Batcher group commits: Drains is the number of ApplyBatch calls
-	// the shard batchers issued, DrainedOps the single-key requests they
-	// carried.
+	// Server group commits: Drains is the number of ApplyBatchInto
+	// calls the server's connections issued for their drained singles,
+	// DrainedOps the single-key requests they carried.
 	Drains, DrainedOps uint64
 
 	// Volatile predecessor-hint-cache counters: traversals seeded from a
@@ -168,8 +168,8 @@ func (s Snapshot) PersistedLines() uint64 { return s.Mem.Flushes }
 // group-commit amortization metric (fences / operations).
 func (s Snapshot) Fences() uint64 { return s.Mem.Fences }
 
-// AvgDrain is the mean single-key requests per batcher group commit —
-// the fence amortization the batching layer achieved.
+// AvgDrain is the mean single-key requests per connection drain — the
+// fence amortization the server's group commits achieved.
 func (s Snapshot) AvgDrain() float64 {
 	if s.Drains == 0 {
 		return 0

@@ -294,11 +294,15 @@ func (r *Response) Err() error {
 // needed) and returns the payload slice, which aliases buf's backing
 // array and is valid until the next call with the same buffer.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into buf too: a local array handed to
+	// r.Read would escape, one heap allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -320,10 +324,20 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	bw, ok := w.(io.ByteWriter)
+	if !ok {
+		// Unbuffered (a bare socket): the whole frame in one Write.
+		_, err := w.Write(AppendFrame(make([]byte, 0, 4+len(payload)), payload))
 		return err
+	}
+	// A buffered writer takes the length prefix a byte at a time: a
+	// local array handed to w.Write would escape, one heap allocation
+	// per frame.
+	n := uint32(len(payload))
+	for shift := 24; shift >= 0; shift -= 8 {
+		if err := bw.WriteByte(byte(n >> shift)); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(payload)
 	return err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -264,5 +265,33 @@ func TestDecodeErrorsWrapSentinels(t *testing.T) {
 	bq := &Request{Op: OpBatch, ID: 1, Batch: []BatchOp{{Kind: OpPut, Key: 1, Value: fat}}}
 	if _, err := AppendRequest(nil, bq); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized batch value encode: got %v, want ErrTooLarge", err)
+	}
+}
+
+// TestFrameCodecAllocatesNothing: framing a payload through a buffered
+// writer and reading it back into a reused buffer costs no heap
+// allocation. Both ends of a served request pay these once per frame.
+func TestFrameCodecAllocatesNothing(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 100)
+	bw := bufio.NewWriterSize(io.Discard, 1<<10)
+	if a := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("WriteFrame: %.2f allocations per call, want 0", a)
+	}
+
+	frame := AppendFrame(nil, payload)
+	r := bytes.NewReader(frame)
+	buf := make([]byte, 0, 128)
+	if a := testing.AllocsPerRun(1000, func() {
+		r.Reset(frame)
+		got, err := ReadFrame(r, buf)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("ReadFrame = %d bytes, %v", len(got), err)
+		}
+	}); a != 0 {
+		t.Errorf("ReadFrame: %.2f allocations per call, want 0", a)
 	}
 }

@@ -48,14 +48,13 @@ func (s *Store) Stats() StoreStats {
 }
 
 // ShardOf returns the index of the shard owning key (always 0 for an
-// unsharded store). A network front end uses this to funnel requests
-// into per-shard batchers so each drain group-commits within one shard.
+// unsharded store).
 func (s *Store) ShardOf(key uint64) int { return s.shardOf(key) }
 
 // WorkerStats is the worker's view of the shared stats snapshot. Like
 // the worker itself it is single-goroutine state: only the owning
 // goroutine may call Stats, and cross-thread publication (e.g. a server
-// batcher exporting its worker's counters) must copy the snapshot
+// connection exporting its worker's counters) must copy the snapshot
 // through its own synchronization.
 //
 // A worker snapshot fills Ops (each point op and each batched op counts
