@@ -57,16 +57,16 @@ func churnTuning() skiplist.Tuning {
 		// that path. With hints on, point ops are near-O(1) regardless of
 		// dead prefix and the comparison measures nothing.
 		NoHints: true,
-		// The reference read path for the same reason: the descent
-		// prefetch overlaps each dead-node hop's line fetch with the
-		// previous node's examine, deflating exactly the per-hop cost
-		// whose growth this experiment measures.
-		Reference: true,
+		// Prefetching off for the same reason: the descent prefetch
+		// overlaps each dead-node hop's line fetch with the previous
+		// node's examine, deflating exactly the per-hop cost whose
+		// growth this experiment measures.
+		NoPrefetch: true,
 		// Classic p = 1/2 towers: the MaxHeight=8 provisioning above and
 		// the dead-tower-clutter analysis assume Pugh geometry, and the
 		// sparse default would change how much of the dead population
-		// reaches the index levels — an orthogonal axis the hotpath
-		// experiment owns.
+		// reaches the index levels — an orthogonal axis TestReadPathRent
+		// owns.
 		TowerBranch: 2,
 	}
 }

@@ -22,16 +22,9 @@
 //	server    network service layer: pipelined TCP clients, depth sweep
 //	          (BENCH_server.json; excluded from "all" — drives loopback TCP;
 //	          -server-addr drives an external upsl-server instead)
-//	churn     online reclamation: constant live set under insert/remove
-//	          turnover, footprint + throughput per phase, with and
-//	          without a reclaimer (BENCH_churn.json; excluded from "all")
 //	churn-wire  put+del dead segment through a running upsl-server
 //	          (-server-addr required) so a -online-reclaim server frees
 //	          blocks mid-service; used by CI's loopback smoke
-//	hotpath   cache-conscious traversal: block search + foresight
-//	          prefetching + sparse towers vs the reference traversal,
-//	          with nodes-visited / keys-probed / prefetches per op
-//	          (BENCH_hotpath.json; excluded from "all")
 //	snap      MVCC snapshots: YCSB-A writer throughput with 0/1/4 open
 //	          snapshots plus frozen-scan latency, every scan
 //	          equivalence-checked against the pre-snapshot dump
@@ -86,7 +79,7 @@ type benchConfig struct {
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table5.1, fig5.1, fig5.2, fig5.3, fig5.4, fig5.5, fig5.6, table5.4, extE, shards, server, churn, churn-wire, hotpath, snap, payload, recovery, all")
+		exp        = flag.String("exp", "all", "experiment: table5.1, fig5.1, fig5.2, fig5.3, fig5.4, fig5.5, fig5.6, table5.4, extE, shards, server, churn-wire, snap, payload, recovery, all")
 		preload    = flag.Uint64("preload", 20000, "preloaded key count (paper: 100M)")
 		ops        = flag.Int("ops", 10000, "operations per thread")
 		threadsCSV = flag.String("threads", "1,2,4,8,16", "thread counts for sweeps")
@@ -108,10 +101,6 @@ func main() {
 		switch *exp {
 		case "server":
 			*benchJSON = "BENCH_server.json"
-		case "churn":
-			*benchJSON = "BENCH_churn.json"
-		case "hotpath":
-			*benchJSON = "BENCH_hotpath.json"
 		case "snap":
 			*benchJSON = "BENCH_snap.json"
 		case "payload":
@@ -167,9 +156,7 @@ func main() {
 		"extE":       runExtE,
 		"shards":     runShards,
 		"server":     runServerExp,
-		"churn":      runChurnExp,
 		"churn-wire": runChurnWireExp,
-		"hotpath":    runHotPath,
 		"snap":       runSnapExp,
 		"payload":    runPayload,
 		"recovery":   runRecoveryExp,
@@ -177,7 +164,7 @@ func main() {
 	// "server" is deliberately not in the "all" order: it opens loopback
 	// TCP sockets, which the pure in-process reproduction runs avoid
 	// ("churn-wire" additionally requires an external server).
-	// "churn", "hotpath", "snap" and "payload" are also separate: each
+	// "snap", "payload" and "recovery" are also separate: each
 	// writes its own BENCH_*.json, which an "all" run sharing one
 	// -bench-json path would clobber.
 	order := []string{"table5.1", "fig5.1", "fig5.2", "fig5.3", "fig5.4", "fig5.5", "fig5.6", "table5.4", "extE", "shards"}

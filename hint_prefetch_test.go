@@ -30,7 +30,7 @@ func newForesightPair(t *testing.T) hintPair {
 			t.Fatal(err)
 		}
 		if disable {
-			st.SetTuning(skiplist.Tuning{Reference: true, TowerBranch: 2})
+			st.SetTuning(skiplist.Tuning{NoPrefetch: true, TowerBranch: 2})
 		}
 		return st
 	}
@@ -77,14 +77,14 @@ func TestForesightStaleHintsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen applies each store's tuning again; the reference store must
-	// come back with prefetching still off.
+	// Reopen applies each store's tuning again; the prefetch-free store
+	// must come back with prefetching still off.
 	wa2 := &Worker{s: a2, ctxs: wa.ctxs}
 	wb2 := &Worker{s: b2, ctxs: wb.ctxs}
 	runMirrored(t, wa2, wb2, rand.New(rand.NewSource(8)), 12000, 300)
 	compareState(t, wa2, wb2)
 	if got := b2.Stats().Mem.Prefetches; got != 0 {
-		t.Fatalf("reopened reference store issued %d prefetches", got)
+		t.Fatalf("reopened prefetch-free store issued %d prefetches", got)
 	}
 }
 

@@ -74,8 +74,8 @@ type Ctx struct {
 }
 
 // PathStats counts the memory work a worker's traversals performed —
-// the cache-conscious-traversal observability the hotpath experiment
-// records. NodesVisited counts every node a descent inspected (adopted
+// the cache-conscious-traversal observability the rent table and the
+// traced benchmark record. NodesVisited counts every node a descent inspected (adopted
 // as pred or rejected, across all levels, including link traversals);
 // KeysProbed counts key slots fetched during in-node searches and
 // range-scan snapshots. Divided by Ops they give the nodes-visited-per-op

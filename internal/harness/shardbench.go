@@ -42,15 +42,6 @@ type BenchRecord struct {
 	// runs, where read and write round trips diverge.
 	OpLatency   map[string]LatencySummary `json:"op_latency,omitempty"`
 	FencesPerOp float64                   `json:"fences_per_op"`
-	// Churn-experiment fields: Phase numbers the samples in time order;
-	// AllocBlocks is the provisioned node+retired block count at the end
-	// of the phase, LiveNodes the bottom-level nodes still holding a
-	// live key, FreedBlocks the cumulative blocks returned to free
-	// lists by online reclamation. Zero (omitted) elsewhere.
-	Phase       int   `json:"phase,omitempty"`
-	AllocBlocks int   `json:"alloc_blocks,omitempty"`
-	LiveNodes   int   `json:"live_nodes,omitempty"`
-	FreedBlocks int64 `json:"freed_blocks,omitempty"`
 	// Snapshots is the number of MVCC snapshots held open for the whole
 	// run (the snap experiment). Zero (omitted) elsewhere.
 	Snapshots int `json:"snapshots,omitempty"`
@@ -59,12 +50,6 @@ type BenchRecord struct {
 	// (OpsPerSec x ValueSize). Zero (omitted) elsewhere.
 	ValueSize   int     `json:"value_size,omitempty"`
 	BytesPerSec float64 `json:"bytes_per_sec,omitempty"`
-	// Traversal-locality fields (the hotpath experiment): mean nodes a
-	// descent inspected per op, mean key comparisons per op, and mean
-	// charged prefetch issues per op. Zero (omitted) elsewhere.
-	NodesVisitedPerOp float64 `json:"nodes_visited_per_op,omitempty"`
-	KeysProbedPerOp   float64 `json:"keys_probed_per_op,omitempty"`
-	PrefetchesPerOp   float64 `json:"prefetches_per_op,omitempty"`
 	// Recovery-experiment fields: the worker budget recovery ran with,
 	// time from Load start to store ready (simulated wall: the cost
 	// model's charge ledger scheduled onto the worker budget), pairs or

@@ -8,19 +8,23 @@ import (
 
 // Bulk accessors: the counterparts of Load and Store for a run of
 // contiguous words. They keep the ruler the single-word calls measure
-// with — Loads/Stores count words, every store pays StorePenalty, loads
-// are charged per covered cache line against the same line cache — and
-// pay the per-call bookkeeping (ledger update, injection step, spin call)
-// once per call or per line instead of once per word.
+// with — a bulk load counts and is charged as one Load per covered
+// cache line against the same line cache, a bulk store counts one Store
+// per word and every word pays StorePenalty — and pay the per-call
+// bookkeeping (ledger update, injection step, spin call) once per call
+// or per line instead of once per word.
 
-// chargeLoadLines charges one load per cache line covering the n words
-// at off: a streamed sequential read of a resident line costs one hit,
-// not eight.
-func (p *Pool) chargeLoadLines(off, n uint64, acc *Acc) {
+// loadLines counts and charges one load per cache line covering the n
+// words at off: a streamed sequential read of a resident line costs one
+// hit, not eight, and Loads says so, so every counter × penalty sum
+// bills what the pool spun for.
+func (p *Pool) loadLines(off, n uint64, acc *Acc) {
+	first, last := off>>lineShift, (off+n-1)>>lineShift
+	p.count(cLoads, last-first+1, acc)
 	if p.cost == nil {
 		return
 	}
-	for line, last := off>>lineShift, (off+n-1)>>lineShift; line <= last; line++ {
+	for line := first; line <= last; line++ {
 		p.chargeLoad(line<<lineShift, acc)
 	}
 }
@@ -36,8 +40,7 @@ func (p *Pool) LoadBlock(off uint64, dst []uint64, acc *Acc) {
 		return
 	}
 	p.step()
-	p.count(cLoads, n, acc)
-	p.chargeLoadLines(off, n, acc)
+	p.loadLines(off, n, acc)
 	for i := uint64(0); i < n; i++ {
 		dst[i] = atomic.LoadUint64(&p.words[off+i])
 	}
@@ -54,8 +57,7 @@ func (p *Pool) LoadBytes(off uint64, n int, dst []byte, acc *Acc) []byte {
 		return dst
 	}
 	p.step()
-	p.count(cLoads, words, acc)
-	p.chargeLoadLines(off, words, acc)
+	p.loadLines(off, words, acc)
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
 	out, src := dst[start:], p.words[off:off+words]

@@ -6,9 +6,11 @@ import (
 )
 
 // refStoreBytes and refLoadBytes are the per-word routines the bulk
-// accessors replaced: one Store or Load call per word, bytes shifted in
-// and out one at a time. They stay here as the reference the bulk
-// routines are checked against.
+// accessors replaced: one Store call per word, bytes shifted in and out
+// one at a time. They stay here as the reference the bulk routines are
+// checked against. A bulk load is charged as one Load per covered cache
+// line, so refLoadBytes issues that Load at each line's first word it
+// reads and takes the other words straight from the image.
 func refStoreBytes(p *Pool, off uint64, val []byte, acc *Acc) {
 	for i := 0; i < len(val); i += 8 {
 		var w uint64
@@ -21,7 +23,11 @@ func refStoreBytes(p *Pool, off uint64, val []byte, acc *Acc) {
 
 func refLoadBytes(p *Pool, off uint64, n int, dst []byte, acc *Acc) []byte {
 	for i := 0; i < n; i += 8 {
-		w := p.Load(off+uint64(i/8), acc)
+		at := off + uint64(i/8)
+		w := p.words[at]
+		if i == 0 || at&(LineWords-1) == 0 {
+			w = p.Load(at, acc)
+		}
 		for j := 0; j < 8 && i+j < n; j++ {
 			dst = append(dst, byte(w>>(8*j)))
 		}

@@ -98,7 +98,7 @@ func ledgerWork(p *Pool, g, rounds int) {
 // totals equal those of the same shares run one after another.
 func TestLedgerConcurrentExact(t *testing.T) {
 	const workers, rounds = 4, 3000
-	const loadsPerRound = 1 + LineWords + 2
+	const loadsPerRound = 3 // Load, and one line each for LoadBlock and LoadBytes
 	newPool := func() *Pool {
 		p, err := NewPool(Config{Words: 1 << 15, HomeNode: 0, Cost: &CostModel{
 			HitPenalty: 1, LoadPenalty: 2, StorePenalty: 1, FlushPenalty: 1,

@@ -91,15 +91,15 @@ func TestLoadBlockChargesPerLine(t *testing.T) {
 	buf := make([]uint64, 2*LineWords) // spans exactly two cold lines
 	p.LoadBlock(0, buf, acc)
 	snap := stats()
-	if snap.Loads != uint64(len(buf)) {
-		t.Fatalf("loads = %d, want %d", snap.Loads, len(buf))
+	if snap.Loads != 2 {
+		t.Fatalf("loads = %d, want 2 (one per line)", snap.Loads)
 	}
 	// One miss, not two: the first line's miss triggers the modelled
 	// next-line hardware prefetch, so the second sequential line hits.
 	if snap.Misses != 1 {
 		t.Fatalf("misses = %d, want 1 (next-line prefetch covers line 2)", snap.Misses)
 	}
-	// Re-reading the now-resident block adds loads but no misses.
+	// Re-reading the now-resident block adds two loads but no misses.
 	p.LoadBlock(0, buf, acc)
 	snap = stats()
 	if snap.Misses != 1 {
@@ -107,8 +107,50 @@ func TestLoadBlockChargesPerLine(t *testing.T) {
 	}
 	// Empty block is a no-op.
 	p.LoadBlock(0, nil, acc)
-	if got := stats().Loads; got != 2*uint64(len(buf)) {
-		t.Fatalf("loads after empty block = %d, want %d", got, 2*len(buf))
+	if got := stats().Loads; got != 4 {
+		t.Fatalf("loads after empty block = %d, want 4", got)
+	}
+}
+
+// TestBulkLoadsCountPerLine: a LoadBlock or LoadBytes over k cache
+// lines leaves the same counters as one Load per line on a twin pool —
+// the same Loads as well as the same misses, remote surcharges and
+// prefetches — so every counter × penalty sum bills a bulk read exactly
+// what the pool spun for it.
+func TestBulkLoadsCountPerLine(t *testing.T) {
+	cost := &CostModel{HitPenalty: 1, LoadPenalty: 5, StorePenalty: 2, FlushPenalty: 3, FencePenalty: 1, RemotePenalty: 7}
+	newPool := func() *Pool {
+		p, err := NewPool(Config{Words: 4096, HomeNode: 1, Cost: cost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, off := range []uint64{0, 3, 7, 8, 61} {
+		for _, n := range []uint64{1, 2, 8, 9, 16, 17, 40} {
+			for _, bytes := range []bool{false, true} {
+				bulk, twin := newPool(), newPool()
+				bacc, tacc := NewAcc(0), NewAcc(0)
+				// Twice: cold lines first, then the same lines resident.
+				for pass := 0; pass < 2; pass++ {
+					if bytes {
+						bulk.LoadBytes(off, int(8*n-3), nil, bacc)
+					} else {
+						bulk.LoadBlock(off, make([]uint64, n), bacc)
+					}
+					for line := off >> lineShift; line <= (off+n-1)>>lineShift; line++ {
+						twin.Load(max(off, line<<lineShift), tacc)
+					}
+				}
+				bacc.Publish()
+				tacc.Publish()
+				b, w := bulk.Stats().Snapshot(), twin.Stats().Snapshot()
+				if b != w || b.Misses != w.Misses {
+					t.Fatalf("off=%d words=%d bytes=%v: bulk %+v misses=%d, one Load per line %+v misses=%d",
+						off, n, bytes, b, b.Misses, w, w.Misses)
+				}
+			}
+		}
 	}
 }
 

@@ -1,20 +1,17 @@
 package skiplist
 
-// Cache-conscious in-node search (the block-search fast path).
+// Cache-conscious in-node search: the one implementation of Function 8.
 //
 // A node's keys occupy keysPerNode contiguous words — with the default
-// geometry, two cache lines. The per-word path reads them through
-// keysPerNode independent pool.Load calls, each paying accessor
-// bookkeeping and a line-cache probe; the fast path instead bulk-loads
-// the key block once into a per-worker scratch buffer (LoadBlock charges
-// per cache line, the way a streamed sequential read behaves) and
+// geometry, two cache lines. The search bulk-loads the key block once
+// into a per-worker scratch buffer (LoadBlock counts and charges one
+// load per cache line, the way a streamed sequential read behaves) and
 // searches the snapshot with a branch-light loop: binary search over the
 // sorted prefix a split left behind, a four-way unrolled scan over the
 // unsorted overflow. Reading the block as a snapshot has exactly the
-// per-word loads' consistency (each word individually atomic, the block
-// not a snapshot of an instant) — callers already validate with split
-// counts and locks, so the race class is unchanged, which is what the
-// equivalence property tests pin down.
+// consistency of keysPerNode independent loads (each word individually
+// atomic, the block not a snapshot of an instant); callers validate with
+// split counts and locks.
 
 import (
 	"upskiplist/internal/exec"
@@ -22,12 +19,11 @@ import (
 	"upskiplist/internal/riv"
 )
 
-// searchBlock locates key in a snapshot of a node's key block, mirroring
-// scanInternalKeys' per-word semantics exactly: the sorted prefix
-// [1, sorted) left by the last split is binary searched — an erased
-// (keyEmpty) slot steers the probe left, since erases only punch holes
-// in a still-ordered prefix — then the unsorted overflow past it is
-// scanned linearly. Slot 0 is skipped: the traversal already compared
+// searchBlock locates key in a snapshot of a node's key block: the
+// sorted prefix [1, sorted) left by the last split is binary searched —
+// an erased (keyEmpty) slot steers the probe left, since erases only
+// punch holes in a still-ordered prefix — then the unsorted overflow
+// past it is scanned linearly. Slot 0 is skipped: the traversal already compared
 // the node's immutable first key. Returns the slot index (-1 when
 // absent) and the number of key comparisons made (the KeysProbed unit).
 func searchBlock(keys []uint64, key uint64, sorted int) (int, int) {
@@ -82,9 +78,8 @@ func searchBlock(keys []uint64, key uint64, sorted int) (int, int) {
 // searchBlockInsert scans a full key-block snapshot for an insert
 // attempt: it reports the slot holding key, the first empty slot, and
 // the comparisons made. Unlike searchBlock it includes slot 0 and tracks
-// empties, mirroring insertIntoExistingNode's per-word claim loop (both
-// always claim the lowest empty slot, which is what keeps concurrent
-// inserters of the same key converging on one slot).
+// empties. Inserters always claim the lowest empty slot, which is what
+// keeps concurrent inserters of the same key converging on one slot.
 func searchBlockInsert(keys []uint64, key uint64) (found, empty, probed int) {
 	found, empty = -1, -1
 	for i, k := range keys {

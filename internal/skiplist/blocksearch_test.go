@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// refSearch is the per-word reference that scanInternalKeys' slow path
-// implements: binary search over the sorted prefix [1, sorted) with
-// erased slots steering left, then a linear scan of the unsorted tail.
-// searchBlock must be indistinguishable from it on every snapshot.
+// refSearch is Function 8 as the paper states it, one key at a time:
+// binary search over the sorted prefix [1, sorted) with erased slots
+// steering left, then a linear scan of the unsorted tail. searchBlock
+// must be indistinguishable from it on every snapshot.
 func refSearch(keys []uint64, key uint64, sorted int) int {
 	if sorted > len(keys) {
 		sorted = len(keys)
@@ -130,80 +130,71 @@ func blockConfigs() []Config {
 	}
 }
 
-// TestBlockSearchListEquivalence drives two lists — block search on vs
-// off — through identical randomized op streams and demands identical
-// results, then crashes both (reverting unflushed lines) and re-checks
-// every key on the reopened, recovery-repaired nodes.
+// TestBlockSearchListEquivalence drives a list through a randomized op
+// stream and demands every result a map oracle predicts, then crashes it
+// (reverting unflushed lines) and re-checks every key on the reopened,
+// recovery-repaired nodes: the block search must read erased duplicates
+// and restored sorted prefixes as the acknowledged writes left them.
 func TestBlockSearchListEquivalence(t *testing.T) {
 	for _, cfg := range blockConfigs() {
-		fast := newEnv(t, cfg)
-		slow := newEnv(t, cfg)
-		slow.sl.SetTuning(Tuning{Reference: true})
-
-		ctxF, ctxS := ctx0(), ctx0()
+		e := newEnv(t, cfg)
+		ctx := ctx0()
+		oracle := map[uint64]uint64{}
+		insert := func(k, v uint64) {
+			t.Helper()
+			old, existed, err := e.sl.Insert(ctx, k, v)
+			want, present := oracle[k]
+			if err != nil || existed != present || (present && old != want) {
+				t.Fatalf("K=%d Insert(%d) = (%d,%v,%v), oracle (%d,%v)",
+					cfg.KeysPerNode, k, old, existed, err, want, present)
+			}
+			oracle[k] = v
+		}
 		rng := rand.New(rand.NewSource(23))
 		const keyspace = 600
 		for i := 0; i < 12000; i++ {
 			k := uint64(rng.Intn(keyspace)) + 1
 			switch rng.Intn(4) {
 			case 0, 1:
-				v := uint64(rng.Intn(1 << 20))
-				oF, eF, errF := fast.sl.Insert(ctxF, k, v)
-				oS, eS, errS := slow.sl.Insert(ctxS, k, v)
-				if oF != oS || eF != eS || (errF == nil) != (errS == nil) {
-					t.Fatalf("K=%d Insert(%d) diverged: (%d,%v,%v) vs (%d,%v,%v)",
-						cfg.KeysPerNode, k, oF, eF, errF, oS, eS, errS)
-				}
+				insert(k, uint64(rng.Intn(1<<20)))
 			case 2:
-				vF, okF := fast.sl.Get(ctxF, k)
-				vS, okS := slow.sl.Get(ctxS, k)
-				if vF != vS || okF != okS {
-					t.Fatalf("K=%d Get(%d) diverged: (%d,%v) vs (%d,%v)",
-						cfg.KeysPerNode, k, vF, okF, vS, okS)
+				v, ok := e.sl.Get(ctx, k)
+				if want, present := oracle[k]; ok != present || v != want {
+					t.Fatalf("K=%d Get(%d) = (%d,%v), oracle (%d,%v)",
+						cfg.KeysPerNode, k, v, ok, want, present)
 				}
 			case 3:
-				oF, eF, _ := fast.sl.Remove(ctxF, k)
-				oS, eS, _ := slow.sl.Remove(ctxS, k)
-				if oF != oS || eF != eS {
-					t.Fatalf("K=%d Remove(%d) diverged", cfg.KeysPerNode, k)
+				old, existed, err := e.sl.Remove(ctx, k)
+				want, present := oracle[k]
+				if err != nil || existed != present || (present && old != want) {
+					t.Fatalf("K=%d Remove(%d) = (%d,%v,%v), oracle (%d,%v)",
+						cfg.KeysPerNode, k, old, existed, err, want, present)
 				}
+				delete(oracle, k)
 			}
 		}
 
-		// Crash both: tracking from here, a burst of updates, then revert
-		// unflushed lines and reopen. Both lists saw the same store/flush
-		// sequence, so the same state survives; the block path must read
-		// recovery-repaired nodes (erased duplicates, restored sorted
-		// prefixes) identically to the per-word path.
-		fast.pool.EnableTracking()
-		slow.pool.EnableTracking()
+		// Crash: tracking from here, a burst of updates, then revert
+		// unflushed lines and reopen. Every insert returned durable, so
+		// the oracle is what must survive.
+		e.pool.EnableTracking()
 		for i := 0; i < 3000; i++ {
-			k := uint64(rng.Intn(keyspace)) + 1
-			v := uint64(rng.Intn(1 << 20))
-			fast.sl.Insert(ctxF, k, v)
-			slow.sl.Insert(ctxS, k, v)
+			insert(uint64(rng.Intn(keyspace))+1, uint64(rng.Intn(1<<20)))
 		}
-		fast.pool.Crash()
-		slow.pool.Crash()
-		fast = fast.reopen(t)
-		slow = slow.reopen(t)
-		// Open comes back with the default tuning; re-pin the reference
-		// list (the volatile-tuning contract Reopen/Load follow at store
-		// level).
-		slow.sl.SetTuning(Tuning{Reference: true, TowerBranch: 2})
-		ctxF2, ctxS2 := ctx0(), ctx0()
+		e.pool.Crash()
+		e = e.reopen(t)
+		ctx2 := ctx0()
 		for k := uint64(1); k <= keyspace; k++ {
-			vF, okF := fast.sl.Get(ctxF2, k)
-			vS, okS := slow.sl.Get(ctxS2, k)
-			if vF != vS || okF != okS {
-				t.Fatalf("K=%d post-crash Get(%d) diverged: (%d,%v) vs (%d,%v)",
-					cfg.KeysPerNode, k, vF, okF, vS, okS)
+			v, ok := e.sl.Get(ctx2, k)
+			if want, present := oracle[k]; ok != present || v != want {
+				t.Fatalf("K=%d post-crash Get(%d) = (%d,%v), oracle (%d,%v)",
+					cfg.KeysPerNode, k, v, ok, want, present)
 			}
 		}
-		if err := fast.sl.CheckInvariants(ctxF2); err != nil {
-			t.Fatalf("K=%d fast-path invariants after crash: %v", cfg.KeysPerNode, err)
+		if err := e.sl.CheckInvariants(ctx2); err != nil {
+			t.Fatalf("K=%d invariants after crash: %v", cfg.KeysPerNode, err)
 		}
-		if ctxF.Path.KeysProbed == 0 || ctxS.Path.KeysProbed == 0 {
+		if ctx.Path.KeysProbed == 0 || ctx2.Path.KeysProbed == 0 {
 			t.Fatal("KeysProbed counters never moved")
 		}
 	}

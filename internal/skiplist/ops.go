@@ -175,64 +175,37 @@ func (s *SkipList) insertIntoExistingNode(ctx *exec.Ctx, key, value uint64, pred
 		pred.readUnlock(ctx.Mem)
 		return stContinue, 0
 	}
-	if s.blockSearch {
-		// Fast path: snapshot the key block once and decide from the
-		// snapshot. Under the read lock slots only move empty -> key, so
-		// a snapshot that shows our key is definitive, and a claim CAS on
-		// the snapshot's first empty slot either lands or fails because
-		// the slot was claimed meanwhile — possibly with our own key —
-		// in which case a fresh snapshot re-decides, exactly like the
-		// per-word loop's re-read of a lost slot.
-		buf := ctx.GetBlock(s.keysPerNode)
-		for {
-			pred.keyBlock(s, buf, ctx.Mem)
-			found, empty, probed := searchBlockInsert(buf, key)
-			ctx.Path.KeysProbed += uint64(probed)
-			if found >= 0 {
-				ctx.PutBlock(buf)
-				old := s.update(ctx, pred, found, key, value)
-				pred.readUnlock(ctx.Mem)
-				return stDone, old
-			}
-			if empty < 0 {
-				ctx.PutBlock(buf)
-				pred.readUnlock(ctx.Mem)
-				return stNeedSplit, 0
-			}
-			if pred.casKey(s, empty, keyEmpty, key, ctx.Mem) {
-				ctx.PutBlock(buf)
-				s.persistKeyOp(ctx, pred, empty)
-				old := s.update(ctx, pred, empty, key, value)
-				pred.readUnlock(ctx.Mem)
-				return stDone, old
-			}
-			// CAS lost: another claim landed since the snapshot; retake it.
+	// Snapshot the key block once and decide from the snapshot. Under
+	// the read lock slots only move empty -> key, so a snapshot that
+	// shows our key is definitive, and a claim CAS on the snapshot's
+	// first empty slot either lands or fails because the slot was
+	// claimed meanwhile — possibly with our own key — in which case a
+	// fresh snapshot re-decides.
+	buf := ctx.GetBlock(s.keysPerNode)
+	for {
+		pred.keyBlock(s, buf, ctx.Mem)
+		found, empty, probed := searchBlockInsert(buf, key)
+		ctx.Path.KeysProbed += uint64(probed)
+		if found >= 0 {
+			ctx.PutBlock(buf)
+			old := s.update(ctx, pred, found, key, value)
+			pred.readUnlock(ctx.Mem)
+			return stDone, old
 		}
-	}
-	for i := 0; i < s.keysPerNode; i++ {
-		for {
-			k := pred.key(s, i, ctx.Mem)
-			ctx.Path.KeysProbed++
-			if k == key {
-				old := s.update(ctx, pred, i, key, value)
-				pred.readUnlock(ctx.Mem)
-				return stDone, old
-			}
-			if k != keyEmpty {
-				break // occupied by someone else; next slot
-			}
-			if pred.casKey(s, i, keyEmpty, key, ctx.Mem) {
-				s.persistKeyOp(ctx, pred, i)
-				old := s.update(ctx, pred, i, key, value)
-				pred.readUnlock(ctx.Mem)
-				return stDone, old
-			}
-			// CAS lost: re-read this slot — the winner may have claimed
-			// it with our key.
+		if empty < 0 {
+			ctx.PutBlock(buf)
+			pred.readUnlock(ctx.Mem)
+			return stNeedSplit, 0
 		}
+		if pred.casKey(s, empty, keyEmpty, key, ctx.Mem) {
+			ctx.PutBlock(buf)
+			s.persistKeyOp(ctx, pred, empty)
+			old := s.update(ctx, pred, empty, key, value)
+			pred.readUnlock(ctx.Mem)
+			return stDone, old
+		}
+		// CAS lost: another claim landed since the snapshot; retake it.
 	}
-	pred.readUnlock(ctx.Mem)
-	return stNeedSplit, 0
 }
 
 // splitNode implements Function 20: move the upper half of a full node's

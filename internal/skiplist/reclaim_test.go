@@ -3,7 +3,9 @@ package skiplist
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -579,5 +581,101 @@ func TestRetireAtEveryStepOfAWrite(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// heldChecker is an injector that fails the test when the reclaimer's
+// mutex is held at a pool access. Another goroutine may hold it for a
+// moment (Pause between Lock and its cond wait), so a failed TryLock is
+// retried; a mutex held by the accessing goroutine itself, or across
+// anything that waits on a pool access, is still held a second later.
+type heldChecker struct {
+	t      testing.TB
+	sl     *SkipList
+	failed atomic.Bool
+}
+
+func (h *heldChecker) Step() {
+	r := h.sl.rec
+	if r == nil || h.failed.Load() {
+		return
+	}
+	for deadline := time.Now().Add(time.Second); !r.mu.TryLock(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			if h.failed.CompareAndSwap(false, true) {
+				h.t.Errorf("the reclaimer's mutex is held across a pool access")
+			}
+			return
+		}
+	}
+	r.mu.Unlock()
+}
+
+// TestReclaimerLockNeverHeldAcrossPoolAccess: every pool access made
+// while a reclaimer is attached — its start-up scan and cycles that
+// retire and free nodes, a writer running meanwhile, work done between
+// Pause and Resume, a quiesced drain, and Stop — happens with the
+// reclaimer's mutex free, so it guards only pauses, busy and stopping.
+func TestReclaimerLockNeverHeldAcrossPoolAccess(t *testing.T) {
+	e := newEnv(t, Config{MaxHeight: 10, KeysPerNode: 4})
+	h := &heldChecker{t: t, sl: e.sl}
+	e.pool.SetInjector(h)
+	defer e.pool.SetInjector(nil)
+	ctx := ctx0()
+	for i := uint64(1); i <= 400; i++ {
+		if _, _, err := e.sl.Insert(ctx, i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, ScanNodes: 256, FreeBatch: 8})
+	defer rec.Stop()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wctx := exec.NewCtx(1, 0)
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := 1000 + i%200
+			if _, _, err := e.sl.Insert(wctx, k, k); err != nil {
+				t.Error(err)
+				return
+			}
+			e.sl.Get(wctx, 1000+(i*7)%200)
+		}
+	}()
+	for i := uint64(100); i <= 300; i++ {
+		if _, _, err := e.sl.Remove(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "blocks freed by online reclaim", func() bool { return rec.Stats().Freed > 20 })
+	for i := 0; i < 20; i++ {
+		rec.Pause()
+		e.sl.Get(ctx, uint64(i+1))
+		rec.Resume()
+	}
+	close(stop)
+	wg.Wait()
+
+	retired := rec.Stats().Retired
+	for i := uint64(301); i <= 350; i++ {
+		if _, _, err := e.sl.Remove(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "a retirement after the writer stopped", func() bool { return rec.Stats().Retired > retired })
+	rec.Pause()
+	rec.DrainQuiesced(ctx)
+	rec.Resume()
+	rec.Stop()
+	if err := e.sl.CheckInvariants(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

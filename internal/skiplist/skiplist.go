@@ -107,9 +107,10 @@ type Config struct {
 // through which experiments and tests reach the ablations of the read
 // path. None of it is persisted and none of it can change a result or
 // what recovery does, only what an operation costs; the equivalence
-// tests pin that. The zero value is what the product runs: hint cache,
-// block search and prefetching on, sparse towers, one deferred repair
-// per traversal.
+// tests pin that. The zero value is what the product runs: hint cache
+// and prefetching on, sparse towers, one deferred repair per traversal.
+// Each field switches one mechanism, and each mechanism earns its
+// switch in counts (the rent table, TestReadPathRent).
 type Tuning struct {
 	// RecoveryBudget bounds how many deferrable (tower) repairs one
 	// traversal performs after a crash — the paper's k (§4.4.1), kept
@@ -128,11 +129,9 @@ type Tuning struct {
 	// NoHints turns off the per-worker predecessor-hint cache that seeds
 	// traversals below the top levels.
 	NoHints bool
-	// Reference runs the read path as the paper states it: in-node
-	// searches load key(i) word by word (Function 8) instead of
-	// searching one bulk-loaded key block, and traversals prefetch
-	// nothing.
-	Reference bool
+	// NoPrefetch turns off traversal prefetching: descents, the batch
+	// applier and iterators prefetch nothing.
+	NoPrefetch bool
 }
 
 // DefaultConfig matches the paper's evaluation parameters scaled for
@@ -159,10 +158,9 @@ type SkipList struct {
 	blockWords  uint64
 
 	// Volatile tuning, written only by SetTuning.
-	budget      int  // deferrable repairs per traversal; <0 = unlimited
-	branch      int  // inverse tower promotion probability (>= 2)
-	blockSearch bool // in-node search over one bulk-loaded key block
-	foresight   bool // traversal prefetching
+	budget    int  // deferrable repairs per traversal; <0 = unlimited
+	branch    int  // inverse tower promotion probability (>= 2)
+	foresight bool // traversal prefetching
 
 	head riv.Ptr
 	tail riv.Ptr
@@ -492,15 +490,14 @@ func (s *SkipList) SetTuning(t Tuning) {
 		s.branch = min(max(t.TowerBranch, 2), maxTowerBranch)
 	}
 	s.hints = !t.NoHints
-	s.blockSearch = !t.Reference
-	s.foresight = !t.Reference
+	s.foresight = !t.NoPrefetch
 }
 
 // Tuning returns the tuning in force, defaults resolved.
 func (s *SkipList) Tuning() Tuning {
 	return Tuning{
 		RecoveryBudget: s.budget, TowerBranch: s.branch,
-		NoHints: !s.hints, Reference: !s.foresight,
+		NoHints: !s.hints, NoPrefetch: !s.foresight,
 	}
 }
 
@@ -770,54 +767,22 @@ outer:
 	}
 }
 
-// scanInternalKeys finds key within a node (Function 8). When the sorted
-// option is on, the sorted prefix left by the last split is binary
-// searched before the unsorted overflow is scanned linearly — the
-// BzTree-style lookup the paper names as future work. The default path
-// bulk-loads the key block once and searches the snapshot (blocksearch.go);
-// the per-word path below is the ablation reference the property tests
-// hold it to.
+// scanInternalKeys finds key within a node (Function 8): it bulk-loads
+// the key block once and searches the snapshot (blocksearch.go). When
+// the sorted option is on, the sorted prefix left by the last split is
+// binary searched before the unsorted overflow is scanned linearly — the
+// BzTree-style lookup the paper names as future work.
 func (s *SkipList) scanInternalKeys(ctx *exec.Ctx, n nodeRef, key uint64) int {
 	sorted := 0
 	if s.sorted {
 		sorted = metaSorted(n.meta(ctx.Mem))
-		if sorted > s.keysPerNode {
-			sorted = s.keysPerNode
-		}
 	}
-	if s.blockSearch {
-		buf := ctx.GetBlock(s.keysPerNode)
-		n.keyBlock(s, buf, ctx.Mem)
-		idx, probed := searchBlock(buf, key, sorted)
-		ctx.PutBlock(buf)
-		ctx.Path.KeysProbed += uint64(probed)
-		return idx
-	}
-	start := 1
-	if sorted > 1 {
-		lo, hi := 1, sorted-1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			k := n.key(s, mid, ctx.Mem)
-			ctx.Path.KeysProbed++
-			switch {
-			case k == key:
-				return mid
-			case k != keyEmpty && k < key:
-				lo = mid + 1
-			default:
-				hi = mid - 1
-			}
-		}
-		start = sorted
-	}
-	for i := start; i < s.keysPerNode; i++ {
-		ctx.Path.KeysProbed++
-		if n.key(s, i, ctx.Mem) == key {
-			return i
-		}
-	}
-	return -1
+	buf := ctx.GetBlock(s.keysPerNode)
+	n.keyBlock(s, buf, ctx.Mem)
+	idx, probed := searchBlock(buf, key, sorted)
+	ctx.PutBlock(buf)
+	ctx.Path.KeysProbed += uint64(probed)
+	return idx
 }
 
 // checkForRecovery implements Function 10 for a node already known to

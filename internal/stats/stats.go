@@ -195,29 +195,3 @@ func (s Snapshot) HintHitRate() float64 {
 	}
 	return float64(s.HintSeeded) / float64(total)
 }
-
-// NodesPerOp is the mean nodes a traversal inspected per operation —
-// the sparse-tower / hint-seeding locality metric.
-func (s Snapshot) NodesPerOp() float64 {
-	if s.Ops == 0 {
-		return 0
-	}
-	return float64(s.NodesVisited) / float64(s.Ops)
-}
-
-// KeysProbedPerOp is the mean key comparisons per operation — the
-// block-search (sorted-prefix) locality metric.
-func (s Snapshot) KeysProbedPerOp() float64 {
-	if s.Ops == 0 {
-		return 0
-	}
-	return float64(s.KeysProbed) / float64(s.Ops)
-}
-
-// PrefetchesPerOp is the mean charged prefetch issues per operation.
-func (s Snapshot) PrefetchesPerOp() float64 {
-	if s.Ops == 0 {
-		return 0
-	}
-	return float64(s.Mem.Prefetches) / float64(s.Ops)
-}

@@ -144,6 +144,11 @@ const MaxScanLimit = 4096
 // -max-value flag (rejected with StatusTooLarge).
 const MaxValue = 1 << 20
 
+// maxMsg bounds a non-OK response's message: a longer one is cut on
+// encode and rejected on decode, so every response that decodes
+// re-encodes to itself.
+const maxMsg = 1 << 12
+
 // Sentinel errors. Clients match on these with errors.Is instead of
 // sniffing status codes or message strings: every non-OK response the
 // client surfaces, and every decode failure, wraps exactly one of them.
@@ -439,7 +444,7 @@ func DecodeRequest(p []byte, q *Request) error {
 		if n > MaxBatchOps {
 			return fmt.Errorf("%w: batch of %d ops exceeds MaxBatchOps (%d)", ErrTooLarge, n, MaxBatchOps)
 		}
-		for i := uint32(0); i < n; i++ {
+		for i := uint32(0); i < n && d.err == nil; i++ {
 			kind := Opcode(d.u8())
 			switch kind {
 			case OpGet, OpPut, OpDel:
@@ -469,8 +474,8 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, r.ID)
 	if r.Status != StatusOK {
 		msg := r.Msg
-		if len(msg) > 1<<12 {
-			msg = msg[:1<<12]
+		if len(msg) > maxMsg {
+			msg = msg[:maxMsg]
 		}
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
 		return append(dst, msg...)
@@ -514,6 +519,9 @@ func DecodeResponse(p []byte, r *Response) error {
 	*r = Response{Op: op, Status: status, ID: id, Pairs: r.Pairs[:0], Results: r.Results[:0]}
 	if status != StatusOK {
 		n := d.u16()
+		if n > maxMsg {
+			return fmt.Errorf("%w: status message of %d bytes exceeds %d", ErrMalformed, n, maxMsg)
+		}
 		msg := d.bytes(int(n))
 		if d.err == nil {
 			r.Msg = string(msg)

@@ -150,6 +150,89 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestMalformedBatchStopsAtFirstError: a 13-byte BATCH frame that
+// claims MaxBatchOps ops and carries none is rejected after the first
+// op it fails to decode, not after appending MaxBatchOps empty ones —
+// capacity the connection's reused Request would keep.
+func TestMalformedBatchStopsAtFirstError(t *testing.T) {
+	payload := []byte{byte(OpBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0x10, 0}
+	var q Request
+	if err := DecodeRequest(payload, &q); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("decode of a truncated batch: %v, want ErrMalformed", err)
+	}
+	if len(q.Batch) > 1 || cap(q.Batch) > 8 {
+		t.Fatalf("a truncated %d-op batch left %d ops (capacity %d) behind", MaxBatchOps, len(q.Batch), cap(q.Batch))
+	}
+}
+
+// FuzzDecodeRequest: no payload makes DecodeRequest panic, and one that
+// decodes re-encodes to a payload that decodes to the same request.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, q := range []Request{
+		{Op: OpGet, ID: 1, Key: 2},
+		{Op: OpPut, ID: 3, Key: 4, Val: []byte("value")},
+		{Op: OpScan, ID: 5, Lo: 1, Hi: 9, Limit: 3},
+		{Op: OpSnapScan, ID: 6, Snap: 7, Lo: 1, Hi: 9, Limit: 3},
+		{Op: OpSnapRelease, ID: 8, Snap: 7},
+		{Op: OpBatch, ID: 9, Batch: []BatchOp{{Kind: OpPut, Key: 1, Value: []byte{1}}, {Kind: OpGet, Key: 2}, {Kind: OpDel, Key: 3}}},
+	} {
+		p, err := AppendRequest(nil, &q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	f.Add([]byte{byte(OpBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0x10, 0})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var q Request
+		if DecodeRequest(p, &q) != nil {
+			return
+		}
+		p2, err := AppendRequest(nil, &q)
+		if err != nil {
+			t.Fatalf("decoded %+v does not encode: %v", q, err)
+		}
+		var q2 Request
+		if err := DecodeRequest(p2, &q2); err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", q, err)
+		}
+		if !reflect.DeepEqual(q, q2) {
+			t.Fatalf("re-encoding changed the request:\n first  %+v\n second %+v", q, q2)
+		}
+	})
+}
+
+// FuzzDecodeResponse: no payload makes DecodeResponse panic, and one
+// that decodes re-encodes to a payload that decodes to the same
+// response.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, r := range []Response{
+		{Op: OpGet, ID: 1, Found: true, Value: []byte{99}},
+		{Op: OpPut, ID: 2, Status: StatusTooLarge, Msg: "too large"},
+		{Op: OpScan, ID: 3, Pairs: []Pair{{Key: 1, Value: []byte{1}}, {Key: 2}}},
+		{Op: OpSnapScan, ID: 4, Snap: 5, Pairs: []Pair{{Key: 1, Value: []byte{1}}}},
+		{Op: OpSnapRelease, ID: 6, Found: true},
+		{Op: OpBatch, ID: 7, Results: []OpResult{{Found: true, Value: []byte{1}}, {}}},
+	} {
+		f.Add(AppendResponse(nil, &r))
+	}
+	// A status message longer than the encoder would send.
+	f.Add(append([]byte{byte(OpGet), byte(StatusTooLarge), 0, 0, 0, 0, 0, 0, 0, 1, 0x13, 0x88}, make([]byte, 5000)...))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var r Response
+		if DecodeResponse(p, &r) != nil {
+			return
+		}
+		var r2 Response
+		if err := DecodeResponse(AppendResponse(nil, &r), &r2); err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", r, err)
+		}
+		if !reflect.DeepEqual(r, r2) {
+			t.Fatalf("re-encoding changed the response:\n first  %+v\n second %+v", r, r2)
+		}
+	})
+}
+
 func TestFrameLimits(t *testing.T) {
 	// A length prefix beyond MaxFrame must be rejected before any
 	// payload allocation.

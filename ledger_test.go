@@ -151,10 +151,16 @@ func ledgerStream(t *testing.T, w *Worker) {
 // claim's CAS and two fences into the stream. The line cache sees another
 // access stream (no head lines, slab chunks at other addresses), which
 // moves misses, prefetches and remote accesses.
+//
+// The loads of both rows were recorded again when a bulk load
+// (LoadBlock, LoadBytes) came to count one load per cache line it
+// charges instead of one per word (was: 1 shard loads 2977651, 4 shards
+// loads 3760253). Nothing the pools do moved: every other counter is the
+// same, and what the spin loops burned was already charged per line.
 func TestLedgerStreamTotals(t *testing.T) {
 	want := map[int]pmem.StatsSnapshot{
-		1: {Loads: 2977651, Misses: 86301, Stores: 430778, CASes: 23522, Flushes: 76622, Fences: 12655, Prefetches: 5661},
-		4: {Loads: 3760253, Misses: 15352, Stores: 430078, CASes: 23508, Flushes: 74971, Fences: 15570, Prefetches: 629, RemoteOps: 26818},
+		1: {Loads: 1073019, Misses: 86301, Stores: 430778, CASes: 23522, Flushes: 76622, Fences: 12655, Prefetches: 5661},
+		4: {Loads: 1188182, Misses: 15352, Stores: 430078, CASes: 23508, Flushes: 74971, Fences: 15570, Prefetches: 629, RemoteOps: 26818},
 	}
 	for _, shards := range []int{1, 4} {
 		st, base := ledgerStore(t, shards, true)

@@ -71,8 +71,9 @@ func TestOptionsGeometryBoundaries(t *testing.T) {
 // TestTuningSeam: a store made from DefaultOptions runs every fast path
 // of the read path, and a tuning applied through the one seam is in
 // force — observably, not just reported — in every handle later made
-// from that store: by Reopen, by a crash and Reopen, and by a Load that
-// is handed it, of pool images and of a pairs dump alike.
+// from that store: by Reopen and by a crash and Reopen. A Load, of pool
+// images and of a pairs dump alike, runs the default tuning until
+// SetTuning changes it, and a Reopen of it keeps what was set.
 func TestTuningSeam(t *testing.T) {
 	o := DefaultOptions()
 	o.Shards = 2
@@ -105,14 +106,14 @@ func TestTuningSeam(t *testing.T) {
 			}
 		}
 		seeded, prefetches := drive(st)
-		if (seeded == 0) != want.NoHints || (prefetches == 0) != want.Reference {
+		if (seeded == 0) != want.NoHints || (prefetches == 0) != want.NoPrefetch {
 			t.Fatalf("%s: %d hint-seeded traversals, %d prefetches under %+v", stage, seeded, prefetches, want)
 		}
 	}
 	defaults := skiplist.Tuning{RecoveryBudget: 1, TowerBranch: 4}
 	check("DefaultOptions", st, defaults)
 
-	tuned := skiplist.Tuning{RecoveryBudget: -1, TowerBranch: 100, NoHints: true, Reference: true}
+	tuned := skiplist.Tuning{RecoveryBudget: -1, TowerBranch: 100, NoHints: true, NoPrefetch: true}
 	inForce := tuned
 	inForce.TowerBranch = 64 // clamped
 	st.SetTuning(tuned)
@@ -131,7 +132,7 @@ func TestTuningSeam(t *testing.T) {
 	}
 	check("SimulateCrash+Reopen", st, inForce)
 
-	cfg := LoadConfig{Tuning: tuned, Cost: o.Cost}
+	cfg := LoadConfig{Cost: o.Cost}
 	phys, pairs := t.TempDir(), t.TempDir()
 	if err := st.Save(phys); err != nil {
 		t.Fatal(err)
@@ -144,7 +145,9 @@ func TestTuningSeam(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("Load", ld, inForce)
+		check("Load", ld, defaults)
+		ld.SetTuning(tuned)
+		check("Load+SetTuning", ld, inForce)
 		if ld, err = ld.Reopen(); err != nil {
 			t.Fatal(err)
 		}

@@ -102,8 +102,8 @@ func (s *Store) ReclaimStats() skiplist.ReclaimStats {
 }
 
 // BlockCensus tallies provisioned blocks by kind across every shard —
-// the allocated-footprint view the churn experiment plots against the
-// live key count. Approximate under concurrency (racy kind reads).
+// the allocated-footprint view the churn tests and the benchmark set
+// against the live key count. Approximate under concurrency (racy kind reads).
 func (s *Store) BlockCensus() alloc.BlockCensus {
 	var out alloc.BlockCensus
 	for _, e := range s.shards {

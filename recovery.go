@@ -171,10 +171,6 @@ type LoadConfig struct {
 	// store state), so a store saved from a cost-modelled run loads
 	// costless unless the loader re-supplies the model here.
 	Cost *pmem.CostModel
-	// Tuning is applied to every list before any of it is traversed or
-	// bulk-built, as Store.SetTuning would; the sidecar does not persist
-	// it either.
-	Tuning skiplist.Tuning
 }
 
 // normalizeRecoveryParallelism resolves the configured budget: 0 means

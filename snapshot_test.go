@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -588,4 +589,94 @@ func TestSnapshotOnEveryStore(t *testing.T) {
 		default:
 		}
 	})
+}
+
+// snapLockChecker is an injector that fails the test when the store's
+// snapshot mutex is held at a pool access. Another goroutine may hold it
+// for a moment, so a failed TryLock is retried; a mutex held by the
+// accessing goroutine itself is still held a second later.
+type snapLockChecker struct {
+	t      testing.TB
+	st     *Store
+	failed atomic.Bool
+}
+
+func (c *snapLockChecker) Step() {
+	if c.failed.Load() {
+		return
+	}
+	for deadline := time.Now().Add(time.Second); !c.st.snapMu.TryLock(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			if c.failed.CompareAndSwap(false, true) {
+				c.t.Errorf("snapMu is held across a pool access")
+			}
+			return
+		}
+	}
+	c.st.snapMu.Unlock()
+}
+
+// TestSnapLockNeverHeldAcrossPoolAccess: opening, reading and releasing
+// snapshots and SaveOnline, all under a running writer and with online
+// reclaim attached, make every pool access with snapMu free, so it
+// guards only the reader-slot bits and their open times.
+func TestSnapLockNeverHeldAcrossPoolAccess(t *testing.T) {
+	o := testOptions()
+	o.Shards = 2
+	o.OnlineReclaim = true
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.DisableOnlineReclaim()
+	st.SetInjector(&snapLockChecker{t: t, st: st})
+	defer st.SetInjector(nil)
+	w := st.NewWorker(0)
+	for k := uint64(1); k <= 2000; k++ {
+		if _, _, err := w.Put(k, []byte("initial value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ww := st.NewWorker(1)
+		val := make([]byte, 100)
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := 1 + i%2000
+			if i%3 == 0 {
+				ww.Remove(k)
+			} else if _, _, err := ww.Put(k, val[:i%100]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		sn, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.Get(uint64(1 + i))
+		sn.Scan(1, 200, func(uint64, []byte) bool { return true })
+		st.SnapshotsOpen()
+		st.OldestSnapshotAge()
+		sn.Release()
+	}
+	if err := st.SaveOnline(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

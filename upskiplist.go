@@ -1122,8 +1122,9 @@ func Load(dir string) (*Store, error) {
 }
 
 // LoadWithConfig is Load with recovery tuning: a parallelism override, a
-// cost model, read-path tuning, and a crash injector installed before
-// recovery work begins (see LoadConfig).
+// cost model, and a crash injector installed before recovery work begins
+// (see LoadConfig). The loaded store runs the default read-path tuning;
+// Store.SetTuning changes it.
 func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 	opts, kind, err := loadMeta(dir)
 	if err != nil {
@@ -1138,7 +1139,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 	if kind == "pairs" {
 		return loadPairsDump(dir, opts, cfg)
 	}
-	st := &Store{opts: opts, topo: numa.Topology{Nodes: opts.NUMANodes}, tuning: cfg.Tuning}
+	st := &Store{opts: opts, topo: numa.Topology{Nodes: opts.NUMANodes}}
 	n := opts.Shards
 	engines := make([]*engine, n)
 	recs := make([]shardRecovery, n)
@@ -1156,7 +1157,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 			}
 		}
 		recs[i].attach += time.Since(tRead)
-		e, err := recoverShard(opts, cfg.Tuning, pools, scanPar, &recs[i])
+		e, err := recoverShard(opts, skiplist.Tuning{}, pools, scanPar, &recs[i])
 		engines[i] = e
 		return err
 	})
