@@ -32,11 +32,10 @@
 //	payload   slab value arena: insert payload sweep {8B,64B,256B,1KB}
 //	          on YCSB-A/C, ops/s + value bytes/s + fences/op
 //	          (BENCH_payload.json; excluded from "all")
-//	recovery  parallel recovery: store size x value size x parallelism
-//	          sweep over physical-image reopen (shard fan-out +
-//	          page-parallel sweeps) and sorted-dump loaders (bulk
-//	          bottom-up build vs per-key replay), time-to-ready +
-//	          keys/s (BENCH_recovery.json; excluded from "all")
+//	recovery  store size x value size sweep over physical-image reopen
+//	          and sorted-dump loaders (bulk bottom-up build vs per-key
+//	          replay), wall time to ready + keys/s
+//	          (BENCH_recovery.json; excluded from "all")
 //
 // Absolute numbers will differ from the paper (its substrate was a
 // 4-socket Optane machine; ours is a simulator) — the comparisons,

@@ -10,16 +10,12 @@ import (
 	"upskiplist/internal/harness"
 )
 
-// Extension — parallel recovery. The recovery experiment measures time
-// to ready over store size x value size x recovery parallelism:
+// Extension — recovery. The recovery experiment measures time to ready
+// (wall clock) over store size x value size x loader:
 //
-//   - "phys": Save writes per-shard pool images; LoadWithConfig reopens
-//     them with 1..8 recovery workers (shard fan-out + page-parallel
-//     allocator/slab scans). Time to ready is the simulated wall — the
-//     cost model's charge ledger, per-shard-attributed (shards never
-//     share a pool) and scheduled onto the worker budget — so the
-//     scaling curve reflects the simulated PMEM latencies like every
-//     other number in the suite, regardless of host core count.
+//   - "phys": Save writes per-shard pool images; Load reopens them, the
+//     shards recovering side by side on min(GOMAXPROCS, shards)
+//     goroutines.
 //   - "bulk" vs "replay": SaveOnline writes a sorted v4 pairs dump and
 //     Load rebuilds the list from it bottom-up (full nodes, one
 //     coalesced fence per node). The replay row is the baseline that
@@ -28,85 +24,64 @@ import (
 //     into a fresh store of the same geometry, timed from Create to
 //     the last batch. Keys/s is the headline.
 //
-// BENCH_recovery.json holds one record per point with Parallelism,
-// TimeToReadySecs, KeysRecovered, KeysPerSec, Loader and SimSpeedup.
+// BENCH_recovery.json holds one record per point with TimeToReadySecs,
+// KeysRecovered, KeysPerSec, Loader and PagesSwept.
 
 func runRecoveryExp(c benchConfig) {
-	header("Extension — parallel recovery: shard fan-out, page-parallel sweeps, bulk dump load")
+	header("Extension — recovery: pool images, bulk dump load, per-key replay")
 	const shards = 8
-	pars := []int{1, 2, 4, 8}
 	sizes := []uint64{c.preload, c.preload * 4}
 	valueSizes := []int{8, 256}
-	fmt.Printf("(shards=%d; store sizes %v keys; value sizes %v bytes; time-to-ready is simulated wall under the cost model)\n",
+	fmt.Printf("(shards=%d; store sizes %v keys; value sizes %v bytes; time to ready is wall clock)\n",
 		shards, sizes, valueSizes)
 
 	var records []harness.BenchRecord
-	fmt.Printf("%-8s %-10s %-8s %-4s %14s %12s %10s\n",
-		"loader", "keys", "value", "par", "ready (ms)", "keys/s", "speedup")
+	fmt.Printf("%-8s %-10s %-8s %14s %12s\n", "loader", "keys", "value", "ready (ms)", "keys/s")
 	row := func(rec harness.BenchRecord) {
 		records = append(records, rec)
-		fmt.Printf("%-8s %-10d %-8s %-4d %14.2f %12.0f %9.2fx\n",
-			rec.Loader, rec.KeysRecovered, fmtBytes(rec.ValueSize), rec.Parallelism,
-			rec.TimeToReadySecs*1e3, rec.KeysPerSec, rec.SimSpeedup)
+		fmt.Printf("%-8s %-10d %-8s %14.2f %12.0f\n",
+			rec.Loader, rec.KeysRecovered, fmtBytes(rec.ValueSize), rec.TimeToReadySecs*1e3, rec.KeysPerSec)
+	}
+	load := func(dir string) upskiplist.RecoveryStats {
+		ld, err := upskiplist.LoadWithConfig(dir, upskiplist.LoadConfig{Cost: c.cost})
+		if err != nil {
+			fatalf("load %s: %v", dir, err)
+		}
+		return ld.RecoveryStats()
 	}
 
 	for _, keys := range sizes {
 		for _, vsz := range valueSizes {
-			dir := benchDir(fmt.Sprintf("recovery-%d-%d", keys, vsz))
 			st := c.buildRecoveryStore(keys, vsz, shards)
-			if err := st.Save(dir); err != nil {
+			phys := benchDir(fmt.Sprintf("recovery-%d-%d", keys, vsz))
+			dump := benchDir(fmt.Sprintf("recovery-dump-%d-%d", keys, vsz))
+			if err := st.Save(phys); err != nil {
 				fatalf("save: %v", err)
 			}
-			for _, par := range pars {
-				ld, err := upskiplist.LoadWithConfig(dir, upskiplist.LoadConfig{RecoveryParallelism: par, Cost: c.cost})
-				if err != nil {
-					fatalf("load: %v", err)
-				}
-				row(recoveryRecord("phys", keys, vsz, shards, ld.RecoveryStats()))
-			}
-			os.RemoveAll(dir)
-		}
-	}
-
-	fmt.Println()
-	fmt.Println("Sorted-dump loaders (v4 pairs): bottom-up bulk build vs per-key replay")
-	for _, keys := range sizes {
-		for _, vsz := range valueSizes {
-			dir := benchDir(fmt.Sprintf("recovery-dump-%d-%d", keys, vsz))
-			st := c.buildRecoveryStore(keys, vsz, shards)
-			if err := st.SaveOnline(dir); err != nil {
+			if err := st.SaveOnline(dump); err != nil {
 				fatalf("save-online: %v", err)
 			}
-			for _, par := range []int{1, 8} {
-				ld, err := upskiplist.LoadWithConfig(dir, upskiplist.LoadConfig{RecoveryParallelism: par, Cost: c.cost})
-				if err != nil {
-					fatalf("bulk load: %v", err)
-				}
-				row(recoveryRecord("bulk", keys, vsz, shards, ld.RecoveryStats()))
-			}
+			row(recoveryRecord("phys", keys, vsz, shards, load(phys)))
+			row(recoveryRecord("bulk", keys, vsz, shards, load(dump)))
 			row(recoveryRecord("replay", keys, vsz, shards, c.perKeyBaseline(keys, vsz, shards)))
-			os.RemoveAll(dir)
+			os.RemoveAll(phys)
+			os.RemoveAll(dump)
 		}
 	}
 
-	// Headline checks mirrored from the JSON so a human run shows them.
-	summary := func(loader string, keys uint64, vsz, par int) *harness.BenchRecord {
+	// Headline check mirrored from the JSON so a human run shows it.
+	summary := func(loader string, keys uint64, vsz int) *harness.BenchRecord {
 		for i := range records {
 			r := &records[i]
-			if r.Loader == loader && r.KeysRecovered == keys && r.ValueSize == vsz && r.Parallelism == par {
+			if r.Loader == loader && r.KeysRecovered == keys && r.ValueSize == vsz {
 				return r
 			}
 		}
 		return nil
 	}
 	big := sizes[len(sizes)-1]
-	if s1, s8 := summary("phys", big, 256, 1), summary("phys", big, 256, 8); s1 != nil && s8 != nil {
-		fmt.Printf("\nphys %dk x 256B: 8-way time-to-ready %.2fms vs serial %.2fms (%.2fx faster)\n",
-			big/1000, s8.TimeToReadySecs*1e3, s1.TimeToReadySecs*1e3,
-			s1.TimeToReadySecs/s8.TimeToReadySecs)
-	}
-	if br, rr := summary("bulk", big, 256, 8), summary("replay", big, 256, 1); br != nil && rr != nil {
-		fmt.Printf("bulk vs replay %dk x 256B: %.0f vs %.0f keys/s (%.2fx)\n",
+	if br, rr := summary("bulk", big, 256), summary("replay", big, 256); br != nil && rr != nil {
+		fmt.Printf("\nbulk vs replay %dk x 256B: %.0f vs %.0f keys/s (%.2fx)\n",
 			big/1000, br.KeysPerSec, rr.KeysPerSec, br.KeysPerSec/rr.KeysPerSec)
 	}
 
@@ -121,7 +96,7 @@ func runRecoveryExp(c benchConfig) {
 // newRecoveryStore creates the empty sharded store of the recovery
 // experiment. Pools are sized snugly for `keys` pairs of vsz-byte values
 // — recovery cost should track live data, not dead pool space — and
-// chunks kept small so the slab sweeps see many pages to partition.
+// chunks kept small so the slab sweeps see many pages.
 func (c benchConfig) newRecoveryStore(keys uint64, vsz, shards int) *upskiplist.Store {
 	opts := upskiplist.DefaultOptions()
 	opts.MaxHeight = c.maxHeight
@@ -171,8 +146,7 @@ func (c benchConfig) buildRecoveryStore(keys uint64, vsz, shards int) *upskiplis
 }
 
 // perKeyBaseline is what the bulk loader is measured against, reported
-// in the shape of a recovery: one worker, so the wall is the critical
-// path.
+// in the shape of a recovery.
 func (c benchConfig) perKeyBaseline(keys uint64, vsz, shards int) upskiplist.RecoveryStats {
 	const batch = 1024
 	t0 := time.Now()
@@ -195,30 +169,26 @@ func (c benchConfig) perKeyBaseline(keys uint64, vsz, shards int) upskiplist.Rec
 		}
 	})
 	flush()
-	return upskiplist.RecoveryStats{Parallelism: 1, Wall: time.Since(t0)}
+	return upskiplist.RecoveryStats{Wall: time.Since(t0)}
 }
 
 // recoveryRecord reduces one recovery's RecoveryStats to a bench record.
-// Time to ready is SimWall — real wall scaled by the charge ledger's
-// critical-path share (== real wall for serial recovery).
 func recoveryRecord(loader string, keys uint64, vsz, shards int, rec upskiplist.RecoveryStats) harness.BenchRecord {
-	ready := rec.SimWall().Seconds()
+	ready := rec.Wall.Seconds()
 	keysPerSec := 0.0
 	if ready > 0 {
 		keysPerSec = float64(keys) / ready
 	}
 	return harness.BenchRecord{
 		Experiment: "recovery", Index: "UPSL", Workload: loader,
-		Threads: rec.Parallelism, Shards: shards, Batch: 1,
+		Shards: shards, Batch: 1,
 		Ops:             int(keys),
 		ValueSize:       vsz,
-		Parallelism:     rec.Parallelism,
 		TimeToReadySecs: ready,
 		KeysRecovered:   keys,
 		KeysPerSec:      keysPerSec,
 		Loader:          loader,
 		PagesSwept:      rec.PagesSwept,
-		SimSpeedup:      rec.SimSpeedup(),
 	}
 }
 

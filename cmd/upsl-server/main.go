@@ -57,7 +57,6 @@ func main() {
 		metricsAddr   = flag.String("metrics-addr", "127.0.0.1:7846", "sidecar HTTP address for /metrics and /healthz (empty disables)")
 		onlineReclaim = flag.Bool("online-reclaim", false, "reclaim fully-tombstoned nodes in the background (epoch-based, concurrent with serving)")
 		snapTTL       = flag.Duration("snap-ttl", 30*time.Second, "idle TTL of wire snapshot leases (SNAP_SCAN); an expired lease unpins its era for reclamation")
-		recoveryPar   = flag.Int("recovery-parallelism", 0, "worker budget for parallel recovery on Load (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -76,7 +75,7 @@ func main() {
 		logf("metrics on http://%s/metrics, health on http://%s/healthz", mln.Addr(), mln.Addr())
 	}
 
-	st, created, err := openStore(*dir, *shards, *poolMB, *recoveryPar)
+	st, created, err := openStore(*dir, *shards, *poolMB)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -93,8 +92,8 @@ func main() {
 			logf("created fresh store (shards=%d) — will save to %s on shutdown", st.NumShards(), *dir)
 		} else {
 			rec := st.RecoveryStats()
-			logf("recovered store from %s (shards=%d, epoch=%d): time-to-ready=%v parallelism=%d attach=%v open=%v sweep=%v bulkload=%v keys-loaded=%d",
-				*dir, st.NumShards(), storeEpoch(st), rec.Wall, rec.Parallelism,
+			logf("recovered store from %s (shards=%d, epoch=%d): time-to-ready=%v attach=%v open=%v sweep=%v bulkload=%v keys-loaded=%d",
+				*dir, st.NumShards(), storeEpoch(st), rec.Wall,
 				rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad, rec.KeysBulkLoaded)
 		}
 	}
@@ -164,10 +163,10 @@ func startSidecar(addr string, reg *metrics.Registry, ready, live func() bool) (
 
 // openStore loads dir if it holds a saved store, otherwise creates a
 // fresh one sized by the flags.
-func openStore(dir string, shards, poolMB, recoveryPar int) (*upskiplist.Store, bool, error) {
+func openStore(dir string, shards, poolMB int) (*upskiplist.Store, bool, error) {
 	if dir != "" {
 		if _, err := os.Stat(filepath.Join(dir, "meta.upsl")); err == nil {
-			st, err := upskiplist.LoadWithConfig(dir, upskiplist.LoadConfig{RecoveryParallelism: recoveryPar})
+			st, err := upskiplist.Load(dir)
 			if err != nil {
 				return nil, false, fmt.Errorf("loading store from %s: %w", dir, err)
 			}

@@ -106,8 +106,8 @@ func main() {
 		}
 		fmt.Printf("live keys: %d\n", w.Count())
 		rec := st.RecoveryStats()
-		fmt.Printf("recovery: parallelism=%d wall=%v (attach=%v open=%v sweep=%v bulkload=%v)\n",
-			rec.Parallelism, rec.Wall, rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad)
+		fmt.Printf("recovery: wall=%v (attach=%v open=%v sweep=%v bulkload=%v)\n",
+			rec.Wall, rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad)
 		fmt.Printf("recovery work: pages-swept=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d\n",
 			rec.PagesSwept, rec.ChunksRelinked, rec.KeysBulkLoaded, rec.NodesBulkBuilt)
 		c := st.BlockCensus()

@@ -73,11 +73,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
-	"upskiplist/internal/par"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
 )
@@ -340,7 +338,18 @@ func Attach(pool *pmem.Pool) (*PoolAllocator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// The header is input: every offset derived from it must stay inside
+	// the pool. Bounding each term by the pool size first keeps the
+	// layout sums from overflowing.
+	size, chunks := pool.Size(), pool.Load(hdrChunkCount, nil)
+	if uint64(cfg.NumArenas) > size || uint64(cfg.NumLogs) > size || cfg.RootWords > size || chunks > cfg.MaxChunks {
+		return nil, fmt.Errorf("%w: header layout does not fit a %d-word pool", ErrBadConfig, size)
+	}
 	arenaBase, logBase, rootBase, chunkSpace := layout(cfg)
+	if chunkSpace+chunks*cfg.ChunkWords > size {
+		return nil, fmt.Errorf("%w: %d chunks of %d words from word %d overrun a %d-word pool",
+			ErrBadConfig, chunks, cfg.ChunkWords, chunkSpace, size)
+	}
 	return &PoolAllocator{
 		pool: pool, cfg: cfg,
 		arenaBase: arenaBase, logBase: logBase, rootBase: rootBase, chunkSpace: chunkSpace,
@@ -436,11 +445,6 @@ type Allocator struct {
 	pools      map[uint16]*PoolAllocator
 	nodePool   map[int]uint16 // NUMA node -> pool ID for allocation
 	reachCheck ReachabilityCheck
-	// scanPar bounds the goroutines the whole-pool kind scans
-	// (RetiredBlocks/SlabChunks/Census) partition their
-	// chunk ranges across; <= 1 scans serially. Volatile tuning set at
-	// recovery time — the scans only read kind words either way.
-	scanPar atomic.Int32
 }
 
 // New creates an allocator over the given address space and clock.
@@ -769,84 +773,31 @@ func (a *Allocator) ForEachFree(fn func(riv.Ptr)) {
 	}
 }
 
-// SetScanParallelism bounds the goroutines the whole-pool kind scans
-// partition their chunk ranges across; values <= 1 restore the serial
-// scan. The scans only read kind words through the (thread-safe) pool,
-// so any parallelism is safe; recovery sets this from the store's
-// RecoveryParallelism budget.
-func (a *Allocator) SetScanParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	a.scanPar.Store(int32(p))
-}
-
-// ScanParallelism returns the configured kind-scan worker bound.
-func (a *Allocator) ScanParallelism() int {
-	if p := a.scanPar.Load(); p > 1 {
-		return int(p)
-	}
-	return 1
-}
-
-// chunkSpan is one pool's provisioned chunk range, snapshotted at scan
-// start (pools sorted by ID so the scan order is deterministic).
-type chunkSpan struct {
-	pa     *PoolAllocator
-	chunks int
-}
-
-func (a *Allocator) chunkSpans() ([]chunkSpan, int) {
-	spans := make([]chunkSpan, 0, len(a.pools))
+// scanChunks visits every provisioned chunk of every pool in ascending
+// (pool ID, chunk) order, so what the scans return is in a deterministic
+// order.
+func (a *Allocator) scanChunks(visit func(pa *PoolAllocator, chunk uint64)) {
+	pas := make([]*PoolAllocator, 0, len(a.pools))
 	for _, pa := range a.pools {
-		spans = append(spans, chunkSpan{pa: pa, chunks: int(pa.pool.Load(hdrChunkCount, nil))})
+		pas = append(pas, pa)
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].pa.pool.ID() < spans[j].pa.pool.ID() })
-	total := 0
-	for _, s := range spans {
-		total += s.chunks
-	}
-	return spans, total
-}
-
-// scanChunks visits every provisioned chunk of every pool, partitioning
-// the flattened (pool, chunk) sequence into contiguous ranges across up
-// to ScanParallelism goroutines. visit is called as visit(worker, pa,
-// chunk) with worker < ScanParallelism; calls with the same worker index
-// are sequential and in ascending (pool ID, chunk) order, so per-worker
-// accumulators concatenated in worker order reproduce the serial scan's
-// output order. A panic in any worker (a crash injector firing mid-scan)
-// is re-raised on the calling goroutine.
-func (a *Allocator) scanChunks(visit func(worker int, pa *PoolAllocator, chunk uint64)) {
-	spans, total := a.chunkSpans()
-	par.Ranges(total, a.ScanParallelism(), func(w, lo, hi int) {
-		base := 0
-		for _, sp := range spans {
-			if base >= hi {
-				break
-			}
-			for c := max(lo-base, 0); c < min(hi-base, sp.chunks); c++ {
-				visit(w, sp.pa, uint64(c))
-			}
-			base += sp.chunks
+	sort.Slice(pas, func(i, j int) bool { return pas[i].pool.ID() < pas[j].pool.ID() })
+	for _, pa := range pas {
+		for c, n := uint64(0), pa.pool.Load(hdrChunkCount, nil); c < n; c++ {
+			visit(pa, c)
 		}
-	})
+	}
 }
 
 // collectChunks is the shared body of the pointer-collecting scans: a
-// partitioned walk over every provisioned chunk, visit appending what it
-// finds in one chunk (slab-owned or not, as told), with per-goroutine
-// accumulators merged in scan order at the end.
+// walk over every provisioned chunk, visit appending what it finds in
+// one chunk (slab-owned or not, as told).
 func (a *Allocator) collectChunks(visit func(out []riv.Ptr, pa *PoolAllocator, c uint64, slab bool) []riv.Ptr) []riv.Ptr {
-	parts := make([][]riv.Ptr, a.ScanParallelism())
-	a.scanChunks(func(w int, pa *PoolAllocator, c uint64) {
-		_, slab := pa.slabCursor(c)
-		parts[w] = visit(parts[w], pa, c, slab)
-	})
 	var out []riv.Ptr
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	a.scanChunks(func(pa *PoolAllocator, c uint64) {
+		_, slab := pa.slabCursor(c)
+		out = visit(out, pa, c, slab)
+	})
 	return out
 }
 
@@ -903,12 +854,10 @@ type BlockCensus struct {
 	Free, Node, Retired, Slab, Total int
 }
 
-// Census scans all provisioned chunks and tallies block kinds,
-// partitioned like the kind scans (per-goroutine tallies summed).
+// Census scans all provisioned chunks and tallies block kinds.
 func (a *Allocator) Census() BlockCensus {
-	parts := make([]BlockCensus, a.ScanParallelism())
-	a.scanChunks(func(w int, pa *PoolAllocator, ch uint64) {
-		c := &parts[w]
+	var c BlockCensus
+	a.scanChunks(func(pa *PoolAllocator, ch uint64) {
 		base := pa.chunkSpace + ch*pa.cfg.ChunkWords
 		nBlocks := pa.cfg.ChunkWords / pa.cfg.BlockWords
 		if carved, slab := pa.slabCursor(ch); slab {
@@ -929,14 +878,6 @@ func (a *Allocator) Census() BlockCensus {
 			c.Total++
 		}
 	})
-	var c BlockCensus
-	for _, p := range parts {
-		c.Free += p.Free
-		c.Node += p.Node
-		c.Retired += p.Retired
-		c.Slab += p.Slab
-		c.Total += p.Total
-	}
 	return c
 }
 

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -70,6 +71,43 @@ func TestAttachUnformattedFails(t *testing.T) {
 	pool, _ := pmem.NewPool(pmem.Config{Words: 4096, HomeNode: -1})
 	if _, err := Attach(pool); err == nil {
 		t.Fatal("attach of unformatted pool succeeded")
+	}
+}
+
+// TestAttachRejectsForgedLayout forges one header word of a formatted
+// pool at a time. Attach must refuse, with ErrBadConfig, any header
+// whose arenas, logs, root area and provisioned chunks do not fit the
+// pool, or whose chunk count exceeds its MaxChunks; before, it accepted
+// them and recovery indexed past the end of the pool.
+func TestAttachRejectsForgedLayout(t *testing.T) {
+	cfg := smallConfig()
+	for _, tc := range []struct {
+		name  string
+		word  uint64
+		value uint64
+	}{
+		{"arenas", hdrNumArenas, 1 << 40},
+		{"logs", hdrNumLogs, 1 << 40},
+		{"root", hdrRootWords, 1 << 40},
+		{"chunks over MaxChunks", hdrChunkCount, 60000},
+		{"chunks past the pool", hdrChunkCount, 40}, // MaxChunks is 64, the pool holds 16
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := pmem.NewPool(pmem.Config{Words: MinPoolWords(cfg, 16), HomeNode: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Format(pool, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Attach(pool); err != nil {
+				t.Fatalf("attach before forging: %v", err)
+			}
+			pool.Store(tc.word, tc.value, nil)
+			if _, err := Attach(pool); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("header word %d = %d: err = %v, want ErrBadConfig", tc.word, tc.value, err)
+			}
+		})
 	}
 }
 

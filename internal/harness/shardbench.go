@@ -50,21 +50,16 @@ type BenchRecord struct {
 	// (OpsPerSec x ValueSize). Zero (omitted) elsewhere.
 	ValueSize   int     `json:"value_size,omitempty"`
 	BytesPerSec float64 `json:"bytes_per_sec,omitempty"`
-	// Recovery-experiment fields: the worker budget recovery ran with,
-	// time from Load start to store ready (simulated wall: the cost
-	// model's charge ledger scheduled onto the worker budget), pairs or
-	// keys restored, the recovery rate, which loader ran ("phys" for
-	// pool images, "bulk" for the sorted-dump bottom-up build, "replay"
-	// for the per-key fallback), pages the crash-leak sweeps scanned,
-	// and the parallel speedup under the cost model. Zero (omitted)
-	// elsewhere.
-	Parallelism     int     `json:"parallelism,omitempty"`
+	// Recovery-experiment fields: wall time from Load start to store
+	// ready, pairs or keys restored, the recovery rate, which loader ran
+	// ("phys" for pool images, "bulk" for the sorted-dump bottom-up
+	// build, "replay" for the per-key fallback) and pages the crash-leak
+	// sweeps scanned. Zero (omitted) elsewhere.
 	TimeToReadySecs float64 `json:"time_to_ready_secs,omitempty"`
 	KeysRecovered   uint64  `json:"keys_recovered,omitempty"`
 	KeysPerSec      float64 `json:"keys_per_sec,omitempty"`
 	Loader          string  `json:"loader,omitempty"`
 	PagesSwept      uint64  `json:"pages_swept,omitempty"`
-	SimSpeedup      float64 `json:"sim_speedup,omitempty"`
 }
 
 // LatencySummary is the percentile fingerprint of one latency

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -390,10 +391,15 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Words < LineWords {
 		return nil, ErrPoolTooSmall
 	}
-	words := (cfg.Words + LineWords - 1) &^ (LineWords - 1)
+	return newPool(cfg, make([]uint64, (cfg.Words+LineWords-1)&^(LineWords-1))), nil
+}
+
+// newPool wraps words, whose length is a whole number of lines, as a
+// pool.
+func newPool(cfg Config, words []uint64) *Pool {
 	p := &Pool{
 		id:          cfg.ID,
-		words:       make([]uint64, words),
+		words:       words,
 		homeNode:    cfg.HomeNode,
 		stripeNodes: cfg.StripeNodes,
 		cost:        cfg.Cost,
@@ -401,7 +407,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	for i := range p.shards {
 		p.shards[i].lines = make(map[uint64]*[LineWords]uint64)
 	}
-	return p, nil
+	return p
 }
 
 // ID returns the pool's identifier (the RIV pool field).
@@ -841,8 +847,15 @@ func (p *Pool) durableLine(line uint64) [LineWords]uint64 {
 	return out
 }
 
+// readPieceWords is how many words ReadPool reads and decodes at a time
+// (1 MiB).
+const readPieceWords = 1 << 17
+
 // ReadPool deserializes a pool image written by WriteTo. The returned
-// pool is in fast mode with the given cost model and placement.
+// pool is in fast mode with the given cost model and placement. The
+// header's word count is not trusted with an allocation: the body is
+// read in bounded pieces and the pool grows to the lines actually read,
+// so a forged size costs no more memory than the bytes behind it.
 func ReadPool(r io.Reader, homeNode, stripeNodes int, cost *CostModel) (*Pool, error) {
 	var hdr [4 * 8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -851,25 +864,28 @@ func ReadPool(r io.Reader, homeNode, stripeNodes int, cost *CostModel) (*Pool, e
 	if binary.LittleEndian.Uint64(hdr[0:]) != poolImageMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadImage)
 	}
-	id := uint16(binary.LittleEndian.Uint64(hdr[8:]))
-	words := binary.LittleEndian.Uint64(hdr[16:])
+	id, words := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
+	if id > math.MaxUint16 || binary.LittleEndian.Uint64(hdr[24:]) != 0 {
+		return nil, fmt.Errorf("%w: bad header", ErrBadImage)
+	}
 	if words < LineWords || words%LineWords != 0 || words > 1<<40 {
 		return nil, fmt.Errorf("%w: bad size %d", ErrBadImage, words)
 	}
-	p, err := NewPool(Config{ID: id, Words: words, HomeNode: homeNode, StripeNodes: stripeNodes, Cost: cost})
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 8*LineWords)
-	for off := uint64(0); off < words; off += LineWords {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("%w: truncated at word %d: %v", ErrBadImage, off, err)
+	var body []uint64
+	buf := make([]byte, 8*min(words, readPieceWords))
+	for n := uint64(0); n < words; n += readPieceWords {
+		k := min(words-n, readPieceWords)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, fmt.Errorf("%w: truncated at word %d: %v", ErrBadImage, n, err)
 		}
-		for i := uint64(0); i < LineWords; i++ {
-			p.words[off+i] = binary.LittleEndian.Uint64(buf[i*8:])
+		if n+k > uint64(cap(body)) {
+			body = append(make([]uint64, 0, min(words, max(2*n, n+k))), body...)
+		}
+		for i := uint64(0); i < k; i++ {
+			body = append(body, binary.LittleEndian.Uint64(buf[8*i:]))
 		}
 	}
-	return p, nil
+	return newPool(Config{ID: uint16(id), HomeNode: homeNode, StripeNodes: stripeNodes, Cost: cost}, body), nil
 }
 
 // CheckRange validates that [off, off+n) lies within the pool.

@@ -2,7 +2,10 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -386,6 +389,61 @@ func TestReadPoolRejectsGarbage(t *testing.T) {
 	if _, err := ReadPool(bytes.NewReader([]byte("not a pool image at all....")), -1, 0, nil); err == nil {
 		t.Fatal("expected error for garbage image")
 	}
+}
+
+// TestReadPoolForgedSize reads an image whose header claims 2^27 words
+// (1 GiB) in front of a one-line body. ReadPool must fail with
+// ErrBadImage having allocated about what the body holds, not the claim.
+func TestReadPoolForgedSize(t *testing.T) {
+	var img bytes.Buffer
+	if _, err := mustPool(t, LineWords).WriteTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	forged := img.Bytes()
+	binary.LittleEndian.PutUint64(forged[16:], 1<<27)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadPool(bytes.NewReader(forged), -1, 0, nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadImage) {
+		t.Fatalf("forged size: err = %v, want ErrBadImage", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("reading a forged 1 GiB header allocated %d bytes, want < 16 MiB", grew)
+	}
+}
+
+// FuzzReadPool: ReadPool never panics on any input, rejects what it
+// cannot read with ErrBadImage, and a pool it does read writes back
+// (WriteTo) byte-identical to the image it came from.
+func FuzzReadPool(f *testing.F) {
+	var img bytes.Buffer
+	p := mustPool(f, 2*LineWords)
+	p.Store(3, 0xdeadbeef, nil)
+	if _, err := p.WriteTo(&img); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img.Bytes())
+	f.Add(img.Bytes()[:40])
+	forged := bytes.Clone(img.Bytes())
+	binary.LittleEndian.PutUint64(forged[16:], 1<<27)
+	f.Add(forged)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPool(bytes.NewReader(data), -1, 0, nil)
+		if err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("err = %v, want ErrBadImage", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := p.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("a %d-word pool read from %d bytes wrote back %d different bytes", p.Size(), len(data), out.Len())
+		}
+	})
 }
 
 func TestCheckRange(t *testing.T) {

@@ -92,14 +92,12 @@ package slab
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
-	"upskiplist/internal/par"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
 )
@@ -283,11 +281,6 @@ type Arena struct {
 
 	sweepRelinked atomic.Uint64
 	sweepScanned  atomic.Uint64
-
-	// sweepPar bounds the goroutines Sweep fans its page scans out
-	// across. <= 1 keeps the sweep serial. Volatile: recovery sets it
-	// from the store's per-shard parallelism budget.
-	sweepPar atomic.Int32
 }
 
 // classSizes lists the chunk sizes in words: powers of two up to 32,
@@ -404,22 +397,6 @@ func (ar *Arena) addExtent(p riv.Ptr) *extent {
 // SetDomain installs the grace-period domain used to tag limbo batches.
 // Call it before the arena is shared.
 func (ar *Arena) SetDomain(dom *epoch.Domain) { ar.dom = dom }
-
-// SetSweepParallelism bounds the goroutines Sweep's page walk and chunk
-// pass fan out across. Values <= 1 keep the sweep serial.
-func (ar *Arena) SetSweepParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	ar.sweepPar.Store(int32(p))
-}
-
-func (ar *Arena) sweepParallelism() int {
-	if p := ar.sweepPar.Load(); p > 1 {
-		return int(p)
-	}
-	return 1
-}
 
 // MaxSingle returns the largest byte length stored without chaining.
 func (ar *Arena) MaxSingle() int { return ar.classes[len(ar.classes)-1].payloadBytes() }
@@ -808,10 +785,7 @@ func (ar *Arena) hasPages() bool {
 // lines of the chunks it relinked, so a clean reopen flushes nothing.
 //
 // Must run quiesced (no concurrent operations), which is the state at
-// Reopen/Load time. Idempotent: a clean store sweeps zero chunks. With
-// SetSweepParallelism > 1 the page walk and the chunk pass partition
-// their work across goroutines, whose lists are concatenated in page
-// order at the end.
+// Reopen/Load time. Idempotent: a clean store sweeps zero chunks.
 func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int) {
 	if !ar.hasPages() {
 		// No page was ever carved: no chunk exists for a crash to have
@@ -851,62 +825,37 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	}
 	ar.limboMu.Unlock()
 
-	// Accumulator accounting (pmem.Acc) is owner-goroutine state, so
-	// workers in the parallel regime pass nil accs.
-	budget := ar.sweepParallelism()
-	accFor := func(workers int) *pmem.Acc {
-		if workers > 1 {
-			return nil
-		}
-		return ctx.Mem
+	var pages []page
+	for _, ext := range ar.extents {
+		pages = append(pages, ar.walkPages(ext, ctx.Mem)...)
 	}
-	walked := make([][]page, len(ar.extents))
-	par.Ranges(len(ar.extents), budget, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			walked[i] = ar.walkPages(ar.extents[i], accFor(budget))
-		}
-	})
-	pages := slices.Concat(walked...)
 
-	// Each worker sorts the chunks of its page range by class into free
-	// and leaked; the parts join in page order.
-	type part struct{ free, leaks [][]riv.Ptr }
-	workers := max(1, min(budget, len(pages)))
-	parts := make([]part, workers)
-	par.Ranges(len(pages), workers, func(w, lo, hi int) {
-		acc := accFor(workers)
-		pt := part{make([][]riv.Ptr, len(ar.classes)), make([][]riv.Ptr, len(ar.classes))}
-		for _, pg := range pages[lo:hi] {
-			c := ar.classes[pg.class]
-			for i := uint64(0); i < c.perPage; i++ {
-				chunk, off := pg.slot(i, c)
-				switch {
-				case referenced[chunk]:
-				case pg.pool.Load(off, acc)&hdrUsed != 0:
-					pt.leaks[pg.class] = append(pt.leaks[pg.class], chunk)
-				default:
-					pt.free[pg.class] = append(pt.free[pg.class], chunk)
-				}
+	// Sort every chunk into free and leaked by class; the leaks are
+	// handed out first.
+	free := make([][]riv.Ptr, len(ar.classes))
+	leaks := make([][]riv.Ptr, len(ar.classes))
+	for _, pg := range pages {
+		c := ar.classes[pg.class]
+		for i := uint64(0); i < c.perPage; i++ {
+			chunk, off := pg.slot(i, c)
+			switch {
+			case referenced[chunk]:
+			case pg.pool.Load(off, ctx.Mem)&hdrUsed != 0:
+				leaks[pg.class] = append(leaks[pg.class], chunk)
+			default:
+				free[pg.class] = append(free[pg.class], chunk)
 			}
 		}
-		parts[w] = pt
-	})
+	}
 	for class := range ar.classes {
 		ar.classPages[class].Store(0)
-		fl := &ar.free[class]
-		fl.chunks = fl.chunks[:0]
-		for _, pt := range parts {
-			fl.chunks = append(fl.chunks, pt.free[class]...)
+		for _, p := range leaks[class] {
+			pool, off := ar.space.Resolve(p)
+			pool.Store(off, 0, ctx.Mem)
+			ctx.Batch.Add(pool, off, 1, ctx.Mem)
 		}
-		for _, pt := range parts {
-			for _, p := range pt.leaks[class] {
-				pool, off := ar.space.Resolve(p)
-				pool.Store(off, 0, ctx.Mem)
-				ctx.Batch.Add(pool, off, 1, ctx.Mem)
-			}
-			fl.chunks = append(fl.chunks, pt.leaks[class]...)
-			relinked += len(pt.leaks[class])
-		}
+		ar.free[class].chunks = append(free[class], leaks[class]...)
+		relinked += len(leaks[class])
 	}
 	ctx.Batch.Flush(ctx.Mem)
 	for _, pg := range pages {

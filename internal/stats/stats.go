@@ -57,7 +57,6 @@ type Snapshot struct {
 	// that produced this store handle did. All zero for stores built by
 	// Create. Durations are in seconds so the snapshot stays a plain
 	// numbers struct.
-	RecoveryParallelism    int     // effective worker budget recovery ran with
 	RecoveryWallSecs       float64 // end-to-end time to ready
 	RecoveryAttachSecs     float64 // pool read + allocator attach (summed over shards)
 	RecoveryOpenSecs       float64 // skip-list open (summed over shards)
@@ -106,7 +105,6 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	// merging the same store twice must not double them, so take the
 	// view with the larger wall time wholesale.
 	if other.RecoveryWallSecs > out.RecoveryWallSecs {
-		out.RecoveryParallelism = other.RecoveryParallelism
 		out.RecoveryWallSecs = other.RecoveryWallSecs
 		out.RecoveryAttachSecs = other.RecoveryAttachSecs
 		out.RecoveryOpenSecs = other.RecoveryOpenSecs

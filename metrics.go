@@ -124,9 +124,6 @@ func (s *Store) EnableMetrics(reg *metrics.Registry) {
 			metrics.Labels{"phase": ph.name},
 			func() float64 { return ph.d().Seconds() })
 	}
-	reg.GaugeFunc("upsl_recovery_parallelism",
-		"worker budget the last recovery ran with",
-		nil, func() float64 { return float64(s.recovery.Parallelism) })
 	reg.GaugeFunc("upsl_recovery_pages_swept_total",
 		"slab pages scanned by the last recovery's crash-leak sweeps",
 		nil, func() float64 { return float64(s.recovery.PagesSwept) })

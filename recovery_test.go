@@ -3,15 +3,17 @@ package upskiplist
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"upskiplist/internal/alloc"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/skiplist"
 )
 
 // recoveryTestOptions is a small sharded geometry: enough shards for the
-// recovery fan-out to matter and enough chunks per pool for the
-// page-parallel sweeps to have several pages per worker.
+// recovery fan-out to matter and enough chunks per pool for the sweeps
+// to have many pages.
 func recoveryTestOptions(shards int) Options {
 	o := testOptions()
 	o.Shards = shards
@@ -77,43 +79,89 @@ func checkRecoveryReadback(t *testing.T, st *Store, n uint64) {
 	}
 }
 
-// TestRecoveryParallelMatchesSerial reopens two identically built stores
-// with a serial and an 8-way recovery and demands the same block census,
-// the same sweep work counters, and the same logical contents. This is
-// the free-list-merge correctness check; CI also runs it under -race to
-// catch unsynchronized accumulator sharing.
-func TestRecoveryParallelMatchesSerial(t *testing.T) {
-	const n = 2000
-	build := func(par int) *Store {
-		o := recoveryTestOptions(4)
-		o.RecoveryParallelism = par
-		st, err := Create(o)
-		if err != nil {
-			t.Fatal(err)
+// TestRecoveryIndependentOfCores builds the same crashed store under
+// GOMAXPROCS 1, 2 and 4, at 1 and 4 shards, and demands bit-identical
+// recoveries from Reopen and from Load of a Save image: every pool's
+// pmem counter delta, the block census, the sweep counters and the
+// contents. Shards may recover side by side, but each shard's recovery
+// is one serial pass, so what it charges cannot depend on the host.
+// CI also runs it under -race.
+func TestRecoveryIndependentOfCores(t *testing.T) {
+	const n = 4000
+	type result struct {
+		mem             []pmem.StatsSnapshot
+		census          alloc.BlockCensus
+		swept, relinked uint64
+	}
+	recovered := func(st *Store, before []pmem.StatsSnapshot) result {
+		rec := st.RecoveryStats()
+		r := result{swept: rec.PagesSwept, relinked: rec.ChunksRelinked}
+		for i, p := range st.Pools() {
+			d := p.Stats().Snapshot()
+			if before != nil {
+				b := before[i]
+				d = pmem.StatsSnapshot{Loads: d.Loads - b.Loads, Stores: d.Stores - b.Stores, CASes: d.CASes - b.CASes,
+					Flushes: d.Flushes - b.Flushes, Fences: d.Fences - b.Fences, RemoteOps: d.RemoteOps - b.RemoteOps,
+					Misses: d.Misses - b.Misses, Prefetches: d.Prefetches - b.Prefetches}
+			}
+			r.mem = append(r.mem, d)
 		}
-		fillRecoveryStore(t, st, n)
-		st.EnableCrashTracking()
-		st.SimulateCrash()
-		re, err := st.Reopen()
-		if err != nil {
-			t.Fatal(err)
+		r.census = st.BlockCensus()
+		checkRecoveryReadback(t, st, n)
+		return r
+	}
+	for _, shards := range []int{1, 4} {
+		var want map[string]result
+		for _, procs := range []int{1, 2, 4} {
+			got := func() map[string]result {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				o := recoveryTestOptions(shards)
+				o.Cost = pmem.DefaultCostModel()
+				o.PoolWords = 1 << 19 // Save and Load copy whole pools; the data needs a fraction
+				st, err := Create(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillRecoveryStore(t, st, n)
+				st.EnableCrashTracking()
+				st.SimulateCrash()
+				dir := t.TempDir()
+				if err := st.Save(dir); err != nil {
+					t.Fatal(err)
+				}
+				var before []pmem.StatsSnapshot
+				for _, p := range st.Pools() {
+					before = append(before, p.Stats().Snapshot())
+				}
+				re, err := st.Reopen()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ld, err := LoadWithConfig(dir, LoadConfig{Cost: o.Cost})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return map[string]result{"reopen": recovered(re, before), "load": recovered(ld, nil)}
+			}()
+			if want == nil {
+				want = got
+				continue
+			}
+			for path, w := range want {
+				g := got[path]
+				for i := range w.mem {
+					if g.mem[i] != w.mem[i] {
+						t.Errorf("%d shards, %s, pool %d: GOMAXPROCS=%d charged %v (misses %d), GOMAXPROCS=1 %v (misses %d)",
+							shards, path, i, procs, g.mem[i], g.mem[i].Misses, w.mem[i], w.mem[i].Misses)
+					}
+				}
+				if g.census != w.census || g.swept != w.swept || g.relinked != w.relinked {
+					t.Errorf("%d shards, %s: GOMAXPROCS=%d census %+v swept %d relinked %d, GOMAXPROCS=1 %+v %d %d",
+						shards, path, procs, g.census, g.swept, g.relinked, w.census, w.swept, w.relinked)
+				}
+			}
 		}
-		return re
 	}
-	serial, parallel := build(1), build(8)
-	cs, cp := serial.BlockCensus(), parallel.BlockCensus()
-	if cs != cp {
-		t.Fatalf("census diverged: serial %+v parallel %+v", cs, cp)
-	}
-	rs, rp := serial.RecoveryStats(), parallel.RecoveryStats()
-	if rs.PagesSwept != rp.PagesSwept || rs.ChunksRelinked != rp.ChunksRelinked {
-		t.Fatalf("sweep counters diverged: serial %+v parallel %+v", rs, rp)
-	}
-	if rp.Parallelism != 8 || rs.Parallelism != 1 {
-		t.Fatalf("parallelism not recorded: %d / %d", rs.Parallelism, rp.Parallelism)
-	}
-	checkRecoveryReadback(t, serial, n)
-	checkRecoveryReadback(t, parallel, n)
 }
 
 // TestRecoveryCrashDuringReopen kills recovery mid-sweep with a
@@ -123,9 +171,7 @@ func TestRecoveryParallelMatchesSerial(t *testing.T) {
 func TestRecoveryCrashDuringReopen(t *testing.T) {
 	const n = 2000
 	build := func() *Store {
-		o := recoveryTestOptions(4)
-		o.RecoveryParallelism = 4
-		st, err := Create(o)
+		st, err := Create(recoveryTestOptions(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,14 +234,11 @@ func TestRecoveryCrashDuringLoad(t *testing.T) {
 		dir  string
 	}{{"phys", physDir}, {"bulk", pairsDir}} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadWithConfig(tc.dir, LoadConfig{
-				RecoveryParallelism: 4,
-				Injector:            pmem.NewCountdownInjector(5000),
-			})
+			_, err := LoadWithConfig(tc.dir, LoadConfig{Injector: pmem.NewCountdownInjector(5000)})
 			if !errors.Is(err, ErrRecoveryInterrupted) {
 				t.Fatalf("interrupted load: err = %v", err)
 			}
-			re, err := LoadWithConfig(tc.dir, LoadConfig{RecoveryParallelism: 4})
+			re, err := Load(tc.dir)
 			if err != nil {
 				t.Fatalf("clean retry: %v", err)
 			}
@@ -205,8 +248,8 @@ func TestRecoveryCrashDuringLoad(t *testing.T) {
 }
 
 // TestBulkLoadRestoresDump loads the same sorted v4 dump through the
-// bottom-up bulk builder, serial and parallel, across dense and sparse
-// tower geometries, and demands from every combination the logical
+// bottom-up bulk builder under GOMAXPROCS 1 and 2, across dense and
+// sparse tower geometries, and demands from every combination the logical
 // contents the dumped store held.
 func TestBulkLoadRestoresDump(t *testing.T) {
 	const n = 1500
@@ -222,13 +265,12 @@ func TestBulkLoadRestoresDump(t *testing.T) {
 			if err := st.SaveOnline(dir); err != nil {
 				t.Fatal(err)
 			}
-			for _, cfg := range []LoadConfig{
-				{RecoveryParallelism: 1},
-				{RecoveryParallelism: 8},
-			} {
-				ld, err := LoadWithConfig(dir, cfg)
+			for _, procs := range []int{1, 2} {
+				prev := runtime.GOMAXPROCS(procs)
+				ld, err := Load(dir)
+				runtime.GOMAXPROCS(prev)
 				if err != nil {
-					t.Fatalf("load %+v: %v", cfg, err)
+					t.Fatalf("load at GOMAXPROCS=%d: %v", procs, err)
 				}
 				if rec := ld.RecoveryStats(); rec.KeysBulkLoaded == 0 || rec.NodesBulkBuilt == 0 {
 					t.Fatalf("bulk build not recorded: %+v", rec)

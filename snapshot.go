@@ -361,33 +361,21 @@ func (r *pairsReader) next() (key uint64, val []byte, ok bool, err error) {
 // does not fit the pools its sidecar sizes is ErrBadDump, and the
 // half-built store is dropped.
 func loadPairsDump(dir string, opts Options, cfg LoadConfig) (*Store, error) {
-	par := normalizeRecoveryParallelism(opts.RecoveryParallelism)
 	t0 := time.Now()
 	st, err := Create(opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadDump, err)
 	}
 	st.SetInjector(cfg.Injector)
-	rec := RecoveryStats{Parallelism: par, Attach: time.Since(t0)}
-	// Per-shard cost attribution for the simulated critical path: each
-	// shard's pairs land only in its own pools.
-	units := make([]uint64, len(st.shards))
-	for i, e := range st.shards {
-		units[i] = poolUnits(opts.Cost, e.pools)
-	}
+	rec := RecoveryStats{Attach: time.Since(t0)}
 	tLoad := time.Now()
-	err = catchCrash(func() error { return bulkLoadPairs(st, dir, par, &rec) })
+	err = catchCrash(func() error { return bulkLoadPairs(st, dir, &rec) })
 	if err != nil {
 		if !errors.Is(err, ErrRecoveryInterrupted) {
 			err = fmt.Errorf("%w: %w", ErrBadDump, err)
 		}
 		return nil, err
 	}
-	for i, e := range st.shards {
-		units[i] = poolUnits(opts.Cost, e.pools) - units[i]
-		rec.CostUnits += units[i]
-	}
-	rec.CriticalPathUnits = makespan(units, par)
 	rec.BulkLoad = time.Since(tLoad)
 	rec.Wall = time.Since(t0)
 	st.recovery = rec
@@ -410,9 +398,8 @@ const bulkBatchPairs = 512
 // its channel into a skiplist.BulkBuilder. The global sort check lives
 // in the reader — keyspace sharding is modular, so a globally ascending
 // stream yields a strictly ascending subsequence per shard — and any
-// violation aborts the whole build with skiplist.ErrUnsorted. With one
-// shard (or a serial budget) everything runs inline on the caller.
-func bulkLoadPairs(st *Store, dir string, par int, rec *RecoveryStats) error {
+// violation aborts the whole build with skiplist.ErrUnsorted.
+func bulkLoadPairs(st *Store, dir string, rec *RecoveryStats) error {
 	r, err := openPairsReader(dir)
 	if err != nil {
 		return err
@@ -428,49 +415,9 @@ func bulkLoadPairs(st *Store, dir string, par int, rec *RecoveryStats) error {
 		}
 		workers[i] = w
 	}
-	finish := func() error {
-		for _, w := range workers {
-			if err := w.finish(); err != nil {
-				return err
-			}
-			rec.KeysBulkLoaded += w.b.Keys()
-			rec.NodesBulkBuilt += w.b.Nodes()
-		}
-		return nil
-	}
-
-	var lastKey uint64
-	var haveLast bool
-	checkSorted := func(key uint64) error {
-		if haveLast && key <= lastKey {
-			return fmt.Errorf("%w: key %#x after %#x", skiplist.ErrUnsorted, key, lastKey)
-		}
-		lastKey, haveLast = key, true
-		return nil
-	}
-
-	if par <= 1 || n == 1 {
-		for {
-			key, val, ok, err := r.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if err := checkSorted(key); err != nil {
-				return err
-			}
-			if err := workers[st.shardOf(key)].add(key, val); err != nil {
-				return err
-			}
-		}
-		return finish()
-	}
-
-	// Parallel: one goroutine per shard; the reader keeps going until
-	// the dump ends or some worker fails (workers drain their channels
-	// on failure so the reader never wedges on a full one).
+	// The reader keeps going until the dump ends or some worker fails
+	// (workers drain their channels on failure so the reader never
+	// wedges on a full one).
 	chans := make([]chan pairBatch, n)
 	pending := make([]pairBatch, n)
 	var (
@@ -514,6 +461,8 @@ func bulkLoadPairs(st *Store, dir string, par int, rec *RecoveryStats) error {
 		}(workers[i], chans[i])
 	}
 	readErr := func() error {
+		var lastKey uint64
+		var haveLast bool
 		for !failed.Load() {
 			key, val, ok, err := r.next()
 			if err != nil {
@@ -522,9 +471,10 @@ func bulkLoadPairs(st *Store, dir string, par int, rec *RecoveryStats) error {
 			if !ok {
 				return nil
 			}
-			if err := checkSorted(key); err != nil {
-				return err
+			if haveLast && key <= lastKey {
+				return fmt.Errorf("%w: key %#x after %#x", skiplist.ErrUnsorted, key, lastKey)
 			}
+			lastKey, haveLast = key, true
 			si := st.shardOf(key)
 			pb := &pending[si]
 			pb.keys = append(pb.keys, key)
@@ -553,7 +503,14 @@ func bulkLoadPairs(st *Store, dir string, par int, rec *RecoveryStats) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	return finish()
+	for _, w := range workers {
+		if err := w.finish(); err != nil {
+			return err
+		}
+		rec.KeysBulkLoaded += w.b.Keys()
+		rec.NodesBulkBuilt += w.b.Nodes()
+	}
+	return nil
 }
 
 // bulkShardWorker owns one shard's bulk build: a private exec context

@@ -21,7 +21,6 @@ type StoreStats = stats.Snapshot
 func (s *Store) Stats() StoreStats {
 	out := StoreStats{Shards: len(s.shards)}
 	rec := s.recovery
-	out.RecoveryParallelism = rec.Parallelism
 	out.RecoveryWallSecs = rec.Wall.Seconds()
 	out.RecoveryAttachSecs = rec.Attach.Seconds()
 	out.RecoveryOpenSecs = rec.Open.Seconds()

@@ -130,14 +130,6 @@ type Options struct {
 	// lookups (the paper's proposed optimization).
 	SortedNodes bool
 
-	// RecoveryParallelism bounds the worker goroutines Reopen and Load
-	// fan recovery out across: shards recover concurrently, and any
-	// leftover budget splits each shard's allocator kind scans and slab
-	// sweep page scans into parallel partitions. 0 means GOMAXPROCS; 1
-	// recovers serially. Never persisted, never affects the recovered
-	// state — only time to ready.
-	RecoveryParallelism int
-
 	// Shards splits the keyspace across this many independent skip lists
 	// (0 or 1 = today's single-list store). Routing is by key modulo the
 	// shard count, so dense keyspaces spread evenly; each shard has its
@@ -317,9 +309,8 @@ func (e *engine) retireWord(w uint64) {
 // the list's iterators decode value words through the arena. With sweep
 // set (reopen/load over pre-existing pools) the startup crash-leak scan
 // runs: chunks whose publishing node word never landed are relinked, and
-// slab pages orphaned mid-grow go back to the block allocator. scanPar
-// is the sweep's intra-shard page-scan parallelism (<= 1 serial).
-func (e *engine) attachVals(sweep bool, scanPar int) error {
+// slab pages orphaned mid-grow go back to the block allocator.
+func (e *engine) attachVals(sweep bool) error {
 	ctx := exec.NewCtx(0, 0)
 	defer ctx.Mem.Publish()
 	ar, err := slab.Attach(e.alloc, ctx)
@@ -330,7 +321,6 @@ func (e *engine) attachVals(sweep bool, scanPar int) error {
 	ar.SetDomain(e.list.Domain())
 	e.list.SetValueDecoder(e.decodeValue)
 	if sweep {
-		ar.SetSweepParallelism(scanPar)
 		ar.Sweep(ctx, func(emit func(uint64)) { e.list.ForEachValueWord(ctx, emit) })
 	}
 	return nil
@@ -506,7 +496,7 @@ func Create(opts Options) (*Store, error) {
 			return nil, err
 		}
 		e.list = list
-		if err := e.attachVals(false, 1); err != nil {
+		if err := e.attachVals(false); err != nil {
 			return nil, err
 		}
 		st.shards = append(st.shards, e)
@@ -552,8 +542,8 @@ func assembleEngine(opts Options, pools []*pmem.Pool, pas []*alloc.PoolAllocator
 // same pools: a brand-new handle is assembled, each shard's failure-free
 // epoch is advanced, and the old handle must no longer be used. Per the
 // paper, this is all the recovery there is — repairs happen lazily
-// during subsequent operations. Shards recover concurrently under the
-// Options.RecoveryParallelism budget (see recovery.go).
+// during subsequent operations. Shards recover concurrently (see
+// recovery.go).
 func (s *Store) Reopen() (*Store, error) {
 	// The old handle's reclaimers run against the same pools the new
 	// handle will own; stop them first (waits for their goroutines).
@@ -562,10 +552,9 @@ func (s *Store) Reopen() (*Store, error) {
 	n := len(s.shards)
 	engines := make([]*engine, n)
 	recs := make([]shardRecovery, n)
-	par := normalizeRecoveryParallelism(s.opts.RecoveryParallelism)
 	t0 := time.Now()
-	err := recoverShards(n, par, func(i, scanPar int) error {
-		e, err := recoverShard(s.opts, s.tuning, s.shards[i].pools, scanPar, &recs[i])
+	err := recoverShards(n, func(i int) error {
+		e, err := recoverShard(s.opts, s.tuning, s.shards[i].pools, &recs[i])
 		engines[i] = e
 		return err
 	})
@@ -573,7 +562,7 @@ func (s *Store) Reopen() (*Store, error) {
 		return nil, err
 	}
 	st.shards = engines
-	st.recovery = summarizeRecovery(par, recs, time.Since(t0))
+	st.recovery = summarizeRecovery(recs, time.Since(t0))
 	if s.opts.OnlineReclaim {
 		st.EnableOnlineReclaim()
 	}
@@ -1121,17 +1110,13 @@ func Load(dir string) (*Store, error) {
 	return LoadWithConfig(dir, LoadConfig{})
 }
 
-// LoadWithConfig is Load with recovery tuning: a parallelism override, a
-// cost model, and a crash injector installed before recovery work begins
-// (see LoadConfig). The loaded store runs the default read-path tuning;
-// Store.SetTuning changes it.
+// LoadWithConfig is Load with a cost model and a crash injector
+// installed before recovery work begins (see LoadConfig). The loaded
+// store runs the default read-path tuning; Store.SetTuning changes it.
 func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 	opts, kind, err := loadMeta(dir)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.RecoveryParallelism != 0 {
-		opts.RecoveryParallelism = cfg.RecoveryParallelism
 	}
 	if cfg.Cost != nil {
 		opts.Cost = cfg.Cost
@@ -1143,9 +1128,8 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 	n := opts.Shards
 	engines := make([]*engine, n)
 	recs := make([]shardRecovery, n)
-	par := normalizeRecoveryParallelism(opts.RecoveryParallelism)
 	t0 := time.Now()
-	err = recoverShards(n, par, func(i, scanPar int) error {
+	err = recoverShards(n, func(i int) error {
 		tRead := time.Now()
 		pools, err := loadShardPools(dir, opts, st.topo, i)
 		if err != nil {
@@ -1157,7 +1141,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 			}
 		}
 		recs[i].attach += time.Since(tRead)
-		e, err := recoverShard(opts, skiplist.Tuning{}, pools, scanPar, &recs[i])
+		e, err := recoverShard(opts, skiplist.Tuning{}, pools, &recs[i])
 		engines[i] = e
 		return err
 	})
@@ -1165,7 +1149,7 @@ func LoadWithConfig(dir string, cfg LoadConfig) (*Store, error) {
 		return nil, err
 	}
 	st.shards = engines
-	st.recovery = summarizeRecovery(par, recs, time.Since(t0))
+	st.recovery = summarizeRecovery(recs, time.Since(t0))
 	return st, nil
 }
 
