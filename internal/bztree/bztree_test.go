@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 )
@@ -265,59 +266,56 @@ func TestAttachRecovers(t *testing.T) {
 }
 
 func TestCrashDuringInsertsThenRecover(t *testing.T) {
-	for _, step := range []int64{50, 200, 1000, 5000} {
-		cfg := smallCfg()
-		tr, pool := newTree(t, cfg)
-		ctx := ctxN(0)
-		for i := uint64(1); i <= 50; i++ {
-			tr.Insert(ctx, i, i)
-		}
-		pool.EnableTracking()
-		inj := pmem.NewCountdownInjector(step)
-		pool.SetInjector(inj)
-		applied := map[uint64]uint64{}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashSignal); !ok {
-						panic(r)
-					}
-				}
-			}()
+	var (
+		tr      *Tree
+		pool    *pmem.Pool
+		applied map[uint64]uint64
+	)
+	ctx := ctxN(0)
+	crashstep.Run(t, crashstep.Scenario{
+		At: []int64{50, 200, 1000, 5000},
+		Setup: func(t *testing.T) []*pmem.Pool {
+			tr, pool = newTree(t, smallCfg())
+			for i := uint64(1); i <= 50; i++ {
+				tr.Insert(ctx, i, i)
+			}
+			applied = map[uint64]uint64{}
+			return []*pmem.Pool{pool}
+		},
+		Op: func(t *testing.T) {
 			for i := uint64(100); i < 200; i++ {
 				if _, _, err := tr.Insert(ctx, i, i*2); err != nil {
 					return
 				}
 				applied[i] = i * 2
 			}
-		}()
-		inj.Disarm()
-		pool.SetInjector(nil)
-		pool.Crash()
-		pool.DisableTracking()
-
-		tr2, _, err := Attach(pool, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Preloaded keys must all survive (they were quiesced... but their
-		// leaves may have been split mid-crash; recovery must keep them).
-		for i := uint64(1); i <= 50; i++ {
-			if v, ok := tr2.Get(ctx, i); !ok || v != i {
-				t.Fatalf("step %d: preloaded key %d lost (%d %v)", step, i, v, ok)
+		},
+		Recover: func(t *testing.T) {
+			var err error
+			if tr, _, err = Attach(pool, 0, 8); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Completed inserts whose effects were persisted must read
-		// consistently: value either correct or the key absent (the op
-		// that reported success before the crash may sit in an unflushed
-		// line — strict linearizability allows it to vanish only if it
-		// never became durable; here we only check no corruption).
-		for k, want := range applied {
-			if v, ok := tr2.Get(ctx, k); ok && v != want {
-				t.Fatalf("step %d: key %d corrupted: %d != %d", step, k, v, want)
+		},
+		Check: func(t *testing.T, _ crashstep.Point) {
+			// Preloaded keys must all survive (they were quiesced... but their
+			// leaves may have been split mid-crash; recovery must keep them).
+			for i := uint64(1); i <= 50; i++ {
+				if v, ok := tr.Get(ctx, i); !ok || v != i {
+					t.Fatalf("preloaded key %d lost (%d %v)", i, v, ok)
+				}
 			}
-		}
-	}
+			// Completed inserts whose effects were persisted must read
+			// consistently: value either correct or the key absent (the op
+			// that reported success before the crash may sit in an unflushed
+			// line — strict linearizability allows it to vanish only if it
+			// never became durable; here we only check no corruption).
+			for k, want := range applied {
+				if v, ok := tr.Get(ctx, k); ok && v != want {
+					t.Fatalf("key %d corrupted: %d != %d", k, v, want)
+				}
+			}
+		},
+	})
 }
 
 func BenchmarkBzTreeInsert(b *testing.B) {

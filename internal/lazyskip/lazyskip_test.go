@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmdktx"
 	"upskiplist/internal/pmem"
@@ -209,54 +210,52 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 }
 
 func TestCrashDuringInsertsRollsBack(t *testing.T) {
-	for _, step := range []int64{100, 400, 1500, 4000} {
-		l, h, pool := newList(t, 1<<22)
-		ctx := ctxN(0)
-		for i := uint64(1); i <= 50; i++ {
-			l.Insert(ctx, i, i)
-		}
-		pool.EnableTracking()
-		inj := pmem.NewCountdownInjector(step)
-		pool.SetInjector(inj)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashSignal); !ok {
-						panic(r)
-					}
-				}
-			}()
+	var (
+		l *List
+		h *pmdktx.Heap
+	)
+	ctx := ctxN(0)
+	crashstep.Run(t, crashstep.Scenario{
+		At: []int64{100, 400, 1500, 4000},
+		Setup: func(t *testing.T) []*pmem.Pool {
+			var pool *pmem.Pool
+			l, h, pool = newList(t, 1<<22)
+			for i := uint64(1); i <= 50; i++ {
+				l.Insert(ctx, i, i)
+			}
+			return []*pmem.Pool{pool}
+		},
+		Op: func(t *testing.T) {
 			for i := uint64(100); i < 200; i++ {
 				if _, _, err := l.Insert(ctx, i, i*2); err != nil {
 					return
 				}
 			}
-		}()
-		inj.Disarm()
-		pool.SetInjector(nil)
-		pool.Crash()
-		pool.DisableTracking()
-
-		l2, err := Open(h, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The preloaded keys must be intact; the structure must be
-		// traversable end-to-end (no dangling links from the torn tx).
-		for i := uint64(1); i <= 50; i++ {
-			if v, ok := l2.Get(ctx, i); !ok || v != i {
-				t.Fatalf("step %d: preloaded key %d: %d %v", step, i, v, ok)
+		},
+		Recover: func(t *testing.T) {
+			var err error
+			if l, err = Open(h, true); err != nil {
+				t.Fatal(err)
 			}
-		}
-		_ = l2.Count(ctx) // must terminate
-		// And remain writable (locks from the dead epoch are stolen).
-		if _, _, err := l2.Insert(ctx, 9999, 1); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := l2.Get(ctx, 9999); !ok || v != 1 {
-			t.Fatalf("step %d: post-recovery insert lost: %d %v", step, v, ok)
-		}
-	}
+		},
+		Check: func(t *testing.T, _ crashstep.Point) {
+			// The preloaded keys must be intact; the structure must be
+			// traversable end-to-end (no dangling links from the torn tx).
+			for i := uint64(1); i <= 50; i++ {
+				if v, ok := l.Get(ctx, i); !ok || v != i {
+					t.Fatalf("preloaded key %d: %d %v", i, v, ok)
+				}
+			}
+			_ = l.Count(ctx) // must terminate
+			// And remain writable (locks from the dead epoch are stolen).
+			if _, _, err := l.Insert(ctx, 9999, 1); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := l.Get(ctx, 9999); !ok || v != 1 {
+				t.Fatalf("post-recovery insert lost: %d %v", v, ok)
+			}
+		},
+	})
 }
 
 func TestStaleLockStolenAfterCrash(t *testing.T) {

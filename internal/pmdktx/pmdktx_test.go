@@ -3,6 +3,7 @@ package pmdktx
 import (
 	"testing"
 
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 )
@@ -180,25 +181,24 @@ func TestRecoveryRollsBackActiveTx(t *testing.T) {
 }
 
 func TestCrashMidTxThenRecover(t *testing.T) {
-	for _, step := range []int64{5, 15, 40, 90} {
-		h, pool := newHeap(t, DefaultConfig())
-		ctx := ctxN(0)
-		a, _ := h.Alloc(ctx, 8)
-		for w := uint64(0); w < 4; w++ {
-			pool.Store(a+w, 100+w, nil)
-		}
-		pool.Persist(a, 4, nil)
-		pool.EnableTracking()
-		inj := pmem.NewCountdownInjector(step)
-		pool.SetInjector(inj)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashSignal); !ok {
-						panic(r)
-					}
-				}
-			}()
+	var (
+		h    *Heap
+		pool *pmem.Pool
+		a    uint64
+	)
+	ctx := ctxN(0)
+	crashstep.Run(t, crashstep.Scenario{
+		At: []int64{5, 15, 40, 90},
+		Setup: func(t *testing.T) []*pmem.Pool {
+			h, pool = newHeap(t, DefaultConfig())
+			a, _ = h.Alloc(ctx, 8)
+			for w := uint64(0); w < 4; w++ {
+				pool.Store(a+w, 100+w, nil)
+			}
+			pool.Persist(a, 4, nil)
+			return []*pmem.Pool{pool}
+		},
+		Op: func(t *testing.T) {
 			tx, err := h.Begin(ctx)
 			if err != nil {
 				return
@@ -210,31 +210,30 @@ func TestCrashMidTxThenRecover(t *testing.T) {
 				}
 			}
 			tx.Commit()
-		}()
-		inj.Disarm()
-		pool.SetInjector(nil)
-		pool.Crash()
-		pool.DisableTracking()
-
-		h2, err := Attach(pool, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2.Recover(ctx)
-		// All-or-nothing: either every word is old or every word is new.
-		oldCnt, newCnt := 0, 0
-		for w := uint64(0); w < 4; w++ {
-			switch pool.Load(a+w, nil) {
-			case 100 + w:
-				oldCnt++
-			case 200 + w:
-				newCnt++
+		},
+		Recover: func(t *testing.T) {
+			h2, err := Attach(pool, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if oldCnt+newCnt != 4 || (oldCnt != 0 && newCnt != 0) {
-			t.Fatalf("step %d: torn transaction: old=%d new=%d", step, oldCnt, newCnt)
-		}
-	}
+			h2.Recover(ctx)
+		},
+		// All-or-nothing: either every word is old or every word is new.
+		Check: func(t *testing.T, _ crashstep.Point) {
+			oldCnt, newCnt := 0, 0
+			for w := uint64(0); w < 4; w++ {
+				switch pool.Load(a+w, nil) {
+				case 100 + w:
+					oldCnt++
+				case 200 + w:
+					newCnt++
+				}
+			}
+			if oldCnt+newCnt != 4 || (oldCnt != 0 && newCnt != 0) {
+				t.Fatalf("torn transaction: old=%d new=%d", oldCnt, newCnt)
+			}
+		},
+	})
 }
 
 func TestRootFatPointer(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/pmem"
 )
 
@@ -104,55 +105,53 @@ func TestWalkAndRewind(t *testing.T) {
 // whatever the failure timing, the reattached log contains a prefix of
 // complete records — never a torn one.
 func TestCrashTruncatesAtRecordBoundary(t *testing.T) {
-	for _, step := range []int64{2, 5, 9, 14, 20, 33, 50, 80} {
-		l, pool := newLog(t, 64, 4)
-		pool.EnableTracking()
-		inj := pmem.NewCountdownInjector(step)
-		pool.SetInjector(inj)
-		want := 0
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashSignal); !ok {
-						panic(r)
-					}
-				}
-			}()
+	var (
+		l    *Log
+		pool *pmem.Pool
+		want int
+	)
+	crashstep.Run(t, crashstep.Scenario{
+		At: []int64{2, 5, 9, 14, 20, 33, 50, 80},
+		Setup: func(t *testing.T) []*pmem.Pool {
+			l, pool = newLog(t, 64, 4)
+			want = 0
+			return []*pmem.Pool{pool}
+		},
+		Op: func(t *testing.T) {
 			for i := uint64(1); i <= 20; i++ {
 				if err := l.Append(nil, []uint64{i, i + 1, i + 2, i + 3}); err != nil {
 					return
 				}
 				want++
 			}
-		}()
-		inj.Disarm()
-		pool.SetInjector(nil)
-		pool.Crash()
-		pool.DisableTracking()
-
-		l2, err := Attach(pool, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := l2.Len()
-		// Committed length may lag the last successful append by at most
-		// the interrupted one, but never exceed it... it may also lag
-		// because the length persist landed while the body persist of the
-		// NEXT record didn't — check every visible record is whole.
-		if int(n) > want+1 {
-			t.Fatalf("step %d: len %d > appended %d", step, n, want)
-		}
-		out := make([]uint64, 4)
-		for i := uint64(0); i < n; i++ {
-			if err := l2.Read(nil, i, out); err != nil {
+		},
+		Recover: func(t *testing.T) {
+			var err error
+			if l, err = Attach(pool, 0); err != nil {
 				t.Fatal(err)
 			}
-			base := out[0]
-			if out[1] != base+1 || out[2] != base+2 || out[3] != base+3 {
-				t.Fatalf("step %d: torn record %d: %v", step, i, out)
+		},
+		Check: func(t *testing.T, _ crashstep.Point) {
+			n := l.Len()
+			// Committed length may lag the last successful append by at most
+			// the interrupted one, but never exceed it... it may also lag
+			// because the length persist landed while the body persist of the
+			// NEXT record didn't — check every visible record is whole.
+			if int(n) > want+1 {
+				t.Fatalf("len %d > appended %d", n, want)
 			}
-		}
-	}
+			out := make([]uint64, 4)
+			for i := uint64(0); i < n; i++ {
+				if err := l.Read(nil, i, out); err != nil {
+					t.Fatal(err)
+				}
+				base := out[0]
+				if out[1] != base+1 || out[2] != base+2 || out[3] != base+3 {
+					t.Fatalf("torn record %d: %v", i, out)
+				}
+			}
+		},
+	})
 }
 
 func TestConcurrentAppends(t *testing.T) {

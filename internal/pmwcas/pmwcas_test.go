@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 )
@@ -286,50 +287,42 @@ func TestReadClearsDirtyBit(t *testing.T) {
 func TestCrashDuringExecuteThenRecover(t *testing.T) {
 	// End-to-end: inject a crash mid-Execute with pmem tracking on, then
 	// recover and verify all-or-nothing semantics.
-	for _, step := range []int64{3, 7, 12, 20, 35, 60} {
-		r := newRig(t, 8, 1)
-		ctx := ctxN(0)
-		a, b := r.data, r.data+1
-		r.pool.Store(a, 1, nil)
-		r.pool.Store(b, 2, nil)
-		r.pool.Persist(a, 2, nil)
-		r.pool.EnableTracking()
-
-		inj := pmem.NewCountdownInjector(step)
-		r.pool.SetInjector(inj)
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(pmem.CrashSignal); !ok {
-						panic(rec)
-					}
-				}
-			}()
+	var r *testRig
+	ctx := ctxN(0)
+	crashstep.Run(t, crashstep.Scenario{
+		At: []int64{3, 7, 12, 20, 35, 60},
+		Setup: func(t *testing.T) []*pmem.Pool {
+			r = newRig(t, 8, 1)
+			r.pool.Store(r.data, 1, nil)
+			r.pool.Store(r.data+1, 2, nil)
+			r.pool.Persist(r.data, 2, nil)
+			return []*pmem.Pool{r.pool}
+		},
+		Op: func(t *testing.T) {
 			d, err := r.m.New(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.Add(a, 1, 10)
-			d.Add(b, 2, 20)
+			d.Add(r.data, 1, 10)
+			d.Add(r.data+1, 2, 20)
 			d.Execute(ctx)
-		}()
-		inj.Disarm()
-		r.pool.SetInjector(nil)
-		r.pool.Crash()
-		r.pool.DisableTracking()
-
-		m2, err := Attach(r.pool, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2.Recover(ctx)
-		va, vb := m2.Read(ctx, a), m2.Read(ctx, b)
-		okBoth := va == 10 && vb == 20
-		okNeither := va == 1 && vb == 2
-		if !okBoth && !okNeither {
-			t.Fatalf("step %d: torn MwCAS after recovery: a=%d b=%d", step, va, vb)
-		}
-	}
+		},
+		Recover: func(t *testing.T) {
+			var err error
+			if r.m, err = Attach(r.pool, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			r.m.Recover(ctx)
+		},
+		Check: func(t *testing.T, _ crashstep.Point) {
+			va, vb := r.m.Read(ctx, r.data), r.m.Read(ctx, r.data+1)
+			okBoth := va == 10 && vb == 20
+			okNeither := va == 1 && vb == 2
+			if !okBoth && !okNeither {
+				t.Fatalf("torn MwCAS after recovery: a=%d b=%d", va, vb)
+			}
+		},
+	})
 }
 
 func BenchmarkMwCAS2Words(b *testing.B) {

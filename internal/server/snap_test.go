@@ -2,9 +2,13 @@ package server
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"upskiplist"
+	"upskiplist/internal/metrics"
 	"upskiplist/internal/wire"
 )
 
@@ -85,11 +89,19 @@ func TestServerSnapshotFrozenPaging(t *testing.T) {
 	}
 }
 
-// TestServerSnapshotLeaseExpiry kills the client without releasing and
-// checks the janitor expires the lease, unpinning the store's snapshot
-// within about one TTL.
+// TestServerSnapshotLeaseExpiry opens a wire snapshot and abandons it,
+// as a client that died mid-scan does. While the lease is held the
+// writes after it keep their prior values in the version log, which the
+// metrics registry shows; the janitor must expire the lease within about
+// one TTL, and both gauges must read 0 again.
 func TestServerSnapshotLeaseExpiry(t *testing.T) {
-	s, addr := newTestServer(t, Config{SnapTTL: time.Second})
+	st, err := upskiplist.Create(testOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	st.EnableMetrics(reg)
+	s, addr := newTestServer(t, Config{Store: st, Metrics: reg, SnapTTL: time.Second})
 	c := dialT(t, addr)
 	for i := uint64(1); i <= 100; i++ {
 		if _, _, err := c.PutU64NoCtx(i, i); err != nil {
@@ -102,13 +114,38 @@ func TestServerSnapshotLeaseExpiry(t *testing.T) {
 	if s.Store().SnapshotsOpen() != 1 || s.leases.Len() != 1 {
 		t.Fatalf("open=%d leases=%d after open", s.Store().SnapshotsOpen(), s.leases.Len())
 	}
+	for i := uint64(1); i <= 100; i++ {
+		if _, _, err := c.PutU64NoCtx(i, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauges := func() (open, logged float64) {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			name, v, _ := strings.Cut(line, " ")
+			f, _ := strconv.ParseFloat(v, 64)
+			switch name {
+			case "upsl_snapshots_open":
+				open = f
+			case "upsl_snapshot_log_entries":
+				logged = f
+			}
+		}
+		return open, logged
+	}
+	if open, logged := gauges(); open != 1 || logged == 0 {
+		t.Fatalf("lease held: upsl_snapshots_open %v, upsl_snapshot_log_entries %v", open, logged)
+	}
 	// Crash the client: no release, no more touches.
 	c.Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Store().SnapshotsOpen() != 0 || s.leases.Len() != 0 {
+	for open, logged := gauges(); open != 0 || logged != 0 || s.leases.Len() != 0; open, logged = gauges() {
 		if time.Now().After(deadline) {
-			t.Fatalf("lease never expired: open=%d leases=%d",
-				s.Store().SnapshotsOpen(), s.leases.Len())
+			t.Fatalf("lease never expired: upsl_snapshots_open %v, upsl_snapshot_log_entries %v, leases %d",
+				open, logged, s.leases.Len())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

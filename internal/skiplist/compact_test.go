@@ -5,8 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
+	"upskiplist/internal/pmem"
 )
 
 func TestCompactReclaimsEmptyNodes(t *testing.T) {
@@ -101,77 +102,65 @@ func TestCompactReturnsBlocksToAllocator(t *testing.T) {
 // retirement, and a second Compact must leave exactly the blocks a twin
 // that was never crashed owns.
 func TestCompactCrashRecovery(t *testing.T) {
-	build := func() *env {
-		e := newEnvChunks(t, Config{MaxHeight: 10, KeysPerNode: 4}, 4)
-		ctx := ctx0()
+	e := &crashList{cfg: Config{MaxHeight: 10, KeysPerNode: 4}, chunks: 4}
+	build := func(t *testing.T) []*pmem.Pool {
+		pools, ctx := e.setup(t), ctx0()
 		for i := uint64(1); i <= 80; i++ {
 			e.sl.Insert(ctx, i, i)
 		}
 		for i := uint64(20); i <= 60; i++ {
 			e.sl.Remove(ctx, i)
 		}
-		return e
+		return pools
 	}
-	// settle is everything after the (possibly interrupted) first Compact:
-	// reopen, read every key, compact again, count the blocks.
-	settle := func(e *env, step int64) (*env, alloc.BlockCensus) {
-		e2 := e.reopen(t) // Open runs recoverCompaction
-		ctx2 := ctx0()
-		for i := uint64(1); i <= 80; i++ {
-			v, ok := e2.sl.Get(ctx2, i)
-			if i >= 20 && i <= 60 {
-				if ok {
-					t.Fatalf("step %d: removed key %d visible", step, i)
+	n := crashstep.Run(t, crashstep.Scenario{
+		From: 1, Floor: 500, // fewer steps cannot have retired anything
+		Setup: build,
+		Op:    func(t *testing.T) { e.sl.Compact(ctx0()) },
+		Twin: func(t *testing.T) {
+			build(t)
+			if n, err := e.sl.Compact(ctx0()); err != nil || n == 0 {
+				t.Fatalf("twin compact: n=%d err=%v", n, err)
+			}
+		},
+		Recover: e.restart, // Open runs recoverCompaction
+		// Read every key, compact again, count the blocks.
+		Census: func(t *testing.T) any {
+			ctx2 := ctx0()
+			for i := uint64(1); i <= 80; i++ {
+				v, ok := e.sl.Get(ctx2, i)
+				if i >= 20 && i <= 60 {
+					if ok {
+						t.Fatalf("removed key %d visible", i)
+					}
+				} else if !ok || v != i {
+					t.Fatalf("live key %d: %d %v", i, v, ok)
 				}
-			} else if !ok || v != i {
-				t.Fatalf("step %d: live key %d: %d %v", step, i, v, ok)
 			}
-		}
-		if err := e2.sl.CheckInvariants(ctx2); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		// A fresh compact completes whatever was left.
-		if _, err := e2.sl.Compact(ctx2); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err := e2.sl.CheckInvariants(ctx2); err != nil {
-			t.Fatalf("step %d post-compact: %v", step, err)
-		}
-		return e2, e2.a.Census()
-	}
-	twin := build()
-	if n, err := twin.sl.Compact(ctx0()); err != nil || n == 0 {
-		t.Fatalf("twin compact: n=%d err=%v", n, err)
-	}
-	_, want := settle(twin, 0)
-	if want.Retired != 0 {
-		t.Fatalf("twin census %+v: retired blocks left after compact", want)
-	}
-
-	for step := int64(1); ; step++ {
-		e := build()
-		crashed := e.runWithCrash(t, step, func(sl *SkipList, ctx *exec.Ctx) {
-			sl.Compact(ctx)
-		})
-		if !crashed {
-			if step < 500 {
-				t.Fatalf("compaction finished in %d pmem steps: it cannot have retired anything", step)
+			if err := e.sl.CheckInvariants(ctx2); err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("crashed the compaction at each of its %d pmem steps", step-1)
-			return
-		}
-		e2, got := settle(e, step)
-		if got != want {
-			t.Fatalf("step %d: census %+v, never-crashed twin %+v", step, got, want)
-		}
-		// Still writable.
-		ctx2 := ctx0()
-		for i := uint64(300); i < 320; i++ {
-			if _, _, err := e2.sl.Insert(ctx2, i, i); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+			// A fresh compact completes whatever was left.
+			if _, err := e.sl.Compact(ctx2); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			if err := e.sl.CheckInvariants(ctx2); err != nil {
+				t.Fatalf("post-compact: %v", err)
+			}
+			c := e.a.Census()
+			if c.Retired != 0 {
+				t.Fatalf("census %+v: retired blocks left after compact", c)
+			}
+			// Still writable.
+			for i := uint64(300); i < 320; i++ {
+				if _, _, err := e.sl.Insert(ctx2, i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c
+		},
+	})
+	t.Logf("crashed the compaction at each of its %d pmem steps", n-1)
 }
 
 // TestCompactCostLinear pins the cost of the one-pass compaction: pool

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/riv"
 )
@@ -238,7 +239,8 @@ func TestSnapshotFrozenUnderChurn(t *testing.T) {
 // snapshot holds — the version log lived in memory, so there is nothing
 // for the reclaimer's startup scan to rediscover.
 func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
-	write := func(e *env, snap bool) {
+	e := &crashList{cfg: Config{MaxHeight: 8, KeysPerNode: 4}, chunks: 512}
+	write := func(t *testing.T, snap bool) {
 		ctx := ctx0()
 		for i := uint64(1); i <= 300; i++ {
 			if _, _, err := e.sl.Insert(ctx, i, i); err != nil {
@@ -258,37 +260,41 @@ func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
 			}
 		}
 	}
-	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	write(e, true)
-	if e.sl.VersionLogLen() == 0 {
-		t.Fatal("expected shadowed versions before the crash")
-	}
-	twin := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	write(twin, false)
-
-	// Crash: the snapshot is never released and dies with the process.
-	e2 := e.reopen(t)
-	ctx2 := ctx0()
-	for i := uint64(1); i <= 300; i++ {
-		v, ok := e2.sl.Get(ctx2, i)
-		if !ok || v != i*100+3 {
-			t.Fatalf("after reopen Get(%d) = %d,%v, want %d,true", i, v, ok, i*100+3)
-		}
-	}
-	if got, want := e2.a.Census(), twin.a.Census(); got != want {
-		t.Fatalf("census after crash %+v, never-crashed twin %+v", got, want)
-	}
-	if n := len(e2.a.RetiredBlocks()); n != 0 {
-		t.Fatalf("startup scan would rediscover %d blocks", n)
-	}
-	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
-	rec.Stop()
-	if n := rec.Stats().Rediscovered; n != 0 {
-		t.Fatalf("reclaimer rediscovered %d blocks", n)
-	}
-	if err := e2.sl.CheckInvariants(ctx2); err != nil {
-		t.Fatal(err)
-	}
+	crashstep.Run(t, crashstep.Scenario{
+		Setup: e.setup,
+		// The snapshot is never released and dies with the process.
+		Op: func(t *testing.T) {
+			if write(t, true); e.sl.VersionLogLen() == 0 {
+				t.Fatal("expected shadowed versions before the crash")
+			}
+		},
+		Twin: func(t *testing.T) {
+			e.setup(t)
+			write(t, false)
+		},
+		Recover: e.restart,
+		Check: func(t *testing.T, _ crashstep.Point) {
+			ctx2 := ctx0()
+			for i := uint64(1); i <= 300; i++ {
+				v, ok := e.sl.Get(ctx2, i)
+				if !ok || v != i*100+3 {
+					t.Fatalf("after reopen Get(%d) = %d,%v, want %d,true", i, v, ok, i*100+3)
+				}
+			}
+			if n := len(e.a.RetiredBlocks()); n != 0 {
+				t.Fatalf("startup scan would rediscover %d blocks", n)
+			}
+			rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
+			rec.Stop()
+			if n := rec.Stats().Rediscovered; n != 0 {
+				t.Fatalf("reclaimer rediscovered %d blocks", n)
+			}
+			if err := e.sl.CheckInvariants(ctx2); err != nil {
+				t.Fatal(err)
+			}
+		},
+		Census: func(t *testing.T) any { return e.a.Census() },
+	})
 }
 
 // TestOldImageVersionOrphansFreed: an image written while the version

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/riv"
@@ -213,121 +214,100 @@ func buildTombstonedList(t *testing.T) (*env, *Reclaimer) {
 	return e, rec
 }
 
-// verifyAfterReclaimCrash reopens the pool and checks full consistency:
-// invariants hold, removed keys stay removed, live keys stay live, no
-// block is both linked and free, and a quiesced Compact leaves no
-// retired block behind.
-func verifyAfterReclaimCrash(t *testing.T, e *env) {
-	t.Helper()
-	e2 := e.reopen(t)
-	ctx := ctx0()
-	if err := e2.sl.CheckInvariants(ctx); err != nil {
-		t.Fatalf("post-crash invariants: %v", err)
-	}
-	for i := uint64(1); i <= 200; i++ {
-		v, ok := e2.sl.Get(ctx, i)
-		dead := i >= 60 && i <= 140
-		if dead && ok {
-			t.Fatalf("removed key %d resurrected after crash", i)
-		}
-		if !dead && (!ok || v != i) {
-			t.Fatalf("live key %d lost after crash: %d,%v", i, v, ok)
-		}
-	}
-	if _, err := e2.sl.Compact(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if left := e2.a.RetiredBlocks(); len(left) != 0 {
-		t.Fatalf("%d retired blocks survive Compact", len(left))
-	}
-	if err := e2.sl.CheckInvariants(ctx); err != nil {
-		t.Fatalf("post-compact invariants: %v", err)
-	}
-	// Still fully operational.
-	for i := uint64(80); i <= 120; i++ {
-		if _, _, err := e2.sl.Insert(ctx, i, i*7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e2.sl.CheckInvariants(ctx); err != nil {
-		t.Fatal(err)
-	}
+// reclaimCrash crashes op, run on a tombstoned list
+// (buildTombstonedList) after prep, at each step of at. The paused
+// reclaimer is stopped before Open recovers the pool. The recovered list
+// must be fully consistent: invariants hold, no free block is off the
+// free lists, removed keys stay removed, live keys stay live, no block is
+// both linked and free, and a quiesced Compact leaves no retired block
+// behind.
+func reclaimCrash(t *testing.T, at []int64, prep func(t *testing.T, e *env, rec *Reclaimer), op func(rec *Reclaimer)) {
+	var e *env
+	var rec *Reclaimer
+	crashstep.Run(t, crashstep.Scenario{
+		At: at,
+		Setup: func(t *testing.T) []*pmem.Pool {
+			e, rec = buildTombstonedList(t)
+			prep(t, e, rec)
+			return []*pmem.Pool{e.pool}
+		},
+		Op: func(t *testing.T) { op(rec) },
+		Recover: func(t *testing.T) {
+			rec.Stop()
+			e = e.reopen(t)
+		},
+		Check: func(t *testing.T, _ crashstep.Point) {
+			ctx := ctx0()
+			if err := e.sl.CheckInvariants(ctx); err != nil {
+				t.Fatalf("post-crash invariants: %v", err)
+			}
+			// The intent log finished every free Open found interrupted.
+			if n := e.a.ReclaimOrphanChunks(ctx); n != 0 {
+				t.Fatalf("%d free blocks on no free list", n)
+			}
+			for i := uint64(1); i <= 200; i++ {
+				v, ok := e.sl.Get(ctx, i)
+				dead := i >= 60 && i <= 140
+				if dead && ok {
+					t.Fatalf("removed key %d resurrected after crash", i)
+				}
+				if !dead && (!ok || v != i) {
+					t.Fatalf("live key %d lost after crash: %d,%v", i, v, ok)
+				}
+			}
+			if _, err := e.sl.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if left := e.a.RetiredBlocks(); len(left) != 0 {
+				t.Fatalf("%d retired blocks survive Compact", len(left))
+			}
+			if err := e.sl.CheckInvariants(ctx); err != nil {
+				t.Fatalf("post-compact invariants: %v", err)
+			}
+			// Still fully operational.
+			for i := uint64(80); i <= 120; i++ {
+				if _, _, err := e.sl.Insert(ctx, i, i*7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.sl.CheckInvariants(ctx); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
 }
 
 // TestCrashDuringRetirement sweeps a crash point through the retirement
 // protocol (tombstone persist, intent log, kind flip, marks, unlink) and
 // verifies the intent log makes every cut repairable at Open.
 func TestCrashDuringRetirement(t *testing.T) {
-	for step := int64(1); step <= 400; step += 7 {
-		step := step
-		t.Run(fmt.Sprintf("step%d", step), func(t *testing.T) {
-			e, rec := buildTombstonedList(t)
-			victims := emptyNodes(e.sl, ctx0())
-			if len(victims) == 0 {
-				t.Fatal("no tombstoned nodes to retire")
-			}
-			e.pool.EnableTracking()
-			inj := pmem.NewCountdownInjector(step)
-			e.pool.SetInjector(inj)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(pmem.CrashSignal); !ok {
-							panic(r)
-						}
-					}
-				}()
-				for _, p := range victims {
-					rec.tryRetire(p)
-				}
-			}()
-			inj.Disarm()
-			e.pool.SetInjector(nil)
-			rec.Stop()
-			e.pool.Crash()
-			e.pool.DisableTracking()
-			verifyAfterReclaimCrash(t, e)
-		})
-	}
+	var victims []riv.Ptr
+	reclaimCrash(t, crashstep.Range(1, 400, 7), func(t *testing.T, e *env, rec *Reclaimer) {
+		if victims = emptyNodes(e.sl, ctx0()); len(victims) == 0 {
+			t.Fatal("no tombstoned nodes to retire")
+		}
+	}, func(rec *Reclaimer) {
+		for _, p := range victims {
+			rec.tryRetire(p)
+		}
+	})
 }
 
 // TestCrashDuringLimboFree retires nodes cleanly, then sweeps a crash
 // point through the state-2 logged frees of the limbo blocks.
 func TestCrashDuringLimboFree(t *testing.T) {
-	for step := int64(1); step <= 120; step += 3 {
-		step := step
-		t.Run(fmt.Sprintf("step%d", step), func(t *testing.T) {
-			e, rec := buildTombstonedList(t)
-			ctx := ctx0()
-			victims := emptyNodes(e.sl, ctx)
-			for _, p := range victims {
-				if !rec.tryRetire(p) {
-					t.Fatalf("retire of %v refused", p)
-				}
+	reclaimCrash(t, crashstep.Range(1, 120, 3), func(t *testing.T, e *env, rec *Reclaimer) {
+		for _, p := range emptyNodes(e.sl, ctx0()) {
+			if !rec.tryRetire(p) {
+				t.Fatalf("retire of %v refused", p)
 			}
-			e.pool.EnableTracking()
-			inj := pmem.NewCountdownInjector(step)
-			e.pool.SetInjector(inj)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(pmem.CrashSignal); !ok {
-							panic(r)
-						}
-					}
-				}()
-				for _, p := range rec.limbo {
-					rec.freeOne(ctx, p)
-				}
-			}()
-			inj.Disarm()
-			e.pool.SetInjector(nil)
-			rec.Stop()
-			e.pool.Crash()
-			e.pool.DisableTracking()
-			verifyAfterReclaimCrash(t, e)
-		})
-	}
+		}
+	}, func(rec *Reclaimer) {
+		ctx := ctx0()
+		for _, p := range rec.limbo {
+			rec.freeOne(ctx, p)
+		}
+	})
 }
 
 // TestLimboRediscoveryAfterRestart loses the volatile limbo list across
@@ -488,20 +468,6 @@ func TestIteratorNoPhantomAfterRecycle(t *testing.T) {
 	}
 }
 
-// stepHook runs fn once, at the at-th pool access after it is installed:
-// a deterministic stand-in for another thread getting scheduled between
-// two of an operation's accesses.
-type stepHook struct {
-	n, at int
-	fn    func()
-}
-
-func (h *stepHook) Step() {
-	if h.n++; h.n == h.at {
-		h.fn()
-	}
-}
-
 // TestRetireAtEveryStepOfAWrite lets the reclaimer retire the covering
 // node — fully tombstoned, so a legitimate victim — between any two pool
 // accesses of a write into that node's range: reviving a tombstoned key,
@@ -512,7 +478,7 @@ func (h *stepHook) Step() {
 // but before reading its split count used to pass every later check and
 // put the key into the unlinked block, where it was lost.
 func TestRetireAtEveryStepOfAWrite(t *testing.T) {
-	cfg := Config{MaxHeight: 8, KeysPerNode: 4}
+	e := &crashList{cfg: Config{MaxHeight: 8, KeysPerNode: 4}, chunks: 4}
 	for _, tc := range []struct {
 		name  string
 		key   uint64 // written while the victim [100, 140) is retired
@@ -522,64 +488,68 @@ func TestRetireAtEveryStepOfAWrite(t *testing.T) {
 		{"revive seeded", 120, true}, {"claim seeded", 125, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			retiredRuns := 0
-			for step := 1; ; step++ {
-				e := newEnvChunks(t, cfg, 4)
-				e.sl.SetTuning(Tuning{NoHints: !tc.hints})
-				rec := startPausedReclaim(e.sl)
-				ctx := ctx0()
-				for k := uint64(10); k <= 300; k += 10 {
-					if _, _, err := e.sl.Insert(ctx, k, k); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// The victim: the node covering 120, emptied key by key. The
-				// Get leaves it in the hint cache when hints are on.
-				e.sl.Get(ctx, tc.key)
-				t0 := ctx.GetTowers(cfg.MaxHeight)
-				e.sl.traverse(ctx, 120, t0.Preds, t0.Succs)
-				victim := t0.Preds[0]
-				ctx.PutTowers(t0)
-				vn := e.sl.node(victim)
-				for i := 0; i < cfg.KeysPerNode; i++ {
-					if k := vn.key(e.sl, i, ctx.Mem); k != keyEmpty {
-						if _, _, err := e.sl.Remove(ctx, k); err != nil {
+			var (
+				rec         *Reclaimer
+				ctx         *exec.Ctx
+				victim      riv.Ptr
+				retired     bool
+				err         error
+				retiredRuns int
+			)
+			n := crashstep.Run(t, crashstep.Scenario{
+				From: 1,
+				Setup: func(t *testing.T) []*pmem.Pool {
+					pools := e.setup(t)
+					e.sl.SetTuning(Tuning{NoHints: !tc.hints})
+					rec, ctx, retired = startPausedReclaim(e.sl), ctx0(), false
+					for k := uint64(10); k <= 300; k += 10 {
+						if _, _, err := e.sl.Insert(ctx, k, k); err != nil {
 							t.Fatal(err)
 						}
 					}
-				}
-				if victim == e.sl.head || !e.sl.nodeFullyTombstoned(ctx, vn) {
-					t.Fatal("no emptied covering node to retire")
-				}
-
-				retired := false
-				hook := &stepHook{at: step, fn: func() { retired = rec.tryRetire(victim) }}
-				e.pool.SetInjector(hook)
-				_, _, err := e.sl.Insert(ctx, tc.key, 777)
-				e.pool.SetInjector(nil)
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				if v, ok := e.sl.Get(ctx, tc.key); !ok || v != 777 {
-					t.Fatalf("step %d (node retired mid-write: %v): Get(%d) = (%d,%v) after a successful Insert; %s",
-						step, retired, tc.key, v, ok, e.sl.DescribeKey(ctx, tc.key))
-				}
-				if err := e.sl.CheckInvariants(ctx); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				rec.Stop()
-				if retired {
-					retiredRuns++
-				}
-				if hook.n < step {
-					// The write finished before the hook's turn came.
-					if retiredRuns == 0 {
-						t.Fatal("the victim was never retired mid-write")
+					// The victim: the node covering 120, emptied key by key. The
+					// Get leaves it in the hint cache when hints are on.
+					e.sl.Get(ctx, tc.key)
+					t0 := ctx.GetTowers(e.cfg.MaxHeight)
+					e.sl.traverse(ctx, 120, t0.Preds, t0.Succs)
+					victim = t0.Preds[0]
+					ctx.PutTowers(t0)
+					vn := e.sl.node(victim)
+					for i := 0; i < e.cfg.KeysPerNode; i++ {
+						if k := vn.key(e.sl, i, ctx.Mem); k != keyEmpty {
+							if _, _, err := e.sl.Remove(ctx, k); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-					t.Logf("retired the covering node at each of %d steps of the write (%d retirements went through)", step-1, retiredRuns)
-					return
-				}
+					if victim == e.sl.head || !e.sl.nodeFullyTombstoned(ctx, vn) {
+						t.Fatal("no emptied covering node to retire")
+					}
+					return pools
+				},
+				Hook: func() { retired = rec.tryRetire(victim) },
+				Op:   func(t *testing.T) { _, _, err = e.sl.Insert(ctx, tc.key, 777) },
+				Check: func(t *testing.T, p crashstep.Point) {
+					if err != nil {
+						t.Fatalf("step %d: %v", p.Step, err)
+					}
+					if v, ok := e.sl.Get(ctx, tc.key); !ok || v != 777 {
+						t.Fatalf("step %d (node retired mid-write: %v): Get(%d) = (%d,%v) after a successful Insert; %s",
+							p.Step, retired, tc.key, v, ok, e.sl.DescribeKey(ctx, tc.key))
+					}
+					if err := e.sl.CheckInvariants(ctx); err != nil {
+						t.Fatalf("step %d: %v", p.Step, err)
+					}
+					rec.Stop()
+					if retired {
+						retiredRuns++
+					}
+				},
+			})
+			if retiredRuns == 0 {
+				t.Fatal("the victim was never retired mid-write")
 			}
+			t.Logf("retired the covering node at each of %d steps of the write (%d retirements went through)", n-1, retiredRuns)
 		})
 	}
 }

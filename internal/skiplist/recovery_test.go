@@ -1,104 +1,104 @@
 package skiplist
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"upskiplist/internal/exec"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/pmem"
 )
 
-// crashEnv extends env with tracking + injection plumbing.
-func (e *env) runWithCrash(t *testing.T, crashAfter int64, body func(sl *SkipList, ctx *exec.Ctx)) (crashed bool) {
-	t.Helper()
-	e.pool.EnableTracking()
-	inj := pmem.NewCountdownInjector(crashAfter)
-	e.pool.SetInjector(inj)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(pmem.CrashSignal); !ok {
-					panic(r)
-				}
-				crashed = true
+// crashList is a list under crashstep: setup builds it afresh and
+// returns its one pool, restart opens it again over that pool.
+type crashList struct {
+	*env
+	cfg    Config
+	chunks uint64
+}
+
+func (c *crashList) setup(t *testing.T) []*pmem.Pool {
+	c.env = newEnvChunks(t, c.cfg, c.chunks)
+	return []*pmem.Pool{c.pool}
+}
+
+func (c *crashList) restart(t *testing.T) { c.env = c.reopen(t) }
+
+// crashInserts crashes, at each step of at, a burst inserting keys
+// (each k with value k*mult) into a list whose keys 1..preload hold k.
+// After the crash every preloaded key and every completed insert reads
+// back, no other key of the burst holds anything but its value, the
+// invariants hold, the reads claimed stale nodes, and the list is still
+// fully writable (deferred log recovery and split recovery on the stale
+// nodes).
+func crashInserts(t *testing.T, at []int64, preload uint64, keys []uint64, mult uint64) {
+	e := &crashList{cfg: Config{MaxHeight: 10, KeysPerNode: 4}, chunks: 512}
+	var done map[uint64]bool
+	crashstep.Run(t, crashstep.Scenario{
+		At: at,
+		Setup: func(t *testing.T) []*pmem.Pool {
+			pools, ctx := e.setup(t), ctx0()
+			for i := uint64(1); i <= preload; i++ {
+				e.sl.Insert(ctx, i, i)
 			}
-		}()
-		body(e.sl, ctx0())
-	}()
-	inj.Disarm()
-	e.pool.SetInjector(nil)
-	e.pool.Crash()
-	e.pool.DisableTracking()
-	return crashed
+			done = map[uint64]bool{}
+			return pools
+		},
+		Op: func(t *testing.T) {
+			ctx := ctx0()
+			for _, k := range keys {
+				if _, _, err := e.sl.Insert(ctx, k, k*mult); err != nil {
+					t.Fatalf("insert: %v", err)
+				}
+				done[k] = true
+			}
+		},
+		Recover: e.restart,
+		Check: func(t *testing.T, _ crashstep.Point) {
+			ctx := ctx0()
+			// Durable prefix: every operation that returned before the
+			// crash persisted its effects before returning.
+			for i := uint64(1); i <= preload; i++ {
+				if v, ok := e.sl.Get(ctx, i); !ok || v != i {
+					t.Fatalf("preloaded key %d: %d %v", i, v, ok)
+				}
+			}
+			// The interrupted insert may or may not have taken effect.
+			for _, k := range keys {
+				if v, ok := e.sl.Get(ctx, k); done[k] && (!ok || v != k*mult) {
+					t.Fatalf("completed insert %d lost or wrong: %d %v", k, v, ok)
+				} else if ok && v != k*mult {
+					t.Fatalf("phantom value for key %d: %d", k, v)
+				}
+			}
+			if err := e.sl.CheckInvariants(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if rec := e.sl.RecoveryStats(); rec.Claims == 0 && len(done) > 0 {
+				t.Fatal("no epoch claims during post-crash reads")
+			}
+			for i := uint64(200); i < 260; i++ {
+				if _, _, err := e.sl.Insert(ctx, i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.sl.CheckInvariants(ctx); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
 }
 
 // TestCrashAtEveryEarlyStep sweeps the crash point through the first few
-// thousand pool accesses of an insert burst; after each crash the
-// reopened list must contain every pre-crash key, satisfy all structural
-// invariants, and remain fully operational.
+// thousand pool accesses of an insert burst (crashInserts).
 func TestCrashAtEveryEarlyStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep")
 	}
-	for step := int64(1); step <= 4001; step += 100 {
-		step := step
-		t.Run(fmt.Sprintf("step%d", step), func(t *testing.T) {
-			e := newEnv(t, Config{MaxHeight: 10, KeysPerNode: 4})
-			ctx := ctx0()
-			for i := uint64(1); i <= 40; i++ {
-				e.sl.Insert(ctx, i, i)
-			}
-			applied := map[uint64]uint64{}
-			e.runWithCrash(t, step, func(sl *SkipList, ctx *exec.Ctx) {
-				for i := uint64(100); i < 160; i++ {
-					if _, _, err := sl.Insert(ctx, i, i*2); err != nil {
-						t.Errorf("insert: %v", err)
-						return
-					}
-					applied[i] = i * 2
-				}
-			})
-			e2 := e.reopen(t)
-			// Durable prefix: every operation that returned before the
-			// crash persisted its effects before returning, so it must be
-			// visible afterwards. (Single-threaded, so no concurrent
-			// flush-forcing subtleties.)
-			for i := uint64(1); i <= 40; i++ {
-				if v, ok := e2.sl.Get(ctx, i); !ok || v != i {
-					t.Fatalf("preloaded key %d: %d %v", i, v, ok)
-				}
-			}
-			for k, want := range applied {
-				if v, ok := e2.sl.Get(ctx, k); !ok || v != want {
-					t.Fatalf("completed insert %d lost or wrong: %d %v", k, v, ok)
-				}
-			}
-			// The interrupted operation may or may not have taken effect,
-			// but nothing else from its range may appear.
-			for i := uint64(100); i < 160; i++ {
-				if _, done := applied[i]; done {
-					continue
-				}
-				if v, ok := e2.sl.Get(ctx, i); ok && v != i*2 {
-					t.Fatalf("phantom value for key %d: %d", i, v)
-				}
-			}
-			if err := e2.sl.CheckInvariants(ctx); err != nil {
-				t.Fatal(err)
-			}
-			// Still fully writable (exercises deferred log recovery and
-			// split recovery on the stale nodes).
-			for i := uint64(200); i < 260; i++ {
-				if _, _, err := e2.sl.Insert(ctx, i, i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e2.sl.CheckInvariants(ctx); err != nil {
-				t.Fatal(err)
-			}
-		})
+	var keys []uint64
+	for k := uint64(100); k < 160; k++ {
+		keys = append(keys, k)
 	}
+	crashInserts(t, crashstep.Range(1, 4001, 100), 40, keys, 2)
 }
 
 // TestCrashDuringSplitsRecovers packs nodes so inserts split constantly,
@@ -106,34 +106,12 @@ func TestCrashAtEveryEarlyStep(t *testing.T) {
 // reopen (CheckForNodeSplitRecovery) without losing or duplicating keys.
 func TestCrashDuringSplitsRecovers(t *testing.T) {
 	for _, step := range []int64{200, 500, 900, 1400, 2000, 2700, 3500} {
-		e := newEnv(t, Config{MaxHeight: 10, KeysPerNode: 4})
-		ctx := ctx0()
 		// Interleaved keys maximize in-node churn and splits.
-		perm := rand.New(rand.NewSource(step)).Perm(200)
-		done := map[uint64]bool{}
-		e.runWithCrash(t, step, func(sl *SkipList, ctx *exec.Ctx) {
-			for _, i := range perm {
-				k := uint64(i + 1)
-				if _, _, err := sl.Insert(ctx, k, k*3); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				done[k] = true
-			}
-		})
-		e2 := e.reopen(t)
-		for k := range done {
-			if v, ok := e2.sl.Get(ctx, k); !ok || v != k*3 {
-				t.Fatalf("step %d: completed key %d: %d %v", step, k, v, ok)
-			}
+		var keys []uint64
+		for _, i := range rand.New(rand.NewSource(step)).Perm(200) {
+			keys = append(keys, uint64(i+1))
 		}
-		if err := e2.sl.CheckInvariants(ctx); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if rec := e2.sl.RecoveryStats(); rec.Claims == 0 && len(done) > 0 {
-			// Reads above must have claimed stale nodes.
-			t.Fatalf("step %d: no epoch claims during post-crash reads", step)
-		}
+		crashInserts(t, []int64{step}, 0, keys, 3)
 	}
 }
 

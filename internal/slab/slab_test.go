@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
@@ -349,72 +350,77 @@ func TestNoOverlap(t *testing.T) {
 	}
 }
 
-// TestCrashLeakSweep simulates the torn-publish crash: a value is
-// written and persisted but the node word naming it never lands. After
-// the crash the chunk is in-use yet unreferenced; the startup sweep must
-// relink it.
-func TestCrashLeakSweep(t *testing.T) {
-	env := newEnv(t, smallConfig())
+// crashArena is an arena under crashstep: setup builds it afresh and
+// returns its one pool, reattach restarts it over that pool.
+type crashArena struct{ *testEnv }
 
-	// A published (live) value that must survive.
-	keep, err := env.ar.Put(env.ctx, pattern(40, 9), nil)
+func (c *crashArena) setup(t *testing.T) []*pmem.Pool {
+	c.testEnv = newEnv(t, smallConfig())
+	return []*pmem.Pool{c.pool}
+}
+
+func (c *crashArena) reattach(t *testing.T) { c.testEnv = c.testEnv.reattach(t) }
+
+func (c *crashArena) put(t *testing.T, val []byte) Ref {
+	t.Helper()
+	ref, err := c.ar.Put(c.ctx, val, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ref
+}
 
-	env.pool.EnableTracking()
-	// The doomed publish: Put persists the chunk itself, then the crash
-	// hits before any node word is written.
-	leaked, err := env.ar.Put(env.ctx, pattern(40, 5), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.pool.Crash()
-	env.pool.DisableTracking()
-
-	env2 := env.reattach(t)
-	relinked := env2.ar.Sweep(env2.ctx, func(emit func(uint64)) {
-		emit(keep.Word())
+// leakCrash runs op on an arena holding one published value, then
+// crashes; op leaves one chunk in use that no node names. The startup
+// sweep must relink exactly that chunk, leave the published value
+// intact, and hand the chunk out first.
+func leakCrash(t *testing.T, op func(t *testing.T, env *crashArena) Ref) {
+	env := &crashArena{}
+	var keep, leaked Ref
+	crashstep.Run(t, crashstep.Scenario{
+		Setup: func(t *testing.T) []*pmem.Pool {
+			pools := env.setup(t)
+			keep = env.put(t, pattern(40, 9))
+			return pools
+		},
+		Op:      func(t *testing.T) { leaked = op(t, env) },
+		Recover: env.reattach,
+		Check: func(t *testing.T, _ crashstep.Point) {
+			relinked := env.ar.Sweep(env.ctx, func(emit func(uint64)) {
+				emit(keep.Word())
+			})
+			if relinked != 1 {
+				t.Fatalf("sweep relinked %d chunks, want 1", relinked)
+			}
+			if got := env.ar.Get(keep, nil, nil); !bytes.Equal(got, pattern(40, 9)) {
+				t.Fatal("live value damaged by sweep")
+			}
+			if again := env.put(t, pattern(40, 6)); again.ptr() != leaked.ptr() {
+				t.Fatalf("leaked chunk %v not reused, got %v", leaked.ptr(), again.ptr())
+			}
+		},
 	})
-	if relinked != 1 {
-		t.Fatalf("sweep relinked %d chunks, want 1", relinked)
-	}
-	if got := env2.ar.Get(keep, nil, nil); !bytes.Equal(got, pattern(40, 9)) {
-		t.Fatal("live value damaged by sweep")
-	}
-	// The reclaimed chunk is at the head of its free list again.
-	again, err := env2.ar.Put(env2.ctx, pattern(40, 6), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.ptr() != leaked.ptr() {
-		t.Fatalf("leaked chunk %v not reused, got %v", leaked.ptr(), again.ptr())
-	}
+}
+
+// TestCrashLeakSweep simulates the torn-publish crash: a value is
+// written and persisted but the node word naming it never lands
+// (leakCrash).
+func TestCrashLeakSweep(t *testing.T) {
+	leakCrash(t, func(t *testing.T, env *crashArena) Ref { return env.put(t, pattern(40, 5)) })
 }
 
 // TestCrashMidPush covers the free-side leak window: push persists
 // nothing (the free lists are volatile), so a crash right after a
 // retired chunk was pushed reverts the zero it stored into the chunk's
 // header. The chunk then looks used but no node references it — exactly
-// the shape of a leaked allocation — and the sweep must relink it.
+// the shape of a leaked allocation (leakCrash).
 func TestCrashMidPush(t *testing.T) {
-	env := newEnv(t, smallConfig())
-	ref, err := env.ar.Put(env.ctx, pattern(20, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	env.pool.EnableTracking()
-	env.ar.Retire(ref)
-	env.ar.DrainQuiesced(nil)
-	env.pool.Crash()
-	env.pool.DisableTracking()
-
-	env2 := env.reattach(t)
-	relinked := env2.ar.Sweep(env2.ctx, func(emit func(uint64)) {})
-	if relinked != 1 {
-		t.Fatalf("sweep relinked %d chunks, want 1", relinked)
-	}
+	leakCrash(t, func(t *testing.T, env *crashArena) Ref {
+		ref := env.put(t, pattern(40, 5))
+		env.ar.Retire(ref)
+		env.ar.DrainQuiesced(nil)
+		return ref
+	})
 }
 
 // TestCrashMidGrow crashes a Put at every pmem step of a grow that also
@@ -424,78 +430,50 @@ func TestCrashMidPush(t *testing.T) {
 // clean and serve the same Put from exactly the footprint a run that
 // never crashed ends with.
 func TestCrashMidGrow(t *testing.T) {
-	setup := func() (*testEnv, Ref) {
-		env := newEnv(t, smallConfig())
-		keep, err := env.ar.Put(env.ctx, pattern(100, 1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	env := &crashArena{}
+	var keep Ref
+	big := pattern(4096, 7)
+	setup := func(t *testing.T) []*pmem.Pool {
+		pools := env.setup(t)
+		keep = env.put(t, pattern(100, 1))
 		// Leave too little room in the arena's one chunk for a page of the
 		// largest class, so the next such Put claims a chunk.
 		ext := env.ar.extents[0]
 		ext.cursor = env.ar.chunkBlocks - 1
 		ext.pool.Store(ext.base+alloc.SlabChunkCursorOff, ext.cursor, nil)
 		ext.pool.Persist(ext.base+alloc.SlabChunkCursorOff, 1, nil)
-		return env, keep
+		return pools
 	}
-	big := pattern(4096, 7)
-	twin, _ := setup()
-	if _, err := twin.ar.Put(twin.ctx, big, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := twin.a.Census()
-
-	for step := int64(1); ; step++ {
-		env, keep := setup()
-		env.pool.EnableTracking()
-		env.pool.SetInjector(pmem.NewCountdownInjector(step))
-		crashed := func() (crashed bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashSignal); !ok {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			if _, err := env.ar.Put(env.ctx, big, nil); err != nil {
-				t.Fatal(err)
+	crashstep.Run(t, crashstep.Scenario{
+		From: 1, Floor: 20, // fewer steps: the sweep never reached the grow
+		Setup: setup,
+		Op:    func(t *testing.T) { env.put(t, big) },
+		Twin: func(t *testing.T) {
+			setup(t)
+			env.put(t, big)
+		},
+		Recover: env.reattach,
+		Check: func(t *testing.T, _ crashstep.Point) {
+			env.ar.Sweep(env.ctx, func(emit func(uint64)) { emit(keep.Word()) })
+			if got := env.ar.Get(keep, nil, nil); !bytes.Equal(got, pattern(100, 1)) {
+				t.Fatal("live value damaged")
 			}
-			return false
-		}()
-		env.pool.SetInjector(nil)
-		env.pool.Crash()
-		env.pool.DisableTracking()
-		if !crashed {
-			if step < 20 {
-				t.Fatalf("Put finished in %d pmem steps: the sweep never reached the grow", step)
+			ref := env.put(t, big)
+			if got := env.ar.Get(ref, nil, nil); !bytes.Equal(got, big) {
+				t.Fatal("value written after recovery reads back wrong")
 			}
-			return
-		}
-
-		env2 := env.reattach(t)
-		env2.ar.Sweep(env2.ctx, func(emit func(uint64)) { emit(keep.Word()) })
-		if got := env2.ar.Get(keep, nil, nil); !bytes.Equal(got, pattern(100, 1)) {
-			t.Fatalf("step %d: live value damaged", step)
-		}
-		ref, err := env2.ar.Put(env2.ctx, big, nil)
-		if err != nil {
-			t.Fatalf("step %d: Put after recovery: %v", step, err)
-		}
-		if got := env2.ar.Get(ref, nil, nil); !bytes.Equal(got, big) {
-			t.Fatalf("step %d: value written after recovery reads back wrong", step)
-		}
-		got := env2.a.Census()
-		if got.Slab != want.Slab || got.Total-got.Free != want.Total-want.Free {
-			t.Fatalf("step %d: census %+v, never-crashed twin %+v", step, got, want)
-		}
-		if relinked := env2.ar.Sweep(env2.ctx, func(emit func(uint64)) {
-			emit(keep.Word())
-			emit(ref.Word())
-		}); relinked != 0 {
-			t.Fatalf("step %d: second sweep relinked %d chunks", step, relinked)
-		}
-	}
+			if relinked := env.ar.Sweep(env.ctx, func(emit func(uint64)) {
+				emit(keep.Word())
+				emit(ref.Word())
+			}); relinked != 0 {
+				t.Fatalf("second sweep relinked %d chunks", relinked)
+			}
+		},
+		Census: func(t *testing.T) any {
+			c := env.a.Census()
+			return [2]int{c.Slab, c.Total - c.Free}
+		},
+	})
 }
 
 // TestCensusCountsExtentsInBlocks pins the arithmetic BlockCensus uses

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/skiplist"
 )
@@ -164,50 +165,37 @@ func TestRecoveryIndependentOfCores(t *testing.T) {
 	}
 }
 
-// TestRecoveryCrashDuringReopen kills recovery mid-sweep with a
-// countdown injector, checks the interruption surfaces as
-// ErrRecoveryInterrupted, then re-runs recovery and demands the exact
-// state a never-interrupted recovery of a twin store produces.
+// TestRecoveryCrashDuringReopen crashes recovery itself at every 250th
+// pool access it makes: each interrupted Reopen must surface as
+// ErrRecoveryInterrupted, and after the crash a clean Reopen must reach
+// the exact state a never-interrupted recovery of a twin store produces.
+// Shards recover one after another at GOMAXPROCS 1, so a step lands in
+// the same shard on every run.
 func TestRecoveryCrashDuringReopen(t *testing.T) {
 	const n = 2000
-	build := func() *Store {
-		st, err := Create(recoveryTestOptions(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillRecoveryStore(t, st, n)
-		return st
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := &crashStore{}
+	build := func(t *testing.T) []*pmem.Pool {
+		pools := c.create(t, recoveryTestOptions(4))
+		fillRecoveryStore(t, c.Store, n)
+		return pools
 	}
-	crashed, control := build(), build()
-
-	// Arm a crash a few thousand pool accesses into recovery — well past
-	// attach, inside the sweep phase for this geometry.
-	ci := pmem.NewCountdownInjector(5000)
-	for _, p := range crashed.Pools() {
-		p.SetInjector(ci)
-	}
-	if _, err := crashed.Reopen(); !errors.Is(err, ErrRecoveryInterrupted) {
-		t.Fatalf("interrupted reopen: err = %v", err)
-	}
-	if !ci.Tripped() {
-		t.Fatal("injector never fired")
-	}
-	for _, p := range crashed.Pools() {
-		p.SetInjector(nil)
-	}
-	re, err := crashed.Reopen()
-	if err != nil {
-		t.Fatalf("re-recovery: %v", err)
-	}
-	want, errc := control.Reopen()
-	if errc != nil {
-		t.Fatal(errc)
-	}
-	if re.BlockCensus() != want.BlockCensus() {
-		t.Fatalf("census after interrupted recovery %+v != clean recovery %+v",
-			re.BlockCensus(), want.BlockCensus())
-	}
-	checkRecoveryReadback(t, re, n)
+	var err error // what the armed Reopen returned
+	last := crashstep.Run(t, crashstep.Scenario{
+		From: 250, Stride: 250, Floor: 5000, // past attach, into the sweeps
+		Setup:   build,
+		Op:      func(t *testing.T) { _, err = c.Reopen() },
+		Twin:    func(t *testing.T) { build(t) },
+		Recover: c.restart,
+		Check: func(t *testing.T, p crashstep.Point) {
+			if p.Fired && !errors.Is(err, ErrRecoveryInterrupted) || !p.Fired && err != nil {
+				t.Fatalf("interrupted reopen (fired: %v): err = %v", p.Fired, err)
+			}
+			checkRecoveryReadback(t, c.Store, n)
+		},
+		Census: func(t *testing.T) any { return c.BlockCensus() },
+	})
+	t.Logf("crashed the reopen at every 250th of its %d to %d pool accesses", last-250, last-1)
 }
 
 // TestRecoveryCrashDuringLoad interrupts both dump loaders — the
@@ -234,15 +222,25 @@ func TestRecoveryCrashDuringLoad(t *testing.T) {
 		dir  string
 	}{{"phys", physDir}, {"bulk", pairsDir}} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadWithConfig(tc.dir, LoadConfig{Injector: pmem.NewCountdownInjector(5000)})
-			if !errors.Is(err, ErrRecoveryInterrupted) {
-				t.Fatalf("interrupted load: err = %v", err)
-			}
-			re, err := Load(tc.dir)
-			if err != nil {
-				t.Fatalf("clean retry: %v", err)
-			}
-			checkRecoveryReadback(t, re, n)
+			// The loader builds its pools inside the call, so the crash
+			// rides its config.
+			var inj pmem.Injector
+			crashstep.Run(t, crashstep.Scenario{
+				At:    []int64{5000},
+				Setup: func(t *testing.T) []*pmem.Pool { return nil },
+				Arm:   func(i pmem.Injector) { inj = i },
+				Op: func(t *testing.T) {
+					if _, err = LoadWithConfig(tc.dir, LoadConfig{Injector: inj}); !errors.Is(err, ErrRecoveryInterrupted) {
+						t.Fatalf("interrupted load: err = %v", err)
+					}
+				},
+				Recover: func(t *testing.T) {
+					if st, err = Load(tc.dir); err != nil {
+						t.Fatalf("clean retry: %v", err)
+					}
+				},
+				Check: func(t *testing.T, _ crashstep.Point) { checkRecoveryReadback(t, st, n) },
+			})
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/slab"
@@ -51,42 +52,40 @@ func patVal(key, gen uint64, n int) []byte {
 // ordering makes intermediate states impossible: the node word flips
 // atomically between refs whose bytes were persisted first.
 func TestTornValuePublishCrash(t *testing.T) {
+	const n = 120
+	c := &crashStore{}
 	for trial := uint64(0); trial < 5; trial++ {
-		o := testOptions()
-		st, err := Create(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := st.NewWorker(0)
-		const n = 120
-		for k := uint64(1); k <= n; k++ {
-			if _, _, err := w.Put(k, genVal(k, 0)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.EnableCrashTracking()
-		for k := uint64(1); k <= n; k++ {
-			if _, _, err := w.Put(k, genVal(k, 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.SimulateCrashPartial(0.5, 0xC0FFEE+trial)
-		st.DisableCrashTracking()
-
-		st2, err := st.Reopen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2 := st2.NewWorker(0)
-		for k := uint64(1); k <= n; k++ {
-			got, ok := w2.Get(k)
-			if !ok {
-				t.Fatalf("trial %d: key %d lost in crash", trial, k)
-			}
-			if !bytes.Equal(got, genVal(k, 0)) && !bytes.Equal(got, genVal(k, 1)) {
-				t.Fatalf("trial %d: key %d torn: %d bytes, %x...", trial, k, len(got), got[:min(8, len(got))])
-			}
-		}
+		crashstep.Run(t, crashstep.Scenario{
+			Evict: 0.5, Seed: 0xC0FFEE + trial,
+			Setup: func(t *testing.T) []*pmem.Pool {
+				pools := c.create(t, testOptions())
+				for k := uint64(1); k <= n; k++ {
+					if _, _, err := c.w.Put(k, genVal(k, 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return pools
+			},
+			Op: func(t *testing.T) {
+				for k := uint64(1); k <= n; k++ {
+					if _, _, err := c.w.Put(k, genVal(k, 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			Recover: c.restart,
+			Check: func(t *testing.T, _ crashstep.Point) {
+				for k := uint64(1); k <= n; k++ {
+					got, ok := c.w.Get(k)
+					if !ok {
+						t.Fatalf("trial %d: key %d lost in crash", trial, k)
+					}
+					if !bytes.Equal(got, genVal(k, 0)) && !bytes.Equal(got, genVal(k, 1)) {
+						t.Fatalf("trial %d: key %d torn: %d bytes, %x...", trial, k, len(got), got[:min(8, len(got))])
+					}
+				}
+			},
+		})
 	}
 }
 
@@ -380,110 +379,44 @@ func TestValueRoundTripEveryLength(t *testing.T) {
 }
 
 // TestCrashAtEveryStepOfGrowingPut crashes a 1 KiB overwrite at every
-// pmem access it makes, the overwrite being one that finds its class's
-// free list empty and every extent full, so that it claims an allocator
-// chunk for the arena and carves a page before it can store a byte.
-// After each crash the reopened store must hold the complete old or the
-// complete new value under the key, pass CheckInvariants, and — once the
-// overwrite has been redone where it was lost — own exactly the blocks,
-// extents and pages of a twin that was never crashed.
+// pmem access it makes (crashValueOps), the overwrite being one that
+// finds its class's free list empty and every extent full, so that it
+// claims an allocator chunk for the arena and carves a page before it
+// can store a byte.
 func TestCrashAtEveryStepOfGrowingPut(t *testing.T) {
 	const target = uint64(1)
 	oldVal, newVal := patVal(target, 0, 1024), patVal(target, 1, 1024)
+	c := &crashStore{}
 
 	// build fills a fresh store until the next 1 KiB chunk needs a new
 	// extent: the target key first, then fillers. It returns how many
 	// fillers that took when told to find out (fillers < 0).
-	build := func(fillers int) (*Store, *Worker, int) {
-		st, err := Create(testOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := st.NewWorker(0)
-		if _, _, err := w.Put(target, oldVal); err != nil {
+	build := func(t *testing.T, fillers int) int {
+		c.create(t, testOptions())
+		if _, _, err := c.w.Put(target, oldVal); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; fillers < 0 || i < fillers; i++ {
-			before := st.SlabStats()
-			if _, _, err := w.Put(uint64(1000+i), patVal(uint64(i), 0, 1024)); err != nil {
+			before := c.SlabStats()
+			if _, _, err := c.w.Put(uint64(1000+i), patVal(uint64(i), 0, 1024)); err != nil {
 				t.Fatal(err)
 			}
-			if after := st.SlabStats(); fillers < 0 && after.Extents > before.Extents && after.Pages > before.Pages {
-				return nil, nil, i
+			if after := c.SlabStats(); fillers < 0 && after.Extents > before.Extents && after.Pages > before.Pages {
+				return i
 			}
 		}
-		return st, w, fillers
+		return fillers
 	}
-	_, _, fillers := build(-1)
-
-	// footprint is what must match between the crashed store and the twin
-	// once both have been swept by a Reopen.
-	type footprint struct {
-		node, slab, used int
-		extents, pages   uint64
-		classPages       string
-	}
-	settle := func(st *Store) footprint {
-		st2, err := st.Reopen()
-		if err != nil {
-			t.Fatal(err)
+	fillers := build(t, -1)
+	// Fewer than 50 steps cannot have grown anything.
+	n := crashValueOps(t, c, func(t *testing.T) { build(t, fillers) }, target, [][]byte{oldVal, newVal}, 50, func(t *testing.T, run func()) {
+		before := c.SlabStats()
+		run()
+		if after := c.SlabStats(); after.Extents != before.Extents+1 || after.Pages != before.Pages+1 {
+			t.Fatalf("the overwrite grew %d extents and %d pages, want one of each", after.Extents-before.Extents, after.Pages-before.Pages)
 		}
-		c, s := st2.BlockCensus(), st2.SlabStats()
-		return footprint{c.Node, c.Slab, c.Total - c.Free, s.Extents, s.SweepScanned, fmt.Sprint(st2.SlabClassStats())}
-	}
-	twin, tw, _ := build(fillers)
-	before := twin.SlabStats()
-	if _, _, err := tw.Put(target, newVal); err != nil {
-		t.Fatal(err)
-	}
-	if after := twin.SlabStats(); after.Extents != before.Extents+1 || after.Pages != before.Pages+1 {
-		t.Fatalf("the overwrite grew %d extents and %d pages, want one of each", after.Extents-before.Extents, after.Pages-before.Pages)
-	}
-	want := settle(twin)
-
-	for step := int64(1); ; step++ {
-		st, w, _ := build(fillers)
-		st.EnableCrashTracking()
-		st.SetInjector(pmem.NewCountdownInjector(step))
-		err := catchCrash(func() error {
-			_, _, err := w.Put(target, newVal)
-			return err
-		})
-		st.SetInjector(nil)
-		st.SimulateCrash()
-		st.DisableCrashTracking()
-		if err != nil && !errors.Is(err, ErrRecoveryInterrupted) {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err == nil {
-			if step < 50 {
-				t.Fatalf("the overwrite finished in %d pmem steps: it cannot have grown anything", step)
-			}
-			t.Logf("crashed the overwrite at each of its %d pmem steps (%d fillers)", step-1, fillers)
-			return
-		}
-		st2, err := st.Reopen()
-		if err != nil {
-			t.Fatalf("step %d: reopen: %v", step, err)
-		}
-		w2 := st2.NewWorker(0)
-		got, ok := w2.Get(target)
-		switch {
-		case ok && bytes.Equal(got, newVal):
-		case ok && bytes.Equal(got, oldVal):
-			if _, _, err := w2.Put(target, newVal); err != nil {
-				t.Fatalf("step %d: redoing the overwrite: %v", step, err)
-			}
-		default:
-			t.Fatalf("step %d: key holds neither the old nor the new value (found=%v, %d bytes)", step, ok, len(got))
-		}
-		if err := w2.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if got := settle(st2); got != want {
-			t.Fatalf("step %d: footprint %+v, never-crashed twin %+v", step, got, want)
-		}
-	}
+	})
+	t.Logf("crashed the overwrite at each of its %d pmem steps (%d fillers)", n-1, fillers)
 }
 
 // TestChainedPutOnFullPool: a 3-segment Put that runs out of pool after

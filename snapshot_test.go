@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"upskiplist/internal/alloc"
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/pmem"
 )
 
@@ -184,63 +185,62 @@ func TestSaveOnlineDuringWrites(t *testing.T) {
 // writes with no snapshot holds — the version log lived in memory, so
 // the reclaimer's startup scan finds nothing to rediscover.
 func TestSnapshotCrashRecovery(t *testing.T) {
-	write := func(snap bool) *Store {
-		st, err := Create(snapOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := st.NewWorker(0)
+	c := &crashStore{}
+	fill := func(t *testing.T) []*pmem.Pool {
+		pools := c.create(t, snapOptions())
 		for i := uint64(1); i <= 300; i++ {
-			if _, _, err := w.PutU64(i, i); err != nil {
+			if _, _, err := c.w.PutU64(i, i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if snap {
-			if _, err := st.Snapshot(); err != nil { // never released: dies with the crash
-				t.Fatal(err)
-			}
-		}
+		return pools
+	}
+	overwrite := func(t *testing.T) {
 		for r := uint64(0); r < 3; r++ {
 			for i := uint64(1); i <= 300; i++ {
-				if _, _, err := w.PutU64(i, i*10+r); err != nil {
+				if _, _, err := c.w.PutU64(i, i*10+r); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		return st
 	}
-	st, twin := write(true), write(false)
-	if st.snapshotLogEntries() == 0 {
-		t.Fatal("expected shadowed versions before the crash")
-	}
-
-	st.SimulateCrash()
-	st2, err := st.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := st2.NewWorker(0)
-	for i := uint64(1); i <= 300; i++ {
-		if v, ok := w2.GetU64(i); !ok || v != i*10+2 {
-			t.Fatalf("after crash Get(%d) = %d,%v, want %d,true", i, v, ok, i*10+2)
-		}
-	}
-	if got, want := st2.BlockCensus(), twin.BlockCensus(); got != want {
-		t.Fatalf("census after crash %+v, never-crashed twin %+v", got, want)
-	}
-	for i, e := range st2.shards {
-		if n := len(e.alloc.RetiredBlocks()); n != 0 {
-			t.Fatalf("shard %d: startup scan would rediscover %d blocks", i, n)
-		}
-	}
-	st2.EnableOnlineReclaim()
-	st2.DisableOnlineReclaim()
-	if n := st2.ReclaimStats().Rediscovered; n != 0 {
-		t.Fatalf("reclaimer rediscovered %d blocks", n)
-	}
-	if err := w2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	crashstep.Run(t, crashstep.Scenario{
+		Setup: fill,
+		Op: func(t *testing.T) {
+			if _, err := c.Snapshot(); err != nil { // never released: dies with the crash
+				t.Fatal(err)
+			}
+			if overwrite(t); c.snapshotLogEntries() == 0 {
+				t.Fatal("expected shadowed versions before the crash")
+			}
+		},
+		Twin: func(t *testing.T) {
+			fill(t)
+			overwrite(t)
+		},
+		Recover: c.restart,
+		Check: func(t *testing.T, _ crashstep.Point) {
+			for i := uint64(1); i <= 300; i++ {
+				if v, ok := c.w.GetU64(i); !ok || v != i*10+2 {
+					t.Fatalf("after crash Get(%d) = %d,%v, want %d,true", i, v, ok, i*10+2)
+				}
+			}
+			for i, e := range c.shards {
+				if n := len(e.alloc.RetiredBlocks()); n != 0 {
+					t.Fatalf("shard %d: startup scan would rediscover %d blocks", i, n)
+				}
+			}
+			c.EnableOnlineReclaim()
+			c.DisableOnlineReclaim()
+			if n := c.ReclaimStats().Rediscovered; n != 0 {
+				t.Fatalf("reclaimer rediscovered %d blocks", n)
+			}
+			if err := c.w.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		Census: func(t *testing.T) any { return c.BlockCensus() },
+	})
 }
 
 // snapCountStream is the seeded write stream of

@@ -3,10 +3,9 @@ package upskiplist
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"testing"
 
+	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
 	"upskiplist/internal/slab"
@@ -97,123 +96,91 @@ func FuzzValueWord(f *testing.F) {
 	})
 }
 
+// crashValueOps crashes, at every pmem step, the operations that take
+// key through states[1:] (nil: Remove) on the store build makes, where
+// key holds states[0]. After each crash key must hold the value of the
+// last finished operation or of the one in flight and the store must pass
+// CheckInvariants; once the rest is redone, its footprint must equal a
+// never-crashed twin's, on which twin runs the operations (run) and
+// checks what they did. It returns the step the operations finished at.
+func crashValueOps(t *testing.T, c *crashStore, build func(t *testing.T), key uint64, states [][]byte, floor int64, twin func(t *testing.T, run func())) int64 {
+	done := 0 // operations the run has finished
+	applyFrom := func(t *testing.T, i int) {
+		var err error
+		for done = i; done+1 < len(states); done++ {
+			if v := states[done+1]; v == nil {
+				_, _, err = c.w.Remove(key)
+			} else {
+				_, _, err = c.w.Put(key, v)
+			}
+			if err != nil {
+				t.Fatalf("operation %d: %v", done, err)
+			}
+		}
+	}
+	setup := func(t *testing.T) []*pmem.Pool {
+		build(t)
+		return c.Pools()
+	}
+	return crashstep.Run(t, crashstep.Scenario{
+		From: 1, Floor: floor,
+		Setup: setup,
+		Op:    func(t *testing.T) { applyFrom(t, 0) },
+		Twin: func(t *testing.T) {
+			setup(t)
+			twin(t, func() { applyFrom(t, 0) })
+		},
+		Recover: c.restart,
+		Check: func(t *testing.T, _ crashstep.Point) {
+			got, ok := c.w.Get(key)
+			holds := func(i int) bool { return ok == (states[i] != nil) && (!ok || bytes.Equal(got, states[i])) }
+			at := done
+			if !holds(at) {
+				if at++; !holds(at) {
+					t.Fatalf("%d operations done: key holds %x (found=%v), neither %x nor %x", done, got, ok, states[done], states[done+1])
+				}
+			}
+			if err := c.w.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			applyFrom(t, at)
+		},
+		Census: c.footprint,
+	})
+}
+
 // TestValueRepresentationCrashEveryStep drives one key through both
 // representations — Put 8 B inline, Put 100 B, Put 8 B inline, Remove —
-// and crashes at every pmem step of the sequence. After each crash the
-// reopened store must hold the complete value of the last finished
-// operation or of the one in flight, pass CheckInvariants, and — once the
-// rest of the sequence has been redone and the limbo drained — own
-// exactly the blocks, extents and pages of a twin that never crashed,
-// with no chunk left for a further sweep to relink (an inline word that
-// replaced a ref retired the ref's chunk).
+// and crashes at every pmem step of the sequence (crashValueOps). The
+// footprint check after the limbo is drained finds no chunk left for a
+// further sweep to relink: an inline word that replaced a ref retired
+// the ref's chunk.
 func TestValueRepresentationCrashEveryStep(t *testing.T) {
 	const target = uint64(5)
-	// states[i] is what target holds after i operations (nil: absent).
-	states := [][]byte{nil, u64v(0x1111), patVal(target, 1, 100), u64v(0x2222), nil}
-	apply := func(w *Worker, i int) error {
-		if states[i+1] == nil {
-			_, _, err := w.Remove(target)
-			return err
-		}
-		_, _, err := w.Put(target, states[i+1])
-		return err
-	}
-	build := func() (*Store, *Worker) {
-		st, err := Create(testOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := st.NewWorker(0)
+	c := &crashStore{}
+	build := func(t *testing.T) {
+		c.create(t, testOptions())
 		for k, v := range [][]byte{2: u64v(7), 3: patVal(3, 0, 24), 4: refShaped(4), 6: patVal(6, 0, 300), 7: u64v(9)} {
 			if v == nil {
 				continue
 			}
-			if _, _, err := w.Put(uint64(k), v); err != nil {
+			if _, _, err := c.w.Put(uint64(k), v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return st, w
 	}
-	type footprint struct {
-		node, slab, used int
-		extents, pages   uint64
-		relinked         uint64
-		classPages       string
-	}
-	settle := func(st *Store) footprint {
-		st.drainReclaimQuiesced()
-		st2, err := st.Reopen()
-		if err != nil {
-			t.Fatal(err)
+	states := [][]byte{nil, u64v(0x1111), patVal(target, 1, 100), u64v(0x2222), nil}
+	n := crashValueOps(t, c, build, target, states, 40, func(t *testing.T, run func()) {
+		run()
+		if s := c.SlabStats(); s.ChunksRetired != 1 {
+			t.Fatalf("the sequence retired %d chunks, want the 100-byte value's one", s.ChunksRetired)
 		}
-		c, s := st2.BlockCensus(), st2.SlabStats()
-		return footprint{c.Node, c.Slab, c.Total - c.Free, s.Extents, s.SweepScanned, s.SweepRelinked, fmt.Sprint(st2.SlabClassStats())}
-	}
-	twin, tw := build()
-	for i := 0; i+1 < len(states); i++ {
-		if err := apply(tw, i); err != nil {
-			t.Fatal(err)
+		c.drainReclaimQuiesced()
+		if c.restart(t); c.SlabStats().SweepRelinked != 0 {
+			t.Fatalf("the never-crashed twin leaked %d chunks", c.SlabStats().SweepRelinked)
 		}
-	}
-	if s := twin.SlabStats(); s.ChunksRetired != 1 {
-		t.Fatalf("the sequence retired %d chunks, want the 100-byte value's one", s.ChunksRetired)
-	}
-	want := settle(twin)
-	if want.relinked != 0 {
-		t.Fatalf("the never-crashed twin leaked %d chunks", want.relinked)
-	}
-
-	for step := int64(1); ; step++ {
-		st, w := build()
-		st.EnableCrashTracking()
-		st.SetInjector(pmem.NewCountdownInjector(step))
-		done := 0
-		err := catchCrash(func() error {
-			for ; done+1 < len(states); done++ {
-				if err := apply(w, done); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		st.SetInjector(nil)
-		st.SimulateCrash()
-		st.DisableCrashTracking()
-		if err != nil && !errors.Is(err, ErrRecoveryInterrupted) {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err == nil {
-			if step < 40 {
-				t.Fatalf("the sequence finished in %d pmem steps", step)
-			}
-			t.Logf("crashed the sequence at each of its %d pmem steps", step-1)
-			return
-		}
-		st2, err := st.Reopen()
-		if err != nil {
-			t.Fatalf("step %d: reopen: %v", step, err)
-		}
-		w2 := st2.NewWorker(0)
-		got, ok := w2.Get(target)
-		holds := func(i int) bool { return ok == (states[i] != nil) && (!ok || bytes.Equal(got, states[i])) }
-		at := done
-		if !holds(at) {
-			if at++; !holds(at) {
-				t.Fatalf("step %d, %d operations done: key holds %x (found=%v), neither %x nor %x", step, done, got, ok, states[done], states[done+1])
-			}
-		}
-		if err := w2.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		for i := at; i+1 < len(states); i++ {
-			if err := apply(w2, i); err != nil {
-				t.Fatalf("step %d: redoing operation %d: %v", step, i, err)
-			}
-		}
-		if got := settle(st2); got != want {
-			t.Fatalf("step %d (%d operations done): footprint %+v, never-crashed twin %+v", step, done, got, want)
-		}
-	}
+	})
+	t.Logf("crashed the sequence at each of its %d pmem steps", n-1)
 }
 
 // putAsRef stores val the way every store written before inline values
