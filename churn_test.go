@@ -3,7 +3,6 @@ package upskiplist
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"upskiplist/internal/skiplist"
 )
@@ -39,12 +38,6 @@ func churnOptions(reclaim bool) Options {
 	o.MaxChunks = o.PoolWords/o.ChunkWords + 16
 	o.Cost = perfCost() // PMEM-realistic load penalties: dead-node hops cost real time
 	o.OnlineReclaim = reclaim
-	// Steady-state retirement rides the workers' retire-on-remove
-	// reports; the sweep is only the leak backstop, so keep its duty
-	// cycle small — on a single-CPU host an aggressive sweep steals the
-	// worker's CPU through the simulated PMEM load penalties.
-	o.ReclaimInterval = time.Millisecond
-	o.ReclaimScanNodes = 32
 	return o
 }
 
@@ -81,8 +74,7 @@ type churnState struct {
 // churnPhase performs churnPerPhase insert+remove+2×get rounds and
 // returns the phase's traversal work: nodes the worker's descents
 // visited per operation. Unlike throughput this is a count the worker
-// keeps itself — it does not depend on how the host schedules the
-// worker against the reclaimer.
+// keeps itself — it does not depend on how the host schedules it.
 func churnPhase(t *testing.T, w *Worker, rng *rand.Rand, cs *churnState) float64 {
 	t.Helper()
 	before := w.Stats()
@@ -127,19 +119,16 @@ func runChurn(t *testing.T, st *Store) (finalHops float64, warmupAlloc, finalAll
 	}
 	// Warmup: node lifetimes under random removal are longer than one
 	// phase, so the live-node population needs a couple of phases to
-	// reach equilibrium (and the reclaimer to catch up) before the
-	// steady-state census.
+	// reach equilibrium before the steady-state census.
 	for p := 0; p < churnWarmup; p++ {
 		churnPhase(t, w, rng, cs)
 	}
-	settleReclaim(st)
 	c := st.BlockCensus()
 	warmupAlloc = c.Node + c.Retired
 	var hops float64
 	for p := churnWarmup; p < churnPhases; p++ {
 		hops = churnPhase(t, w, rng, cs)
 	}
-	settleReclaim(st)
 	c = st.BlockCensus()
 	finalAlloc = c.Node + c.Retired
 	// Count bottom-level nodes still holding at least one live key — the
@@ -149,23 +138,6 @@ func runChurn(t *testing.T, st *Store) (finalHops float64, warmupAlloc, finalAll
 	st.ResumeReclaim()
 	liveNodes = stats.Nodes - stats.EmptyNodes
 	return hops, warmupAlloc, finalAlloc, liveNodes
-}
-
-// settleReclaim waits for an attached reclaimer to drain its pipeline
-// (retire backlog + one grace period). No-op without reclaim.
-func settleReclaim(st *Store) {
-	if st.ShardList(0).Reclaimer() == nil {
-		return
-	}
-	prev := st.ReclaimStats()
-	for i := 0; i < 200; i++ {
-		time.Sleep(2 * time.Millisecond)
-		cur := st.ReclaimStats()
-		if cur.Freed == prev.Freed && cur.LimboDepth == 0 && cur.Retired == prev.Retired {
-			return
-		}
-		prev = cur
-	}
 }
 
 // TestChurnSteadyState is the headline acceptance check for online
@@ -220,7 +192,7 @@ func TestChurnSteadyState(t *testing.T) {
 		t.Errorf("reclaim footprint %d exceeds 2x live nodes %d", recFinal, recLive)
 	}
 	if recSt.ReclaimStats().Freed == 0 {
-		t.Error("reclaimer freed nothing during churn")
+		t.Error("online reclaim freed nothing during churn")
 	}
 	// Traversal work at the baseline's doubled-dead-population point.
 	if recHops > baseHops/1.3 {

@@ -11,7 +11,7 @@ import (
 // upsl-server (-server-addr required): every key of a fresh segment is
 // inserted and then deleted over the wire, fully tombstoning the nodes
 // behind them. Against a server started with -online-reclaim, the
-// server-side reclaimers retire and free those blocks while serving —
+// server's workers retire and free those blocks while serving —
 // CI's loopback smoke runs this and then asserts that the
 // upsl_reclaim_blocks_freed_total scrape moved.
 func runChurnWireExp(c benchConfig) {
@@ -43,5 +43,5 @@ func runChurnWireExp(c benchConfig) {
 		}
 		fmt.Printf("%-4s x%d: %10.0f ops/s\n", kind, n, res.OpsPerSec())
 	}
-	fmt.Println("segment fully tombstoned; a -online-reclaim server now retires it in the background")
+	fmt.Println("segment fully tombstoned; a -online-reclaim server retired it as the deletes emptied it")
 }

@@ -55,7 +55,7 @@ func main() {
 		maxValue      = flag.Int("max-value", wire.MaxValue, "max PUT value size in bytes (oversize requests get TOO_LARGE)")
 		statsInterval = flag.Duration("stats-interval", 10*time.Second, "periodic stats log interval (0 disables)")
 		metricsAddr   = flag.String("metrics-addr", "127.0.0.1:7846", "sidecar HTTP address for /metrics and /healthz (empty disables)")
-		onlineReclaim = flag.Bool("online-reclaim", false, "reclaim fully-tombstoned nodes in the background (epoch-based, concurrent with serving)")
+		onlineReclaim = flag.Bool("online-reclaim", false, "retire fully-tombstoned nodes as removes empty them, freeing their blocks by grace period while serving")
 		snapTTL       = flag.Duration("snap-ttl", 30*time.Second, "idle TTL of wire snapshot leases (SNAP_SCAN); an expired lease unpins its era for reclamation")
 	)
 	flag.Parse()
@@ -81,7 +81,6 @@ func main() {
 	}
 	st.EnableMetrics(reg)
 	if *onlineReclaim {
-		// After EnableMetrics so the reclaimers report grace-wait times;
 		// OnlineReclaim is volatile configuration, so a Load-ed store
 		// needs this explicit enable too.
 		st.EnableOnlineReclaim()

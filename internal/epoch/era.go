@@ -3,7 +3,7 @@ package epoch
 import "sync/atomic"
 
 // Domain is the volatile grace-period (epoch-based reclamation) domain
-// used by online node reclamation. It is entirely DRAM state — nothing
+// of node and value-chunk retirement. It is entirely DRAM state — nothing
 // here is persisted and nothing survives a restart, which is exactly
 // right: a restart IS a grace period (no pre-crash reader can still hold
 // a pointer), so rebuilding the domain empty after Open is sound.
@@ -11,7 +11,7 @@ import "sync/atomic"
 // The protocol is classic EBR. The domain keeps a global era counter and
 // one padded slot per worker thread. A worker entering an operation
 // stamps the current era into its slot; leaving, it clears the slot. A
-// reclaimer that unlinked a node tags it with the era current at tag
+// retirer that unlinked a node tags it with the era current at tag
 // time, advances the era, and frees the node only once every occupied
 // slot holds an era strictly greater than the tag — at that point every
 // worker that could have observed the node mid-traversal has exited.
@@ -27,7 +27,7 @@ type Domain struct {
 	// worker operations. A worker slot is pinned for the duration of one
 	// op; a pin slot stays pinned for the lifetime of a snapshot handle,
 	// turning every limbo batch tagged at or after the pinned era into a
-	// grace barrier the reclaimer must not cross. Fixed-size so
+	// grace barrier no free may cross. Fixed-size so
 	// PinCurrent stays allocation-free; NumPins bounds concurrently open
 	// snapshots per domain.
 	pins [NumPins]eraSlot
@@ -65,7 +65,7 @@ func (d *Domain) Advance() uint64 { return d.era.Add(1) }
 
 // Enter pins the current era into the worker's slot. The store-then-
 // recheck loop closes the classic EBR race: without it, a worker could
-// read era e, stall, and publish its pin only after the reclaimer has
+// read era e, stall, and publish its pin only after a retirer has
 // already scanned the slots for era e — freeing a node the worker is
 // about to dereference. When Enter returns having stored e and re-read
 // e, the pin was globally visible before any Advance past e, so every
@@ -139,7 +139,7 @@ func (d *Domain) MinWorkers() uint64 {
 }
 
 // MinPinned returns the smallest era held by a snapshot pin, or
-// ^uint64(0) when no snapshot is pinned. The reclaimer uses the split
+// ^uint64(0) when no snapshot is pinned. The limbo uses the split
 // between MinWorkers and MinPinned to count batches whose free is
 // blocked specifically by an open snapshot.
 func (d *Domain) MinPinned() uint64 {

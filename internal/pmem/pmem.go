@@ -108,7 +108,7 @@ type Stats struct {
 // Snapshot returns a plain-struct copy of the aggregated counters. It
 // may be called at any time from any goroutine. It is exact for every
 // accessor that is between operations — one that has returned from its
-// last public skip-list, engine, reclaimer-cycle or recovery call, or
+// last public skip-list, engine or recovery call, or
 // has called Publish itself — and for all accessor-less accesses; an
 // accessor in the middle of an operation may hold back what it did
 // since its last fence, at most ledgerFlushEvents accesses.
@@ -281,7 +281,7 @@ func (p *Pool) countSlow(k counter, n uint64, acc *Acc) {
 // accessors call it when the accessor moves to another pool, at every
 // Fence, and every ledgerFlushEvents charged calls; code that owns an
 // accessor calls it when an operation ends — SkipList's outermost unpin,
-// a reclaimer cycle, a recovery or loader step — and a caller driving a
+// a quiesced drain, a recovery or loader step — and a caller driving a
 // Pool directly calls it before reading Stats. Owner-goroutine only,
 // like every other use of the accessor. A nil accessor has no ledger.
 func (a *Acc) Publish() {

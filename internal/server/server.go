@@ -51,7 +51,7 @@ import (
 type Config struct {
 	// Store is the engine the server fronts. Required. The server owns
 	// worker thread IDs 1..MaxConns, one per connection; ID 0 stays with
-	// the store's reclaimers and administrative contexts. Nothing else
+	// the store's administrative contexts. Nothing else
 	// may run workers against the store while the server is serving.
 	Store *upskiplist.Store
 
@@ -437,23 +437,12 @@ func (s *Server) stop(kill bool) {
 	}
 	s.mu.Unlock()
 	s.serveWG.Wait()
-	// Workers are gone; drop whatever snapshot leases clients left
-	// behind so the eras they pin stop gating reclamation (and Save's
-	// quiesced drain below).
+	// Workers are gone, and with them every retire; drop whatever
+	// snapshot leases clients left behind so the eras they pin stop
+	// gating reclamation (and Save's quiesced drain below).
 	close(s.leaseQuit)
 	if n := s.leases.ReleaseAll(); n > 0 && !kill {
 		s.cfg.Logf("server: released %d leftover snapshot lease(s)", n)
-	}
-	// Workers are gone; park the store's background reclaimers so the
-	// store really is quiesced when stop returns. A graceful shutdown
-	// stops them for good (Save's own pause/drain then runs unopposed); a
-	// kill leaves them merely paused — the abrupt-crash contract promises
-	// nothing mutates after Kill, and the SimulateCrash a test may issue
-	// next pauses idempotently.
-	if kill {
-		s.st.PauseReclaim()
-	} else {
-		s.st.DisableOnlineReclaim()
 	}
 	s.state.Store(stateStopped)
 	if !kill {

@@ -20,12 +20,11 @@ import (
 // There is one protocol and it has two callers. retire withdraws one
 // node — write lock, durable tombstones, state-1 intent, kind flip, marks,
 // unlink — and freeRetired returns one unlinked block under a state-2
-// intent. The online Reclaimer (reclaim.go) calls retire on candidates
-// while workers run and frees each victim after a grace period; the
-// quiesced Compact below calls retire on every candidate in one pass
-// and frees at once, nobody being left to hold a reference. The log has
-// one slot and the two callers never run concurrently (Store.Compact
-// pauses and drains the reclaimer first).
+// intent. Online, the worker that empties a node retires it and a later
+// retire frees it after a grace period (reclaim.go); the quiesced
+// Compact below retires every candidate in one pass and frees at once.
+// The log has one slot: only the retire token's holder retires, and
+// Store.Compact holds the token.
 
 // Intent log layout within the root area (after the root object).
 const (
@@ -35,12 +34,13 @@ const (
 )
 
 // Compact retires every data node whose keys are all tombstoned and
-// returns their blocks — and those of any block an earlier reclaimer
-// retired but never freed (stopped with limbo pending, or crashed while
-// the volatile limbo list held them) — to the allocator. It must be
-// called with the list quiesced. Returns the number of blocks freed.
+// returns their blocks — and those of the limbo, and of any block an
+// earlier incarnation retired but never freed (a crash or a close while
+// the volatile limbo held them) — to the allocator. It must be called
+// with the list quiesced. Returns the number of blocks freed.
 func (s *SkipList) Compact(ctx *exec.Ctx) (int, error) {
 	defer ctx.Mem.Publish()
+	drained := s.DrainQuiesced(ctx)
 	// Freed blocks can be reallocated as different nodes, so every cached
 	// predecessor hint in every worker must die: bumping the generation
 	// makes each HintCache wipe itself on its next Validate. (Compaction
@@ -56,7 +56,7 @@ func (s *SkipList) Compact(ctx *exec.Ctx) (int, error) {
 	for _, p := range blocks {
 		s.freeRetired(ctx, p)
 	}
-	return len(blocks), nil
+	return drained + len(blocks), nil
 }
 
 func (s *SkipList) nodeFullyTombstoned(ctx *exec.Ctx, n nodeRef) bool {
@@ -83,6 +83,19 @@ func (s *SkipList) retire(ctx *exec.Ctx, p riv.Ptr) bool {
 	if n.kind(ctx.Mem) != alloc.KindNode || !s.nodeFullyTombstoned(ctx, n) {
 		return false
 	}
+	// Only a node linked at the bottom level is a candidate: one may wait
+	// on the retire queue while its block is freed and reused. And not one
+	// whose bottom predecessor is write-locked: it may be the new half of
+	// a split that has not erased its copies of the node's keys yet, or
+	// never will (a crash interrupted it). Unlinked, the node would leave
+	// the splitter's successor past those copies, and split repair, which
+	// erases from the successor's first key up, would revive them.
+	key := n.key0(s, ctx.Mem)
+	t := ctx.GetTowers(s.maxHeight)
+	defer ctx.PutTowers(t)
+	if s.linkTraverse(ctx, key, t.Preds, t.Succs); t.Succs[0] != p || s.node(t.Preds[0]).isWriteLocked(ctx.Mem) {
+		return false
+	}
 	// Exclusive lock: excludes value updates, key claims, splits, and
 	// tower links for the whole withdrawal. Try-once — contended nodes
 	// are busy nodes, the worst retire candidates anyway.
@@ -96,7 +109,6 @@ func (s *SkipList) retire(ctx *exec.Ctx, p riv.Ptr) bool {
 	// Tombstones may still be dirty (group-committed removes defer their
 	// persists): make the emptiness durable before logging the intent.
 	n.persistAll(s, ctx.Mem)
-	key := n.key0(s, ctx.Mem)
 
 	rp, off := s.rootPool, s.rootOff
 	rp.Store(off+compOffNode, p.Word(), ctx.Mem)
@@ -120,7 +132,7 @@ func (s *SkipList) retire(ctx *exec.Ctx, p riv.Ptr) bool {
 	}
 	n.writeUnlock(curEpoch, ctx.Mem)
 
-	s.unlinkRetired(ctx, n, key, h)
+	s.unlinkRetired(ctx, n, key, h, t.Preds)
 
 	rp.Store(off+compOffState, 0, ctx.Mem)
 	rp.Persist(off+compOffState, 1, ctx.Mem)
@@ -129,18 +141,15 @@ func (s *SkipList) retire(ctx *exec.Ctx, p riv.Ptr) bool {
 
 // unlinkRetired physically removes the victim from every level,
 // top-down (a node missing upper levels is a legal transient state, a
-// node missing lower ones is not). One O(log n) tower traversal seeds a
-// per-level predecessor; each level then walks forward at most a few
-// nodes (a racing split can slip a new node in front of the victim).
-// The walk meets only live nodes — the victim is already KindRetired so
-// the traversal refuses to adopt it, and every earlier victim is fully
+// node missing lower ones is not). preds, from one linkTraverse to the
+// victim's first key, seeds a per-level predecessor; each level then
+// walks forward at most a few nodes (a racing split can slip a new node
+// in front of the victim). The walk meets only live nodes — a strict
+// predecessor is never the victim, and every earlier victim is fully
 // unlinked (one retiring thread at a time) — so the unlink CAS never
 // targets a marked word and cannot livelock. Idempotent, which is what
 // lets recoverCompaction finish a crash-interrupted retirement with it.
-func (s *SkipList) unlinkRetired(ctx *exec.Ctx, n nodeRef, key uint64, height int) {
-	t := ctx.GetTowers(s.maxHeight)
-	preds, succs := t.Preds, t.Succs
-	s.linkTraverse(ctx, key, preds, succs)
+func (s *SkipList) unlinkRetired(ctx *exec.Ctx, n nodeRef, key uint64, height int, preds []riv.Ptr) {
 	for level := height - 1; level >= 0; level-- {
 		seed := preds[level]
 		for {
@@ -174,7 +183,6 @@ func (s *SkipList) unlinkRetired(ctx *exec.Ctx, n nodeRef, key uint64, height in
 			seed = s.head
 		}
 	}
-	ctx.PutTowers(t)
 }
 
 // freeRetired returns one unlinked KindRetired block to the allocator
@@ -215,7 +223,10 @@ func (s *SkipList) recoverCompaction(ctx *exec.Ctx) {
 		n := s.node(victim)
 		switch kind := n.kind(ctx.Mem); {
 		case state == 1 && kind == alloc.KindRetired:
-			s.unlinkRetired(ctx, n, r.Load(off+compOffKey, ctx.Mem), n.height(ctx.Mem))
+			key, t := r.Load(off+compOffKey, ctx.Mem), ctx.GetTowers(s.maxHeight)
+			s.linkTraverse(ctx, key, t.Preds, t.Succs)
+			s.unlinkRetired(ctx, n, key, n.height(ctx.Mem), t.Preds)
+			ctx.PutTowers(t)
 			s.freeRetired(ctx, victim)
 			return
 		case state == 2 && (kind == alloc.KindRetired || kind == alloc.KindFree):

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"upskiplist/internal/alloc"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/riv"
 )
@@ -28,10 +27,11 @@ import (
 // block recycled between calls (the era pin covers a single Seek/Next
 // call, not the iterator's lifetime). The pairs buffer is a DRAM
 // snapshot and stays valid regardless; only advancing off the node
-// dereferences it again, so advanceNode revalidates the cursor (still a
-// node, same immutable first key) and otherwise re-seeks past the last
-// key this node could have yielded. A freed-and-recycled block can
-// therefore never contribute pairs — no phantom keys.
+// dereferences it again, so advanceNode revalidates the cursor (next
+// word neither marked nor null, same immutable first key) and otherwise
+// re-seeks past the last key this node could have yielded. A
+// freed-and-recycled block can therefore never contribute pairs — no
+// phantom keys.
 type Iterator struct {
 	s   *SkipList
 	ctx *exec.Ctx
@@ -179,16 +179,18 @@ func (it *Iterator) advanceNode() bool {
 		}
 	}
 	n := s.node(it.node)
-	if s.reclaimOn && (n.kind(it.ctx.Mem) != alloc.KindNode || n.key0(s, it.ctx.Mem) != it.curK0) {
-		// The cursor's block was retired (and possibly recycled as a
-		// different node) since the last call: its next pointer is no
-		// longer trustworthy. Re-seek past everything this node could
-		// have yielded. A recycled block with the SAME first key is a
-		// live node covering the same range and stays a valid cursor.
+	// The next word is read before the first key: clean and non-null, and
+	// the first key unchanged, it came from a node not yet unlinked, whose
+	// successor is live under this call's pin. A mark (retired), null
+	// (freed) or other first key (recycled) sends the cursor to re-seek
+	// past everything the node could have yielded; a block recycled with
+	// the SAME first key covers the same range and stays a valid cursor.
+	w := n.nextWord(0, it.ctx.Mem)
+	if w&nextMark != 0 || w == 0 || n.key0(s, it.ctx.Mem) != it.curK0 {
 		return it.reseek()
 	}
-	next := n.next(s, 0, it.ctx.Mem)
-	if next.IsNull() || next == s.tail {
+	next := riv.FromWord(w)
+	if next == s.tail {
 		it.node = riv.Null
 		return false
 	}

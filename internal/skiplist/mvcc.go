@@ -48,7 +48,7 @@ import (
 // pushes (the outstanding counter — an EBR-style handshake).
 //
 // The snapshot's pinned era also acts as a grace barrier in the
-// reclaimer: limbo batches tagged at or after E cannot be freed while
+// node limbo: limbo batches tagged at or after E cannot be freed while
 // the pin is held, so any node a snapshot reader could still reach
 // outlives the reader (reclaim.go counts batches blocked this way).
 

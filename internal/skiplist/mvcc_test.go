@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/crashstep"
@@ -127,31 +126,27 @@ func TestSnapshotFrozenBasic(t *testing.T) {
 	}
 }
 
-// TestResumeWithoutPausePanics pins the Reclaimer.Resume guard: an
+// TestResumeWithoutPausePanics pins the ResumeReclaim guard: an
 // unmatched Resume is a programming error and must fail loudly, not
 // corrupt the pause count.
 func TestResumeWithoutPausePanics(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
-	rec := e.sl.StartReclaim(ReclaimConfig{Interval: time.Hour})
-	defer rec.Stop()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Resume without matching Pause did not panic")
 		}
 	}()
-	rec.Resume()
+	e.sl.ResumeReclaim()
 }
 
 // TestSnapshotFrozenUnderChurn is the -race frozen-view regression: a
 // snapshot is pinned over a quiesced reference state, then concurrent
-// writers drive node splits and updates while the online reclaimer
-// frees tombstoned nodes — and every snapshot scan taken meanwhile must
+// writers drive node splits and updates while retiring the nodes their
+// removes empty — and every snapshot scan taken meanwhile must
 // be bit-identical to the reference dump (same keys, same values, same
 // ascending order; re-exercises the iterator ascending-order fix).
 func TestSnapshotFrozenUnderChurn(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 12, KeysPerNode: 4})
-	rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond, ScanNodes: 512})
-	defer rec.Stop()
 	ctx := ctx0()
 
 	// Base state: sparse keys so later inserts land between them and
@@ -168,6 +163,7 @@ func TestSnapshotFrozenUnderChurn(t *testing.T) {
 		}
 	}
 	ref := dumpList(e.sl, ctx)
+	e.sl.SetOnlineReclaim(true)
 
 	rctx := exec.NewCtx(50, 0)
 	snap, err := e.sl.AcquireSnapshot(rctx)
@@ -226,7 +222,6 @@ func TestSnapshotFrozenUnderChurn(t *testing.T) {
 		t.Fatalf("final snapshot scan diverged at %d", i)
 	}
 	snap.Release(rctx)
-	rec.Stop()
 	if err := e.sl.CheckInvariants(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +232,7 @@ func TestSnapshotFrozenUnderChurn(t *testing.T) {
 // list must serve the latest committed values, and its pools must hold
 // exactly what a never-crashed twin that ran the same writes with no
 // snapshot holds — the version log lived in memory, so there is nothing
-// for the reclaimer's startup scan to rediscover.
+// for the first retire after Open to rediscover.
 func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
 	e := &crashList{cfg: Config{MaxHeight: 8, KeysPerNode: 4}, chunks: 512}
 	write := func(t *testing.T, snap bool) {
@@ -284,10 +279,9 @@ func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
 			if n := len(e.a.RetiredBlocks()); n != 0 {
 				t.Fatalf("startup scan would rediscover %d blocks", n)
 			}
-			rec := e.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
-			rec.Stop()
-			if n := rec.Stats().Rediscovered; n != 0 {
-				t.Fatalf("reclaimer rediscovered %d blocks", n)
+			offer(e.sl, ctx2, e.sl.head) // refused, but the drain collects
+			if n := e.sl.ReclaimStats().Rediscovered; n != 0 {
+				t.Fatalf("first retire rediscovered %d blocks", n)
 			}
 			if err := e.sl.CheckInvariants(ctx2); err != nil {
 				t.Fatal(err)
@@ -299,9 +293,9 @@ func TestSnapshotCrashLeavesNoOrphans(t *testing.T) {
 
 // TestOldImageVersionOrphansFreed: an image written while the version
 // log lived on pool blocks may carry blocks stamped with the legacy
-// version kind. After a crash and reopen the reclaimer's one startup
-// kind scan must find them with the retired blocks and return every one
-// to the free lists.
+// version kind. After a crash and reopen the first retire's one kind
+// scan must find them with the retired blocks and return every one to
+// the free lists.
 func TestOldImageVersionOrphansFreed(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 4})
 	ctx := ctx0()
@@ -329,12 +323,10 @@ func TestOldImageVersionOrphansFreed(t *testing.T) {
 	if got := e2.a.RetiredBlocks(); len(got) != len(legacy) {
 		t.Fatalf("startup scan finds %d blocks, want the %d legacy version blocks", len(got), len(legacy))
 	}
-	rec := e2.sl.StartReclaim(ReclaimConfig{Interval: 200 * time.Microsecond})
-	defer rec.Stop()
-	waitFor(t, "legacy version blocks freed", func() bool {
-		return rec.Stats().Rediscovered == int64(len(legacy))
-	})
-	rec.Stop()
+	offer(e2.sl, ctx0(), e2.sl.head) // refused, but the drain collects
+	if got := e2.sl.ReclaimStats().Rediscovered; got != int64(len(legacy)) {
+		t.Fatalf("first retire rediscovered %d blocks, want the %d legacy version blocks", got, len(legacy))
+	}
 	free := make(map[riv.Ptr]bool)
 	e2.a.ForEachFree(func(p riv.Ptr) { free[p] = true })
 	for _, p := range legacy {

@@ -385,11 +385,10 @@ func (s *SkipList) Remove(ctx *exec.Ctx, key uint64) (uint64, bool, error) {
 		}
 		old := s.update(ctx, pred, res.keyIndex, key, Tombstone)
 		pred.readUnlock(ctx.Mem)
-		if s.rec != nil && old != Tombstone && s.nodeFullyTombstoned(ctx, pred) {
-			// Retire-on-traversal: this remove emptied the node's last
-			// live value (best-effort check — a racing insert may revive
-			// it, which the sweeper re-verifies under the write lock).
-			s.rec.report(pred.ptr)
+		if old != Tombstone && s.rc.on.Load() && s.nodeFullyTombstoned(ctx, pred) {
+			// This remove killed the node's last live value: retire it
+			// (reclaim.go; retire re-checks under the write lock).
+			s.retireEmptied(ctx, pred.ptr)
 		}
 		o, ex := normPrev(old)
 		return o, ex, nil

@@ -83,10 +83,11 @@
 // Overwriting or removing a value retires its chunks through a volatile
 // epoch limbo (the same grace-period domain online node reclamation
 // uses), so in-flight readers and open MVCC snapshots keep a stable view
-// of the old bytes. Every store shard hands its arena the list's domain,
-// so retired chunks free by grace period whether or not the node
-// reclaimer runs. A stand-alone arena without a domain holds them until
-// DrainQuiesced.
+// of the old bytes. The limbo is epoch.Limbo, the type retired nodes go
+// through too. Every store shard hands its arena the list's domain, so
+// retired chunks free by grace period whether or not online node
+// reclamation is on. A stand-alone arena without a domain holds them
+// until DrainQuiesced.
 package slab
 
 import (
@@ -133,10 +134,6 @@ const (
 	refPoolShift  = 40
 	refChunkShift = 24
 	refOffMask    = uint64(1)<<24 - 1
-
-	// limboBatchSize is how many retired refs accumulate before a batch
-	// closes and the era advances.
-	limboBatchSize = 64
 )
 
 // Errors.
@@ -189,13 +186,6 @@ func makeRef(length int, p riv.Ptr) Ref {
 		(p.Word()>>32&0xffff)<<refChunkShift |
 		uint64(p.Offset())
 	return Ref(w)
-}
-
-// limboBatch is one closed group of retired refs, freeable once every
-// worker and snapshot pin has moved past era.
-type limboBatch struct {
-	era  uint64
-	refs []Ref
 }
 
 // Stats is a snapshot of the arena's volatile counters.
@@ -266,16 +256,12 @@ type Arena struct {
 	// dom is the grace-period domain limbo batches are tagged with; nil
 	// only for a stand-alone arena, which then frees nothing before
 	// DrainQuiesced.
-	dom *epoch.Domain
-
-	limboMu sync.Mutex
-	open    []Ref
-	batches []limboBatch
+	dom   *epoch.Domain
+	limbo epoch.Limbo[Ref]
 
 	alloced    atomic.Uint64
 	freed      atomic.Uint64
 	retired    atomic.Uint64
-	inLimbo    atomic.Uint64
 	pages      atomic.Uint64
 	classPages []atomic.Uint64
 
@@ -449,7 +435,7 @@ func (ar *Arena) pop(ctx *exec.Ctx, class int) (chunk riv.Ptr, pool *pmem.Pool, 
 // before the chunk is listed, is an unpersisted zero into the header: a
 // clean reopen reads the chunk as free, and a crash that reverts the
 // zero leaves an in-use header no node names, which the sweep relinks.
-// Freeing costs no fence, which matters because the epoch reclaimer
+// Freeing costs no fence, which matters because the epoch limbo
 // returns chunks in large expired batches.
 func (ar *Arena) push(class int, chunk riv.Ptr, acc *pmem.Acc) {
 	pool, off := ar.space.Resolve(chunk)
@@ -612,74 +598,31 @@ func (ar *Arena) Get(ref Ref, dst []byte, acc *pmem.Acc) []byte {
 // named it has durably moved on.
 func (ar *Arena) Retire(ref Ref) {
 	ar.retired.Add(1)
-	ar.inLimbo.Add(1)
-	ar.limboMu.Lock()
-	ar.open = append(ar.open, ref)
-	shouldClose := len(ar.open) >= limboBatchSize
-	ar.limboMu.Unlock()
-	if shouldClose {
+	if ar.limbo.Add(ref) {
 		ar.Tick(nil)
 	}
 }
 
-// Tick closes the open limbo batch (tagging it with a fresh era) and
-// frees every closed batch whose grace period has expired. With no
-// domain attached nothing is freed — DrainQuiesced is then the only
-// path that returns retired chunks.
+// Tick closes the open limbo batch and frees every closed batch whose
+// grace period has expired. Without a domain it does nothing.
 func (ar *Arena) Tick(acc *pmem.Acc) {
-	dom := ar.dom
-	if dom == nil {
+	if ar.dom == nil {
 		return
 	}
-	ar.limboMu.Lock()
-	if len(ar.open) > 0 {
-		era := dom.Era()
-		ar.batches = append(ar.batches, limboBatch{era: era, refs: ar.open})
-		ar.open = make([]Ref, 0, limboBatchSize)
-		dom.Advance()
-	}
-	min := dom.MinActive()
-	var free []limboBatch
-	keep := ar.batches[:0]
-	for _, b := range ar.batches {
-		if b.era < min {
-			free = append(free, b)
-		} else {
-			keep = append(keep, b)
-		}
-	}
-	ar.batches = keep
-	ar.limboMu.Unlock()
-	for _, b := range free {
-		for _, r := range b.refs {
-			ar.freeRef(r, acc)
-		}
-	}
+	ar.limbo.Close(ar.dom)
+	ar.limbo.Expire(ar.dom, func(r Ref) { ar.freeRef(r, acc) }, nil)
 }
 
 // DrainQuiesced frees every retired chunk immediately. Callers must
 // guarantee no reader can still hold a ref (store quiesced, or every
 // snapshot closed and workers parked).
 func (ar *Arena) DrainQuiesced(acc *pmem.Acc) {
-	ar.limboMu.Lock()
-	all := ar.batches
-	ar.batches = nil
-	if len(ar.open) > 0 {
-		all = append(all, limboBatch{refs: ar.open})
-		ar.open = nil
-	}
-	ar.limboMu.Unlock()
-	for _, b := range all {
-		for _, r := range b.refs {
-			ar.freeRef(r, acc)
-		}
-	}
+	ar.limbo.Drain(func(r Ref) { ar.freeRef(r, acc) })
 }
 
 // freeRef pushes every chunk of a retired value back onto its class
 // free list; the class is the one Put chose for the ref's length.
 func (ar *Arena) freeRef(ref Ref, acc *pmem.Acc) {
-	ar.inLimbo.Add(^uint64(0))
 	if ref.Chained() {
 		ar.freeChain(ref.ptr(), acc)
 		return
@@ -706,7 +649,7 @@ func (ar *Arena) Stats() Stats {
 		ChunksAlloced: ar.alloced.Load(),
 		ChunksFreed:   ar.freed.Load(),
 		ChunksRetired: ar.retired.Load(),
-		LimboChunks:   ar.inLimbo.Load(),
+		LimboChunks:   uint64(ar.limbo.Len()),
 		Pages:         ar.pages.Load(),
 		Extents:       uint64(extents),
 		SweepRelinked: ar.sweepRelinked.Load(),
@@ -817,13 +760,7 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	// Refs still sitting in this handle's limbo are owned (they will be
 	// freed through Tick/DrainQuiesced); at startup the limbo is empty,
 	// so this only matters for mid-run sweeps in tests.
-	ar.limboMu.Lock()
-	for _, b := range append(append([]limboBatch(nil), ar.batches...), limboBatch{refs: ar.open}) {
-		for _, r := range b.refs {
-			mark(r)
-		}
-	}
-	ar.limboMu.Unlock()
+	ar.limbo.Each(mark)
 
 	var pages []page
 	for _, ext := range ar.extents {

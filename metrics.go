@@ -36,7 +36,7 @@ type storeMetrics struct {
 	shardOps []*metrics.Counter
 	// graceWait observes, per freed limbo batch, the wall time between
 	// batch close and free (upsl_reclaim_grace_wait_seconds). The
-	// remaining reclaim series are GaugeFuncs sampling the reclaimers'
+	// remaining reclaim series are GaugeFuncs sampling the lists'
 	// own counters at scrape time, so they need no hot-path hook at all.
 	graceWait *metrics.Histogram
 }
@@ -134,13 +134,10 @@ func (s *Store) EnableMetrics(reg *metrics.Registry) {
 		"pairs the last recovery restored from a logical dump",
 		nil, func() float64 { return float64(s.recovery.KeysBulkLoaded) })
 	s.met.Store(m)
-	// Reclaimers started before metrics were enabled get the grace
-	// observer retrofitted (safe while they run).
+	// Every list's limbo reports its grace-period waits.
 	for _, e := range s.shards {
-		if r := e.list.Reclaimer(); r != nil {
-			h := m.graceWait
-			r.SetGraceObserver(func(d time.Duration) { h.Observe(d.Nanoseconds()) })
-		}
+		h := m.graceWait
+		e.list.SetGraceObserver(func(d time.Duration) { h.Observe(d.Nanoseconds()) })
 	}
 }
 

@@ -1,86 +1,48 @@
 package upskiplist
 
 import (
-	"time"
-
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/skiplist"
 	"upskiplist/internal/slab"
 )
 
-// Online reclamation at the store level: one skiplist.Reclaimer per
-// shard, plus the coordination with every maintenance entry point that
-// assumes a quiesced structure (Save, Compact, crash simulation,
-// Reopen). The reclaimers themselves are volatile machinery — nothing
-// about them is persisted, which is why OnlineReclaim is not written to
-// the meta sidecar: a store Load-ed from disk starts without reclaim
-// until EnableOnlineReclaim is called (the server does this from its
-// -online-reclaim flag).
+// Online reclamation at the store level: the switch, the pause and the
+// counters of every shard's inline retirement (skiplist/reclaim.go). It
+// is volatile: OnlineReclaim is not written to the meta sidecar, so a
+// Load-ed store starts without it until EnableOnlineReclaim is called.
 
-// EnableOnlineReclaim attaches an epoch-based background reclaimer to
-// every shard. It must be called before concurrent operations begin
-// (Create/Reopen call it when Options.OnlineReclaim is set; call it
-// right after Load). Idempotent.
-//
-// Once enabled, fully-tombstoned nodes are retired concurrently with
-// the workload — unlinked under the same persistent intent log the
-// quiesced Compact uses, parked on a volatile limbo list, and returned
-// to the allocator's free lists after a grace period proves no worker
-// can still reach them. Compact remains available as a quiesced
-// fallback and collects anything the reclaimers had in flight.
+// EnableOnlineReclaim makes every shard's workers retire the nodes they
+// empty, inline: no goroutine is started. Safe to call at any time;
+// Create and Reopen call it when Options.OnlineReclaim is set.
 func (s *Store) EnableOnlineReclaim() {
-	for si, e := range s.shards {
-		if e.list.Reclaimer() != nil {
-			continue
-		}
-		node := 0
-		if s.opts.Shards > 1 && s.opts.Placement == PerNode {
-			node = s.topo.ShardNode(si)
-		}
-		rec := e.list.StartReclaim(skiplist.ReclaimConfig{
-			Interval:  s.opts.ReclaimInterval,
-			ScanNodes: s.opts.ReclaimScanNodes,
-			ThreadID:  0, // frees never touch the per-thread alloc log
-			Node:      node,
-		})
-		if m := s.met.Load(); m != nil && m.graceWait != nil {
-			h := m.graceWait
-			rec.SetGraceObserver(func(d time.Duration) { h.Observe(d.Nanoseconds()) })
-		}
+	for _, e := range s.shards {
+		e.list.SetOnlineReclaim(true)
 	}
 }
 
-// DisableOnlineReclaim stops every shard's reclaimer and waits for the
-// goroutines to exit. Blocks not yet past their grace period stay
-// retired (unreachable) in persistent memory; Compact or a future
-// reclaimer collects them. Idempotent.
+// DisableOnlineReclaim stops workers from retiring the nodes they
+// empty; limbo blocks stay retired until Compact or Save frees them.
+// Safe to call at any time.
 func (s *Store) DisableOnlineReclaim() {
 	for _, e := range s.shards {
-		if r := e.list.Reclaimer(); r != nil {
-			r.Stop()
-		}
+		e.list.SetOnlineReclaim(false)
 	}
 }
 
-// PauseReclaim blocks new reclaim cycles on every shard and waits for
-// in-flight ones to finish; while paused the reclaimers mutate nothing.
-// Nestable — each PauseReclaim needs a matching ResumeReclaim. No-op
-// when reclamation is off.
+// PauseReclaim takes every shard's retire token, waiting for retires in
+// flight to finish; while paused no retire and no node free touches the
+// pools. Nestable — each PauseReclaim needs a matching ResumeReclaim.
 func (s *Store) PauseReclaim() {
 	for _, e := range s.shards {
-		if r := e.list.Reclaimer(); r != nil {
-			r.Pause()
-		}
+		e.list.PauseReclaim()
 	}
 }
 
 // ResumeReclaim undoes one PauseReclaim.
 func (s *Store) ResumeReclaim() {
 	for _, e := range s.shards {
-		if r := e.list.Reclaimer(); r != nil {
-			r.Resume()
-		}
+		e.list.ResumeReclaim()
 	}
 }
 
@@ -89,14 +51,12 @@ func (s *Store) ResumeReclaim() {
 func (s *Store) ReclaimStats() skiplist.ReclaimStats {
 	var out skiplist.ReclaimStats
 	for _, e := range s.shards {
-		if r := e.list.Reclaimer(); r != nil {
-			st := r.Stats()
-			out.Retired += st.Retired
-			out.Freed += st.Freed
-			out.Rediscovered += st.Rediscovered
-			out.LimboDepth += st.LimboDepth
-			out.SnapBlocked += st.SnapBlocked
-		}
+		st := e.list.ReclaimStats()
+		out.Retired += st.Retired
+		out.Freed += st.Freed
+		out.Rediscovered += st.Rediscovered
+		out.LimboDepth += st.LimboDepth
+		out.SnapBlocked += st.SnapBlocked
 	}
 	return out
 }
@@ -161,18 +121,13 @@ func (s *Store) SlabClassStats() []slab.ClassStat {
 	return out
 }
 
-// drainReclaimQuiesced frees every limbo block immediately, skipping
-// grace periods, and likewise drains every shard's slab-arena limbo so
-// a saved image carries no retired-but-unfreed value chunks. Caller
-// must have paused the reclaimers AND quiesced all workers. Returns the
-// number of blocks freed (node blocks only; chunk frees are interior to
-// their slab pages).
+// drainReclaimQuiesced empties every shard's node and value-chunk limbo
+// without grace, under a pause with the workers quiesced, and returns
+// the node blocks it freed.
 func (s *Store) drainReclaimQuiesced() int {
 	n := 0
 	for _, e := range s.shards {
-		if r := e.list.Reclaimer(); r != nil {
-			n += r.DrainQuiesced(exec.NewCtx(0, 0))
-		}
+		n += e.list.DrainQuiesced(exec.NewCtx(0, 0))
 		if e.vals != nil {
 			e.vals.DrainQuiesced(nil)
 		}

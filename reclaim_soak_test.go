@@ -7,24 +7,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"upskiplist/internal/exec"
 )
 
-// TestShardedReclaimSoak drives a store with active per-shard reclaimers
-// under concurrent writers, readers and scanners — the configuration
-// the CI race job exercises — keyspace-sharded four ways and, since
+// TestShardedReclaimSoak drives a store with online reclaim on under
+// concurrent writers, readers and scanners — the configuration the CI
+// race job exercises — keyspace-sharded four ways and, since
 // Worker.Scan reads one shard through the same cursor, unsharded. Each writer
 // owns a disjoint key stripe (sole-writer, so its own reads check
-// against an exact expectation even while other goroutines and the
-// reclaimers run); removals sweep whole stripe segments to keep the
-// reclaimers busy retiring fully-tombstoned nodes mid-traffic. The
-// scanner checks every merged scan is strictly increasing with the
-// writers' value tagging intact — a recycled block surfacing mid-scan
-// would break monotonicity or yield a foreign value. Once the writers
-// are done — the reclaimers are not — a scan must yield exactly the
-// keys the writers kept, and the same stream as the public cursor.
+// against an exact expectation even while other goroutines retire
+// nodes); removals sweep whole stripe segments, so the writers retire
+// fully-tombstoned nodes mid-traffic. The scanner checks every merged
+// scan is strictly increasing with the writers' value tagging intact —
+// a recycled block surfacing mid-scan would break monotonicity or yield
+// a foreign value. Once the writers are done, a scan must yield exactly
+// the keys the writers kept, and the same stream as the public cursor.
 func TestShardedReclaimSoak(t *testing.T) {
 	for _, shards := range []int{4, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { soakReclaim(t, shards) })
@@ -41,8 +39,6 @@ func soakReclaim(t *testing.T, shards int) {
 	o := testOptions()
 	o.Shards = shards
 	o.OnlineReclaim = true
-	o.ReclaimInterval = 200 * time.Microsecond
-	o.ReclaimScanNodes = 64
 	st, err := Create(o)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +66,7 @@ func soakReclaim(t *testing.T, shards int) {
 			base := uint64(wi)*stripe + 1
 			for r := 0; r < rounds && !failed.Load(); r++ {
 				// Insert a segment, spot-check it, remove most of it: the
-				// removed prefix fully tombstones nodes for the reclaimers.
+				// removed prefix fully tombstones nodes, which are retired.
 				seg := base + uint64(r%64)*segment*2
 				for k := seg; k < seg+segment; k++ {
 					if _, _, err := w.PutU64(k, k^0xabcd); err != nil {
@@ -99,7 +95,7 @@ func soakReclaim(t *testing.T, shards int) {
 	}
 
 	// Merged scanner: strictly increasing keys and intact value tagging,
-	// concurrent with the writers and the reclaimers.
+	// concurrent with the writers and their retires.
 	var scanner sync.WaitGroup
 	stop := make(chan struct{})
 	scanner.Add(1)
@@ -168,14 +164,12 @@ func soakReclaim(t *testing.T, shards int) {
 		t.Errorf("scan yields %d keys, the cursor %d", len(scanned), len(iterated))
 	}
 
-	// Quiesced epilogue: reclaimers must have actually worked, and the
+	// Quiesced epilogue: retirement must have actually worked, and the
 	// structure must be intact across every shard.
 	if st.ReclaimStats().Retired == 0 {
 		t.Error("no nodes retired during soak")
 	}
-	// CheckInvariants is a quiesced walk: a reclaimer still working off
-	// its backlog would free a node between the walk that saw it linked
-	// and the free-list check.
+	// CheckInvariants is a quiesced walk; hold retirement for it.
 	st.PauseReclaim()
 	defer st.ResumeReclaim()
 	w := st.NewWorker(0)
