@@ -377,11 +377,6 @@ func (c *Client) PutNoCtx(key uint64, val []byte) ([]byte, bool, error) {
 	return c.Put(context.Background(), key, val)
 }
 
-// DelNoCtx is Del with context.Background().
-func (c *Client) DelNoCtx(key uint64) ([]byte, bool, error) {
-	return c.Del(context.Background(), key)
-}
-
 // GetU64NoCtx is GetU64 with context.Background().
 func (c *Client) GetU64NoCtx(key uint64) (uint64, bool, error) {
 	return c.GetU64(context.Background(), key)

@@ -58,6 +58,9 @@ type Ctx struct {
 	// Mem's ledger. Like Hints, this is volatile per-worker state with no
 	// recovery obligations.
 	Pins int
+	// Settle counts the operations finished, since this worker last
+	// settled one, on lists whose retire limbo held blocks (skiplist).
+	Settle int
 	// Path accumulates per-worker traversal-locality counters (see
 	// PathStats). Like Hints, it is single-owner volatile state: no
 	// atomics, no recovery obligations, surfaced through Worker.Stats.

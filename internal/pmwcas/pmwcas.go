@@ -27,7 +27,6 @@ package pmwcas
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -372,14 +371,4 @@ func (m *Manager) rollback(ctx *exec.Ctx, idx int, seq uint64, count int) {
 			m.pool.Persist(addr, 1, ctx.Mem)
 		}
 	}
-}
-
-// DebugString formats one descriptor (tests/diagnostics).
-func (m *Manager) DebugString(idx int) string {
-	off := m.descOff(idx)
-	return fmt.Sprintf("desc %d: status=%d seq=%d count=%d",
-		idx,
-		m.pool.Load(off+dOffStatus, nil),
-		m.pool.Load(off+dOffSeq, nil),
-		m.pool.Load(off+dOffCount, nil))
 }

@@ -274,24 +274,3 @@ func (st *Stream) Fill(ops []Op, n int) []Op {
 	}
 	return ops
 }
-
-// FillBatches generates n operations and slices them into consecutive
-// batches of batchSize (the last one possibly shorter). All batches view
-// one backing array, so the stream is the same ops Fill would produce —
-// replaying them batch-by-batch through a group-commit API is directly
-// comparable to replaying the flat stream one op at a time.
-func (st *Stream) FillBatches(n, batchSize int) [][]Op {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	ops := st.Fill(nil, n)
-	batches := make([][]Op, 0, (n+batchSize-1)/batchSize)
-	for lo := 0; lo < n; lo += batchSize {
-		hi := lo + batchSize
-		if hi > n {
-			hi = n
-		}
-		batches = append(batches, ops[lo:hi])
-	}
-	return batches
-}
