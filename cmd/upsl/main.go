@@ -110,6 +110,8 @@ func main() {
 			rec.Wall, rec.Attach, rec.Open, rec.Sweep, rec.BulkLoad)
 		fmt.Printf("recovery work: pages-swept=%d chunks-relinked=%d keys-bulk-loaded=%d nodes-bulk-built=%d\n",
 			rec.PagesSwept, rec.ChunksRelinked, rec.KeysBulkLoaded, rec.NodesBulkBuilt)
+		r := st.DeferredRepairs()
+		fmt.Printf("deferred repairs: claim=%d tower=%d split=%d split-keys-erased=%d\n", r.Claims, r.Inserts, r.Splits, r.SplitErased)
 		c := st.BlockCensus()
 		fmt.Printf("blocks: total=%d free=%d node=%d retired=%d slab=%d\n",
 			c.Total, c.Free, c.Node, c.Retired, c.Slab)

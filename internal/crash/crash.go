@@ -267,10 +267,13 @@ func doOp(h *lincheck.History, w *upskiplist.Worker, id int, key uint64, read bo
 // them by id mod 3 — an inline word, an 8-byte word that reads as a slab
 // ref and so lives in a chunk, and a 24-byte value — so consecutive
 // writes of a key keep changing its representation and both publish
-// paths stay in the battery. Ids are logical timestamps, far below 2^48.
+// paths stay in the battery. A ref-shaped word names pool 0, chunk 0 and
+// spreads the id over its length code and word offset: a ref to any
+// store while the id, a logical timestamp, is below 5 113·2^12.
 const (
 	idMask     = uint64(1)<<48 - 1
-	refShape   = uint64(1)<<63 | 8<<48
+	refShape   = uint64(1)<<63 | 1<<24
+	refOffBits = 12
 	tornMarker = ^uint64(0) - 1 // an observation no write can have produced
 )
 
@@ -280,7 +283,7 @@ func valueBytes(id uint64, buf *[24]byte) []byte {
 		binary.LittleEndian.PutUint64(buf[:], id)
 		return buf[:8]
 	case 1:
-		binary.LittleEndian.PutUint64(buf[:], refShape|id)
+		binary.LittleEndian.PutUint64(buf[:], refShape|id>>refOffBits<<48|id&(1<<refOffBits-1))
 		return buf[:8]
 	}
 	binary.LittleEndian.PutUint64(buf[:], id)
@@ -295,7 +298,11 @@ func valueBytes(id uint64, buf *[24]byte) []byte {
 func valueID(b []byte) uint64 {
 	var buf [24]byte
 	if len(b) == 8 || len(b) == 24 {
-		id := binary.LittleEndian.Uint64(b) & idMask
+		w := binary.LittleEndian.Uint64(b)
+		id := w & idMask
+		if w>>63 == 1 {
+			id = w>>48&0x7FFF<<refOffBits | w&(1<<refOffBits-1)
+		}
 		if bytes.Equal(valueBytes(id, &buf), b) {
 			return id
 		}

@@ -1,13 +1,12 @@
 package crash
 
 import (
-	"encoding/binary"
 	"testing"
 
+	"upskiplist"
 	"upskiplist/internal/alloc"
 	"upskiplist/internal/epoch"
 	"upskiplist/internal/lincheck"
-	"upskiplist/internal/slab"
 )
 
 func TestAbortTrialLinearizable(t *testing.T) {
@@ -148,26 +147,36 @@ func TestTrialStatsPlausible(t *testing.T) {
 }
 
 // TestValueEncodingCoversRepresentations: consecutive ids cycle through
-// an inline word, a ref-shaped 8-byte word and a 24-byte value, each
-// decodes back to its id, and damaged bytes decode to an observation no
-// write produced.
+// an inline word, a ref-shaped 8-byte word and a 24-byte value — stored
+// by the trial's store in its node word, in one chunk and in one chunk —
+// each decodes back to its id, and damaged bytes decode to an
+// observation no write produced.
 func TestValueEncodingCoversRepresentations(t *testing.T) {
+	st, err := upskiplist.Create(DefaultTrialConfig().Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.NewWorker(0)
 	var buf [24]byte
 	for id := uint64(1); id < 3000; id++ {
 		b := valueBytes(id, &buf)
-		word := binary.LittleEndian.Uint64(b)
+		before := st.SlabStats().ChunksAlloced
+		if _, _, err := w.Put(id%500+1, b); err != nil {
+			t.Fatal(err)
+		}
+		chunks := st.SlabStats().ChunksAlloced - before
 		switch id % 3 {
 		case 0:
-			if len(b) != 8 || slab.IsRef(word) {
-				t.Fatalf("id %d: %x is not an inline word", id, b)
+			if len(b) != 8 || chunks != 0 {
+				t.Fatalf("id %d: %x took %d chunks, want an inline word", id, b, chunks)
 			}
 		case 1:
-			if len(b) != 8 || !slab.IsRef(word) {
-				t.Fatalf("id %d: %x is not a ref-shaped word", id, b)
+			if len(b) != 8 || chunks != 1 {
+				t.Fatalf("id %d: %x took %d chunks, want a ref-shaped word in one", id, b, chunks)
 			}
 		default:
-			if len(b) != 24 {
-				t.Fatalf("id %d: %d bytes", id, len(b))
+			if len(b) != 24 || chunks != 1 {
+				t.Fatalf("id %d: %d bytes in %d chunks", id, len(b), chunks)
 			}
 		}
 		if got := valueID(b); got != id {

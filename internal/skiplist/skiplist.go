@@ -282,9 +282,10 @@ func (s *SkipList) SetValueDecoder(fn func(word uint64, dst []byte, acc *pmem.Ac
 // Recoveries is a snapshot of repair actions performed during
 // traversals; exposed for tests and the experiment harness.
 type Recoveries struct {
-	Claims  int64 // stale nodes claimed by epoch CAS
-	Inserts int64 // towers completed
-	Splits  int64 // splits completed
+	Claims      int64 // stale nodes claimed by epoch CAS
+	Inserts     int64 // towers completed
+	Splits      int64 // splits completed
+	SplitErased int64 // keys split repair erased by range
 }
 
 // recoveryCounters is the live, atomically-updated form.
@@ -292,6 +293,7 @@ type recoveryCounters struct {
 	claims  atomic.Int64
 	inserts atomic.Int64
 	splits  atomic.Int64
+	erased  atomic.Int64
 }
 
 func (cfg Config) validate() error {
@@ -520,9 +522,10 @@ func (s *SkipList) Config() Config {
 // RecoveryStats returns a snapshot of the repair counters.
 func (s *SkipList) RecoveryStats() Recoveries {
 	return Recoveries{
-		Claims:  s.recoveries.claims.Load(),
-		Inserts: s.recoveries.inserts.Load(),
-		Splits:  s.recoveries.splits.Load(),
+		Claims:      s.recoveries.claims.Load(),
+		Inserts:     s.recoveries.inserts.Load(),
+		Splits:      s.recoveries.splits.Load(),
+		SplitErased: s.recoveries.erased.Load(),
 	}
 }
 
@@ -844,6 +847,7 @@ func (s *SkipList) checkForNodeSplitRecovery(ctx *exec.Ctx, cur nodeRef) {
 		if k >= upper {
 			cur.pool.Store(cur.off+s.keyOff(i), keyEmpty, ctx.Mem)
 			cur.pool.Store(cur.off+s.valOff(i), Tombstone, ctx.Mem)
+			s.recoveries.erased.Add(1)
 		}
 	}
 	// The sorted prefix may have been invalidated by the erases; fall

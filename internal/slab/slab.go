@@ -56,10 +56,11 @@
 //
 // The length names the class, so freeing a chunk never reads its page.
 // The packing is validated against the attached pools' geometry at
-// Attach time. IsRef is the one predicate that tells a ref from any
-// other value word: the tag bit AND a length code the arena can produce
-// (5 114 of 32 768). An 8-byte value whose word fails it needs no chunk:
-// the engine stores it as the node word itself.
+// Attach time. Arena.IsRef is the one predicate that tells a ref from
+// any other value word: the tag bit, a length code the arena can
+// produce (5 114 of 32 768) and an address in an attached pool's chunk
+// area, whose geometry Create fixes. About 5·10⁻⁹ of random words pass;
+// an 8-byte value whose word fails it is the node word itself.
 //
 // # Crash consistency
 //
@@ -150,15 +151,6 @@ const MaxValueLen = int(hdrLenMask)
 // one CAS-able word. The zero Ref is invalid (bit 63 is always set).
 type Ref uint64
 
-// IsRef reports whether a node value word is a slab reference: bit 63
-// set and a length field the arena can have written (a single-chunk
-// length or lenChained), the all-ones tombstone excepted. Every ref any
-// revision published satisfies it; any other word is an inline value.
-func IsRef(w uint64) bool {
-	l := w >> refLenShift & lenChained
-	return w>>63 == 1 && (l <= maxRefLen || l == lenChained) && w != ^uint64(0)
-}
-
 // Word returns the node-value-word encoding.
 func (r Ref) Word() uint64 { return uint64(r) }
 
@@ -246,6 +238,11 @@ type Arena struct {
 	chunkBlocks uint64
 	classes     []class
 	free        []freeList // per class
+
+	// pools has bit id set per attached pool; with maxChunks and the
+	// chunk size it bounds the area IsRef accepts.
+	pools     [4]uint64
+	maxChunks uint64
 
 	// extents lists every chunk the arena owns, in discovery then claim
 	// order. Guarded by extMu, which also serializes grow; a class
@@ -340,12 +337,14 @@ func classesFor(blockWords, chunkBlocks uint64) []class {
 // it takes goes unused.
 func Attach(a *alloc.Allocator, _ *exec.Ctx) (*Arena, error) {
 	var cfg alloc.Config
+	var pools [4]uint64
 	for _, pa := range a.Pools() {
 		cfg = pa.Config()
 		p := pa.Pool()
 		if p.ID() >= 0xff || cfg.MaxChunks > 0xfffe || cfg.ChunkWords > refOffMask {
 			return nil, fmt.Errorf("%w: pool %d (chunkWords=%d maxChunks=%d)", ErrBadGeometry, p.ID(), cfg.ChunkWords, cfg.MaxChunks)
 		}
+		pools[p.ID()>>6] |= 1 << (p.ID() & 63)
 	}
 	bw := a.BlockWords()
 	classes := classesFor(bw, cfg.ChunkWords/bw)
@@ -359,6 +358,8 @@ func Attach(a *alloc.Allocator, _ *exec.Ctx) (*Arena, error) {
 		classes:     classes,
 		free:        make([]freeList, len(classes)),
 		classPages:  make([]atomic.Uint64, len(classes)),
+		pools:       pools,
+		maxChunks:   cfg.MaxChunks,
 	}
 	if ar.MaxSingle() > maxRefLen {
 		return nil, fmt.Errorf("%w: largest class holds %d bytes, a ref's length field %d", ErrBadGeometry, ar.MaxSingle(), maxRefLen)
@@ -378,6 +379,22 @@ func (ar *Arena) addExtent(p riv.Ptr) *extent {
 		cursor: pool.Load(base+alloc.SlabChunkCursorOff, nil)}
 	ar.extents = append(ar.extents, ext)
 	return ext
+}
+
+// IsRef reports whether a node value word is a ref of this arena: bit
+// 63, a length code Put writes and an address in an attached pool's
+// chunk area — geometry fixed at Create, so no word's verdict changes.
+func (ar *Arena) IsRef(w uint64) bool {
+	l := w >> refLenShift & lenChained
+	return w>>63 == 1 && (l <= maxRefLen || l == lenChained) &&
+		ar.inArea(w>>refPoolShift&0xff, w>>refChunkShift&0xffff, w&refOffMask)
+}
+
+// inArea reports whether a pool ID, a chunk index biased +1 and an
+// offset name a word of an attached pool's chunk area.
+func (ar *Arena) inArea(pool, chunk, off uint64) bool {
+	return pool < 0xff && ar.pools[pool>>6]>>(pool&63)&1 == 1 &&
+		chunk >= 1 && chunk <= ar.maxChunks && off < ar.chunkBlocks*ar.blockWords
 }
 
 // SetDomain installs the grace-period domain used to tag limbo batches.
@@ -727,16 +744,19 @@ func (ar *Arena) hasPages() bool {
 // it returns before calling live at all, and it flushes only the header
 // lines of the chunks it relinked, so a clean reopen flushes nothing.
 //
+// A chain that runs past the segments its length names or leaves the
+// chunk area (a forged image; a cycle would spin) is pmem.ErrBadImage.
+//
 // Must run quiesced (no concurrent operations), which is the state at
 // Reopen/Load time. Idempotent: a clean store sweeps zero chunks.
-func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int) {
+func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int, err error) {
 	if !ar.hasPages() {
 		// No page was ever carved: no chunk exists for a crash to have
 		// leaked, and live need not walk the structure (a store of inline
 		// values reopens without reading a key).
 		ar.sweepRelinked.Store(0)
 		ar.sweepScanned.Store(0)
-		return 0
+		return 0, nil
 	}
 	referenced := make(map[riv.Ptr]bool)
 	mark := func(ref Ref) {
@@ -745,14 +765,17 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 			referenced[p] = true
 			return
 		}
-		for !p.IsNull() {
+		for segs := (ar.Len(ref, ctx.Mem) + ar.segCap() - 1) / ar.segCap(); err == nil && !p.IsNull(); segs-- {
 			referenced[p] = true
 			pool, off := ar.space.Resolve(p)
 			p = riv.FromWord(pool.Load(off+1, ctx.Mem))
+			if !p.IsNull() && (segs <= 1 || !ar.inArea(uint64(p.Pool()), p.Word()>>32&0xffff, uint64(p.Offset()))) {
+				err = fmt.Errorf("%w: value chain %#x runs past its length or out of the pools at %v", pmem.ErrBadImage, uint64(ref), p)
+			}
 		}
 	}
 	live(func(w uint64) {
-		if IsRef(w) {
+		if err == nil && ar.IsRef(w) {
 			mark(Ref(w))
 		}
 	})
@@ -761,6 +784,9 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	// freed through Tick/DrainQuiesced); at startup the limbo is empty,
 	// so this only matters for mid-run sweeps in tests.
 	ar.limbo.Each(mark)
+	if err != nil {
+		return 0, err
+	}
 
 	var pages []page
 	for _, ext := range ar.extents {
@@ -800,5 +826,5 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 	}
 	ar.sweepRelinked.Store(uint64(relinked))
 	ar.sweepScanned.Store(uint64(len(pages)))
-	return relinked
+	return relinked, nil
 }

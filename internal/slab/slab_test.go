@@ -25,6 +25,16 @@ type testEnv struct {
 	ctx   *exec.Ctx
 }
 
+// sweep runs the arena's Sweep and fails t on an error.
+func (env *testEnv) sweep(t testing.TB, live func(emit func(uint64))) int {
+	t.Helper()
+	n, err := env.ar.Sweep(env.ctx, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func smallConfig() alloc.Config {
 	return alloc.Config{
 		ChunkWords: 2048,
@@ -178,7 +188,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Put(%d bytes): %v", n, err)
 		}
-		if !IsRef(ref.Word()) {
+		if !env.ar.IsRef(ref.Word()) {
 			t.Fatalf("Put(%d bytes) produced non-ref word %#x", n, ref)
 		}
 		refs[i] = ref
@@ -386,7 +396,7 @@ func leakCrash(t *testing.T, op func(t *testing.T, env *crashArena) Ref) {
 		Op:      func(t *testing.T) { leaked = op(t, env) },
 		Recover: env.reattach,
 		Check: func(t *testing.T, _ crashstep.Point) {
-			relinked := env.ar.Sweep(env.ctx, func(emit func(uint64)) {
+			relinked := env.sweep(t, func(emit func(uint64)) {
 				emit(keep.Word())
 			})
 			if relinked != 1 {
@@ -454,7 +464,7 @@ func TestCrashMidGrow(t *testing.T) {
 		},
 		Recover: env.reattach,
 		Check: func(t *testing.T, _ crashstep.Point) {
-			env.ar.Sweep(env.ctx, func(emit func(uint64)) { emit(keep.Word()) })
+			env.sweep(t, func(emit func(uint64)) { emit(keep.Word()) })
 			if got := env.ar.Get(keep, nil, nil); !bytes.Equal(got, pattern(100, 1)) {
 				t.Fatal("live value damaged")
 			}
@@ -462,7 +472,7 @@ func TestCrashMidGrow(t *testing.T) {
 			if got := env.ar.Get(ref, nil, nil); !bytes.Equal(got, big) {
 				t.Fatal("value written after recovery reads back wrong")
 			}
-			if relinked := env.ar.Sweep(env.ctx, func(emit func(uint64)) {
+			if relinked := env.sweep(t, func(emit func(uint64)) {
 				emit(keep.Word())
 				emit(ref.Word())
 			}); relinked != 0 {
@@ -545,7 +555,7 @@ func TestSweepCleanStoreIsNoop(t *testing.T) {
 		words = append(words, ref.Word())
 	}
 	env2 := env.reattach(t)
-	relinked := env2.ar.Sweep(env2.ctx, func(emit func(uint64)) {
+	relinked := env2.sweep(t, func(emit func(uint64)) {
 		for _, w := range words {
 			emit(w)
 		}
@@ -663,19 +673,66 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// poolsArena attaches an arena to an allocator over one small pool per
+// ID in ids, each formatted with cfg.
+func poolsArena(t *testing.T, cfg alloc.Config, ids ...uint16) *Arena {
+	t.Helper()
+	space := riv.NewSpace()
+	var pas []*alloc.PoolAllocator
+	for _, id := range ids {
+		pool, err := pmem.NewPool(pmem.Config{ID: id, Words: alloc.MinPoolWords(cfg, 2), HomeNode: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := alloc.Format(pool, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space.AddPool(pool)
+		pas = append(pas, pa)
+	}
+	clock := epoch.Attach(pas[0].Pool(), alloc.EpochOff)
+	clock.InitIfZero()
+	a := alloc.New(space, clock)
+	for _, pa := range pas {
+		a.AttachPool(pa, -1)
+	}
+	ar, err := Attach(a, exec.NewCtx(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ar
+}
+
 // TestIsRefPredicate pins the value-word predicate the engine's codec
-// rests on: every ref the arena can produce is ref-shaped, every word
-// with an unproducible length code — and every word below 2^63 and the
-// tombstone — is not, so an 8-byte value holding one can be the node word
-// itself.
+// rests on: every ref makeRef can produce for an address in an attached
+// pool's chunk area passes — up to the highest attached pool ID, the
+// last chunk and the last word of a chunk, at every producible length
+// code — and nothing else does: no unproducible length, no address in
+// an unattached pool, past MaxChunks, in the null chunk field or past a
+// chunk's end, no word below 2^63 and not the tombstone. So an 8-byte
+// value holding any of those can be the node word itself.
 func TestIsRefPredicate(t *testing.T) {
-	ptrs := []riv.Ptr{riv.Make(0, 0, 0), riv.Make(0, 7, 4096), riv.Make(0xfe, 0xfffd, uint32(refOffMask))}
+	cfg := smallConfig()
+	ar := poolsArena(t, cfg, 0, 2)
+	last, end := uint16(cfg.MaxChunks-1), uint32(cfg.ChunkWords-1)
+	in := []riv.Ptr{riv.Make(0, 0, 0), riv.Make(2, last, end), riv.Make(0, last, 0), riv.Make(2, 0, end), riv.Make(0, 7, 1024)}
+	out := []riv.Ptr{riv.Make(1, 0, 0), riv.Make(3, 0, 0), riv.Make(0xfe, 0xfffd, uint32(refOffMask)), riv.Make(0, last+1, 0), riv.Make(2, 0, end+1)}
 	for l := 0; l <= lenChained; l++ {
 		producible := l <= maxRefLen || l == lenChained
-		for _, p := range ptrs {
+		for _, p := range in {
 			ref := makeRef(l, p)
-			if IsRef(ref.Word()) != producible {
+			if ar.IsRef(ref.Word()) != producible {
 				t.Fatalf("IsRef(makeRef(%d, %v)) = %v, want %v", l, p, !producible, producible)
+			}
+			if producible && (ref.lenField() != l || ref.ptr() != p) {
+				t.Fatalf("ref (%d, %v) unpacks to (%d, %v)", l, p, ref.lenField(), ref.ptr())
+			}
+		}
+		for _, p := range out {
+			ref := makeRef(l, p)
+			if ar.IsRef(ref.Word()) {
+				t.Fatalf("IsRef(makeRef(%d, %v)) = true outside the attached pools' chunk area", l, p)
 			}
 			if producible && (ref.lenField() != l || ref.ptr() != p) {
 				t.Fatalf("ref (%d, %v) unpacks to (%d, %v)", l, p, ref.lenField(), ref.ptr())
@@ -685,8 +742,9 @@ func TestIsRefPredicate(t *testing.T) {
 	if maxRefLen != 5112 {
 		t.Fatalf("maxRefLen = %d, want 5112 (the 640-word class less its header)", maxRefLen)
 	}
-	for _, w := range []uint64{0, 1, 1<<63 - 1, ^uint64(0), 1<<63 | (maxRefLen+1)<<refLenShift, ^uint64(0) - 1<<refLenShift} {
-		if IsRef(w) {
+	for _, w := range []uint64{0, 1, 1<<63 - 1, ^uint64(0), ^uint64(0) - 1, 1<<63 | 8<<refLenShift | 5,
+		1<<63 | (maxRefLen+1)<<refLenShift | 1<<refChunkShift, ^uint64(0) - 1<<refLenShift} {
+		if ar.IsRef(w) {
 			t.Fatalf("IsRef(%#x) = true, want false", w)
 		}
 	}
@@ -705,7 +763,7 @@ func TestIsRefPredicate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !IsRef(ref.Word()) {
+			if !env.ar.IsRef(ref.Word()) {
 				t.Fatalf("ref %#x of a %d-byte value is not ref-shaped", ref.Word(), n)
 			}
 		}
@@ -809,7 +867,7 @@ func TestClassLockNeverHeldAcrossPoolAccess(t *testing.T) {
 
 	env2 := env.reattach(t)
 	lc.ar = env2.ar
-	env2.ar.Sweep(env2.ctx, func(emit func(uint64)) {
+	env2.sweep(t, func(emit func(uint64)) {
 		for _, ref := range full[1:] {
 			emit(ref.Word())
 		}
@@ -901,7 +959,7 @@ func TestOldSlabDirectoryImageLoads(t *testing.T) {
 	pool.Persist(base, (first+c.span)*cfg.BlockWords, nil)
 
 	env2 := env.reattach(t)
-	if n := env2.ar.Sweep(env2.ctx, func(emit func(uint64)) {
+	if n := env2.sweep(t, func(emit func(uint64)) {
 		for _, ref := range refs {
 			emit(ref.Word())
 		}
@@ -958,7 +1016,7 @@ func TestSweepFlushesOnlyRelinkedPages(t *testing.T) {
 
 	clean := env.reattach(t)
 	if got := clean.countsDuring(func() {
-		if n := clean.ar.Sweep(clean.ctx, live); n != 0 {
+		if n := clean.sweep(t, live); n != 0 {
 			t.Fatalf("clean sweep relinked %d chunks", n)
 		}
 	}).Flushes; got != 0 {
@@ -976,7 +1034,7 @@ func TestSweepFlushesOnlyRelinkedPages(t *testing.T) {
 	env.pool.DisableTracking()
 	crashed := env.reattach(t)
 	if got := crashed.countsDuring(func() {
-		if n := crashed.ar.Sweep(crashed.ctx, live); n != 1 {
+		if n := crashed.sweep(t, live); n != 1 {
 			t.Fatalf("sweep relinked %d chunks, want the 1 leaked", n)
 		}
 	}).Flushes; got != 1 {
@@ -988,7 +1046,7 @@ func TestSweepFlushesOnlyRelinkedPages(t *testing.T) {
 	crashed.pool.Crash()
 	crashed.pool.DisableTracking()
 	again := crashed.reattach(t)
-	if n := again.ar.Sweep(again.ctx, live); n != 0 {
+	if n := again.sweep(t, live); n != 0 {
 		t.Fatalf("second sweep relinked %d chunks, want 0", n)
 	}
 }
@@ -1010,7 +1068,7 @@ func TestSweepWithoutPagesSkipsTheStructure(t *testing.T) {
 	}
 	env2.ctx.Mem.Publish()
 	before := env2.pool.Stats().Snapshot()
-	if n := env2.ar.Sweep(env2.ctx, func(func(uint64)) { t.Fatal("live walked with no page carved") }); n != 0 {
+	if n := env2.sweep(t, func(func(uint64)) { t.Fatal("live walked with no page carved") }); n != 0 {
 		t.Fatalf("relinked %d", n)
 	}
 	env2.ctx.Mem.Publish()
@@ -1027,7 +1085,7 @@ func TestSweepWithoutPagesSkipsTheStructure(t *testing.T) {
 	}
 	env3 := env2.reattach(t)
 	walked := false
-	env3.ar.Sweep(env3.ctx, func(emit func(uint64)) { walked = true; emit(ref.Word()) })
+	env3.sweep(t, func(emit func(uint64)) { walked = true; emit(ref.Word()) })
 	if !walked || env3.ar.Stats().SweepScanned != 1 {
 		t.Fatalf("one value stored: walked=%v pages swept=%d, want true and 1", walked, env3.ar.Stats().SweepScanned)
 	}

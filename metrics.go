@@ -133,6 +133,15 @@ func (s *Store) EnableMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("upsl_recovery_keys_loaded_total",
 		"pairs the last recovery restored from a logical dump",
 		nil, func() float64 { return float64(s.recovery.KeysBulkLoaded) })
+	const repairs = "deferred repairs since open, summed over shards: stale nodes claimed, towers completed, interrupted splits repaired"
+	reg.GaugeFunc("upsl_deferred_repairs_total", repairs, metrics.Labels{"kind": "claim"},
+		func() float64 { return float64(s.DeferredRepairs().Claims) })
+	reg.GaugeFunc("upsl_deferred_repairs_total", repairs, metrics.Labels{"kind": "tower"},
+		func() float64 { return float64(s.DeferredRepairs().Inserts) })
+	reg.GaugeFunc("upsl_deferred_repairs_total", repairs, metrics.Labels{"kind": "split"},
+		func() float64 { return float64(s.DeferredRepairs().Splits) })
+	reg.GaugeFunc("upsl_split_repair_keys_erased_total", "keys split repair erased by range since open, summed over shards",
+		nil, func() float64 { return float64(s.DeferredRepairs().SplitErased) })
 	s.met.Store(m)
 	// Every list's limbo reports its grace-period waits.
 	for _, e := range s.shards {

@@ -1,10 +1,12 @@
 package upskiplist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"upskiplist/internal/metrics"
+	"upskiplist/internal/pmem"
 )
 
 func TestStoreMetricsRecording(t *testing.T) {
@@ -105,4 +107,81 @@ func TestStoreMetricsRecording(t *testing.T) {
 	if got := m.opLat[opKindGet].Hist().Count(); got != before {
 		t.Errorf("recording continued after DisableMetrics: %d -> %d", before, got)
 	}
+}
+
+// TestDeferredRepairMetrics: a split that a crash interrupts after its
+// new node is linked leaves the node write-locked; after Reopen the
+// first operation that meets it repairs it, erasing the copied keys by
+// range, and the scrape counts the claim, the split repair and the
+// erased keys.
+func TestDeferredRepairMetrics(t *testing.T) {
+	o := testOptions()
+	for after := int64(1); after < 5000; after++ {
+		st, err := Create(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := st.NewWorker(0)
+		for k := uint64(1); k <= uint64(o.KeysPerNode); k++ {
+			if _, _, err := w.PutU64(k*10, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The next insert splits the full node; crash it after `after`
+		// pool accesses.
+		st.SetInjector(pmem.NewCountdownInjector(after))
+		crashed := func() (crashed bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(pmem.CrashSignal); !ok {
+						panic(r)
+					}
+					crashed = true
+				}
+			}()
+			_, _, err := w.PutU64(85, 85)
+			return err != nil
+		}()
+		if !crashed {
+			t.Fatal("no crash point interrupted the split with keys copied")
+		}
+		st.SetInjector(nil)
+		st.SimulateCrash()
+		st2, err := st.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2 := st2.NewWorker(0)
+		for k := uint64(1); k <= uint64(o.KeysPerNode); k++ {
+			if v, ok := w2.GetU64(k * 10); !ok || v != k {
+				t.Fatalf("crash after %d accesses: key %d holds %d, %v", after, k*10, v, ok)
+			}
+		}
+		r := st2.DeferredRepairs()
+		if r.Splits == 0 || r.SplitErased == 0 {
+			continue
+		}
+		reg := metrics.NewRegistry()
+		st2.EnableMetrics(reg)
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`upsl_deferred_repairs_total{kind="split"} %d`, r.Splits),
+			fmt.Sprintf(`upsl_deferred_repairs_total{kind="claim"} %d`, r.Claims),
+			fmt.Sprintf(`upsl_deferred_repairs_total{kind="tower"} %d`, r.Inserts),
+			fmt.Sprintf(`upsl_split_repair_keys_erased_total %d`, r.SplitErased),
+		} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("exposition missing %q", want)
+			}
+		}
+		if r.Splits != 1 || r.Claims == 0 {
+			t.Errorf("repairs after one interrupted split: %+v", r)
+		}
+		t.Logf("crash after %d accesses: %+v", after, r)
+		return
+	}
+	t.Fatal("no crash point left a split to repair")
 }

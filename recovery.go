@@ -59,6 +59,17 @@ type RecoveryStats struct {
 // did. Zero for stores built by Create.
 func (s *Store) RecoveryStats() RecoveryStats { return s.recovery }
 
+// DeferredRepairs sums the shards' deferred repairs since this handle
+// opened (skiplist.Recoveries).
+func (s *Store) DeferredRepairs() (out skiplist.Recoveries) {
+	for _, e := range s.shards {
+		r := e.list.RecoveryStats()
+		out = skiplist.Recoveries{Claims: out.Claims + r.Claims, Inserts: out.Inserts + r.Inserts,
+			Splits: out.Splits + r.Splits, SplitErased: out.SplitErased + r.SplitErased}
+	}
+	return out
+}
+
 // LoadConfig tunes LoadWithConfig beyond what the dump's meta sidecar
 // records.
 type LoadConfig struct {

@@ -264,7 +264,7 @@ type engine struct {
 // resolves to its stored bytes, any other word is an inline value — its
 // own 8 little-endian bytes. The inverse of encodeValue.
 func (e *engine) decodeValue(w uint64, dst []byte, acc *pmem.Acc) []byte {
-	if slab.IsRef(w) {
+	if e.vals.IsRef(w) {
 		return e.vals.Get(slab.FromWord(w), dst, acc)
 	}
 	return binary.LittleEndian.AppendUint64(dst, w)
@@ -279,7 +279,7 @@ func (e *engine) decodeValue(w uint64, dst []byte, acc *pmem.Acc) []byte {
 // publishes the word).
 func (e *engine) encodeValue(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (uint64, error) {
 	if len(val) == 8 {
-		if w := binary.LittleEndian.Uint64(val); !slab.IsRef(w) && w != Tombstone {
+		if w := binary.LittleEndian.Uint64(val); !e.vals.IsRef(w) && w != Tombstone {
 			return w, nil
 		}
 	}
@@ -290,7 +290,7 @@ func (e *engine) encodeValue(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (uint
 // retireWord retires the chunk behind a value word that has durably left
 // the structure (or never entered it); inline words own nothing.
 func (e *engine) retireWord(w uint64) {
-	if slab.IsRef(w) {
+	if e.vals.IsRef(w) {
 		e.vals.Retire(slab.FromWord(w))
 	}
 }
@@ -301,7 +301,8 @@ func (e *engine) retireWord(w uint64) {
 // the list's iterators decode value words through the arena. With sweep
 // set (reopen/load over pre-existing pools) the startup crash-leak scan
 // runs: chunks whose publishing node word never landed are relinked, and
-// slab pages orphaned mid-grow go back to the block allocator.
+// slab pages orphaned mid-grow go back to the block allocator; a value
+// chain that runs past its length fails it with pmem.ErrBadImage.
 func (e *engine) attachVals(sweep bool) error {
 	ctx := exec.NewCtx(0, 0)
 	defer ctx.Mem.Publish()
@@ -313,9 +314,9 @@ func (e *engine) attachVals(sweep bool) error {
 	ar.SetDomain(e.list.Domain())
 	e.list.SetValueDecoder(e.decodeValue)
 	if sweep {
-		ar.Sweep(ctx, func(emit func(uint64)) { e.list.ForEachValueWord(ctx, emit) })
+		_, err = ar.Sweep(ctx, func(emit func(uint64)) { e.list.ForEachValueWord(ctx, emit) })
 	}
-	return nil
+	return err
 }
 
 // put is the engine body of Worker.Put: encode the value (an out-of-line

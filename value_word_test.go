@@ -3,11 +3,15 @@ package upskiplist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math/rand/v2"
 	"testing"
+	"time"
 
 	"upskiplist/internal/crashstep"
 	"upskiplist/internal/exec"
 	"upskiplist/internal/pmem"
+	"upskiplist/internal/riv"
 	"upskiplist/internal/slab"
 )
 
@@ -17,17 +21,21 @@ import (
 // be inline, and the recovery that no longer walks a store of inline
 // values.
 
-// refShaped is an 8-byte value whose word reads as a slab ref (bit 63
-// and a producible length code), so it cannot be stored inline.
-func refShaped(x uint64) []byte { return u64v(1<<63 | 8<<48 | x&(1<<48-1)) }
+// refShaped is an 8-byte value whose word reads as a slab ref of every
+// store this package builds, so it cannot be stored inline: bit 63, pool
+// 0, chunk 0 (biased 1), and x spread over a producible length code and
+// an offset below the smallest chunk size used here (4 096 words).
+func refShaped(x uint64) []byte {
+	return u64v(1<<63 | x>>12%5113<<48 | 1<<24 | x&(1<<12-1))
+}
 
 // inlineEligible mirrors the codec's rule from the outside.
-func inlineEligible(v []byte) bool {
+func inlineEligible(e *engine, v []byte) bool {
 	if len(v) != 8 {
 		return false
 	}
 	w := binary.LittleEndian.Uint64(v)
-	return !slab.IsRef(w) && w != Tombstone
+	return !e.vals.IsRef(w) && w != Tombstone
 }
 
 // FuzzValueWord: for any value, decodeValue(encodeValue(v)) == v; the
@@ -42,16 +50,23 @@ func FuzzValueWord(f *testing.F) {
 	f.Add(u64v(42))
 	f.Add(u64v(1<<63 - 1))
 	f.Add(u64v(Tombstone))
-	f.Add(u64v(Tombstone - 1))                 // bit 63 set, length code 0x7ffe: inline
-	f.Add(u64v(1<<63 | 5113<<48 | 0xabcdef))   // first unproducible length: inline
-	f.Add(u64v(1<<63 | 5112<<48 | 0xabcdef))   // last producible length: slab
-	f.Add(u64v(1<<63 | 0x7fff<<48 | 0xabcdef)) // chained-shaped: slab
+	f.Add(u64v(Tombstone - 1))                      // length code 0x7fff, pool 0xff: inline
+	f.Add(u64v(1<<63 | 5113<<48 | 1<<24 | 0xdef))   // first unproducible length: inline
+	f.Add(u64v(1<<63 | 5112<<48 | 1<<24 | 0xdef))   // last producible length: slab
+	f.Add(u64v(1<<63 | 0x7fff<<48 | 1<<24 | 0xdef)) // chained-shaped: slab
 	f.Add(refShaped(0x123456))
 	f.Add(patVal(1, 1, 7))
 	f.Add(patVal(1, 1, 9))
 	f.Add(patVal(1, 1, 24))
 	f.Add(patVal(1, 1, 100))
 	f.Add(patVal(1, 1, 6000)) // chained
+	// The geometry testOptions fixes: pool 0 only, 256 chunks of 4 096
+	// words.
+	f.Add(u64v(1<<63 | 8<<48 | 1<<40 | 1<<24 | 5)) // pool 1 is not attached: inline
+	f.Add(u64v(1<<63 | 8<<48 | 5))                 // chunk field 0 (null): inline
+	f.Add(u64v(1<<63 | 8<<48 | 257<<24 | 5))       // chunk 256, past MaxChunks: inline
+	f.Add(u64v(1<<63 | 8<<48 | 256<<24 | 4095))    // last chunk, last word: slab
+	f.Add(u64v(1<<63 | 8<<48 | 1<<24 | 4096))      // offset = ChunkWords: inline
 
 	st, err := Create(testOptions())
 	if err != nil {
@@ -71,12 +86,12 @@ func FuzzValueWord(f *testing.F) {
 		switch {
 		case word == Tombstone:
 			t.Fatalf("value %x encoded as the tombstone", v)
-		case inlineEligible(v):
-			if word != binary.LittleEndian.Uint64(v) || slab.IsRef(word) || chunks != 0 {
-				t.Fatalf("inline-eligible %x: word %#x, ref-shaped %v, %d chunks", v, word, slab.IsRef(word), chunks)
+		case inlineEligible(e, v):
+			if word != binary.LittleEndian.Uint64(v) || e.vals.IsRef(word) || chunks != 0 {
+				t.Fatalf("inline-eligible %x: word %#x, ref-shaped %v, %d chunks", v, word, e.vals.IsRef(word), chunks)
 			}
-		case !slab.IsRef(word) || chunks == 0:
-			t.Fatalf("%d-byte value %x: word %#x, ref-shaped %v, %d chunks; want it in the slab", len(v), v[:min(8, len(v))], word, slab.IsRef(word), chunks)
+		case !e.vals.IsRef(word) || chunks == 0:
+			t.Fatalf("%d-byte value %x: word %#x, ref-shaped %v, %d chunks; want it in the slab", len(v), v[:min(8, len(v))], word, e.vals.IsRef(word), chunks)
 		}
 		if got := e.decodeValue(word, nil, ctx.Mem); !bytes.Equal(got, v) {
 			t.Fatalf("decode(encode(%x)) = %x", v, got)
@@ -89,7 +104,7 @@ func FuzzValueWord(f *testing.F) {
 		if got, ok := w.Get(9); !ok || !bytes.Equal(got, v) {
 			t.Fatalf("Get after Put(%x) = %x, %v", v, got, ok)
 		}
-		if word, _ := st.ShardList(0).Get(ctx, 9); slab.IsRef(word) == inlineEligible(v) {
+		if word, _ := st.ShardList(0).Get(ctx, 9); e.vals.IsRef(word) == inlineEligible(e, v) {
 			t.Fatalf("Put(%x) published word %#x", v, word)
 		}
 		st.drainReclaimQuiesced()
@@ -380,5 +395,233 @@ func TestScanFreeRecovery(t *testing.T) {
 	}
 	if got, ok := st3.NewWorker(0).Get(7); !ok || !bytes.Equal(got, patVal(7, 0, 100)) {
 		t.Fatalf("the 100-byte value after the sweep: %x, %v", got, ok)
+	}
+}
+
+// benchValueWord is the 8-byte value the benchmark writes for key k at
+// version ver (FillValue in benchmark/gen.go, a module of its own, so
+// the formula is copied here).
+func benchValueWord(k uint64, ver uint32) uint64 {
+	z := k ^ 0x76616C7565 // "value"
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return (z^z>>31)>>32<<32 | uint64(ver)
+}
+
+// TestRefPredicateOdds: an 8-byte value leaves its node only when its
+// word names a chunk of the store's own pools. A uniform random word
+// does at the default geometry with a rate far below 10⁻⁴, and the
+// benchmark's 8-byte workloads — each at its own pool geometry, over the
+// keys it writes — write no such word and take no chunk.
+func TestRefPredicateOdds(t *testing.T) {
+	st, err := Create(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	const n = 1_000_000
+	hits := 0
+	for i := 0; i < n; i++ {
+		if st.shards[0].vals.IsRef(r.Uint64()) {
+			hits++
+		}
+	}
+	t.Logf("%d of %d uniform random words leave the node: rate %.2g", hits, n, float64(hits)/n)
+	if hits >= n/10_000 {
+		t.Fatalf("%d of %d uniform random words are ref-shaped, want a rate below 1e-4", hits, n)
+	}
+
+	for _, wl := range []struct {
+		name         string
+		keys, shards int
+		written      uint64 // keys the workload writes: churn keeps inserting fresh ones
+	}{
+		{"point-a-1w", 200_000, 1, 200_000},
+		{"wire-a-d*", 100_000, 4, 100_000},
+		{"churn-4k", 4_000, 1, 1_000_000},
+	} {
+		// The benchmark's pool sizing for 8-byte values (options in
+		// benchmark/workloads.go). The predicate reads MaxChunks, not
+		// the pool's size, so the pools here stay small.
+		o := DefaultOptions()
+		o.Shards = wl.shards
+		o.MaxChunks = (uint64(wl.keys/wl.shards+1)*12*4 + 1<<20 + o.ChunkWords - 1) / o.ChunkWords
+		o.PoolWords = 1 << 20
+		st, err := Create(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := st.shards[0]
+		for k := uint64(1); k <= wl.written; k++ {
+			for ver := uint32(0); ver < 64; ver++ {
+				if w := benchValueWord(k, ver); e.vals.IsRef(w) {
+					t.Fatalf("%s (MaxChunks %d): key %d version %d writes ref-shaped word %#x", wl.name, o.MaxChunks, k, ver, w)
+				}
+			}
+		}
+		w := st.NewWorker(0)
+		for k := uint64(1); k <= 2048; k++ {
+			if _, _, err := w.PutU64(k, benchValueWord(k, uint32(k%64))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := st.SlabStats(); s.ChunksAlloced != 0 || s.Pages != 0 {
+			t.Fatalf("%s: 2 048 benchmark values took %d chunks in %d pages", wl.name, s.ChunksAlloced, s.Pages)
+		}
+	}
+}
+
+// oldIsRef is the predicate of every revision before the one that
+// checks a ref's address: bit 63 and a producible length code, the
+// tombstone excepted.
+func oldIsRef(w uint64) bool {
+	l := w >> 48 & 0x7FFF
+	return w>>63 == 1 && (l <= 5112 || l == 0x7FFF) && w != Tombstone
+}
+
+// TestOldRefShapedWordsStayInline: 8-byte values whose words read as
+// refs to the old predicate but name no chunk of the store's pools are
+// stored inline, and read back byte-identical after Reopen, after
+// Save→Load, and after a pairs dump loads into a different shard count.
+func TestOldRefShapedWordsStayInline(t *testing.T) {
+	o := testOptions()
+	o.Shards = 2
+	st, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 600
+	val := func(k uint64) []byte {
+		switch k % 3 {
+		case 0:
+			return u64v(1<<63 | 8<<48 | k) // chunk field 0
+		case 1:
+			return u64v(1<<63 | 100<<48 | 3<<40 | 1<<24 | k) // pool 3, not attached
+		}
+		return u64v(1<<63 | 5112<<48 | 0xffff<<24 | k) // chunk past MaxChunks
+	}
+	w := st.NewWorker(0)
+	for k := uint64(1); k <= n; k++ {
+		if !oldIsRef(leU64(val(k))) {
+			t.Fatalf("value %x of key %d is not ref-shaped to the old predicate", val(k), k)
+		}
+		if _, _, err := w.Put(k, val(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := st.SlabStats(); s.ChunksAlloced != 0 || s.Pages != 0 {
+		t.Fatalf("%d old-ref-shaped values took %d chunks in %d pages", n, s.ChunksAlloced, s.Pages)
+	}
+	readBack := func(how string, st *Store) {
+		t.Helper()
+		w := st.NewWorker(0)
+		for k := uint64(1); k <= n; k++ {
+			if got, ok := w.Get(k); !ok || !bytes.Equal(got, val(k)) {
+				t.Fatalf("after %s: Get(%d) = %x, %v, want %x", how, k, got, ok, val(k))
+			}
+		}
+		if err := w.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", how, err)
+		}
+		if s := st.SlabStats(); s.ChunksAlloced != 0 || s.Extents != 0 {
+			t.Fatalf("after %s: %d chunks, %d extents", how, s.ChunksAlloced, s.Extents)
+		}
+	}
+
+	st.SimulateCrash()
+	re, err := st.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := re.RecoveryStats(); r.PagesSwept != 0 {
+		t.Fatalf("Reopen swept %d pages", r.PagesSwept)
+	}
+	readBack("Reopen", re)
+
+	phys, pairs := t.TempDir(), t.TempDir()
+	if err := re.Save(phys); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := Load(phys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBack("Save→Load", ld)
+
+	if err := re.SaveOnline(pairs); err != nil {
+		t.Fatal(err)
+	}
+	o.Shards = 3
+	if err := writeMeta(pairs, o, "pairs"); err != nil {
+		t.Fatal(err)
+	}
+	ld3, err := Load(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld3.NumShards() != 3 || ld3.RecoveryStats().KeysBulkLoaded != n {
+		t.Fatalf("pairs load: %d shards, %d keys", ld3.NumShards(), ld3.RecoveryStats().KeysBulkLoaded)
+	}
+	readBack("a pairs load into 3 shards", ld3)
+}
+
+// TestLoadRejectsCyclicValueChain: a forged image whose chained value
+// loops back on itself, or leaves the pools, fails Load with
+// pmem.ErrBadImage instead of spinning in the startup sweep.
+func TestLoadRejectsCyclicValueChain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		next func(head uint64) uint64 // the head segment's forged next pointer
+	}{
+		{"cycle", func(head uint64) uint64 { return head }},
+		{"unattached pool", func(uint64) uint64 { return 5<<48 | 1<<32 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Create(testOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := st.NewWorker(0)
+			for k := uint64(1); k <= 20; k++ {
+				if _, _, err := w.Put(k, patVal(k, 0, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			long := patVal(7, 1, 3*st.shards[0].vals.MaxSingle()) // four segments
+			if _, _, err := w.Put(7, long); err != nil {
+				t.Fatal(err)
+			}
+			st.drainReclaimQuiesced()
+			ctx := exec.NewCtx(0, 0)
+			word, _ := st.ShardList(0).Get(ctx, 7)
+			if ref := slab.FromWord(word); !st.shards[0].vals.IsRef(word) || !ref.Chained() {
+				t.Fatalf("key 7's word %#x is not a chained ref", word)
+			}
+			// The ref's address as a riv pointer: pool, biased chunk, offset.
+			head := word>>40&0xff<<48 | word>>24&0xffff<<32 | word&(1<<24-1)
+			pool, off := st.shards[0].space.Resolve(riv.FromWord(head))
+			pool.Store(off+1, tc.next(head), nil)
+			pool.Persist(off+1, 1, nil)
+			dir := t.TempDir()
+			if err := st.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+
+			done := make(chan error, 1)
+			t0 := time.Now()
+			go func() {
+				_, err := Load(dir)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, pmem.ErrBadImage) {
+					t.Fatalf("Load of a forged chain: %v, want pmem.ErrBadImage", err)
+				}
+				t.Logf("Load failed in %v: %v", time.Since(t0), err)
+			case <-time.After(5 * time.Second):
+				t.Fatal("Load of a forged chain still running after 5 s")
+			}
+		})
 	}
 }
