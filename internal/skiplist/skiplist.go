@@ -253,19 +253,21 @@ func newDomain(pa *alloc.PoolAllocator) *epoch.Domain {
 	return epoch.NewDomain(pa.Config().NumLogs + epoch.NumPins)
 }
 
-// ForEachValueWord walks the bottom level and invokes fn with every
-// value word of every node, tombstones and empty slots included. It
-// takes no locks and performs no validation: callers run it quiesced
-// (startup, before workers exist) — it is the liveness scan the slab
-// sweep builds its referenced-chunk set from.
+// ForEachValueWord walks the bottom level, bulk-loading each node's key
+// and value blocks, and invokes fn with the value word of every non-empty
+// key slot, tombstones included. It takes no locks and performs no
+// validation: callers run it quiesced (startup, before workers exist) —
+// it is the liveness scan the slab sweep builds its referenced set from.
 func (s *SkipList) ForEachValueWord(ctx *exec.Ctx, fn func(word uint64)) {
+	kb, vb := make([]uint64, s.keysPerNode), make([]uint64, s.keysPerNode)
 	for p := s.head; !p.IsNull() && p != s.tail; {
 		n := s.node(p)
-		for i := 0; i < s.keysPerNode; i++ {
-			if n.key(s, i, ctx.Mem) == keyEmpty {
-				continue
+		n.keyBlock(s, kb, ctx.Mem)
+		n.valueBlock(s, vb, ctx.Mem)
+		for i, k := range kb {
+			if k != keyEmpty {
+				fn(vb[i])
 			}
-			fn(n.value(s, i, ctx.Mem))
 		}
 		p = n.next(s, 0, ctx.Mem)
 	}

@@ -94,6 +94,7 @@ package slab
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -385,16 +386,10 @@ func (ar *Arena) addExtent(p riv.Ptr) *extent {
 // 63, a length code Put writes and an address in an attached pool's
 // chunk area — geometry fixed at Create, so no word's verdict changes.
 func (ar *Arena) IsRef(w uint64) bool {
-	l := w >> refLenShift & lenChained
+	l, pool, chunk := w>>refLenShift&lenChained, w>>refPoolShift&0xff, w>>refChunkShift&0xffff
 	return w>>63 == 1 && (l <= maxRefLen || l == lenChained) &&
-		ar.inArea(w>>refPoolShift&0xff, w>>refChunkShift&0xffff, w&refOffMask)
-}
-
-// inArea reports whether a pool ID, a chunk index biased +1 and an
-// offset name a word of an attached pool's chunk area.
-func (ar *Arena) inArea(pool, chunk, off uint64) bool {
-	return pool < 0xff && ar.pools[pool>>6]>>(pool&63)&1 == 1 &&
-		chunk >= 1 && chunk <= ar.maxChunks && off < ar.chunkBlocks*ar.blockWords
+		pool < 0xff && ar.pools[pool>>6]>>(pool&63)&1 == 1 &&
+		chunk >= 1 && chunk <= ar.maxChunks && w&refOffMask < ar.chunkBlocks*ar.blockWords
 }
 
 // SetDomain installs the grace-period domain used to tag limbo batches.
@@ -580,15 +575,6 @@ func (ar *Arena) putChained(ctx *exec.Ctx, val []byte, flush *pmem.Batch) (Ref, 
 	return makeRef(lenChained, next), nil
 }
 
-// Len returns the byte length of the value behind ref.
-func (ar *Arena) Len(ref Ref, acc *pmem.Acc) int {
-	if l := ref.lenField(); l != lenChained {
-		return l
-	}
-	pool, off := ar.space.Resolve(ref.ptr())
-	return int(pool.Load(off, acc) & hdrLenMask)
-}
-
 // Get appends the value behind ref to dst and returns the result. The
 // caller must hold whatever pin protects the ref from reclamation.
 func (ar *Arena) Get(ref Ref, dst []byte, acc *pmem.Acc) []byte {
@@ -704,53 +690,49 @@ func (pg page) slot(i uint64, c class) (riv.Ptr, uint64) {
 }
 
 // walkPages reads the page headers of one extent up to its cursor and
-// returns its pages in address order.
-func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc) []page {
-	var pages []page
+// hands fn its pages in address order.
+func (ar *Arena) walkPages(ext *extent, acc *pmem.Acc, fn func(pg page)) {
 	for b := ext.first; b < ext.cursor; {
 		meta := ext.pool.Load(ext.base+b*ar.blockWords, acc)
 		class, span := int(meta&0xffff), meta>>16&0xffff
 		if meta>>48<<48 != pageMagic || class >= len(ar.classes) || span != ar.classes[class].span {
-			break // not a page of this geometry: nothing past it is reachable
+			return // not a page of this geometry: nothing past it is reachable
 		}
-		pages = append(pages, ext.page(b, ar.blockWords, class))
+		fn(ext.page(b, ar.blockWords, class))
 		b += span
 	}
-	return pages
 }
 
-// hasPages reports whether any extent has carved a page.
-func (ar *Arena) hasPages() bool {
-	for _, ext := range ar.extents {
-		if ext.cursor > ext.first {
-			return true
-		}
+// setBits sets bits [lo, hi) of a bitmap.
+func setBits(bm []uint64, lo, hi uint64) {
+	for ; lo < hi; lo += 64 - lo%64 {
+		bm[lo/64] |= (uint64(1)<<min(hi-lo, 64-lo%64) - 1) << (lo % 64)
 	}
-	return false
 }
 
 // Sweep is the startup crash-leak scan, and it rebuilds every class
 // list. live must call its argument with every node value word currently
 // published in the structure (the engine walks the bottom level); Sweep
 // follows refs (and their chains) to build the referenced set, then in
-// one pass over the pages lists every chunk that no live ref and no limbo
-// entry reaches. A chunk whose header still reads hdrUsed is a leak — a
-// publish that never landed, or a free whose header zero a crash
-// reverted: the relinked count reports those, their headers are zeroed
-// and persisted under one fence, and they are handed out before the
-// chunks that were already free.
+// one loop per extent over its pages lists every chunk that no live ref
+// and no limbo entry reaches. A chunk whose header still reads hdrUsed is
+// a leak — a publish that never landed, or a free whose header zero a
+// crash reverted: the relinked count reports those, their headers are
+// zeroed and persisted under one fence, and they are handed out before
+// the chunks that were already free.
 //
 // The sweep pays for what a crash can have broken: with no page carved
 // it returns before calling live at all, and it flushes only the header
 // lines of the chunks it relinked, so a clean reopen flushes nothing.
 //
-// A chain that runs past the segments its length names or leaves the
-// chunk area (a forged image; a cycle would spin) is pmem.ErrBadImage.
+// A ref that starts no chunk of a page below a cursor whose class holds
+// its length, or a chain that runs past the segments its length names
+// (a cycle would spin), is pmem.ErrBadImage: a forged image.
 //
 // Must run quiesced (no concurrent operations), which is the state at
 // Reopen/Load time. Idempotent: a clean store sweeps zero chunks.
 func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relinked int, err error) {
-	if !ar.hasPages() {
+	if !slices.ContainsFunc(ar.extents, func(ext *extent) bool { return ext.cursor > ext.first }) {
 		// No page was ever carved: no chunk exists for a crash to have
 		// leaked, and live need not walk the structure (a store of inline
 		// values reopens without reading a key).
@@ -758,21 +740,49 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 		ar.sweepScanned.Store(0)
 		return 0, nil
 	}
-	referenced := make(map[riv.Ptr]bool)
-	mark := func(ref Ref) {
-		p := ref.ptr()
-		if !ref.Chained() {
-			referenced[p] = true
-			return
+	// Per extent, one bit per minimum-class slot a ref starts at or covers.
+	stride := ar.chunkBlocks*ar.blockWords/minClassWords/64 + 1 // bitmap words per extent
+	starts, cover := make([]uint64, stride*uint64(len(ar.extents))), make([]uint64, stride*uint64(len(ar.extents)))
+	byChunk := make([][]int32, 0xff) // by pool ID and biased chunk: extent index + 1
+	for i, ext := range ar.extents {
+		if byChunk[ext.ptr.Pool()] == nil {
+			byChunk[ext.ptr.Pool()] = make([]int32, ar.maxChunks+1)
 		}
-		for segs := (ar.Len(ref, ctx.Mem) + ar.segCap() - 1) / ar.segCap(); err == nil && !p.IsNull(); segs-- {
-			referenced[p] = true
-			pool, off := ar.space.Resolve(p)
-			p = riv.FromWord(pool.Load(off+1, ctx.Mem))
-			if !p.IsNull() && (segs <= 1 || !ar.inArea(uint64(p.Pool()), p.Word()>>32&0xffff, uint64(p.Offset()))) {
-				err = fmt.Errorf("%w: value chain %#x runs past its length or out of the pools at %v", pmem.ErrBadImage, uint64(ref), p)
+		byChunk[ext.ptr.Pool()][ext.ptr.Word()>>32&0xffff] = int32(i + 1)
+	}
+	// claim marks words [p, p+n) as one referenced chunk and resolves p
+	// through its extent, or reports false when no extent holds them.
+	claim := func(p riv.Ptr, n uint64) (*pmem.Pool, uint64, bool) {
+		c, off := p.Word()>>32&0xffff, uint64(p.Offset())
+		if int(p.Pool()) >= len(byChunk) || c >= uint64(len(byChunk[p.Pool()])) || byChunk[p.Pool()][c] == 0 {
+			return nil, 0, false
+		}
+		i := uint64(byChunk[p.Pool()][c] - 1)
+		ext := ar.extents[i]
+		if off%minClassWords != 0 || off < ext.first*ar.blockWords || off+n > ext.cursor*ar.blockWords {
+			return nil, 0, false
+		}
+		u := i*stride*64 + off/minClassWords
+		starts[u/64] |= 1 << (u % 64)
+		setBits(cover, u+1, u+(n+minClassWords-1)/minClassWords)
+		return ext.pool, ext.base + off, true
+	}
+	mark := func(ref Ref) {
+		if !ref.Chained() {
+			if _, _, ok := claim(ref.ptr(), 1+uint64(ref.lenField()+7)/8); ok {
+				return
+			}
+		} else if pool, off, ok := claim(ref.ptr(), ar.classes[len(ar.classes)-1].words); ok {
+			for segs := (int(pool.Load(off, ctx.Mem)&hdrLenMask) + ar.segCap() - 1) / ar.segCap(); ok; segs-- {
+				p := riv.FromWord(pool.Load(off+1, ctx.Mem))
+				if p.IsNull() {
+					return
+				}
+				pool, off, ok = claim(p, ar.classes[len(ar.classes)-1].words)
+				ok = ok && segs > 1
 			}
 		}
+		err = fmt.Errorf("%w: value %#x names no chunk of a slab page that holds it, or its chain runs past its length", pmem.ErrBadImage, uint64(ref))
 	}
 	live(func(w uint64) {
 		if err == nil && ar.IsRef(w) {
@@ -788,43 +798,48 @@ func (ar *Arena) Sweep(ctx *exec.Ctx, live func(emit func(word uint64))) (relink
 		return 0, err
 	}
 
-	var pages []page
-	for _, ext := range ar.extents {
-		pages = append(pages, ar.walkPages(ext, ctx.Mem)...)
-	}
-
-	// Sort every chunk into free and leaked by class; the leaks are
-	// handed out first.
-	free := make([][]riv.Ptr, len(ar.classes))
-	leaks := make([][]riv.Ptr, len(ar.classes))
-	for _, pg := range pages {
-		c := ar.classes[pg.class]
-		for i := uint64(0); i < c.perPage; i++ {
-			chunk, off := pg.slot(i, c)
-			switch {
-			case referenced[chunk]:
-			case pg.pool.Load(off, ctx.Mem)&hdrUsed != 0:
-				leaks[pg.class] = append(leaks[pg.class], chunk)
-			default:
-				free[pg.class] = append(free[pg.class], chunk)
+	// Sort every chunk into free and leaked (header zeroed) by class,
+	// consuming start bits. A cover bit on a chunk's first slot or past a
+	// page's last chunk, or a start bit left over, is a ref no chunk holds.
+	n := len(ar.classes)
+	free, leaks, perClass, pages := make([][]riv.Ptr, n), make([][]riv.Ptr, n), make([]uint64, n), 0
+	for i, ext := range ar.extents {
+		base := uint64(i) * stride * 64
+		ar.walkPages(ext, ctx.Mem, func(pg page) {
+			c := ar.classes[pg.class]
+			for s := uint64(0); s <= c.perPage; s++ {
+				chunk, off := pg.slot(s, c)
+				switch u := base + (off-ext.base)/minClassWords; {
+				case cover[u/64]>>(u%64)&1 != 0:
+					err = fmt.Errorf("%w: a value overruns the slab chunk before %v", pmem.ErrBadImage, chunk)
+				case s == c.perPage:
+				case starts[u/64]>>(u%64)&1 != 0:
+					starts[u/64] &^= 1 << (u % 64)
+				case pg.pool.Load(off, ctx.Mem)&hdrUsed != 0:
+					pg.pool.Store(off, 0, ctx.Mem)
+					ctx.Batch.Add(pg.pool, off, 1, ctx.Mem)
+					leaks[pg.class] = append(leaks[pg.class], chunk)
+				default:
+					free[pg.class] = append(free[pg.class], chunk)
+				}
 			}
+			perClass[pg.class]++
+			pages++
+		})
+		if slices.ContainsFunc(starts[base/64:base/64+stride], func(w uint64) bool { return w != 0 }) && err == nil {
+			err = fmt.Errorf("%w: a value names a word of %v that starts no chunk of a slab page", pmem.ErrBadImage, ext.ptr)
 		}
+	}
+	if err != nil {
+		return 0, err
 	}
 	for class := range ar.classes {
-		ar.classPages[class].Store(0)
-		for _, p := range leaks[class] {
-			pool, off := ar.space.Resolve(p)
-			pool.Store(off, 0, ctx.Mem)
-			ctx.Batch.Add(pool, off, 1, ctx.Mem)
-		}
 		ar.free[class].chunks = append(free[class], leaks[class]...)
+		ar.classPages[class].Store(perClass[class])
 		relinked += len(leaks[class])
 	}
 	ctx.Batch.Flush(ctx.Mem)
-	for _, pg := range pages {
-		ar.classPages[pg.class].Add(1)
-	}
 	ar.sweepRelinked.Store(uint64(relinked))
-	ar.sweepScanned.Store(uint64(len(pages)))
+	ar.sweepScanned.Store(uint64(pages))
 	return relinked, nil
 }

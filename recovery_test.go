@@ -182,7 +182,11 @@ func TestRecoveryCrashDuringReopen(t *testing.T) {
 	}
 	var err error // what the armed Reopen returned
 	last := crashstep.Run(t, crashstep.Scenario{
-		From: 250, Stride: 250, Floor: 5000, // past attach, into the sweeps
+		// A clean reopen of this store makes 1 953 pool accesses: ~64 per
+		// shard to attach and open, ~424 per shard to sweep. The crashed
+		// one makes 2 000-2 249 (7 000-7 249 with Floor 5 000 while the
+		// sweep hashed its refs and loaded every key word by word).
+		From: 250, Stride: 250, Floor: 2000, // past attach, into the sweeps
 		Setup:   build,
 		Op:      func(t *testing.T) { _, err = c.Reopen() },
 		Twin:    func(t *testing.T) { build(t) },
@@ -217,16 +221,21 @@ func TestRecoveryCrashDuringLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A clean phys load makes 1 516 pool accesses, 4 x ~60 to attach and
+	// open and 4 x 319 to sweep, so step 1 250 lands in a sweep whether
+	// the shards load one after another or two at a time (5 000 of 5 272
+	// while the sweep loaded every key word by word).
 	for _, tc := range []struct {
 		name string
 		dir  string
-	}{{"phys", physDir}, {"bulk", pairsDir}} {
+		at   int64
+	}{{"phys", physDir, 1250}, {"bulk", pairsDir, 5000}} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The loader builds its pools inside the call, so the crash
 			// rides its config.
 			var inj pmem.Injector
 			crashstep.Run(t, crashstep.Scenario{
-				At:    []int64{5000},
+				At:    []int64{tc.at},
 				Setup: func(t *testing.T) []*pmem.Pool { return nil },
 				Arm:   func(i pmem.Injector) { inj = i },
 				Op: func(t *testing.T) {
@@ -290,5 +299,34 @@ func TestBulkLoadRestoresDump(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestRecoveryLoadsPinned pins the pool loads a clean Reopen of a fixed
+// one-shard slab store charges: attach, open and a sweep whose live walk
+// bulk-loads each node's key and value blocks. The count moves only when
+// recovery's access sequence does (6 842 while the walk loaded every key
+// and value word on its own).
+func TestRecoveryLoadsPinned(t *testing.T) {
+	const want = 2842
+	st, err := Create(recoveryTestOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRecoveryStore(t, st, 2000)
+	var before uint64
+	for _, p := range st.Pools() {
+		before += p.Stats().Snapshot().Loads
+	}
+	re, err := st.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loads uint64
+	for _, p := range re.Pools() {
+		loads += p.Stats().Snapshot().Loads
+	}
+	if loads -= before; loads != want || re.RecoveryStats().PagesSwept == 0 {
+		t.Fatalf("reopen charged %d loads over %d pages, want %d", loads, re.RecoveryStats().PagesSwept, want)
 	}
 }

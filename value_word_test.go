@@ -567,14 +567,21 @@ func TestOldRefShapedWordsStayInline(t *testing.T) {
 
 // TestLoadRejectsCyclicValueChain: a forged image whose chained value
 // loops back on itself, or leaves the pools, fails Load with
-// pmem.ErrBadImage instead of spinning in the startup sweep.
+// pmem.ErrBadImage instead of spinning in the startup sweep. So does one
+// with a node word that is a well-formed ref to no chunk of a slab page
+// that holds it, instead of loading and panicking the first Get.
 func TestLoadRejectsCyclicValueChain(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		next func(head uint64) uint64 // the head segment's forged next pointer
+		next func(head uint64) uint64 // the head segment's forged next pointer, or nil
+		word func(ref uint64) uint64  // a forged node word made from key 1's 100-byte ref, or nil
 	}{
-		{"cycle", func(head uint64) uint64 { return head }},
-		{"unattached pool", func(uint64) uint64 { return 5<<48 | 1<<32 }},
+		{"cycle", func(head uint64) uint64 { return head }, nil},
+		{"unattached pool", func(uint64) uint64 { return 5<<48 | 1<<32 }, nil},
+		{"unknown chunk", nil, func(uint64) uint64 { return 1<<63 | 8<<48 | 250<<24 | 5 }},
+		{"past the cursor", nil, func(ref uint64) uint64 { return ref&^(1<<24-1) | (1<<12 - 64) }},
+		{"off a slot boundary", nil, func(ref uint64) uint64 { return ref + 4 }},
+		{"length overruns the class", nil, func(ref uint64) uint64 { return ref&^(0x7fff<<48) | 1000<<48 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := Create(testOptions())
@@ -597,11 +604,22 @@ func TestLoadRejectsCyclicValueChain(t *testing.T) {
 			if ref := slab.FromWord(word); !st.shards[0].vals.IsRef(word) || !ref.Chained() {
 				t.Fatalf("key 7's word %#x is not a chained ref", word)
 			}
-			// The ref's address as a riv pointer: pool, biased chunk, offset.
-			head := word>>40&0xff<<48 | word>>24&0xffff<<32 | word&(1<<24-1)
-			pool, off := st.shards[0].space.Resolve(riv.FromWord(head))
-			pool.Store(off+1, tc.next(head), nil)
-			pool.Persist(off+1, 1, nil)
+			if tc.next != nil {
+				// The ref's address as a riv pointer: pool, biased chunk, offset.
+				head := word>>40&0xff<<48 | word>>24&0xffff<<32 | word&(1<<24-1)
+				pool, off := st.shards[0].space.Resolve(riv.FromWord(head))
+				pool.Store(off+1, tc.next(head), nil)
+				pool.Persist(off+1, 1, nil)
+			} else {
+				ref, _ := st.ShardList(0).Get(ctx, 1)
+				forged := tc.word(ref)
+				if !st.shards[0].vals.IsRef(forged) {
+					t.Fatalf("forged word %#x is not ref-shaped", forged)
+				}
+				if _, _, err := st.ShardList(0).Insert(ctx, 500, forged); err != nil {
+					t.Fatal(err)
+				}
+			}
 			dir := t.TempDir()
 			if err := st.Save(dir); err != nil {
 				t.Fatal(err)
@@ -616,11 +634,11 @@ func TestLoadRejectsCyclicValueChain(t *testing.T) {
 			select {
 			case err := <-done:
 				if !errors.Is(err, pmem.ErrBadImage) {
-					t.Fatalf("Load of a forged chain: %v, want pmem.ErrBadImage", err)
+					t.Fatalf("Load of a forged image: %v, want pmem.ErrBadImage", err)
 				}
 				t.Logf("Load failed in %v: %v", time.Since(t0), err)
 			case <-time.After(5 * time.Second):
-				t.Fatal("Load of a forged chain still running after 5 s")
+				t.Fatal("Load of a forged image still running after 5 s")
 			}
 		})
 	}
