@@ -25,13 +25,25 @@ import (
 // create one per goroutine.
 // Under online reclamation the cursor's node may be retired and its
 // block recycled between calls (the era pin covers a single Seek/Next
-// call, not the iterator's lifetime). The pairs buffer is a DRAM
-// snapshot and stays valid regardless; only advancing off the node
+// call, not the iterator's lifetime, unless the caller holds an outer
+// pin). The pairs buffer is a DRAM snapshot of the node's key and value
+// words and stays valid regardless; only advancing off the node
 // dereferences it again, so advanceNode revalidates the cursor (next
 // word neither marked nor null, same immutable first key) and otherwise
 // re-seeks past the last key this node could have yielded. A
 // freed-and-recycled block can therefore never contribute pairs — no
 // phantom keys.
+//
+// A value word may name a slab chunk, which a concurrent overwrite
+// retires and a grace period later frees, so its bytes are decoded only
+// under the pin that covered the read of the word. ValueBytes decodes
+// the current pair on demand; before the pin that read the buffered
+// words drops, every pair still to be yielded from the node is decoded
+// (DecodeBuffered). A Seek or Next that holds the outermost pin does so
+// itself, so a caller without a pin of its own decodes what it always
+// did; a caller that pins across many moves (Worker.Scan) decodes only
+// the values it reads, and calls DecodeBuffered before it lets its pin
+// go mid-scan.
 type Iterator struct {
 	s   *SkipList
 	ctx *exec.Ctx
@@ -41,15 +53,19 @@ type Iterator struct {
 	resume uint64  // largest key the buffer could have yielded
 	pairs  []kv    // live pairs of that node, sorted
 	idx    int     // position in pairs; idx == len(pairs) means exhausted
-	vbuf   []byte  // decoded value bytes (when a decoder is installed)
+	vbuf   []byte  // the node's decoded value bytes, appended as decoded
 }
 
 type kv struct {
 	k, v uint64
-	// voff/vlen locate the decoded bytes in the iterator's vbuf; only
-	// populated when the list has a value decoder installed.
+	// voff/vlen locate the decoded bytes in the iterator's vbuf; vlen is
+	// undecoded until the pair's value is decoded (never, without a
+	// value decoder installed: the bytes are then empty).
 	voff, vlen int
 }
+
+// undecoded is the vlen of a pair whose value word is not decoded yet.
+const undecoded = -1
 
 // NewIterator returns an unpositioned iterator; call Seek before Next.
 func (s *SkipList) NewIterator(ctx *exec.Ctx) *Iterator {
@@ -63,7 +79,7 @@ func (it *Iterator) Seek(key uint64) bool {
 		key = KeyMin
 	}
 	it.s.pin(it.ctx)
-	defer it.s.unpin(it.ctx)
+	defer it.unpin()
 	it.resume = key - 1 // a fresh Seek owes nothing below key
 	return it.reseek()
 }
@@ -76,7 +92,7 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	it.s.pin(it.ctx)
-	defer it.s.unpin(it.ctx)
+	defer it.unpin()
 	it.idx++
 	for it.idx >= len(it.pairs) {
 		if !it.advanceNode() {
@@ -98,14 +114,57 @@ func (it *Iterator) Key() uint64 { return it.pairs[it.idx].k }
 func (it *Iterator) Value() uint64 { return it.pairs[it.idx].v }
 
 // ValueBytes returns the current value's decoded bytes; only meaningful
-// when Valid and a decoder is installed (SetValueDecoder). The bytes
-// were materialized under the era pin at node-snapshot time, so they
-// remain correct even if the backing chunk has since been retired; the
+// when Valid and a decoder is installed (SetValueDecoder). A pair not
+// decoded yet is decoded now, which is safe only while the pin that
+// covered the read of its value word is still held: a caller with no pin
+// of its own reads a pair its Seek/Next already decoded, and ValueBytes
+// of an undecoded pair with no pin held is a program bug and panics.
+// Decoded bytes stay correct after the backing chunk is retired; the
 // slice aliases the iterator's buffer and is valid until the cursor
 // leaves the current node.
 func (it *Iterator) ValueBytes() []byte {
-	p := it.pairs[it.idx]
+	p := &it.pairs[it.idx]
+	if p.vlen == undecoded {
+		it.decode(p)
+	}
 	return it.vbuf[p.voff : p.voff+p.vlen : p.voff+p.vlen]
+}
+
+// DecodeBuffered decodes every pair the cursor has still to yield from
+// its current node. A caller that holds a pin across several moves calls
+// it before that pin drops: the words were read under the pin, and the
+// chunks they name may be freed once it is gone.
+func (it *Iterator) DecodeBuffered() {
+	if !it.Valid() {
+		return
+	}
+	for i := it.idx; i < len(it.pairs); i++ {
+		if it.pairs[i].vlen == undecoded {
+			it.decode(&it.pairs[i])
+		}
+	}
+}
+
+// decode appends p's value bytes to the node's vbuf. Appending leaves
+// the bytes of the node's earlier pairs where they are, so slices handed
+// out for them stay valid.
+func (it *Iterator) decode(p *kv) {
+	if it.ctx.Pins == 0 {
+		panic("skiplist: Iterator.ValueBytes of an undecoded pair with no era pin held")
+	}
+	p.voff = len(it.vbuf)
+	it.vbuf = it.s.decode(p.v, it.vbuf, it.ctx.Mem)
+	p.vlen = len(it.vbuf) - p.voff
+}
+
+// unpin drops a Seek's or Next's pin. When it is the outermost one, the
+// pairs still buffered are decoded first: the next Next may land on one
+// under a later pin, which does not cover the read of its word.
+func (it *Iterator) unpin() {
+	if it.ctx.Pins == 1 {
+		it.DecodeBuffered()
+	}
+	it.s.unpin(it.ctx)
 }
 
 // loadNode snapshots a node's live pairs with keys >= lo.
@@ -114,6 +173,7 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 	it.node = p
 	it.idx = 0
 	it.pairs = it.pairs[:0]
+	it.vbuf = it.vbuf[:0]
 	if p.IsNull() || p == s.tail {
 		it.node = riv.Null
 		return
@@ -131,6 +191,10 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 			s.node(nxt).prefetchHeader(it.ctx.Mem)
 		}
 	}
+	vlen := 0
+	if s.decode != nil {
+		vlen = undecoded
+	}
 	buf := it.ctx.GetBlock(2 * s.keysPerNode)
 	kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
 	for {
@@ -145,24 +209,13 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 			if k == keyEmpty || k < lo || vb[i] == Tombstone {
 				continue
 			}
-			it.pairs = append(it.pairs, kv{k: k, v: vb[i]})
+			it.pairs = append(it.pairs, kv{k: k, v: vb[i], vlen: vlen})
 		}
 		if !n.isWriteLocked(it.ctx.Mem) && n.splitCount(it.ctx.Mem) == sc {
 			break
 		}
 	}
 	it.ctx.PutBlock(buf)
-	// Materialize value bytes NOW, under the caller's era pin: by the
-	// next Seek/Next call the backing chunks may have been retired and
-	// freed, but the DRAM copy keeps the node snapshot self-contained.
-	if s.decode != nil {
-		it.vbuf = it.vbuf[:0]
-		for i := range it.pairs {
-			off := len(it.vbuf)
-			it.vbuf = s.decode(it.pairs[i].v, it.vbuf, it.ctx.Mem)
-			it.pairs[i].voff, it.pairs[i].vlen = off, len(it.vbuf)-off
-		}
-	}
 	slices.SortFunc(it.pairs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
 }
 

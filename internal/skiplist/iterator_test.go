@@ -1,8 +1,12 @@
 package skiplist
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"upskiplist/internal/pmem"
 )
 
 func TestIteratorFullTraversal(t *testing.T) {
@@ -111,4 +115,46 @@ func TestIteratorAgainstScan(t *testing.T) {
 			t.Fatalf("divergence at %d: %d vs %d", i, fromScan[i], fromIter[i])
 		}
 	}
+}
+
+// TestIteratorUndecodedOutsidePinPanics: a cursor moved under an outer
+// pin buffers its node's value words undecoded; reading one after that
+// pin dropped would decode a word no pin covers, which is a program bug,
+// so ValueBytes panics instead of reading a possibly recycled chunk.
+func TestIteratorUndecodedOutsidePinPanics(t *testing.T) {
+	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 8})
+	decodes := 0
+	e.sl.SetValueDecoder(func(w uint64, dst []byte, _ *pmem.Acc) []byte {
+		decodes++
+		return binary.LittleEndian.AppendUint64(dst, w)
+	})
+	ctx := ctx0()
+	for k := uint64(1); k <= 5; k++ {
+		e.sl.Insert(ctx, k, k*10)
+	}
+	it := e.sl.NewIterator(ctx)
+	e.sl.Pin(ctx)
+	if !it.Seek(1) || !it.Next() {
+		t.Fatal("seek failed")
+	}
+	if decodes != 0 {
+		t.Fatalf("%d values decoded by moves nested in an outer pin, want 0", decodes)
+	}
+	if v := it.ValueBytes(); binary.LittleEndian.Uint64(v) != 20 || decodes != 1 {
+		t.Fatalf("ValueBytes under the pin: %x after %d decodes, want 20 after 1", v, decodes)
+	}
+	e.sl.Unpin(ctx)
+	if v := it.ValueBytes(); binary.LittleEndian.Uint64(v) != 20 {
+		t.Fatalf("decoded pair read after the pin dropped: %x", v)
+	}
+	e.sl.Pin(ctx)
+	it.Seek(1)
+	e.sl.Unpin(ctx)
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "undecoded pair with no era pin held") {
+			t.Fatalf("ValueBytes of an undecoded pair with no pin held: recovered %v, want the named panic", r)
+		}
+	}()
+	it.ValueBytes()
 }

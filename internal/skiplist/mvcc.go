@@ -406,6 +406,8 @@ func (si *SnapIterator) Seek(key uint64) bool {
 	si.heap = si.heap[:0]
 	si.emitted = false
 	si.lastEmitted = 0
+	si.snap.s.pin(si.ctx)
+	defer si.snap.s.unpin(si.ctx)
 	si.it.Seek(key)
 	return si.settle()
 }
@@ -415,6 +417,8 @@ func (si *SnapIterator) Next() bool {
 	if !si.valid {
 		return false
 	}
+	si.snap.s.pin(si.ctx)
+	defer si.snap.s.unpin(si.ctx)
 	return si.settle()
 }
 
@@ -428,10 +432,12 @@ func (si *SnapIterator) Key() uint64 { return si.curK }
 func (si *SnapIterator) Value() uint64 { return si.curV }
 
 // ValueBytes returns the current value's decoded bytes (empty without a
-// decoder installed). Unlike the live Iterator, decoding lazily here is
-// safe: the open snapshot pins its acquisition era for its whole
-// lifetime, so no chunk a frozen value references can be freed before
-// Release. The slice is valid until the next cursor call.
+// decoder installed). Seek and Next hold one pin around the live
+// cursor's moves, so the live cursor decodes nothing; the frozen value
+// is decoded here, with no worker pin needed: the open snapshot pins its
+// acquisition era for its whole lifetime, so no chunk a frozen value
+// references can be freed before Release. The slice is valid until the
+// next cursor call.
 func (si *SnapIterator) ValueBytes() []byte {
 	if si.snap.s.decode == nil {
 		return nil
@@ -567,7 +573,8 @@ type Cursor interface {
 	Value() uint64
 	// ValueBytes returns the current value decoded to bytes when the
 	// list has a value decoder installed (SetValueDecoder); empty
-	// otherwise. The slice is valid until the next cursor call.
+	// otherwise. A cursor decodes only the values it is asked for. The
+	// slice is valid until the next cursor call.
 	ValueBytes() []byte
 }
 

@@ -57,6 +57,12 @@ const maxQueued = 256
 // limbo holds blocks between two settles of it.
 const settleEvery = 1024
 
+// ScanPinPairs is how many pairs a scan that pins across its moves
+// (Worker.Scan) yields under one era pin: it then decodes what its
+// cursors still buffer and pins afresh, so a long scan holds back no
+// limbo batch for longer than this many pairs.
+const ScanPinPairs = 1024
+
 // reclaim is a list's volatile retire state.
 type reclaim struct {
 	on    atomic.Bool  // OnlineReclaim: workers retire the nodes they empty

@@ -193,8 +193,8 @@ type SkipList struct {
 	rc reclaim
 
 	// decode materializes a value word into bytes (resolving slab
-	// references); installed by the engine, used by the iterator at
-	// node-snapshot time while the era pin is held.
+	// references); installed by the engine, used by the iterator under
+	// the era pin that covered the read of the word.
 	decode func(word uint64, dst []byte, acc *pmem.Acc) []byte
 
 	// stats
@@ -275,8 +275,10 @@ func (s *SkipList) ForEachValueWord(ctx *exec.Ctx, fn func(word uint64)) {
 
 // SetValueDecoder installs the hook the engine uses to materialize a
 // value word into bytes (resolving slab references). The iterator calls
-// it at node-snapshot time, under the era pin, so the decoded bytes stay
-// valid even after the referenced chunk is retired and freed.
+// it under the era pin that covered the read of the pair's value word —
+// on demand when its caller holds a pin across its moves, for every pair
+// a move leaves buffered otherwise — so the decoded bytes stay valid
+// even after the referenced chunk is retired and freed.
 func (s *SkipList) SetValueDecoder(fn func(word uint64, dst []byte, acc *pmem.Acc) []byte) {
 	s.decode = fn
 }

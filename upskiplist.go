@@ -733,9 +733,10 @@ type Worker struct {
 	// simulated line cache covers one shard's working set, and the
 	// deferred-persist group of a batch never straddles address spaces.
 	ctxs []*exec.Ctx
-	// merged is the reusable scan cursor over every shard's bottom level,
-	// built lazily on first Scan.
+	// merged is the reusable scan cursor over its, one bottom-level
+	// iterator per shard; both are built lazily on first Scan.
 	merged *skiplist.Merged
+	its    []*skiplist.Iterator
 	// runs are the reusable per-shard op buffers for ApplyBatch.
 	runs [][]skiplist.BatchOp
 	// ops counts engine operations issued through this worker (see
@@ -883,6 +884,10 @@ func (w *Worker) Remove(key uint64) ([]byte, bool, error) {
 // until fn returns false. The per-shard bottom levels are merged on the
 // fly, so the callback sees one globally ascending key sequence. The
 // value slice passed to fn is only valid for that callback invocation.
+// Only the values passed to fn are read. fn runs under the scan's era
+// pin, renewed every skiplist.ScanPinPairs pairs: a retired chunk or
+// node waits for it to move on, and fn must not open a Snapshot, which
+// waits for every worker pinned before it.
 func (w *Worker) Scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error {
 	w.ops++
 	if m := w.s.met.Load(); m != nil {
@@ -900,12 +905,39 @@ func (w *Worker) scan(lo, hi uint64, fn func(key uint64, val []byte) bool) error
 		return nil
 	}
 	m := w.mergedCursor()
+	// One pin per shard around the merge: every Seek and Next nests in
+	// it and decodes nothing, so only the pairs passed to fn are decoded.
+	w.pinShards()
+	defer w.unpinShards()
+	n := 0
 	for ok := m.Seek(lo); ok && m.Key() <= hi; ok = m.Next() {
 		if !fn(m.Key(), m.ValueBytes()) {
 			return nil
 		}
+		if n++; n == skiplist.ScanPinPairs {
+			n = 0
+			for _, it := range w.its {
+				it.DecodeBuffered()
+			}
+			w.unpinShards()
+			w.pinShards()
+		}
 	}
 	return nil
+}
+
+// pinShards pins every shard's list with this worker's context for it.
+func (w *Worker) pinShards() {
+	for i, e := range w.s.shards {
+		e.list.Pin(w.ctxs[i])
+	}
+}
+
+// unpinShards releases pinShards.
+func (w *Worker) unpinShards() {
+	for i, e := range w.s.shards {
+		e.list.Unpin(w.ctxs[i])
+	}
 }
 
 // PutU64 stores value as its 8 little-endian bytes — the shim for
@@ -959,7 +991,8 @@ func leU64(b []byte) uint64 {
 // mergedCursor returns the worker's reusable cross-shard merge cursor.
 func (w *Worker) mergedCursor() *skiplist.Merged {
 	if w.merged == nil {
-		w.merged = skiplist.NewMerged(w.shardIterators())
+		w.its = w.shardIterators()
+		w.merged = skiplist.NewMerged(w.its)
 	}
 	return w.merged
 }
