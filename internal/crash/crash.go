@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -79,6 +80,10 @@ type TrialConfig struct {
 	Eras int
 	// Options configures the store (zero value = scaled-down default).
 	Options upskiplist.Options
+
+	// postOp, when set, runs before each post-recovery operation: a test
+	// hook for what a worker does between its operations.
+	postOp func(worker int, key uint64)
 }
 
 // DefaultTrialConfig returns a configuration mirroring §6.2's scaled-down
@@ -110,8 +115,54 @@ type TrialResult struct {
 	OpsAfter      int
 }
 
+// WorkerPanic is a panic other than the injected crash in one of a
+// trial's workers — before the crash or after recovery. The worker
+// stops, the others run on, and the trial returns its result with the
+// first such panic as its error: the trial fails, but as a named trial
+// whose history is kept, where the panic would have killed the test
+// binary.
+type WorkerPanic struct {
+	Worker int
+	Phase  string // "pre-crash" or "post-recovery"
+	Key    uint64 // the key of the operation that panicked
+	Value  any
+	Stack  string
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("crash: %s worker %d panicked on key %d: %v\n%s", p.Phase, p.Worker, p.Key, p.Value, p.Stack)
+}
+
+// panics keeps the first WorkerPanic of a trial.
+type panics struct {
+	mu    sync.Mutex
+	first *WorkerPanic
+}
+
+// catch records a recovered panic value r. (The caller recovers: recover
+// only stops a panic when the deferred function calls it itself.)
+func (ps *panics) catch(r any, worker int, phase string, key uint64) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.first == nil {
+		ps.first = &WorkerPanic{Worker: worker, Phase: phase, Key: key, Value: r, Stack: string(debug.Stack())}
+	}
+}
+
+// err returns the first panic, or nil.
+func (ps *panics) err() error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.first == nil {
+		return nil
+	}
+	return ps.first
+}
+
 // RunTrial executes one crash trial (possibly spanning several
-// crash-recover eras) and returns the history for checking.
+// crash-recover eras) and returns the history for checking. A worker
+// panic fails the trial with a *WorkerPanic, returned together with the
+// result.
 func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 	st, err := upskiplist.Create(cfg.Options)
 	if err != nil {
@@ -135,6 +186,7 @@ func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 
 	var pending atomic.Int64
 	var wg sync.WaitGroup
+	var ps panics
 	reverted := 0
 	opsBefore := 0
 	st2 := st
@@ -149,7 +201,7 @@ func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 			wg.Add(1)
 			go func(st *upskiplist.Store, id int) {
 				defer wg.Done()
-				runWorker(st, h, cfg, id, &pending)
+				runWorker(st, h, cfg, id, &pending, &ps)
 			}(st2, id)
 		}
 		wg.Wait()
@@ -181,11 +233,20 @@ func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			var key uint64
+			defer func() {
+				if r := recover(); r != nil {
+					ps.catch(r, id, "post-recovery", key)
+				}
+			}()
 			w := st2.NewWorker(id)
 			rng := newRng(int64(id) + 1000)
 			for i := 0; i < cfg.PostOps; i++ {
-				key := rng.key(cfg.Keyspace)
+				key = rng.key(cfg.Keyspace)
 				read := rng.f64() < cfg.ReadFraction
+				if cfg.postOp != nil {
+					cfg.postOp(id, key)
+				}
 				if err := doOp(h, w, id, key, read, h.Now()); err != nil {
 					panic(fmt.Sprintf("post-crash insert error: %v", err))
 				}
@@ -201,13 +262,14 @@ func RunTrial(cfg TrialConfig) (*TrialResult, error) {
 		OpsBefore:     opsBefore,
 		OpsPending:    int(pending.Load()),
 		OpsAfter:      h.Len() - opsBefore,
-	}, nil
+	}, ps.err()
 }
 
 // runWorker loops until the injected crash unwinds it. Each operation is
 // registered before it executes so that a mid-operation death is logged
-// as pending with the exact key/value it was applying.
-func runWorker(st *upskiplist.Store, h *lincheck.History, cfg TrialConfig, id int, pending *atomic.Int64) {
+// as pending with the exact key/value it was applying. Any other panic
+// stops the worker and goes to ps.
+func runWorker(st *upskiplist.Store, h *lincheck.History, cfg TrialConfig, id int, pending *atomic.Int64, ps *panics) {
 	w := st.NewWorker(id)
 	rng := newRng(int64(id) + 1)
 	for {
@@ -218,8 +280,10 @@ func runWorker(st *upskiplist.Store, h *lincheck.History, cfg TrialConfig, id in
 			value := uint64(start)
 			defer func() {
 				if r := recover(); r != nil {
+					crashed = true
 					if _, ok := r.(pmem.CrashSignal); !ok {
-						panic(r)
+						ps.catch(r, id, "pre-crash", key)
+						return
 					}
 					// Died mid-operation: log it as pending.
 					kind := lincheck.KindWrite
@@ -231,7 +295,6 @@ func runWorker(st *upskiplist.Store, h *lincheck.History, cfg TrialConfig, id in
 						Start: start, End: -1,
 					})
 					pending.Add(1)
-					crashed = true
 				}
 			}()
 			if err := doOp(h, w, id, key, read, start); err != nil {

@@ -33,7 +33,8 @@ const (
 )
 
 // RunDurableTrial is RunTrial with the history kept in persistent memory
-// and rebuilt from it after the failure.
+// and rebuilt from it after the failure. A worker panic fails it as it
+// fails RunTrial.
 func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 	st, err := upskiplist.Create(cfg.Options)
 	if err != nil {
@@ -95,6 +96,7 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 
 	var pending atomic.Int64
 	var wg sync.WaitGroup
+	var ps panics
 	for id := 0; id < cfg.Workers; id++ {
 		wg.Add(1)
 		go func(id int) {
@@ -117,13 +119,14 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 					}
 					defer func() {
 						if r := recover(); r != nil {
+							crashed = true
 							if _, ok := r.(pmem.CrashSignal); !ok {
-								panic(r)
+								ps.catch(r, id, "pre-crash", key)
+								return
 							}
 							// Died mid-operation: no END record — exactly
 							// how a real power failure leaves the log.
 							pending.Add(1)
-							crashed = true
 						}
 					}()
 					logEnd(id, seq, apply(w, read, key, value), clock.Add(1))
@@ -184,10 +187,16 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			var key uint64
+			defer func() {
+				if r := recover(); r != nil {
+					ps.catch(r, id, "post-recovery", key)
+				}
+			}()
 			w := st2.NewWorker(id)
 			rng := newRng(int64(id) + 1000)
 			for i := 0; i < cfg.PostOps; i++ {
-				key := rng.key(cfg.Keyspace)
+				key = rng.key(cfg.Keyspace)
 				read := rng.f64() < cfg.ReadFraction
 				kind := uint64(lincheck.KindWrite)
 				if read {
@@ -216,7 +225,7 @@ func RunDurableTrial(cfg TrialConfig) (*TrialResult, error) {
 		OpsBefore:     opsBeforeMarker,
 		OpsPending:    int(pending.Load()),
 		OpsAfter:      int(olog2.Len()) - opsBeforeMarker,
-	}, nil
+	}, ps.err()
 }
 
 // apply runs the store's side of one logged operation — a read of key,

@@ -83,24 +83,41 @@ func TestGetTowersRegrow(t *testing.T) {
 }
 
 func TestHintCacheBasic(t *testing.T) {
-	var h HintCache
+	// A context that never records a hint holds no table, and every
+	// method but Put treats the missing table as an empty one.
+	c := NewCtx(1, 0)
+	h := &c.Hints
 	h.Validate("owner", 1)
-	if _, _, ok := h.Get(7); ok {
+	if _, ok := h.Get(7); ok {
 		t.Fatal("hit on empty cache")
 	}
-	h.Put(7, 0xabc, 1)
-	v, lvl, ok := h.Get(7)
-	if !ok || v != 0xabc || lvl != 1 {
-		t.Fatalf("Get = (%#x, %d, %v), want (0xabc, 1, true)", v, lvl, ok)
+	h.Drop(7)
+	h.Validate("other", 2)
+	h.Reset()
+	if h.slots != nil {
+		t.Fatal("a context that recorded no hint allocated the table")
+	}
+	h.Validate("owner", 1)
+	h.Put(7, 0xabc)
+	if h.slots == nil {
+		t.Fatal("Put did not allocate the table")
+	}
+	v, ok := h.Get(7)
+	if !ok || v != 0xabc {
+		t.Fatalf("Get = (%#x, %v), want (0xabc, true)", v, ok)
 	}
 	// tag 0 must be storable (slot-empty marking is tag+1 internally).
-	h.Put(0, 0x123, 0)
-	if v, _, ok := h.Get(0); !ok || v != 0x123 {
+	h.Put(0, 0x123)
+	if v, ok := h.Get(0); !ok || v != 0x123 {
 		t.Fatalf("Get(0) = (%#x, %v), want (0x123, true)", v, ok)
 	}
 	h.Drop(7)
-	if _, _, ok := h.Get(7); ok {
+	if _, ok := h.Get(7); ok {
 		t.Fatal("entry survived Drop")
+	}
+	h.Reset()
+	if _, ok := h.Get(0); ok {
+		t.Fatal("entry survived Reset")
 	}
 }
 
@@ -108,30 +125,30 @@ func TestHintCacheValidateWipes(t *testing.T) {
 	var h HintCache
 	ownerA, ownerB := &struct{ int }{}, &struct{ int }{}
 	h.Validate(ownerA, 1)
-	h.Put(7, 0xabc, 0)
+	h.Put(7, 0xabc)
 	h.Validate(ownerA, 1)
-	if _, _, ok := h.Get(7); !ok {
+	if _, ok := h.Get(7); !ok {
 		t.Fatal("matching Validate dropped entries")
 	}
 	h.Validate(ownerA, 2) // generation bump (compaction)
-	if _, _, ok := h.Get(7); ok {
+	if _, ok := h.Get(7); ok {
 		t.Fatal("entry survived a generation bump")
 	}
-	h.Put(7, 0xabc, 0)
+	h.Put(7, 0xabc)
 	h.Validate(ownerB, 2) // different structure / reopened handle
-	if _, _, ok := h.Get(7); ok {
+	if _, ok := h.Get(7); ok {
 		t.Fatal("entry survived an owner change")
 	}
 }
 
 func TestHintCacheCollision(t *testing.T) {
 	var h HintCache
-	h.Put(3, 111, 0)
-	h.Put(3+HintSlots, 222, 0) // same slot, different tag
-	if _, _, ok := h.Get(3); ok {
+	h.Put(3, 111)
+	h.Put(3+HintSlots, 222) // same slot, different tag
+	if _, ok := h.Get(3); ok {
 		t.Fatal("evicted entry still readable")
 	}
-	if v, _, ok := h.Get(3 + HintSlots); !ok || v != 222 {
+	if v, ok := h.Get(3 + HintSlots); !ok || v != 222 {
 		t.Fatalf("colliding Put lost: (%d, %v)", v, ok)
 	}
 }

@@ -122,6 +122,13 @@ func (h *History) CrashAt(t int64) {
 	h.mu.unlock()
 }
 
+// Crashes returns a copy of the crash timestamps, one per era boundary.
+func (h *History) Crashes() []int64 {
+	h.mu.lock()
+	defer h.mu.unlock()
+	return append([]int64(nil), h.crashes...)
+}
+
 // Ops returns a copy of the logged operations.
 func (h *History) Ops() []Op {
 	h.mu.lock()

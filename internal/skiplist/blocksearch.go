@@ -131,7 +131,7 @@ func (s *SkipList) prefetchHint(ctx *exec.Ctx, key uint64) {
 	if !s.foresight || !s.hints {
 		return
 	}
-	w, _, ok := ctx.Hints.Get(key >> hintShift)
+	w, ok := ctx.Hints.Get(key >> hintShift)
 	if !ok {
 		return
 	}

@@ -3,6 +3,8 @@ package skiplist
 import (
 	"math/rand"
 	"testing"
+
+	"upskiplist/internal/riv"
 )
 
 // hintCfg keeps nodes small and towers short so a modest keyspace
@@ -204,5 +206,40 @@ func TestHintCacheRandomizedAgainstModel(t *testing.T) {
 	}
 	if err := e.sl.CheckInvariants(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHintSeedLevelFromHeight: a seed's level is read off the hinted
+// node's tower height, from the header line its validation reads — level
+// 1 on a node whose tower reaches it, level 0 on a one-level node.
+func TestHintSeedLevelFromHeight(t *testing.T) {
+	e := newEnv(t, hintCfg())
+	ctx := ctx0()
+	for k := uint64(1); k <= 500; k++ {
+		if _, _, err := e.sl.Insert(ctx, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	curEpoch := e.sl.a.Clock().Current()
+	seen := [2]bool{}
+	for p := e.sl.node(e.sl.head).next(e.sl, 0, ctx.Mem); p != e.sl.tail; {
+		n := e.sl.node(p)
+		h := n.header(ctx.Mem)
+		want := 0
+		if h.height() > 1 {
+			want = 1
+		}
+		k0 := h.key0()
+		ctx.Hints.Validate(e.sl, e.sl.hintGen.Load())
+		ctx.Hints.Put(k0>>hintShift, p.Word())
+		seed, _, lvl, ok := e.sl.hintSeed(ctx, k0, curEpoch)
+		if !ok || seed.ptr != p || lvl != want {
+			t.Fatalf("seed on a height-%d node: (%v, level %d, %v), want (%v, level %d, true)", h.height(), seed.ptr, lvl, ok, p, want)
+		}
+		seen[want] = true
+		p = riv.FromWord(h[offNext] &^ nextMark)
+	}
+	if !seen[0] || !seen[1] {
+		t.Fatalf("the list had no node of each kind (short %v, tall %v)", seen[0], seen[1])
 	}
 }

@@ -179,7 +179,11 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 		return
 	}
 	n := s.node(p)
-	it.curK0 = n.key0(s, it.ctx.Mem)
+	// One read of the header line gives the first key, the successor to
+	// prefetch, and the split count and lock the snapshot validates
+	// against (node.go: the count is read before the words it guards).
+	h := n.header(it.ctx.Mem)
+	it.curK0 = h.key0()
 	if it.curK0 > it.resume {
 		it.resume = it.curK0
 	}
@@ -187,7 +191,7 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 		// Start the successor's header toward the cache while this node's
 		// snapshot is taken and consumed — the streaming analogue of the
 		// descent prefetch.
-		if nxt := n.next(s, 0, it.ctx.Mem); !nxt.IsNull() && nxt != s.tail {
+		if nxt := riv.FromWord(h[offNext] &^ nextMark); !nxt.IsNull() && nxt != s.tail {
 			s.node(nxt).prefetchHeader(it.ctx.Mem)
 		}
 	}
@@ -198,10 +202,11 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 	buf := it.ctx.GetBlock(2 * s.keysPerNode)
 	kb, vb := buf[:s.keysPerNode], buf[s.keysPerNode:]
 	for {
-		if n.isWriteLocked(it.ctx.Mem) {
+		if h.writeLocked() {
+			h = n.header(it.ctx.Mem)
 			continue // split in progress: retry the snapshot
 		}
-		sc := n.splitCount(it.ctx.Mem)
+		sc := h.splitCount()
 		it.pairs = it.pairs[:0]
 		n.keyBlock(s, kb, it.ctx.Mem)
 		n.valueBlock(s, vb, it.ctx.Mem)
@@ -211,7 +216,8 @@ func (it *Iterator) loadNode(p riv.Ptr, lo uint64) {
 			}
 			it.pairs = append(it.pairs, kv{k: k, v: vb[i], vlen: vlen})
 		}
-		if !n.isWriteLocked(it.ctx.Mem) && n.splitCount(it.ctx.Mem) == sc {
+		// A failed check leaves h as the next attempt's opening read.
+		if h = n.header(it.ctx.Mem); !h.writeLocked() && h.splitCount() == sc {
 			break
 		}
 	}

@@ -13,6 +13,19 @@ import (
 // share the node's first cache lines, minimizing fetches during
 // traversal (§4.4: "the first key falls into the same cache line as
 // additional metadata that has to be read anyway").
+//
+// Words 0 through 7 are the node's header line: allocator blocks start
+// on a cache-line boundary, and offNext+2 <= pmem.LineWords, so kind,
+// epoch, split count, lock, meta, key0, next[0] and next[1] are one
+// line, which header reads with one charged line access. That read is
+// one ascending pass over the line, and the split-count validation
+// depends on its order: offSplitCount < offKey0 < offNext, so the split
+// count a traversal records is read before the key0 and next words it
+// decides from, just as the single-word loads read them. A split that
+// lands after the count was read bumps it, and the caller's re-read of
+// the count catches it. The epoch word comes first; it only ever moves
+// from a dead epoch to the current one, and a stale reading sends the
+// node to checkForRecovery, which reads it again.
 const (
 	offKind       = 0
 	offEpoch      = 1
@@ -73,6 +86,35 @@ func (s *SkipList) valOff(i int) uint64 {
 
 // Accessors. All take the accessing worker's NUMA node for cost
 // accounting.
+
+// header is one read of a node's header line (words [0, pmem.LineWords)).
+// Each word was read atomically, in ascending order; the line as a whole
+// is not a snapshot of an instant (see the layout comment above).
+type header [pmem.LineWords]uint64
+
+// header reads the node's header line with one LoadBlock: one charged
+// line access where the single-word accessors charge one per word.
+func (n nodeRef) header(nd *pmem.Acc) (h header) {
+	n.pool.LoadBlock(n.off, h[:], nd)
+	return h
+}
+
+func (h *header) kind() uint64       { return h[offKind] }
+func (h *header) epoch() uint64      { return h[offEpoch] }
+func (h *header) splitCount() uint64 { return h[offSplitCount] }
+func (h *header) height() int        { return metaHeight(h[offMeta]) }
+func (h *header) key0() uint64       { return h[offKey0] }
+func (h *header) writeLocked() bool  { return h[offSplitLock]&splitWr != 0 }
+
+// nextWordVia reads next[level] raw, mark included: from h, the node's
+// header line as read when it was visited, when h is non-nil and the word
+// is on that line; with one load otherwise.
+func (n nodeRef) nextWordVia(h *header, level int, nd *pmem.Acc) uint64 {
+	if h != nil && offNext+level < pmem.LineWords {
+		return h[offNext+level]
+	}
+	return n.nextWord(level, nd)
+}
 
 func (n nodeRef) epoch(nd *pmem.Acc) uint64      { return n.pool.Load(n.off+offEpoch, nd) }
 func (n nodeRef) splitCount(nd *pmem.Acc) uint64 { return n.pool.Load(n.off+offSplitCount, nd) }

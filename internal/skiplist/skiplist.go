@@ -558,66 +558,56 @@ const (
 // node. A hint may be arbitrarily stale — the block could have been any
 // node, or (after compaction, which bumps hintGen and so wipes caches
 // before this runs) even freed — so every property the descent relies on
-// is re-checked: the block is a node of the current epoch whose immutable
-// first key is a lower bound for key, linked at the hinted level with a
-// non-null successor. Anything else falls back to the full descent.
-func (s *SkipList) hintSeed(ctx *exec.Ctx, key, curEpoch uint64) (nodeRef, int, bool) {
-	w, lvl8, ok := ctx.Hints.Get(key >> hintShift)
+// is re-checked, from one read of the node's header line: the block is a
+// node of the current epoch whose immutable first key is a lower bound
+// for key, with a non-null successor at the seed level. The seed level
+// follows from the tower height on the same line: level 1 when the tower
+// reaches it, so the seeded descent can still skip over bottom-level
+// nodes in front of the target; level 0 otherwise. Anything else falls
+// back to the full descent.
+func (s *SkipList) hintSeed(ctx *exec.Ctx, key, curEpoch uint64) (nodeRef, header, int, bool) {
+	var h header
+	w, ok := ctx.Hints.Get(key >> hintShift)
 	if !ok {
 		ctx.Hints.Missed++
-		return nodeRef{}, 0, false
+		return nodeRef{}, h, 0, false
 	}
 	pool, off, ok := s.space.TryResolve(riv.FromWord(w))
 	if !ok || off+s.blockWords > pool.Size() {
-		return nodeRef{}, 0, false
+		return nodeRef{}, h, 0, false
 	}
 	n := nodeRef{pool: pool, off: off, ptr: riv.FromWord(w)}
 	if s.foresight {
 		// Warm the hinted node's header and key lines before the
-		// validation loads below touch either: issuing both prefetches
+		// validation read below touches either: issuing both prefetches
 		// up front overlaps the two line fetches (memory-level
-		// parallelism) where sequential validation would miss twice. If
-		// the hint proves stale the prefetches were the only cost —
+		// parallelism) where sequential reads would miss twice. If the
+		// hint proves stale the prefetches were the only cost —
 		// bounds-checked hints into freed or foreign memory are dropped
 		// by Prefetch itself, so a stale hint leaves nothing dangling.
 		n.prefetchHeader(ctx.Mem)
 		n.prefetchKeys(s, ctx.Mem)
 	}
-	if pool.Load(off+offKind, ctx.Mem) != alloc.KindNode {
-		return nodeRef{}, 0, false
-	}
-	if n.epoch(ctx.Mem) != curEpoch {
+	h = n.header(ctx.Mem)
+	if h.kind() != alloc.KindNode || h.epoch() != curEpoch {
 		// Pre-crash nodes must go through the normal claim/repair path;
 		// epoch mismatch also catches hints recorded against a previous
 		// incarnation of the store.
-		return nodeRef{}, 0, false
+		return nodeRef{}, h, 0, false
 	}
-	k0 := n.key0(s, ctx.Mem)
-	if k0 == keyEmpty || k0 == keyInf || k0 > key {
-		return nodeRef{}, 0, false
+	if k0 := h.key0(); k0 == keyEmpty || k0 == keyInf || k0 > key {
+		return nodeRef{}, h, 0, false
 	}
-	lvl := int(lvl8)
-	if lvl >= n.height(ctx.Mem) {
-		lvl = 0
-	}
-	if n.next(s, lvl, ctx.Mem).IsNull() {
-		// Unpublished (mid-initialization) reuse of the block: not safe
-		// to walk from.
-		return nodeRef{}, 0, false
-	}
-	return n, lvl, true
-}
-
-// hintRecord remembers the node covering key so the next traversal for a
-// nearby key can seed from it. The covering node's height decides the
-// seed level: level 1 when the tower reaches it, so the seeded descent
-// can still skip over bottom-level nodes in front of the target.
-func (s *SkipList) hintRecord(ctx *exec.Ctx, key uint64, cover riv.Ptr) {
-	lvl := uint8(0)
-	if s.node(cover).height(ctx.Mem) > 1 {
+	lvl := 0
+	if h.height() > 1 {
 		lvl = 1
 	}
-	ctx.Hints.Put(key>>hintShift, cover.Word(), lvl)
+	if h[offNext+lvl]&^nextMark == 0 {
+		// Unpublished (mid-initialization) reuse of the block: not safe
+		// to walk from.
+		return nodeRef{}, h, 0, false
+	}
+	return n, h, lvl, true
 }
 
 // traverse implements Function 7: descend the tower lists recording, per
@@ -626,6 +616,12 @@ func (s *SkipList) hintRecord(ctx *exec.Ctx, key uint64, cover riv.Ptr) {
 // key. Along the way stale-epoch nodes are claimed and repaired; any
 // repair restarts the traversal, with at most one deferrable (tower)
 // repair per call.
+//
+// Each node the descent visits costs one read of its header line
+// (node.go): split count, epoch and first key decide whether to advance,
+// and next[0] and next[1] come with them. The line read when a node was
+// visited also supplies its next word when the descent drops to level 1
+// or 0 under it; only a next word above level 1 costs a load of its own.
 //
 // When the hint cache is on, the descent starts from a validated
 // recently-seen predecessor instead of the head. Levels above the seed
@@ -648,34 +644,39 @@ func (s *SkipList) traverse(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) t
 outer:
 	for {
 		pred := s.node(s.head)
+		// ph is pred's header line as read when pred was visited; predH
+		// is nil while pred is the head, whose line is never read.
+		var ph header
+		var predH *header
 		startLevel := int(s.topHint.Load())
 		seeded := false
 		hops := 0
 		if useHint {
-			if n, lvl, ok := s.hintSeed(ctx, key, curEpoch); ok {
-				pred, startLevel, seeded = n, lvl, true
+			if n, h, lvl, ok := s.hintSeed(ctx, key, curEpoch); ok {
+				pred, ph, predH, startLevel, seeded = n, h, &ph, lvl, true
 				ctx.Hints.Seeded++
 				ctx.Path.NodesVisited++
 				// The descent below only inspects nodes it advances INTO,
 				// so the seed — which may itself be the covering node —
 				// is accounted for here, mirroring the loop's order.
-				res.splitCount = pred.splitCount(ctx.Mem)
+				res.splitCount = ph.splitCount()
 				if res.splitCount == splitRetired {
-					// Retired since hintSeed looked at its kind.
+					// Retired between the reads of its kind and split
+					// count words (the kind flips first).
 					ctx.Hints.Drop(key >> hintShift)
 					ctx.Hints.Fallback++
 					useHint = false
 					res = traverseResult{keyIndex: -1, levelFound: -1}
 					continue outer
 				}
-				if pred.key0(s, ctx.Mem) == key {
+				if ph.key0() == key {
 					res.keyIndex = 0
 					res.levelFound = startLevel
 				}
 			}
 		}
 		for level := startLevel; level >= 0; level-- {
-			nxt := pred.next(s, level, ctx.Mem)
+			nxt := riv.FromWord(pred.nextWordVia(predH, level, ctx.Mem) &^ nextMark)
 			if seeded && nxt.IsNull() {
 				// The seed's block was recycled under us mid-descent:
 				// forget the hint and restart cold.
@@ -691,23 +692,24 @@ outer:
 			}
 			for {
 				ctx.Path.NodesVisited++
-				curSplit := cur.splitCount(ctx.Mem)
+				ch := cur.header(ctx.Mem)
+				curSplit := ch.splitCount()
 				if curSplit == splitRetired {
 					// A retired node is out of the abstract set but may
 					// still be linked (or serve as a bridge mid-unlink):
 					// walk through it without adopting it as pred. Checked
 					// before the epoch claim so recovery never resurrects a
 					// victim's tower (reclaim.go, mechanism 2).
-					cur = s.node(cur.next(s, level, ctx.Mem))
+					cur = s.node(riv.FromWord(cur.nextWordVia(&ch, level, ctx.Mem) &^ nextMark))
 					continue
 				}
-				if cur.epoch(ctx.Mem) != curEpoch {
+				if ch.epoch() != curEpoch {
 					if s.checkForRecovery(ctx, level, cur, &recoveriesDone) {
 						res = traverseResult{keyIndex: -1, levelFound: -1}
 						continue outer
 					}
 				}
-				k0 := cur.key0(s, ctx.Mem)
+				k0 := ch.key0()
 				if k0 <= key {
 					if seeded {
 						if hops++; hops > hintHopBudget {
@@ -725,8 +727,8 @@ outer:
 						res.keyIndex = 0
 						res.levelFound = level
 					}
-					pred = cur
-					cur = s.node(pred.next(s, level, ctx.Mem))
+					pred, ph, predH = cur, ch, &ph
+					cur = s.node(riv.FromWord(pred.nextWordVia(predH, level, ctx.Mem) &^ nextMark))
 					if s.foresight {
 						// Foresight: the next candidate's address is now
 						// known, so its header line fetch can overlap the
@@ -763,7 +765,9 @@ outer:
 		}
 		res.found = res.keyIndex >= 0
 		if s.hints && preds[0] != s.head {
-			s.hintRecord(ctx, key, preds[0])
+			// Remember the covering node, so the next traversal for a
+			// nearby key can seed from it.
+			ctx.Hints.Put(key>>hintShift, preds[0].Word())
 		}
 		return res
 	}
@@ -889,20 +893,23 @@ func (s *SkipList) checkForInsertRecovery(ctx *exec.Ctx, level int, cur nodeRef)
 // performs no recovery — it is called from within recovery.
 func (s *SkipList) linkTraverse(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) {
 	pred := s.node(s.head)
+	var ph header
+	var predH *header // nil while pred is the head (see traverse)
 	for level := s.maxHeight - 1; level >= 0; level-- {
-		cur := s.node(pred.next(s, level, ctx.Mem))
+		cur := s.node(riv.FromWord(pred.nextWordVia(predH, level, ctx.Mem) &^ nextMark))
 		if s.foresight {
 			cur.prefetchHeader(ctx.Mem)
 		}
 		for {
 			ctx.Path.NodesVisited++
-			if cur.key0(s, ctx.Mem) < key {
-				w := cur.nextWord(level, ctx.Mem)
+			ch := cur.header(ctx.Mem)
+			if ch.key0() < key {
+				w := cur.nextWordVia(&ch, level, ctx.Mem)
 				if w&nextMark == 0 {
 					// A marked node is being unlinked: a CAS against its
 					// next word can never succeed, so it is walked through,
 					// never adopted (reclaim.go, mechanism 3).
-					pred = cur
+					pred, ph, predH = cur, ch, &ph
 				}
 				cur = s.node(riv.FromWord(w &^ nextMark))
 				if s.foresight {

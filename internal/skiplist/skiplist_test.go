@@ -557,3 +557,49 @@ func TestRecoveryStatsExposed(t *testing.T) {
 		t.Fatal("no epoch claims after reopen+reads")
 	}
 }
+
+// TestHeaderLineLayout pins what a header read relies on: the header
+// words and next[0..1] fit one line, every node block (head and tail
+// included) starts on a line boundary so they are one line, the
+// ascending read takes the split count before key0 and the next words,
+// and the read is charged as one load.
+func TestHeaderLineLayout(t *testing.T) {
+	if !(offEpoch < offSplitCount && offSplitCount < offKey0 && offKey0 < offNext) {
+		t.Fatalf("header order: epoch %d, split count %d, key0 %d, next %d", offEpoch, offSplitCount, offKey0, offNext)
+	}
+	if offNext+2 > pmem.LineWords {
+		t.Fatalf("next[0..1] end at word %d, past the %d-word header line", offNext+2, pmem.LineWords)
+	}
+	e := newEnv(t, DefaultConfig())
+	ctx := ctx0()
+	for k := uint64(1); k <= 2000; k++ {
+		if _, _, err := e.sl.Insert(ctx, k*7919%100003, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := 0
+	for p := e.sl.head; ; {
+		n := e.sl.node(p)
+		if n.off%pmem.LineWords != 0 {
+			t.Fatalf("node %v starts at word %d, not on a line boundary", p, n.off)
+		}
+		nodes++
+		if p == e.sl.tail {
+			break
+		}
+		ctx.Mem.Publish()
+		before := e.pool.Stats().Snapshot().Loads
+		h := n.header(ctx.Mem)
+		ctx.Mem.Publish()
+		if loads := e.pool.Stats().Snapshot().Loads - before; loads != 1 {
+			t.Fatalf("a header read counted %d loads, want 1", loads)
+		}
+		if got := n.key0(e.sl, nil); h.key0() != got {
+			t.Fatalf("header key0 %d, key0 %d", h.key0(), got)
+		}
+		p = riv.FromWord(h[offNext] &^ nextMark)
+	}
+	if nodes < 100 {
+		t.Fatalf("walked %d nodes; the list did not split", nodes)
+	}
+}

@@ -15,7 +15,8 @@ import (
 // uniform is the anti-cache case — on the default store and with each
 // mechanism turned off alone, and the table logs what turning it off
 // adds per op: model units (the simulated time the spin loops burn),
-// loads, line misses and nodes visited. Each mechanism must save at
+// loads, line misses and nodes visited, with the share of traversals a
+// hint seeded (Worker.Stats' HintHitRate). Each mechanism must save at
 // least 3 % model units/op on one of the two streams, and everything off
 // at once must cost at least 1.15x the default on both. All of it is a
 // pure function of the stream, so the verdict is the same on any host.
@@ -48,7 +49,7 @@ func TestReadPathRent(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			wl := ycsb.Workload{Name: "C", LongName: "Read-Only", ReadPct: 100, Dist: dist}
 			stream := ycsb.NewRun(wl, preload).NewStream(1).Fill(nil, ops)
-			type reading struct{ units, loads, misses, nodes float64 }
+			type reading struct{ units, loads, misses, nodes, hits float64 }
 			measure := func(tuning skiplist.Tuning) reading {
 				o := DefaultOptions()
 				o.PoolWords = 1 << 24
@@ -64,21 +65,22 @@ func TestReadPathRent(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				units, mem, nodes := poolUnits(o.Cost, st.Pools()), st.Stats().Mem, w.Stats().NodesVisited
+				units, mem, ws := poolUnits(o.Cost, st.Pools()), st.Stats().Mem, w.Stats()
 				for _, op := range stream {
 					w.GetU64(op.Key)
 				}
-				d := memDelta(st, mem)
+				d, path := memDelta(st, mem), w.Stats().Sub(ws)
 				return reading{
 					units:  float64(poolUnits(o.Cost, st.Pools())-units) / ops,
 					loads:  float64(d.Loads) / ops,
 					misses: float64(d.Misses) / ops,
-					nodes:  float64(w.Stats().NodesVisited-nodes) / ops,
+					nodes:  float64(path.NodesVisited) / ops,
+					hits:   path.HintHitRate(),
 				}
 			}
 			def := measure(skiplist.Tuning{})
-			t.Logf("YCSB-C/%s, 1 worker, default: %.2f units/op, %.4f loads/op, %.4f misses/op, %.4f nodes/op",
-				name, def.units, def.loads, def.misses, def.nodes)
+			t.Logf("YCSB-C/%s, 1 worker, default: %.2f units/op, %.4f loads/op, %.4f misses/op, %.4f nodes/op, hint hit rate %.4f",
+				name, def.units, def.loads, def.misses, def.nodes, def.hits)
 			for i, sw := range switches {
 				r := measure(sw.tuning)
 				share := r.units/def.units - 1

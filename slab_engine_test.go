@@ -408,8 +408,10 @@ func TestCrashAtEveryStepOfGrowingPut(t *testing.T) {
 		return fillers
 	}
 	fillers := build(t, -1)
-	// Fewer than 50 steps cannot have grown anything.
-	n := crashValueOps(t, c, func(t *testing.T) { build(t, fillers) }, target, [][]byte{oldVal, newVal}, 50, func(t *testing.T, run func()) {
+	// The overwrite takes 44 pmem steps (50 while a traversal loaded a
+	// node's header words one at a time); fewer cannot have grown
+	// anything.
+	n := crashValueOps(t, c, func(t *testing.T) { build(t, fillers) }, target, [][]byte{oldVal, newVal}, 44, func(t *testing.T, run func()) {
 		before := c.SlabStats()
 		run()
 		if after := c.SlabStats(); after.Extents != before.Extents+1 || after.Pages != before.Pages+1 {
