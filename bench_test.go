@@ -272,12 +272,10 @@ func BenchmarkHotPath_Insert_NoHints(b *testing.B) { benchHotPath(b, "insert", t
 func BenchmarkHotPath_Mixed(b *testing.B)          { benchHotPath(b, "mixed", false) }
 func BenchmarkHotPath_Mixed_NoHints(b *testing.B)  { benchHotPath(b, "mixed", true) }
 
-// Hint cache vs the SortedNodes-only baseline on the skewed (Zipfian)
-// read-only workload — the acceptance comparison recorded in
-// EXPERIMENTS.md.
+// Hint cache on vs off on the skewed (Zipfian) read-only workload — the
+// acceptance comparison recorded in EXPERIMENTS.md.
 func benchHintCacheYCSBC(b *testing.B, disableHints bool) {
 	o := benchUPSLOptions(benchKeysPN, upskiplist.SinglePool, pmem.DefaultCostModel())
-	o.SortedNodes = true
 	u, err := harness.NewUPSL(o, "")
 	if err != nil {
 		b.Fatal(err)
@@ -365,25 +363,6 @@ func BenchmarkAblationNodeKeys_K16(b *testing.B) {
 
 func BenchmarkAblationNodeKeys_K64(b *testing.B) {
 	runWorkload(b, newBenchUPSL(b, 64, upskiplist.SinglePool, pmem.DefaultCostModel()), ycsb.WorkloadA)
-}
-
-// Sorted-on-split nodes (the paper's future-work optimization) vs
-// unsorted scans.
-func BenchmarkAblationSortedNodes_Off(b *testing.B) {
-	runWorkload(b, newBenchUPSL(b, 64, upskiplist.SinglePool, pmem.DefaultCostModel()), ycsb.WorkloadC)
-}
-
-func BenchmarkAblationSortedNodes_On(b *testing.B) {
-	o := benchUPSLOptions(64, upskiplist.SinglePool, pmem.DefaultCostModel())
-	o.SortedNodes = true
-	u, err := harness.NewUPSL(o, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := harness.Preload(u, benchPreload, 4); err != nil {
-		b.Fatal(err)
-	}
-	runWorkload(b, u, ycsb.WorkloadC)
 }
 
 // Sensitivity to the simulated PMEM access cost.

@@ -29,7 +29,6 @@ func status(v uint64) uint64 { return v & 0xff }
 func main() {
 	opts := upskiplist.DefaultOptions()
 	opts.KeysPerNode = 32 // multi-key nodes: fewer pointer hops per lookup
-	opts.SortedNodes = true
 	store, err := upskiplist.Create(opts)
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,6 @@ func newHintPair(t *testing.T) hintPair {
 	t.Helper()
 	mk := func(disable bool) *Store {
 		o := testOptions()
-		o.SortedNodes = true
 		st, err := Create(o)
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,6 @@ func newForesightPair(t *testing.T) hintPair {
 	t.Helper()
 	mk := func(disable bool) *Store {
 		o := testOptions()
-		o.SortedNodes = true
 		// Cost model on, so prefetches run their charged path (range
 		// check, line-cache probe, spin) rather than the free no-op one.
 		o.Cost = pmem.DefaultCostModel()

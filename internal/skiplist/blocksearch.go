@@ -6,12 +6,12 @@ package skiplist
 // geometry, two cache lines. The search bulk-loads the key block once
 // into a per-worker scratch buffer (LoadBlock counts and charges one
 // load per cache line, the way a streamed sequential read behaves) and
-// searches the snapshot with a branch-light loop: binary search over the
-// sorted prefix a split left behind, a four-way unrolled scan over the
-// unsorted overflow. Reading the block as a snapshot has exactly the
-// consistency of keysPerNode independent loads (each word individually
-// atomic, the block not a snapshot of an instant); callers validate with
-// split counts and locks.
+// searches the snapshot with a branch-light four-way unrolled scan.
+// Sorting the keys would save compares but no line: the whole block is
+// loaded either way, and lines are what a search pays for. Reading the
+// block as a snapshot has exactly the consistency of keysPerNode
+// independent loads (each word individually atomic, the block not a
+// snapshot of an instant); callers validate with split counts and locks.
 
 import (
 	"upskiplist/internal/exec"
@@ -19,60 +19,33 @@ import (
 	"upskiplist/internal/riv"
 )
 
-// searchBlock locates key in a snapshot of a node's key block: the
-// sorted prefix [1, sorted) left by the last split is binary searched —
-// an erased (keyEmpty) slot steers the probe left, since erases only
-// punch holes in a still-ordered prefix — then the unsorted overflow
-// past it is scanned linearly. Slot 0 is skipped: the traversal already compared
-// the node's immutable first key. Returns the slot index (-1 when
-// absent) and the number of key comparisons made (the KeysProbed unit).
-func searchBlock(keys []uint64, key uint64, sorted int) (int, int) {
-	probed := 0
-	start := 1
-	if sorted > len(keys) {
-		sorted = len(keys)
-	}
-	if sorted > 1 {
-		lo, hi := 1, sorted-1
-		for lo <= hi {
-			mid := int(uint(lo+hi) >> 1)
-			k := keys[mid]
-			probed++
-			switch {
-			case k == key:
-				return mid, probed
-			case k != keyEmpty && k < key:
-				lo = mid + 1
-			default:
-				hi = mid - 1
-			}
-		}
-		start = sorted
-	}
-	// Branch-light unrolled scan of the unsorted tail.
-	i := start
+// searchBlock locates key in a snapshot of a node's key block with a
+// linear scan. Slot 0 is skipped: the traversal already compared the
+// node's immutable first key. Returns the slot index (-1 when absent)
+// and the number of key comparisons made (the KeysProbed unit), which is
+// the number of slots passed.
+func searchBlock(keys []uint64, key uint64) (int, int) {
+	i := 1
 	for ; i+4 <= len(keys); i += 4 {
 		if keys[i] == key {
-			return i, probed + 1
+			return i, i
 		}
 		if keys[i+1] == key {
-			return i + 1, probed + 2
+			return i + 1, i + 1
 		}
 		if keys[i+2] == key {
-			return i + 2, probed + 3
+			return i + 2, i + 2
 		}
 		if keys[i+3] == key {
-			return i + 3, probed + 4
+			return i + 3, i + 3
 		}
-		probed += 4
 	}
 	for ; i < len(keys); i++ {
-		probed++
 		if keys[i] == key {
-			return i, probed
+			return i, i
 		}
 	}
-	return -1, probed
+	return -1, max(len(keys)-1, 0)
 }
 
 // searchBlockInsert scans a full key-block snapshot for an insert

@@ -5,41 +5,22 @@ import (
 	"testing"
 )
 
-// refSearch is Function 8 as the paper states it, one key at a time:
-// binary search over the sorted prefix [1, sorted) with erased slots
-// steering left, then a linear scan of the unsorted tail. searchBlock
-// must be indistinguishable from it on every snapshot.
-func refSearch(keys []uint64, key uint64, sorted int) int {
-	if sorted > len(keys) {
-		sorted = len(keys)
-	}
-	start := 1
-	if sorted > 1 {
-		lo, hi := 1, sorted-1
-		for lo <= hi {
-			mid := int(uint(lo+hi) >> 1)
-			k := keys[mid]
-			switch {
-			case k == key:
-				return mid
-			case k != keyEmpty && k < key:
-				lo = mid + 1
-			default:
-				hi = mid - 1
-			}
-		}
-		start = sorted
-	}
-	for i := start; i < len(keys); i++ {
+// refSearch is Function 8 as the paper states it, one key at a time: a
+// linear scan from slot 1 (slot 0 is the node's first key, compared by
+// the traversal). searchBlock must be indistinguishable from it on
+// every snapshot, and make one comparison per slot it passes.
+func refSearch(keys []uint64, key uint64) (idx, probes int) {
+	for i := 1; i < len(keys); i++ {
 		if keys[i] == key {
-			return i
+			return i, i
 		}
 	}
-	return -1
+	return -1, max(len(keys)-1, 0)
 }
 
 // TestSearchBlockMatchesReference is the pure-function property test:
-// random blocks with random sorted-prefix lengths, erased holes and
+// random blocks shaped like nodes after splits — an ascending run of
+// random length, then unordered inserts — with erased holes and
 // duplicates of the probe, across sizes that exercise every unrolled
 // remainder (the 4-way tail handles len%4 = 0..3 differently).
 func TestSearchBlockMatchesReference(t *testing.T) {
@@ -48,16 +29,14 @@ func TestSearchBlockMatchesReference(t *testing.T) {
 	for iter := 0; iter < 20000; iter++ {
 		size := sizes[rng.Intn(len(sizes))]
 		keys := make([]uint64, size)
-		// A sorted prefix of random length (occasionally out of range, as
-		// a clamping check), erased holes punched at random.
-		sorted := rng.Intn(size + 3)
+		run := rng.Intn(size + 1)
 		base := uint64(rng.Intn(50) + 1)
 		for i := range keys {
 			base += uint64(rng.Intn(4) + 1)
 			keys[i] = base
 		}
-		for i := sorted; i < size; i++ {
-			keys[i] = uint64(rng.Intn(200) + 1) // unsorted tail
+		for i := run; i < size; i++ {
+			keys[i] = uint64(rng.Intn(200) + 1) // unordered tail
 		}
 		for p := 0; p < size/4; p++ {
 			keys[rng.Intn(size)] = keyEmpty
@@ -69,16 +48,12 @@ func TestSearchBlockMatchesReference(t *testing.T) {
 		if key == keyEmpty {
 			key = uint64(rng.Intn(300) + 1)
 		}
-		gotIdx, gotProbes := searchBlock(keys, key, sorted)
-		wantIdx := refSearch(keys, key, sorted)
-		// Slot indices must agree exactly; when the tail holds duplicates
-		// of key both paths scan in the same order, so even ties match.
-		if gotIdx != wantIdx {
-			t.Fatalf("size=%d sorted=%d key=%d: searchBlock=%d ref=%d keys=%v",
-				size, sorted, key, gotIdx, wantIdx, keys)
-		}
-		if gotProbes < 0 || gotProbes > size+1 {
-			t.Fatalf("probe count %d out of range for size %d", gotProbes, size)
+		gotIdx, gotProbes := searchBlock(keys, key)
+		wantIdx, wantProbes := refSearch(keys, key)
+		// Both scan in the same order, so even duplicates of key agree.
+		if gotIdx != wantIdx || gotProbes != wantProbes {
+			t.Fatalf("size=%d key=%d: searchBlock=(%d, %d probes) ref=(%d, %d probes) keys=%v",
+				size, key, gotIdx, gotProbes, wantIdx, wantProbes, keys)
 		}
 	}
 }
@@ -119,14 +94,13 @@ func TestSearchBlockInsertFirstEmpty(t *testing.T) {
 	}
 }
 
-// blockConfigs are the geometries the list-level equivalence runs: the
-// prefix-heavy sorted mode and the unsorted mode, K spanning less than
-// one line to several.
+// blockConfigs are the geometries the list-level equivalence runs, K
+// spanning less than one line to several.
 func blockConfigs() []Config {
 	return []Config{
-		{MaxHeight: 10, KeysPerNode: 4, SortedNodes: true},
+		{MaxHeight: 10, KeysPerNode: 4},
 		{MaxHeight: 10, KeysPerNode: 8},
-		{MaxHeight: 10, KeysPerNode: 32, SortedNodes: true},
+		{MaxHeight: 10, KeysPerNode: 32},
 	}
 }
 
@@ -134,7 +108,7 @@ func blockConfigs() []Config {
 // stream and demands every result a map oracle predicts, then crashes it
 // (reverting unflushed lines) and re-checks every key on the reopened,
 // recovery-repaired nodes: the block search must read erased duplicates
-// and restored sorted prefixes as the acknowledged writes left them.
+// as the acknowledged writes left them.
 func TestBlockSearchListEquivalence(t *testing.T) {
 	for _, cfg := range blockConfigs() {
 		e := newEnv(t, cfg)

@@ -104,17 +104,39 @@ func TestHintCacheSurvivesNothingAcrossReopen(t *testing.T) {
 	}
 	e2 := e.reopen(t) // epoch advances; a fresh SkipList handle
 
+	// Claim every node for the new epoch through another context, so a
+	// pre-reopen hint would pass hintSeed's epoch check and only the
+	// owner stamp stands between it and a seeded descent.
+	other := ctx0()
+	for claims := int64(1); claims != 0; {
+		before := e2.sl.RecoveryStats().Claims
+		for k := uint64(1); k <= 300; k++ {
+			e2.sl.Get(other, k)
+		}
+		claims = e2.sl.RecoveryStats().Claims - before
+	}
+
 	// Deliberately reuse the SAME ctx (same volatile cache) against the
-	// reopened list: the owner stamp wipes the cache, and pre-crash nodes
-	// additionally fail the epoch check, so every result stays correct
-	// and recovery claims proceed exactly as without hints.
-	seededBefore := ctx.Hints.Seeded
+	// reopened list. The first Get in each hint slot's key range can be
+	// seeded only by a hint recorded before the reopen: the owner stamp
+	// must have wiped them all, so none of those Gets is seeded. Each
+	// Get asks for the key the warm pass recorded the slot's hint for
+	// last, so the hinted node covers it and would pass validation.
+	for tag := uint64(0); tag <= 300>>hintShift; tag++ {
+		k := min(tag<<hintShift|(1<<hintShift-1), 300)
+		seeded := ctx.Hints.Seeded
+		if v, ok := e2.sl.Get(ctx, k); !ok || v != k {
+			t.Fatalf("post-reopen Get(%d) = (%d, %v)", k, v, ok)
+		}
+		if ctx.Hints.Seeded != seeded {
+			t.Fatalf("post-reopen Get(%d) was seeded by a hint recorded before the reopen", k)
+		}
+	}
 	for k := uint64(1); k <= 300; k++ {
 		if v, ok := e2.sl.Get(ctx, k); !ok || v != k {
 			t.Fatalf("post-reopen Get(%d) = (%d, %v)", k, v, ok)
 		}
 	}
-	_ = seededBefore
 	if err := e2.sl.CheckInvariants(ctx); err != nil {
 		t.Fatal(err)
 	}

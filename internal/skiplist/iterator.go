@@ -39,11 +39,11 @@ import (
 // under the pin that covered the read of the word. ValueBytes decodes
 // the current pair on demand; before the pin that read the buffered
 // words drops, every pair still to be yielded from the node is decoded
-// (DecodeBuffered). A Seek or Next that holds the outermost pin does so
-// itself, so a caller without a pin of its own decodes what it always
-// did; a caller that pins across many moves (Worker.Scan) decodes only
-// the values it reads, and calls DecodeBuffered before it lets its pin
-// go mid-scan.
+// (DecodeBuffered). A cursor from NewIterator does so at the end of each
+// Seek and Next, whatever pins its caller holds. A cursor from
+// NewScanIterator leaves that to its owner, which holds its own pin
+// across many moves (Worker.Scan): it decodes only the values it reads,
+// and calls DecodeBuffered before it lets its pin go mid-scan.
 type Iterator struct {
 	s   *SkipList
 	ctx *exec.Ctx
@@ -54,6 +54,8 @@ type Iterator struct {
 	pairs  []kv    // live pairs of that node, sorted
 	idx    int     // position in pairs; idx == len(pairs) means exhausted
 	vbuf   []byte  // the node's decoded value bytes, appended as decoded
+	// deferred: the owner's pin covers every move (NewScanIterator).
+	deferred bool
 }
 
 type kv struct {
@@ -69,7 +71,15 @@ const undecoded = -1
 
 // NewIterator returns an unpositioned iterator; call Seek before Next.
 func (s *SkipList) NewIterator(ctx *exec.Ctx) *Iterator {
-	return &Iterator{s: s, ctx: ctx, idx: 0}
+	return &Iterator{s: s, ctx: ctx}
+}
+
+// NewScanIterator is NewIterator for an owner that holds its own era pin
+// on ctx across every move and calls DecodeBuffered before that pin
+// drops: its moves decode nothing, and ValueBytes decodes only the pair
+// it is asked for.
+func (s *SkipList) NewScanIterator(ctx *exec.Ctx) *Iterator {
+	return &Iterator{s: s, ctx: ctx, deferred: true}
 }
 
 // Seek positions the cursor at the first live key >= key and reports
@@ -116,9 +126,10 @@ func (it *Iterator) Value() uint64 { return it.pairs[it.idx].v }
 // ValueBytes returns the current value's decoded bytes; only meaningful
 // when Valid and a decoder is installed (SetValueDecoder). A pair not
 // decoded yet is decoded now, which is safe only while the pin that
-// covered the read of its value word is still held: a caller with no pin
-// of its own reads a pair its Seek/Next already decoded, and ValueBytes
-// of an undecoded pair with no pin held is a program bug and panics.
+// covered the read of its value word is still held: only a
+// NewScanIterator cursor leaves pairs undecoded past its move, and
+// ValueBytes of an undecoded pair with no pin held is a program bug and
+// panics.
 // Decoded bytes stay correct after the backing chunk is retired; the
 // slice aliases the iterator's buffer and is valid until the cursor
 // leaves the current node.
@@ -157,11 +168,12 @@ func (it *Iterator) decode(p *kv) {
 	p.vlen = len(it.vbuf) - p.voff
 }
 
-// unpin drops a Seek's or Next's pin. When it is the outermost one, the
-// pairs still buffered are decoded first: the next Next may land on one
-// under a later pin, which does not cover the read of its word.
+// unpin drops a Seek's or Next's pin, decoding the pairs still buffered
+// first: the next Next may land on one under a later pin, which does not
+// cover the read of its word. A deferred cursor skips that unless the
+// pin is the outermost one — its owner holds the pin it moves under.
 func (it *Iterator) unpin() {
-	if it.ctx.Pins == 1 {
+	if !it.deferred || it.ctx.Pins == 1 {
 		it.DecodeBuffered()
 	}
 	it.s.unpin(it.ctx)

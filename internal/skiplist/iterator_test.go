@@ -117,10 +117,12 @@ func TestIteratorAgainstScan(t *testing.T) {
 	}
 }
 
-// TestIteratorUndecodedOutsidePinPanics: a cursor moved under an outer
-// pin buffers its node's value words undecoded; reading one after that
-// pin dropped would decode a word no pin covers, which is a program bug,
-// so ValueBytes panics instead of reading a possibly recycled chunk.
+// TestIteratorUndecodedOutsidePinPanics: a NewIterator cursor decodes
+// what its move buffered before its own pin drops, even under an outer
+// pin. A NewScanIterator cursor moved under an outer pin buffers its
+// node's value words undecoded; reading one after that pin dropped would
+// decode a word no pin covers, which is a program bug, so ValueBytes
+// panics instead of reading a possibly recycled chunk.
 func TestIteratorUndecodedOutsidePinPanics(t *testing.T) {
 	e := newEnv(t, Config{MaxHeight: 8, KeysPerNode: 8})
 	decodes := 0
@@ -132,7 +134,15 @@ func TestIteratorUndecodedOutsidePinPanics(t *testing.T) {
 	for k := uint64(1); k <= 5; k++ {
 		e.sl.Insert(ctx, k, k*10)
 	}
-	it := e.sl.NewIterator(ctx)
+	own := e.sl.NewIterator(ctx)
+	e.sl.Pin(ctx)
+	own.Seek(1)
+	e.sl.Unpin(ctx)
+	if v := own.ValueBytes(); binary.LittleEndian.Uint64(v) != 10 || decodes != 5 {
+		t.Fatalf("NewIterator cursor after the outer pin dropped: %x after %d decodes, want 10 after 5", v, decodes)
+	}
+	decodes = 0
+	it := e.sl.NewScanIterator(ctx)
 	e.sl.Pin(ctx)
 	if !it.Seek(1) || !it.Next() {
 		t.Fatal("seek failed")

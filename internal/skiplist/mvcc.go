@@ -391,7 +391,7 @@ type SnapIterator struct {
 func (p *ListSnap) NewIterator(ctx *exec.Ctx) *SnapIterator {
 	return &SnapIterator{
 		snap: p, ctx: ctx,
-		it: p.s.NewIterator(ctx),
+		it: p.s.NewScanIterator(ctx), // Seek and Next pin around its moves
 	}
 }
 

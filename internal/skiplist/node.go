@@ -31,7 +31,7 @@ const (
 	offEpoch      = 1
 	offSplitCount = 2
 	offSplitLock  = 3
-	offMeta       = 4 // bits 0-7 height, bits 8-23 sorted-prefix length
+	offMeta       = 4 // bits 0-7 height; images of older revisions may set bits above
 	offKey0       = 5 // immutable copy of keys[0], co-located with metadata
 	offNext       = 6 // next[level] for level in [0, maxHeight)
 )
@@ -54,13 +54,12 @@ const (
 // count up from zero, so no live node carries it (see reclaim.go, step 2).
 const splitRetired = ^uint64(0)
 
-// metaWord packs a node's height and sorted-prefix length.
-func metaWord(height, sorted int) uint64 {
-	return uint64(height&0xff) | uint64(sorted&0xffff)<<8
-}
+// metaWord is a node's meta word for a tower of the given height.
+func metaWord(height int) uint64 { return uint64(height & 0xff) }
 
+// metaHeight reads the height back. It masks the bits above, where an
+// image written with sorted-on-split nodes kept a sorted-prefix length.
 func metaHeight(m uint64) int { return int(m & 0xff) }
-func metaSorted(m uint64) int { return int(m >> 8 & 0xffff) }
 
 // nodeRef is a resolved node: its pool, the absolute word offset of its
 // block, and the RIV pointer it was resolved from.

@@ -294,12 +294,6 @@ func (s *SkipList) splitNode(ctx *exec.Ctx, key uint64, preds, succs []riv.Ptr) 
 			pred.pool.Store(pred.off+s.valOff(i), Tombstone, ctx.Mem)
 		}
 	}
-	if s.sorted {
-		// The lower half keeps no guaranteed order (erases punched
-		// holes); record no sorted prefix for it.
-		h := metaHeight(pred.meta(ctx.Mem))
-		pred.pool.Store(pred.off+offMeta, metaWord(h, 0), ctx.Mem)
-	}
 	pred.persistAll(s, ctx.Mem)
 	pred.writeUnlock(s.a.Clock().Current(), ctx.Mem)
 
@@ -408,7 +402,7 @@ func (s *SkipList) Scan(ctx *exec.Ctx, lo, hi uint64, fn func(key, value uint64)
 	}
 	s.pin(ctx)
 	defer s.unpin(ctx)
-	it := s.NewIterator(ctx)
+	it := s.NewScanIterator(ctx) // fn gets words: nothing is decoded
 	for ok := it.Seek(lo); ok && it.Key() <= hi; ok = it.Next() {
 		if !fn(it.Key(), it.Value()) {
 			return nil

@@ -18,7 +18,6 @@ func TestQuickModelEquivalence(t *testing.T) {
 		cfg := Config{
 			MaxHeight:   int(heightRaw%12) + 2,
 			KeysPerNode: int(keysRaw%9) + 1,
-			SortedNodes: seed%2 == 0,
 		}
 		e := newEnv(t, cfg)
 		ctx := ctx0()

@@ -55,17 +55,16 @@ const (
 	rootOffKeys   = 2
 	rootOffHead   = 3
 	rootOffTail   = 4
-	rootOffFlags  = 5
-
-	flagSorted = 1 << 0
+	// Word 5 is unused: images of older revisions may have bit 0 set
+	// (sorted-on-split nodes), so it must not take a new meaning.
 
 	// MaxHeight is the tallest tower supported (the paper runs with 32
 	// levels). The cap is what the meta word's 8-bit height field and the
 	// lock word's layout were sized for.
 	MaxHeight = 32
 
-	// MaxKeysPerNode is the largest node capacity the meta word's 16-bit
-	// sorted-prefix field can describe.
+	// MaxKeysPerNode is the largest node capacity a store accepts; dumps
+	// and images are validated against it.
 	MaxKeysPerNode = 0xffff
 
 	// defaultTowerBranch is the default inverse promotion probability of
@@ -96,10 +95,6 @@ type Config struct {
 	// use 256, and 1 reproduces a classic one-key-per-node skip list
 	// (used for the Figure 5.3 pointer comparison).
 	KeysPerNode int
-	// SortedNodes enables the paper's proposed future-work optimization:
-	// node splits leave both halves sorted and lookups binary-search the
-	// sorted prefix before scanning the unsorted overflow, as BzTree does.
-	SortedNodes bool
 }
 
 // Tuning is the volatile traversal tuning of one list handle — the seam
@@ -153,7 +148,6 @@ type SkipList struct {
 
 	maxHeight   int
 	keysPerNode int
-	sorted      bool
 	blockWords  uint64
 
 	// Volatile tuning, written only by SetTuning.
@@ -276,9 +270,10 @@ func (s *SkipList) ForEachValueWord(ctx *exec.Ctx, fn func(word uint64)) {
 // SetValueDecoder installs the hook the engine uses to materialize a
 // value word into bytes (resolving slab references). The iterator calls
 // it under the era pin that covered the read of the pair's value word —
-// on demand when its caller holds a pin across its moves, for every pair
-// a move leaves buffered otherwise — so the decoded bytes stay valid
-// even after the referenced chunk is retired and freed.
+// on demand for a NewScanIterator cursor, whose owner holds a pin across
+// its moves, and for every pair a move leaves buffered otherwise — so
+// the decoded bytes stay valid even after the referenced chunk is
+// retired and freed.
 func (s *SkipList) SetValueDecoder(fn func(word uint64, dst []byte, acc *pmem.Acc) []byte) {
 	s.decode = fn
 }
@@ -326,7 +321,6 @@ func Create(a *alloc.Allocator, cfg Config) (*SkipList, error) {
 		a: a, space: a.Space(),
 		rootPool: rootPA.Pool(), rootOff: rootPA.RootOff(),
 		maxHeight: cfg.MaxHeight, keysPerNode: cfg.KeysPerNode,
-		sorted:     cfg.SortedNodes,
 		blockWords: a.BlockWords(),
 		dom:        newDomain(rootPA),
 		vlog:       &versionLog{},
@@ -364,11 +358,6 @@ func Create(a *alloc.Allocator, cfg Config) (*SkipList, error) {
 	r.Store(off+rootOffKeys, uint64(cfg.KeysPerNode), ctx.Mem)
 	r.Store(off+rootOffHead, headPtr.Word(), ctx.Mem)
 	r.Store(off+rootOffTail, tailPtr.Word(), ctx.Mem)
-	flags := uint64(0)
-	if cfg.SortedNodes {
-		flags |= flagSorted
-	}
-	r.Store(off+rootOffFlags, flags, ctx.Mem)
 	r.Persist(off, 8, ctx.Mem)
 	r.Store(off+rootOffMagic, rootMagic, ctx.Mem)
 	r.Persist(off+rootOffMagic, 1, ctx.Mem)
@@ -398,7 +387,6 @@ func Open(a *alloc.Allocator) (*SkipList, error) {
 		rootPool: r, rootOff: off,
 		maxHeight:   int(r.Load(off+rootOffHeight, nil)),
 		keysPerNode: int(r.Load(off+rootOffKeys, nil)),
-		sorted:      r.Load(off+rootOffFlags, nil)&flagSorted != 0,
 		blockWords:  a.BlockWords(),
 		head:        riv.FromWord(r.Load(off+rootOffHead, nil)),
 		tail:        riv.FromWord(r.Load(off+rootOffTail, nil)),
@@ -460,11 +448,7 @@ func (s *SkipList) installRecovery() {
 func (s *SkipList) initNode(n nodeRef, keys, values []uint64, height int, nd *pmem.Acc) {
 	n.pool.Store(n.off+offSplitCount, 0, nd)
 	n.pool.Store(n.off+offSplitLock, 0, nd)
-	sorted := 0
-	if s.sorted {
-		sorted = len(keys)
-	}
-	n.pool.Store(n.off+offMeta, metaWord(height, sorted), nd)
+	n.pool.Store(n.off+offMeta, metaWord(height), nd)
 	k0 := keyEmpty
 	if len(keys) > 0 {
 		k0 = keys[0]
@@ -520,7 +504,7 @@ func (s *SkipList) Tail() riv.Ptr { return s.tail }
 
 // Config returns the geometry.
 func (s *SkipList) Config() Config {
-	return Config{MaxHeight: s.maxHeight, KeysPerNode: s.keysPerNode, SortedNodes: s.sorted}
+	return Config{MaxHeight: s.maxHeight, KeysPerNode: s.keysPerNode}
 }
 
 // RecoveryStats returns a snapshot of the repair counters.
@@ -774,18 +758,11 @@ outer:
 }
 
 // scanInternalKeys finds key within a node (Function 8): it bulk-loads
-// the key block once and searches the snapshot (blocksearch.go). When
-// the sorted option is on, the sorted prefix left by the last split is
-// binary searched before the unsorted overflow is scanned linearly — the
-// BzTree-style lookup the paper names as future work.
+// the key block once and searches the snapshot (blocksearch.go).
 func (s *SkipList) scanInternalKeys(ctx *exec.Ctx, n nodeRef, key uint64) int {
-	sorted := 0
-	if s.sorted {
-		sorted = metaSorted(n.meta(ctx.Mem))
-	}
 	buf := ctx.GetBlock(s.keysPerNode)
 	n.keyBlock(s, buf, ctx.Mem)
-	idx, probed := searchBlock(buf, key, sorted)
+	idx, probed := searchBlock(buf, key)
 	ctx.PutBlock(buf)
 	ctx.Path.KeysProbed += uint64(probed)
 	return idx
@@ -857,12 +834,6 @@ func (s *SkipList) checkForNodeSplitRecovery(ctx *exec.Ctx, cur nodeRef) {
 			cur.pool.Store(cur.off+s.valOff(i), Tombstone, ctx.Mem)
 			s.recoveries.erased.Add(1)
 		}
-	}
-	// The sorted prefix may have been invalidated by the erases; fall
-	// back to linear scans for this node.
-	if s.sorted {
-		h := metaHeight(cur.meta(ctx.Mem))
-		cur.pool.Store(cur.off+offMeta, metaWord(h, 0), ctx.Mem)
 	}
 	cur.persistAll(s, ctx.Mem)
 	cur.writeUnlock(s.a.Clock().Current(), ctx.Mem)

@@ -89,7 +89,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sl2.Config()
-	if got.MaxHeight != 8 || got.KeysPerNode != 4 || got.SortedNodes {
+	if got.MaxHeight != 8 || got.KeysPerNode != 4 {
 		t.Fatalf("config after open = %+v", got)
 	}
 	if sl2.Head() != e.sl.Head() || sl2.Tail() != e.sl.Tail() {
@@ -300,19 +300,37 @@ func TestSingleKeyPerNodeMode(t *testing.T) {
 	}
 }
 
-func TestSortedNodesMode(t *testing.T) {
-	e := newEnv(t, Config{MaxHeight: 12, KeysPerNode: 8, SortedNodes: true})
+// TestOldImageSortedNodesRead: a list written with sorted-on-split
+// nodes, which no revision writes any more, set bit 0 of the root's
+// word 5 and kept a sorted-prefix length in bits 8-23 of each node's
+// meta word. Reopened, such a list is read on the one path: every key
+// is found, later inserts split the old nodes, and the invariants hold.
+func TestOldImageSortedNodesRead(t *testing.T) {
+	e := newEnv(t, Config{MaxHeight: 12, KeysPerNode: 8})
 	ctx := ctx0()
 	const n = 1500
 	for _, i := range rand.New(rand.NewSource(2)).Perm(n) {
-		e.sl.Insert(ctx, uint64(i+1), uint64(i+1))
+		e.sl.Insert(ctx, uint64(2*i+1), uint64(2*i+1)) // odd keys
 	}
-	for i := 1; i <= n; i++ {
-		if v, ok := e.sl.Get(ctx, uint64(i)); !ok || v != uint64(i) {
+	e.sl.rootPool.Store(e.sl.rootOff+5, 1, nil)
+	marked := 0
+	for p := e.sl.head; p != e.sl.tail; p = e.sl.node(p).next(e.sl, 0, nil) {
+		cur := e.sl.node(p)
+		m := cur.meta(nil)
+		cur.pool.Store(cur.off+offMeta, m|uint64(marked%0xffff+1)<<8, nil)
+		marked++
+	}
+	e2 := e.reopen(t)
+	ctx = ctx0()
+	for i := 2; i <= 2*n; i += 2 { // even keys split the marked nodes
+		e2.sl.Insert(ctx, uint64(i), uint64(i))
+	}
+	for i := 1; i <= 2*n; i++ {
+		if v, ok := e2.sl.Get(ctx, uint64(i)); !ok || v != uint64(i) {
 			t.Fatalf("key %d: %d,%v", i, v, ok)
 		}
 	}
-	if err := e.sl.CheckInvariants(ctx); err != nil {
+	if err := e2.sl.CheckInvariants(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,10 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"upskiplist/internal/riv"
 	"upskiplist/internal/skiplist"
 )
 
@@ -22,12 +27,8 @@ import (
 // version tag (and, from v4 on, dump kind) built from o.
 func writeMetaLine(t testing.TB, dir, tag string, o Options) {
 	t.Helper()
-	sorted := 0
-	if o.SortedNodes {
-		sorted = 1
-	}
-	line := fmt.Sprintf("%s %d %d %d %d %d %d %d %d %d %d %d\n",
-		tag, o.MaxHeight, o.KeysPerNode, sorted, o.NUMANodes, int(o.Placement),
+	line := fmt.Sprintf("%s %d %d 0 %d %d %d %d %d %d %d %d\n",
+		tag, o.MaxHeight, o.KeysPerNode, o.NUMANodes, int(o.Placement),
 		o.PoolWords, o.ChunkWords, o.MaxChunks, o.NumArenas, o.NumThreads, o.Shards)
 	if err := os.WriteFile(filepath.Join(dir, "meta.upsl"), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
@@ -277,5 +278,131 @@ func TestLoadV4BothKinds(t *testing.T) {
 				t.Fatalf("%s load: key %d wrong bytes (found=%v)", name, k, ok)
 			}
 		}
+	}
+}
+
+// TestOldImageSortedNodesStillLoad: stores written with sorted-on-split
+// nodes, which no revision writes any more, carry three marks — bit 0 of
+// the list root's word 5, a sorted-prefix length in bits 8-23 of node
+// meta words, and a 1 in the sidecar's fifth field. All three are read
+// and ignored: through Reopen, a physical Load and a pairs Load every
+// key and every Scan match a map oracle, before and after inserts that
+// split the marked nodes, and the invariants hold.
+func TestOldImageSortedNodesStillLoad(t *testing.T) {
+	o := testOptions()
+	o.Shards = 2
+	old, err := Create(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := map[uint64]uint64{}
+	w := old.NewWorker(0)
+	for _, i := range rand.New(rand.NewSource(4)).Perm(1000) {
+		k := uint64(2*i + 1) // odd keys; the even ones split nodes later
+		if _, _, err := w.PutU64(k, k*7); err != nil {
+			t.Fatal(err)
+		}
+		oracle[k] = k * 7
+	}
+	// Word offsets of the on-pmem layout (internal/skiplist): the list
+	// root's old flags word, a node's meta word and its next[0].
+	const rootFlags, nodeMeta, nodeNext0 = 5, 4, 6
+	walked := 0
+	for _, e := range old.shards {
+		pa := e.alloc.PoolByID(0)
+		pa.Pool().Store(pa.RootOff()+rootFlags, 1, nil)
+		for p := e.list.Head(); p != e.list.Tail(); {
+			pool, off := e.space.Resolve(p)
+			if walked%3 != 2 { // several nodes, not every one
+				pool.Store(off+nodeMeta, pool.Load(off+nodeMeta, nil)|uint64(walked%0xffff+1)<<8, nil)
+			}
+			walked++
+			p = riv.FromWord(pool.Load(off+nodeNext0, nil))
+		}
+	}
+	if walked < 100 {
+		t.Fatalf("walked %d nodes, want a list of many", walked)
+	}
+	// markSidecar sets the fifth field, which Save and SaveOnline write 0.
+	markSidecar := func(t *testing.T, dir string) {
+		path := filepath.Join(dir, "meta.upsl")
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := strings.Fields(string(b))
+		if len(f) < 5 || f[0] != "v4" || f[4] != "0" {
+			t.Fatalf("sidecar %q: want a v4 line with 0 in its fifth field", b)
+		}
+		f[4] = "1"
+		if err := os.WriteFile(path, []byte(strings.Join(f, " ")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, st *Store, oracle map[uint64]uint64) {
+		t.Helper()
+		w := st.NewWorker(0)
+		if err := w.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]uint64, 0, len(oracle))
+		for k, v := range oracle {
+			if got, ok := w.GetU64(k); !ok || got != v {
+				t.Fatalf("Get(%d) = %d, %v, want %d", k, got, ok, v)
+			}
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, r := range [][2]uint64{{KeyMin, KeyMax}, {1, 1}, {100, 700}, {1333, 1999}, {1999, 5000}} {
+			var got []uint64
+			if err := w.ScanU64(r[0], r[1], func(k, v uint64) bool {
+				if v != oracle[k] {
+					t.Fatalf("Scan [%d, %d] yields (%d, %d), want value %d", r[0], r[1], k, v, oracle[k])
+				}
+				got = append(got, k)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			lo, _ := slices.BinarySearch(keys, r[0])
+			hi, _ := slices.BinarySearch(keys, r[1]+1) // KeyMax+1 does not wrap
+			if !slices.Equal(got, keys[lo:hi]) {
+				t.Fatalf("Scan [%d, %d] yields %d keys, want %d", r[0], r[1], len(got), hi-lo)
+			}
+		}
+	}
+	physDir, pairsDir := t.TempDir(), t.TempDir()
+	if err := old.Save(physDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.SaveOnline(pairsDir); err != nil {
+		t.Fatal(err)
+	}
+	markSidecar(t, physDir)
+	markSidecar(t, pairsDir)
+	for _, tc := range []struct {
+		name string
+		open func() (*Store, error)
+	}{
+		{"reopen", old.Reopen},
+		{"phys load", func() (*Store, error) { return Load(physDir) }},
+		{"pairs load", func() (*Store, error) { return Load(pairsDir) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := maps.Clone(oracle)
+			check(t, st, want)
+			w := st.NewWorker(0)
+			for k := uint64(2); k <= 2000; k += 2 {
+				if _, _, err := w.PutU64(k, k*7); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = k * 7
+			}
+			check(t, st, want)
+		})
 	}
 }

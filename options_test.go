@@ -8,10 +8,10 @@ import (
 	"upskiplist/internal/skiplist"
 )
 
-// Geometry validation: node parameters that cannot be packed into the
-// meta word (16-bit sorted prefix, 8-bit height) must be rejected at
-// Create with the typed ErrBadGeometry, not discovered as corruption
-// later.
+// Geometry validation: node parameters outside the layout's bounds (an
+// 8-bit height in the meta word, skiplist.MaxKeysPerNode slots) must be
+// rejected at Create with the typed ErrBadGeometry, not discovered as
+// corruption later.
 func TestOptionsGeometryValidation(t *testing.T) {
 	cases := []struct {
 		name   string

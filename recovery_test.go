@@ -306,9 +306,9 @@ func TestBulkLoadRestoresDump(t *testing.T) {
 // one-shard slab store charges: attach, open and a sweep whose live walk
 // bulk-loads each node's key and value blocks. The count moves only when
 // recovery's access sequence does (6 842 while the walk loaded every key
-// and value word on its own).
+// and value word on its own, 2 842 while Open read the root's flags word).
 func TestRecoveryLoadsPinned(t *testing.T) {
-	const want = 2842
+	const want = 2841
 	st, err := Create(recoveryTestOptions(1))
 	if err != nil {
 		t.Fatal(err)

@@ -276,3 +276,47 @@ func TestIteratorValueContract(t *testing.T) {
 		t.Fatal("no chunk was freed: the storms recycled nothing")
 	}
 }
+
+// TestIteratorValueContractInsideScan: a cursor opened inside a Scan
+// callback, on the scanning worker, moves under the scan's pin. It must
+// still decode what it buffers before its own move returns: read after
+// Scan has returned and its pin has dropped, and after another worker
+// has overwritten every key and recycled the chunks, its values are the
+// ones the node held when the cursor snapshotted it.
+func TestIteratorValueContractInsideScan(t *testing.T) {
+	const keys = 8 // one node: the cursor never leaves it
+	o := DefaultOptions()
+	o.KeysPerNode = 32
+	st := stampedStore(t, o, keys)
+	w := st.NewWorker(1)
+	var it Iterator
+	if err := w.Scan(KeyMin, KeyMax, func(uint64, []byte) bool {
+		it = w.Iterator()
+		it.Seek(KeyMin)
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	freed := st.SlabStats().ChunksFreed
+	other := st.NewWorker(2)
+	for gen := uint64(1); gen <= 256; gen++ {
+		for k := uint64(1); k <= keys; k++ {
+			if _, _, err := other.Put(k, stamp(k, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st.SlabStats().ChunksFreed == freed {
+		t.Fatal("no chunk was freed: the overwrites recycled nothing")
+	}
+	n := uint64(0)
+	for ok := it.Valid(); ok; ok = it.Next() {
+		n++
+		if k := it.Key(); k != n || !bytes.Equal(it.Value(), stamp(k, 0)) {
+			t.Fatalf("pair %d: key %d's Value is not the value the node held at Seek", n, k)
+		}
+	}
+	if n != keys {
+		t.Fatalf("iterated %d pairs, want %d", n, keys)
+	}
+}

@@ -26,7 +26,6 @@ func newShardPair(t *testing.T, nShards int) shardPair {
 	t.Helper()
 	mk := func(shards int) *Store {
 		o := testOptions()
-		o.SortedNodes = true
 		o.Shards = shards
 		st, err := Create(o)
 		if err != nil {

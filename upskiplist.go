@@ -91,10 +91,10 @@ const MaxValueLen = 1 << 20
 // the server's configured bound). Wrap-tested with errors.Is.
 var ErrValueTooLarge = errors.New("upskiplist: value exceeds the maximum value length")
 
-// ErrBadGeometry reports Options whose node geometry cannot be packed
-// into the on-PMEM node layout: the meta word gives the sorted-prefix
-// length 16 bits and the height 8, so KeysPerNode is capped at
-// skiplist.MaxKeysPerNode and MaxHeight at skiplist.MaxHeight.
+// ErrBadGeometry reports Options whose node geometry the on-PMEM node
+// layout does not take: the meta word gives the height 8 bits, so
+// MaxHeight is capped at skiplist.MaxHeight, and KeysPerNode at
+// skiplist.MaxKeysPerNode, the bound dumps and images are checked against.
 // Wrap-tested with errors.Is.
 var ErrBadGeometry = errors.New("upskiplist: invalid node geometry")
 
@@ -126,9 +126,6 @@ type Options struct {
 	// 256 keys per node in the evaluation; smaller defaults here).
 	MaxHeight   int
 	KeysPerNode int
-	// SortedNodes enables sorted-on-split nodes with binary-search
-	// lookups (the paper's proposed optimization).
-	SortedNodes bool
 
 	// Shards splits the keyspace across this many independent skip lists
 	// (0 or 1 = today's single-list store). Routing is by key modulo the
@@ -196,7 +193,7 @@ func (o *Options) normalize() error {
 		return fmt.Errorf("%w: MaxHeight %d outside [1, %d]", ErrBadGeometry, o.MaxHeight, skiplist.MaxHeight)
 	}
 	if o.KeysPerNode < 1 || o.KeysPerNode > skiplist.MaxKeysPerNode {
-		return fmt.Errorf("%w: KeysPerNode %d outside [1, %d] (meta word keeps the sorted prefix in 16 bits)", ErrBadGeometry, o.KeysPerNode, skiplist.MaxKeysPerNode)
+		return fmt.Errorf("%w: KeysPerNode %d outside [1, %d]", ErrBadGeometry, o.KeysPerNode, skiplist.MaxKeysPerNode)
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -238,7 +235,7 @@ func (o Options) allocConfig() alloc.Config {
 }
 
 func (o Options) skipConfig() skiplist.Config {
-	return skiplist.Config{MaxHeight: o.MaxHeight, KeysPerNode: o.KeysPerNode, SortedNodes: o.SortedNodes}
+	return skiplist.Config{MaxHeight: o.MaxHeight, KeysPerNode: o.KeysPerNode}
 }
 
 // engine is one complete single-list store: pools, RIV address space,
@@ -988,22 +985,18 @@ func leU64(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(t[:])
 }
 
-// mergedCursor returns the worker's reusable cross-shard merge cursor.
+// mergedCursor returns the worker's reusable cross-shard merge cursor,
+// scan's own: its per-shard cursors move under the pins scan holds and
+// leave decoding to it.
 func (w *Worker) mergedCursor() *skiplist.Merged {
 	if w.merged == nil {
-		w.its = w.shardIterators()
+		w.its = make([]*skiplist.Iterator, len(w.s.shards))
+		for i, e := range w.s.shards {
+			w.its[i] = e.list.NewScanIterator(w.ctxs[i])
+		}
 		w.merged = skiplist.NewMerged(w.its)
 	}
 	return w.merged
-}
-
-// shardIterators returns a fresh bottom-level cursor per shard.
-func (w *Worker) shardIterators() []*skiplist.Iterator {
-	its := make([]*skiplist.Iterator, len(w.s.shards))
-	for i, e := range w.s.shards {
-		its[i] = e.list.NewIterator(w.ctxs[i])
-	}
-	return its
 }
 
 // Count returns the number of live keys across all shards (quiesced
@@ -1049,7 +1042,11 @@ func (it storeIter) ValueU64() uint64     { return leU64(it.c.ValueBytes()) }
 // every shard's bottom level, which yields keys in globally ascending
 // order across shard boundaries.
 func (w *Worker) Iterator() Iterator {
-	return storeIter{c: skiplist.NewMerged(w.shardIterators())}
+	its := make([]*skiplist.Iterator, len(w.s.shards))
+	for i, e := range w.s.shards {
+		its[i] = e.list.NewIterator(w.ctxs[i])
+	}
+	return storeIter{c: skiplist.NewMerged(its)}
 }
 
 // CheckInvariants validates structural invariants of every shard
@@ -1203,18 +1200,16 @@ func loadShardPools(dir string, opts Options, topo numa.Topology, shard int) ([]
 // writeMeta/loadMeta persist Options in a tiny sidecar file: one v4 line
 // carrying a dump-kind token after the version — "phys" for physical
 // pool images (Save), "pairs" for logical key/value dumps (SaveOnline).
+// The fifth field once flagged sorted-on-split nodes; it is written 0
+// and read and ignored, so dumps of either revision load on one path.
 func writeMeta(dir string, o Options, kind string) error {
 	f, err := os.Create(filepath.Join(dir, "meta.upsl"))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sorted := 0
-	if o.SortedNodes {
-		sorted = 1
-	}
-	_, err = fmt.Fprintf(f, "v4 %s %d %d %d %d %d %d %d %d %d %d %d\n",
-		kind, o.MaxHeight, o.KeysPerNode, sorted, o.NUMANodes, int(o.Placement),
+	_, err = fmt.Fprintf(f, "v4 %s %d %d 0 %d %d %d %d %d %d %d %d\n",
+		kind, o.MaxHeight, o.KeysPerNode, o.NUMANodes, int(o.Placement),
 		o.PoolWords, o.ChunkWords, o.MaxChunks, o.NumArenas, o.NumThreads, o.Shards)
 	return err
 }
@@ -1242,13 +1237,12 @@ func loadMeta(dir string) (Options, string, error) {
 		return bad(fmt.Errorf("format %q is not the v4 this revision reads", ver))
 	}
 	var o Options
-	var sorted, placement int
-	if _, err := fmt.Fscan(f, &kind, &o.MaxHeight, &o.KeysPerNode, &sorted, &o.NUMANodes,
+	var unused, placement int
+	if _, err := fmt.Fscan(f, &kind, &o.MaxHeight, &o.KeysPerNode, &unused, &o.NUMANodes,
 		&placement, &o.PoolWords, &o.ChunkWords, &o.MaxChunks, &o.NumArenas, &o.NumThreads,
 		&o.Shards); err != nil {
 		return bad(err)
 	}
-	o.SortedNodes = sorted == 1
 	o.Placement = Placement(placement)
 	switch {
 	case kind != "phys" && kind != "pairs":

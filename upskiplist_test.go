@@ -242,27 +242,6 @@ func TestConcurrentWorkers(t *testing.T) {
 	}
 }
 
-func TestSortedNodesOption(t *testing.T) {
-	o := testOptions()
-	o.SortedNodes = true
-	st, err := Create(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := st.NewWorker(0)
-	for _, i := range rand.New(rand.NewSource(4)).Perm(1000) {
-		w.PutU64(uint64(i+1), uint64(i+1))
-	}
-	for i := uint64(1); i <= 1000; i++ {
-		if v, ok := w.GetU64(i); !ok || v != i {
-			t.Fatalf("key %d: %d %v", i, v, ok)
-		}
-	}
-	if err := w.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCostModelCharges(t *testing.T) {
 	o := testOptions()
 	o.Cost = pmem.DefaultCostModel()
